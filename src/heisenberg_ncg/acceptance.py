@@ -39,14 +39,14 @@ def _result(number: int, name: str, passed: bool, t0: float, **details) -> dict:
         "criterion": number,
         "name": name,
         "passed": bool(passed),
-        "elapsed_s": round(time.time() - t0, 3),
+        "elapsed_s": round(time.perf_counter() - t0, 3),
         "details": details,
     }
 
 
 def criterion_1_pairing_tables(truncations=(32, 64, 128)) -> dict:
     """Recompute every pairing-table entry that has a numeric route."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     Z = AlgebraElement.zero()
     ktheory_odd = {"[U]": U, "[V]": V, "[V_a]": [[V, Z], [Z, ONE]]}
     ktheory_even = {"[1]": ONE, "[P_a]": [[ONE, Z], [Z, Z]]}
@@ -90,7 +90,7 @@ def criterion_1_pairing_tables(truncations=(32, 64, 128)) -> dict:
 
 def criterion_2_index_theorem(truncations=(32, 64, 128)) -> dict:
     """The half-line compression of the implementing unitary has index 1."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     idx = fr.odd_pairing("z1prime", V, truncations)
     return _result(2, "Toeplitz index instance", idx == 1, t0, index=idx,
                    truncations=list(truncations))
@@ -98,7 +98,7 @@ def criterion_2_index_theorem(truncations=(32, 64, 128)) -> dict:
 
 def criterion_3_dirac_bott(grids=(16, 32, 64), truncation=48, n_commutators=4) -> dict:
     """Lattice Chern number +1 and agreement with the Dirac trace route."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     cherns = {g: ch.lattice_chern(ch.bott_projector(g, 1.0)) for g in grids}
     field = ch.bott_projector(max(grids), 1.0)
     dirac = ch.dirac_even_pairing(field, truncation=truncation,
@@ -110,7 +110,7 @@ def criterion_3_dirac_bott(grids=(16, 32, 64), truncation=48, n_commutators=4) -
 
 def criterion_4_decomposition(seed=DEFAULT_SEED, n_roundtrips=100, n_routes=20) -> dict:
     """Exact decomposition round-trips and two-route cell agreement."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = []
     for i in range(n_roundtrips):
@@ -145,7 +145,7 @@ def criterion_4_decomposition(seed=DEFAULT_SEED, n_roundtrips=100, n_routes=20) 
 def criterion_5_central_generator(seed=DEFAULT_SEED, n_derivations=25) -> dict:
     """d(W) = 0 for consistent derivations; injected relation violations
     are detected."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 1)
     w_failures = 0
     for _ in range(n_derivations):
@@ -172,7 +172,7 @@ def criterion_5_central_generator(seed=DEFAULT_SEED, n_derivations=25) -> dict:
 
 def criterion_6_centralizers(seed=DEFAULT_SEED, count=50, box=6) -> dict:
     """Closed-form centralizer membership equals brute-force enumeration."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 2)
     elements = [
         GroupElement(2, 4, 1),   # generic interior case
@@ -206,7 +206,7 @@ def criterion_6_centralizers(seed=DEFAULT_SEED, count=50, box=6) -> dict:
 
 
 def criterion_7_cohomology() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     profile = gs.group_cohomology("H3").dims
     ranks = [gs.cyclic_cohomology_dim(n).finite_rank for n in range(8)]
     countable = [gs.cyclic_cohomology_dim(n).countable_factor for n in range(8)]
@@ -223,7 +223,7 @@ def criterion_7_cohomology() -> dict:
 
 
 def criterion_8_exactness() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     node_failures = []
     for builder in (kk.pv_ktheory_sequence, kk.khomology_sequence):
         for rep in kk.check_exactness(builder()):
@@ -248,7 +248,7 @@ def criterion_8_exactness() -> dict:
 
 
 def criterion_9_duality() -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     dual = kk.check_duality()
     faith = kk.check_faithfulness()
     passed = dual["passed"] and faith["passed"]
@@ -257,7 +257,7 @@ def criterion_9_duality() -> dict:
 
 
 def criterion_10_algebra_oracle(seed=DEFAULT_SEED, n_products=1000) -> dict:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 3)
 
     def matrix_of(g: GroupElement):

@@ -48,11 +48,18 @@ class VerificationFailure(Exception):
 # ---- input plumbing ----
 
 
+def _is_file(text: str) -> bool:
+    try:
+        return Path(text).is_file()
+    except OSError:  # inline JSON may be longer than a file name can be
+        return False
+
+
 def _load_json(text_or_path: str):
     """Inline JSON, a file path, or '-' for stdin."""
     if text_or_path == "-":
         raw = sys.stdin.read()
-    elif Path(text_or_path).is_file():
+    elif _is_file(text_or_path):
         raw = Path(text_or_path).read_text()
     else:
         raw = text_or_path
@@ -437,7 +444,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early.  Point stdout at devnull so the
+        # interpreter's own flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_VERIFICATION
+    sys.exit(code)
 
 
 if __name__ == "__main__":

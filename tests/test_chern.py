@@ -79,16 +79,42 @@ class TestDiracPairing:
         f0 = np.where(z == 0, 1.0, z / np.where(np.abs(z) == 0, 1.0, np.abs(z)))
         F = np.diag(np.repeat(f0.reshape(-1), 2))
         A = F @ P - P @ F
-        n = 1
-        dense = np.trace(P @ np.linalg.matrix_power(A @ A.conj().T, n)) - np.trace(
-            P @ np.linalg.matrix_power(A.conj().T @ A, n)
-        )
-        # the engine's star operator is the negated true adjoint, so its raw
-        # chain value carries a factor (-1)^n relative to the dense trace;
-        # the public entry point compensates with the same per-run sign
+        AAs, AsA = A @ A.conj().T, A.conj().T @ A
         engine = _DiracEngine(coeffs, N)
-        probed = engine.graded_trace(n, spacing=w)  # spacing >= window: exact
-        assert abs((-1) ** n * probed - dense.real) < 1e-8
+        for n in (1, 2):
+            dense = np.trace(P @ np.linalg.matrix_power(AAs, n)) - np.trace(
+                P @ np.linalg.matrix_power(AsA, n)
+            )
+            # the engine's star operator is the negated true adjoint, so its
+            # raw chain value carries a factor (-1)^n relative to the dense
+            # trace; the public entry point compensates with the same sign
+            (probed,) = engine.graded_traces((n,), spacing=w)  # spacing >= window: exact
+            assert abs((-1) ** n * probed - dense.real) < 1e-8
+
+    def test_fft_symbol_matches_loop_reference(self):
+        coeffs, K = fourier_coefficients(bott_projector(64, 1.0), tail=1e-5)
+        engine = _DiracEngine(coeffs, 24)
+        # reference: one full-grid exponential per coefficient block
+        f1 = np.fft.fftfreq(engine.L)
+        ref = np.zeros((engine.L, engine.L, 2, 2), dtype=complex)
+        for (a, b), c in coeffs.items():
+            ref += (
+                np.exp(-2j * np.pi * (a * f1[:, None] + b * f1[None, :]))[
+                    ..., None, None
+                ]
+                * c
+            )
+        got = engine.symbol.transpose(2, 3, 0, 1)
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+    def test_one_pass_traces_match_separate_passes(self):
+        coeffs, K = fourier_coefficients(bott_projector(64, 1.0), tail=1e-5)
+        engine = _DiracEngine(coeffs, 22)
+        both = engine.graded_traces((2, 3), spacing=6)
+        (t2,) = engine.graded_traces((2,), spacing=6)
+        (t3,) = engine.graded_traces((3,), spacing=6)
+        assert abs(both[0] - t2) < 1e-10
+        assert abs(both[1] - t3) < 1e-10
 
     def test_constant_field_pairs_to_zero(self):
         res = dirac_even_pairing(constant_projector(32))
@@ -106,6 +132,14 @@ class TestDiracPairing:
     def test_small_truncation_rejected(self):
         with pytest.raises(ValueError):
             dirac_even_pairing(bott_projector(64, 1.0), truncation=12)
+
+    def test_truncation_without_distinct_second_run_rejected(self):
+        # default tail: kernel radius 24, so the smallest allowed truncation
+        # is 32, where the smaller certificate run would repeat the first
+        field = bott_projector(64, 1.0)
+        assert fourier_coefficients(field)[1] == 24
+        with pytest.raises(ValueError, match="distinct second certificate run"):
+            dirac_even_pairing(field, truncation=32)
 
     def test_odd_commutator_count_rejected(self):
         with pytest.raises(ValueError):

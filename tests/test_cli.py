@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from heisenberg_ncg.algebra import U, V, element_to_dict
+import heisenberg_ncg
+from heisenberg_ncg.algebra import U, V, element_from_dict, element_to_dict
 from heisenberg_ncg.cli import run
 from heisenberg_ncg.derivations import derivation_to_dict, inner_derivation
 
@@ -64,6 +68,19 @@ class TestDeriv:
         res = json.loads(out)["result"]
         assert res["z1"]["terms"] == [] and res["z2"]["terms"] == []
         assert res["x"]["terms"] == [{"p": 1, "q": 0, "r": 0, "re": "1", "im": "0"}]
+
+    def test_long_inline_json(self, capsys):
+        # without a '/' the whole text is one path component, longer than a
+        # file name may be: the path probe must not end the command
+        x = element_from_dict({"terms": [
+            {"p": p, "q": q, "r": 0, "re": "1", "im": "0"}
+            for p in range(1, 5) for q in range(1, 5)
+        ]})
+        dj = json.dumps(derivation_to_dict(inner_derivation(x)))
+        assert len(dj) > 255 and "/" not in dj
+        code, out, _ = run_captured(capsys, ["deriv", "decompose", dj])
+        assert code == 0
+        assert json.loads(out)["result"]["x"] == element_to_dict(x)
 
     def test_check_inconsistent_exits_one(self, capsys):
         bad = json.dumps(
@@ -188,3 +205,20 @@ class TestPlumbing:
         assert code == 0
         assert out.startswith("# group hc-dim")
         assert "finite_rank: 3" in out
+
+    def test_broken_pipe_exits_quietly(self):
+        # the reader is gone before the command writes anything
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(heisenberg_ncg.__file__).parents[1]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "heisenberg_ncg.cli", "group", "hc-dim",
+                 "--n", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1

@@ -15,6 +15,7 @@ is evaluated in a finite-dimensional representation.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -222,13 +223,13 @@ class AlgebraElement:
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, GR_ZERO) + c
-        return AlgebraElement(out)
+        return AlgebraElement._of_clean(out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, GR_ZERO) - c
-        return AlgebraElement(out)
+        return AlgebraElement._of_clean(out)
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement({k: -c for k, c in self._terms.items()})
@@ -237,13 +238,38 @@ class AlgebraElement:
         cc = _coerce_coeff(c)
         return AlgebraElement({k: v * cc for k, v in self._terms.items()})
 
+    @staticmethod
+    def _of_clean(terms: dict[Key, GaussianRational]) -> "AlgebraElement":
+        """Wrap a dict with int-triple keys, dropping zero coefficients; unlike
+        ``__init__`` it rebuilds no key, so ring operations allocate less."""
+        x = object.__new__(AlgebraElement)
+        object.__setattr__(
+            x, "_terms", {k: c for k, c in terms.items() if not c.is_zero()})
+        return x
+
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        a, b = self._terms, other._terms
+        # A one-term operand maps keys one to one: nothing accumulates.
+        if len(b) == 1:
+            ((p2, q2, r2), c2), = b.items()
+            unit = c2 == GR_ONE
+            return AlgebraElement._of_clean({
+                (p1 + p2, q1 + q2, r1 + r2 + q1 * p2): c1 if unit else c1 * c2
+                for (p1, q1, r1), c1 in a.items()
+            })
+        if len(a) == 1:
+            ((p1, q1, r1), c1), = a.items()
+            unit = c1 == GR_ONE
+            return AlgebraElement._of_clean({
+                (p1 + p2, q1 + q2, r1 + r2 + q1 * p2): c2 if unit else c1 * c2
+                for (p2, q2, r2), c2 in b.items()
+            })
         out: dict[Key, GaussianRational] = {}
-        for (p1, q1, r1), c1 in self._terms.items():
-            for (p2, q2, r2), c2 in other._terms.items():
+        for (p1, q1, r1), c1 in a.items():
+            for (p2, q2, r2), c2 in b.items():
                 key = (p1 + p2, q1 + q2, r1 + r2 + q1 * p2)
                 out[key] = out.get(key, GR_ZERO) + c1 * c2
-        return AlgebraElement(out)
+        return AlgebraElement._of_clean(out)
 
     def star(self) -> "AlgebraElement":
         out = {}
@@ -346,10 +372,18 @@ def element_to_dict(x: AlgebraElement) -> dict:
     return {"terms": [_term_record(k, x.coeff(*k)) for k in x.support()]}
 
 
+def _exponent(rec: Mapping, name: str) -> int:
+    v = rec[name]
+    # bool is an int subclass, and int() would truncate 1.7 or parse "1".
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"exponent {name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def element_from_dict(data: Mapping) -> AlgebraElement:
     terms: dict[Key, GaussianRational] = {}
     for rec in data.get("terms", []):
-        key = (int(rec["p"]), int(rec["q"]), int(rec["r"]))
+        key = (_exponent(rec, "p"), _exponent(rec, "q"), _exponent(rec, "r"))
         coeff = GaussianRational.of(rec.get("re", 0), rec.get("im", 0))
         terms[key] = terms.get(key, GR_ZERO) + coeff
     return AlgebraElement(terms)

@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 # Global orientation calibration: raw plaquette sums and raw graded traces
 # for the mass = +1 field both evaluate to +1 with the conventions in this
@@ -159,6 +158,9 @@ class _DiracEngine:
     """
 
     def __init__(self, coeffs, truncation: int):
+        # Imported here, its only user: scipy.fft doubles the objects that
+        # every full garbage collection scans, also in exact arithmetic.
+        import scipy.fft as sfft
         self.w = w = 2 * truncation + 1
         K = max(max(abs(a), abs(b)) for (a, b) in coeffs)
         # Zero padding: the convolution output is cropped back to the
@@ -189,6 +191,7 @@ class _DiracEngine:
         so every FFT of the engine passes the one entry point that the
         benchmark's kernel trace wraps (``bench/spans.py``).
         """
+        import scipy.fft as sfft
         L, w = self.L, self.w
         h = sfft.fft2(v, s=(L,), axes=(-1,))
         h = sfft.fft2(h, s=(L,), axes=(-2,))

@@ -22,13 +22,18 @@ derivations d1(U) = U, d2(V) = V, and x normalized to have no W-axis terms.
 The inner part x is recovered cell by cell through telescoping sums over
 the coefficients of dU (step q) or dV (step p), and the result is verified
 by exact reconstruction.
+
+The split is also how a derivation is evaluated: d1 and d2 scale
+U^p V^q W^r by p and by q, so ``apply`` computes
+
+    d(y) = z1 * d1(y) + z2 * d2(y) + y x - x y
+
+from one decomposition, with no power-by-power Leibniz expansion.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -40,7 +45,6 @@ from .algebra import (
     Key,
     U,
     V,
-    W,
     element_from_dict,
     element_to_dict,
     is_central,
@@ -142,48 +146,38 @@ def check_consistency(d: Derivation) -> ConsistencyReport:
     return ConsistencyReport(not violations, tuple(violations))
 
 
-def _power_image(gen: AlgebraElement, dgen: AlgebraElement, n: int) -> AlgebraElement:
-    """d(gen^n) from d(gen) via Leibniz; n may be negative.
+def _weighted(y: AlgebraElement, axis: int) -> AlgebraElement:
+    """d1(y) (axis 0) or d2(y) (axis 1): U^p V^q W^r scaled by p or by q."""
+    return AlgebraElement({
+        k: GaussianRational(c.re * k[axis], c.im * k[axis])
+        for k, c in y.terms.items()
+    })
 
-    Uses d(g^{-1}) = -g^{-1} d(g) g^{-1} for the downward direction.
+
+def apply(d: Derivation, y: AlgebraElement) -> AlgebraElement:
+    """Evaluate d on y through its decomposition d = z1*d1 + z2*d2 + [., x].
+
+    Since z1 and z2 are central, d(y) = z1*d1(y) + z2*d2(y) + y*x - x*y.
+    Raises what ``decompose`` raises: ValueError for an inconsistent
+    derivation, ArithmeticError if the reconstruction check fails.
     """
-    if n == 0:
-        return AlgebraElement.zero()
-    if n > 0:
-        out = dgen
-        power = gen
-        for _ in range(n - 1):
-            out = out * gen + power * dgen
-            power = power * gen
-        return out
-    ginv = gen.star()  # generators are unitary monomials
-    dginv = (-(ginv * dgen)) * ginv
-    return _power_image(ginv, dginv, -n)
-
-
-def apply(d: Derivation, x: AlgebraElement) -> AlgebraElement:
-    """Extend d to the whole group ring by linearity and the Leibniz rule."""
-    report = check_consistency(d)
-    if not report.passed:
-        raise ValueError(
-            "derivation fails the consistency relation; Leibniz extension "
-            f"is ill-defined ({len(report.violations)} violating cells)"
-        )
-    out = AlgebraElement.zero()
-    for (p, q, r), c in x.terms.items():
-        up = AlgebraElement.monomial(p, 0, 0)
-        vq = AlgebraElement.monomial(0, q, 0)
-        wr = AlgebraElement.monomial(0, 0, r)
-        dup = _power_image(U, d.dU, p)
-        dvq = _power_image(V, d.dV, q)
-        # d(W^r) = 0, so only two Leibniz terms survive.
-        term = dup * vq * wr + up * dvq * wr
-        out = out + term.scale(c)
-    return out
+    parts = decompose(d)
+    x = parts.x
+    return parts.z1 * _weighted(y, 0) + parts.z2 * _weighted(y, 1) + y * x - x * y
 
 
 def _column(x: AlgebraElement, p: int, q: int) -> dict[int, GaussianRational]:
     return {r: c for (pp, qq, r), c in x.terms.items() if pp == p and qq == q}
+
+
+def _columns(
+    x: AlgebraElement, dp: int, dq: int
+) -> dict[tuple[int, int], dict[int, GaussianRational]]:
+    """Every column of x in one pass, keyed by (p - dp, q - dq)."""
+    cols: dict[tuple[int, int], dict[int, GaussianRational]] = {}
+    for (p, q, r), c in x.terms.items():
+        cols.setdefault((p - dp, q - dq), {})[r] = c
+    return cols
 
 
 def _telescope(
@@ -193,60 +187,19 @@ def _telescope(
 
     ``column`` holds the source coefficients (a_{p+1,q,*} for the a-route,
     b_{p,q+1,*} for the b-route) and ``step`` the nonzero index step (q for
-    the a-route, p for the b-route).  The four sign cases per route collapse
-    to sums upward (r >= 0 references heights > r or >= r) and downward
-    (r < 0), with signs fixed so that reconstruction is exact.
+    the a-route, p for the b-route).  The sum runs away from height 0: over
+    r + step, r + 2*step, ... when step points away from 0 (sign -1 on the
+    a-route), else over r, r - step, ... (sign +1 on the a-route).  The
+    b-route has the opposite signs.  These signs make reconstruction exact.
     """
     if not column:
         return GR_ZERO
-    rmin, rmax = min(column), max(column)
-    total = GR_ZERO
-
-    def add_range(start: int, sign: int, stride: int):
-        nonlocal total
-        rr = start
-        if stride > 0:
-            while rr <= rmax:
-                c = column.get(rr)
-                if c is not None:
-                    total = total + (c if sign > 0 else -c)
-                rr += stride
-        else:
-            while rr >= rmin:
-                c = column.get(rr)
-                if c is not None:
-                    total = total + (c if sign > 0 else -c)
-                rr += stride
-
-    if route == "a":
-        # source coefficients a_{p+1,q,*}, step q
-        qq = step
-        if r >= 0:
-            if qq > 0:
-                add_range(r + qq, -1, qq)
-            else:
-                add_range(r, +1, -qq)
-        else:
-            if qq > 0:
-                add_range(r, +1, -qq)
-            else:
-                add_range(r + qq, -1, qq)
-    elif route == "b":
-        # source coefficients b_{p,q+1,*}, step p
-        pp = step
-        if r >= 0:
-            if pp > 0:
-                add_range(r + pp, +1, pp)
-            else:
-                add_range(r, -1, -pp)
-        else:
-            if pp > 0:
-                add_range(r, -1, -pp)
-            else:
-                add_range(r + pp, +1, pp)
-    else:
-        raise ValueError("route must be 'a' or 'b'")
-    return total
+    outward = (step > 0) == (r >= 0)
+    stride = step if outward else -step
+    stop = max(column) + 1 if stride > 0 else min(column) - 1
+    start = r + stride if outward else r
+    total = sum((column[h] for h in range(start, stop, stride) if h in column), GR_ZERO)
+    return -total if outward == (route == "a") else total
 
 
 def inner_coefficient(
@@ -289,49 +242,35 @@ def decompose(d: Derivation) -> DecompositionResult:
     """
     report = check_consistency(d)
     if not report.passed:
-        raise ValueError("cannot decompose an inconsistent derivation")
+        raise ValueError(
+            "cannot decompose an inconsistent derivation "
+            f"({len(report.violations)} violating cells)"
+        )
 
-    z1 = AlgebraElement({(0, 0, r): c for r, c in _column(d.dU, 1, 0).items()})
-    z2 = AlgebraElement({(0, 0, r): c for r, c in _column(d.dV, 0, 1).items()})
+    # a_{p+1,q,*} and b_{p,q+1,*} are the sources of the cell (p, q) of x;
+    # the cell (0, 0) holds z1 and z2 instead.
+    a_cols = _columns(d.dU, 1, 0)
+    b_cols = _columns(d.dV, 0, 1)
+    z1 = AlgebraElement({(0, 0, r): c for r, c in a_cols.pop((0, 0), {}).items()})
+    z2 = AlgebraElement({(0, 0, r): c for r, c in b_cols.pop((0, 0), {}).items()})
 
-    # Candidate (p, q) cells of x and the r-window that could be populated.
     x_terms: dict[Key, GaussianRational] = {}
-    cells: set[tuple[int, int]] = set()
-    r_bounds: dict[tuple[int, int], tuple[int, int]] = {}
+    for (p, q) in a_cols.keys() | b_cols.keys():
+        if q != 0:
+            column, step, route = a_cols.get((p, q)), q, "a"
+        else:
+            column, step, route = b_cols.get((p, q)), p, "b"
+        if not column:
+            continue
+        # A telescope only reaches heights between its column and 0.
+        for r in range(min(min(column), 0), max(max(column), 0) + 1):
+            x_terms[(p, q, r)] = _telescope(column, r, step, route)
 
-    def note(p, q, r):
-        if (p, q) == (0, 0):
-            return
-        cells.add((p, q))
-        lo, hi = r_bounds.get((p, q), (r, r))
-        r_bounds[(p, q)] = (min(lo, r), max(hi, r))
-
-    for (P, Q, R) in d.dU.support():
-        # a_{P,Q,R} feeds alpha at (P-1, Q, *)
-        note(P - 1, Q, R)
-    for (P, Q, R) in d.dV.support():
-        note(P, Q - 1, R)
-
-    for (p, q) in sorted(cells):
-        lo, hi = r_bounds[(p, q)]
-        span = max(abs(q), abs(p), 1)
-        # Telescopes only reach heights between the source support and 0,
-        # so the candidate window must always include 0.
-        for r in range(min(lo, 0) - span, max(hi, 0) + span + 1):
-            if q != 0:
-                c = inner_coefficient(d, p, q, r, "a")
-            else:
-                c = inner_coefficient(d, p, q, r, "b")
-            if not c.is_zero():
-                x_terms[(p, q, r)] = c
-
-    x = AlgebraElement(x_terms)
-    result = DecompositionResult(z1=z1, z2=z2, x=x)
-
+    x = AlgebraElement(x_terms)  # drops the zero coefficients
     rebuilt = compose_from_parts(z1, z2, x)
     if rebuilt.dU != d.dU or rebuilt.dV != d.dV:
         raise ArithmeticError("decomposition reconstruction mismatch")
-    return result
+    return DecompositionResult(z1=z1, z2=z2, x=x)
 
 
 # ---- serialization ----

@@ -15,6 +15,7 @@ from heisenberg_ncg.algebra import (
     RationalAngle,
     apply_automorphism,
     conjugate,
+    element_from_dict,
     element_from_json,
     element_to_json,
     eval_at_angle,
@@ -25,6 +26,30 @@ from heisenberg_ncg.algebra import (
 
 ints = st.integers(-8, 8)
 triples = st.tuples(ints, ints, ints)
+
+# Property tests added with the one-term product path run on a fixed seed.
+FIXED = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+small = st.integers(-3, 3)
+fractions = st.fractions(-3, 3, max_denominator=4)
+gaussians = st.builds(GaussianRational, fractions, fractions)
+elements = st.dictionaries(st.tuples(small, small, small), gaussians, max_size=4).map(
+    AlgebraElement
+)
+monomials = st.builds(
+    AlgebraElement.monomial, small, small, small,
+    st.one_of(st.just(GaussianRational.of(1)),
+              gaussians.filter(lambda c: not c.is_zero())),
+)
+
+
+def double_loop_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """The general product, term by term with accumulation."""
+    out = {}
+    for (p1, q1, r1), c1 in a.terms.items():
+        for (p2, q2, r2), c2 in b.terms.items():
+            key = (p1 + p2, q1 + q2, r1 + r2 + q1 * p2)
+            out[key] = out.get(key, GaussianRational()) + c1 * c2
+    return AlgebraElement(out)
 
 
 def matrix_of(g: GroupElement) -> np.ndarray:
@@ -116,6 +141,13 @@ class TestRingArithmetic:
             assert apply_automorphism(x, 1) == V * x * V.star()
             assert apply_automorphism(apply_automorphism(x, 2), -2) == x
 
+    @given(monomials, elements)
+    @FIXED
+    def test_one_term_operand_matches_double_loop(self, m, x):
+        assert m * x == double_loop_product(m, x)
+        assert x * m == double_loop_product(x, m)
+        assert m * m == double_loop_product(m, m)
+
     def test_quotient_kills_center(self):
         x = U * W + U
         assert quotient_to_torus(x) == U.scale(2)
@@ -157,6 +189,18 @@ class TestSerialization:
     def test_json_is_deterministic(self):
         x = U + V.scale(GaussianRational.of(1, -2)) + W
         assert element_to_json(x) == element_to_json(U + V.scale(GaussianRational.of(1, -2)) + W)
+
+    @pytest.mark.parametrize("bad", [
+        {"p": 1.7}, {"r": True}, {"q": "1"}, {"p": 2.0}, {"q": None},
+    ])
+    def test_non_integer_exponents_rejected(self, bad):
+        rec = {"p": 1, "q": 0, "r": 0, "re": "1", "im": "0", **bad}
+        with pytest.raises(ValueError, match="must be an integer"):
+            element_from_dict({"terms": [rec]})
+
+    def test_numpy_integer_exponents_accepted(self):
+        rec = {"p": np.int64(1), "q": 0, "r": np.int32(-2), "re": "1", "im": "0"}
+        assert element_from_dict({"terms": [rec]}) == AlgebraElement.monomial(1, 0, -2)
 
     def test_identity_constant(self):
         assert IDENTITY.is_identity()

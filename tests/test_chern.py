@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import heisenberg_ncg
 from heisenberg_ncg.chern import (
     _DiracEngine,
     bott_projector,
@@ -144,3 +150,20 @@ class TestDiracPairing:
     def test_odd_commutator_count_rejected(self):
         with pytest.raises(ValueError):
             dirac_even_pairing(bott_projector(32, 1.0), n_commutators=3)
+
+
+def test_scipy_is_imported_only_by_the_dirac_engine():
+    # Exact-arithmetic work and the CLI never load scipy.fft, which would
+    # double the objects that every full garbage collection scans.
+    code = (
+        "import sys, heisenberg_ncg.cli\n"
+        "print('scipy.fft' in sys.modules)\n"
+        "from heisenberg_ncg.chern import _DiracEngine\n"
+        "_DiracEngine({(0, 0): [[1, 0], [0, 0]]}, 2)\n"
+        "print('scipy.fft' in sys.modules)\n"
+    )
+    src = str(Path(heisenberg_ncg.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120,
+                         check=True).stdout
+    assert out.split() == ["False", "True"]

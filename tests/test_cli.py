@@ -49,6 +49,12 @@ class TestAlgebra:
         assert doc["result"]["dimension"] == 3
         assert doc["config"]["theta"] == "1/3"
 
+    def test_eval_element_after_theta(self, capsys):
+        before = run_captured(capsys, ["alg", "eval", U_JSON, "--theta", "1/3"])
+        after = run_captured(capsys, ["alg", "eval", "--theta", "1/3", U_JSON])
+        assert before[0] == 0
+        assert after == before
+
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "u.json"
         path.write_text(U_JSON)
@@ -89,6 +95,12 @@ class TestDeriv:
         code, out, _ = run_captured(capsys, ["deriv", "check", bad])
         assert code == 1
         assert not json.loads(out)["result"]["consistent"]
+
+    def test_apply_inconsistent_exits_one(self, capsys):
+        bad = json.dumps({"dU": element_to_dict(U * U), "dV": {"terms": []}})
+        code, out, err = run_captured(capsys, ["deriv", "apply", bad, V_JSON])
+        assert code == 1 and out == ""
+        assert "inconsistent derivation (3 violating cells)" in err
 
     def test_apply(self, capsys):
         dj = json.dumps(derivation_to_dict(inner_derivation(U)))
@@ -186,10 +198,27 @@ class TestPlumbing:
     def test_unknown_flag_exits_two(self, capsys):
         assert run(["alg", "star", U_JSON, "--frobnicate"]) == 2
 
+    @pytest.mark.parametrize("bad", [{"p": 1.7}, {"r": True}])
+    def test_non_integer_exponent_exits_two(self, capsys, bad):
+        rec = {"p": 1, "q": 0, "r": 0, "re": "1", "im": "0", **bad}
+        code, out, err = run_captured(
+            capsys, ["alg", "star", json.dumps({"terms": [rec]})]
+        )
+        assert code == 2 and out == ""
+        assert "malformed element" in err
+
     def test_byte_identical_output(self, capsys):
         _, out1, _ = run_captured(capsys, ["sequence", "khomology", "--check"])
         _, out2, _ = run_captured(capsys, ["sequence", "khomology", "--check"])
         assert out1 == out2
+
+    def test_pairing_verify_byte_identical(self, capsys):
+        code1, out1, err1 = run_captured(capsys, ["pairing", "verify"])
+        code2, out2, _ = run_captured(capsys, ["pairing", "verify"])
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert "elapsed_s" not in out1
+        assert json.loads(err1)["elapsed_s"]["criterion_1"] >= 0
 
     def test_config_echoed(self, capsys):
         _, out, _ = run_captured(capsys, ["alg", "central", U_JSON])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisenberg_ncg.algebra import (
     ONE,
@@ -23,6 +25,45 @@ from heisenberg_ncg.derivations import (
     inner_derivation,
     random_consistent_derivation,
 )
+
+
+# Property tests run on a fixed seed, at box <= 3 with <= 4 terms.
+FIXED = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+small = st.integers(-3, 3)
+fractions = st.fractions(-3, 3, max_denominator=3)
+gaussians = st.builds(GaussianRational, fractions, fractions)
+elements = st.dictionaries(st.tuples(small, small, small), gaussians, max_size=4).map(
+    AlgebraElement
+)
+centrals = st.dictionaries(small, gaussians, max_size=2).map(
+    lambda t: AlgebraElement({(0, 0, r): c for r, c in t.items()})
+)
+derivations = st.builds(compose_from_parts, centrals, centrals, elements)
+
+
+def leibniz_reference(d: Derivation, y: AlgebraElement) -> AlgebraElement:
+    """d(y) built from d(U) and d(V) power by power with the Leibniz rule,
+    independently of the decomposition."""
+
+    def power_image(gen, dgen, n):
+        if n == 0:
+            return AlgebraElement.zero()
+        if n < 0:  # d(g^-1) = -g^-1 d(g) g^-1, generators are unitary
+            ginv = gen.star()
+            return power_image(ginv, (-(ginv * dgen)) * ginv, -n)
+        out, power = dgen, gen
+        for _ in range(n - 1):
+            out = out * gen + power * dgen
+            power = power * gen
+        return out
+
+    out = AlgebraElement.zero()
+    for (p, q, r), c in y.terms.items():
+        up, vq = AlgebraElement.monomial(p, 0, 0), AlgebraElement.monomial(0, q, 0)
+        wr = AlgebraElement.monomial(0, 0, r)
+        term = power_image(U, d.dU, p) * vq * wr + up * power_image(V, d.dV, q) * wr
+        out = out + term.scale(c)
+    return out
 
 
 def random_central(rng, n=2):
@@ -74,7 +115,8 @@ class TestLeibnizAndConsistency:
 
     def test_apply_rejects_inconsistent(self):
         bad = Derivation(U * U, AlgebraElement.zero())
-        with pytest.raises(ValueError):
+        n = len(check_consistency(bad).violations)
+        with pytest.raises(ValueError, match=f"\\({n} violating cells\\)"):
             apply(bad, U)
 
     def test_axis_violations_flagged(self):
@@ -102,6 +144,31 @@ class TestLeibnizAndConsistency:
             if not rep.passed and any(v.kind == "relation" for v in rep.violations):
                 flagged += 1
         assert flagged == 10
+
+
+class TestApplyProperties:
+    @given(derivations)
+    @FIXED
+    def test_generators_map_to_their_images(self, d):
+        assert apply(d, U) == d.dU
+        assert apply(d, V) == d.dV
+
+    @given(derivations, elements, elements)
+    @FIXED
+    def test_leibniz_rule(self, d, a, b):
+        assert apply(d, a * b) == apply(d, a) * b + a * apply(d, b)
+
+    @given(derivations, elements)
+    @FIXED
+    def test_matches_power_by_power_leibniz_extension(self, d, y):
+        assert apply(d, y) == leibniz_reference(d, y)
+
+    @given(centrals, centrals, elements)
+    @FIXED
+    def test_decompose_inverts_compose(self, z1, z2, x):
+        x = AlgebraElement({k: c for k, c in x.terms.items() if k[:2] != (0, 0)})
+        res = decompose(compose_from_parts(z1, z2, x))
+        assert (res.z1, res.z2, res.x) == (z1, z2, x)
 
 
 class TestDecomposition:

@@ -24,8 +24,6 @@ from .algebra import (
     GaussianRational,
     GroupElement,
     RationalAngle,
-    alg_mul,
-    alg_star,
     apply_automorphism,
     conjugate,
     element_from_dict,

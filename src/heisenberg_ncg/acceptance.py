@@ -308,12 +308,18 @@ ALL_CRITERIA = (
 
 
 def run_all(seed: int = DEFAULT_SEED) -> dict:
+    """Run every criterion; one that raises is reported as failed, with the
+    error in its details, and the others still run."""
     results = []
     for fn in ALL_CRITERIA:
-        if "seed" in fn.__code__.co_varnames[: fn.__code__.co_argcount]:
-            results.append(fn(seed=seed))
-        else:
-            results.append(fn())
+        takes_seed = "seed" in fn.__code__.co_varnames[: fn.__code__.co_argcount]
+        t0 = time.perf_counter()
+        try:
+            results.append(fn(seed=seed) if takes_seed else fn())
+        except Exception as e:  # a fault in one criterion must not hide the rest
+            number = int(fn.__name__.split("_")[1])
+            results.append(_result(number, fn.__name__, False, t0,
+                                   error=f"{type(e).__name__}: {e}"))
     return {
         "passed": all(r["passed"] for r in results),
         "seed": seed,

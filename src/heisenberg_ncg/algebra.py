@@ -106,14 +106,6 @@ class GroupElement:
 IDENTITY = GroupElement(0, 0, 0)
 
 
-def group_mul(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    return g1 * g2
-
-
-def group_inv(g: GroupElement) -> GroupElement:
-    return g.inverse()
-
-
 def conjugate(h: GroupElement, g: GroupElement) -> GroupElement:
     """h g h^{-1}."""
     return h * g * h.inverse()
@@ -301,14 +293,6 @@ W = AlgebraElement.monomial(0, 0, 1)
 ONE = AlgebraElement.one()
 
 
-def alg_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y
-
-
-def alg_star(x: AlgebraElement) -> AlgebraElement:
-    return x.star()
-
-
 def is_central(x: AlgebraElement) -> bool:
     """True iff x commutes with both U and V.
 
@@ -339,15 +323,11 @@ def eval_at_angle(x: AlgebraElement, theta: RationalAngle) -> np.ndarray:
     which the defining relation becomes VU = lambda UV.
     """
     t = theta.t
-    lam = theta.lam
-    shift = np.roll(np.eye(t, dtype=complex), 1, axis=0)
-    clock = np.diag(lam ** np.arange(t))
+    j = np.arange(t)
     out = np.zeros((t, t), dtype=complex)
+    # U^p V^q W^r sends e_j to lambda^(r + q*j) e_{j+p}; lambda^t = 1.
     for (p, q, r), c in x.terms.items():
-        mat = np.linalg.matrix_power(shift, p) if p else np.eye(t, dtype=complex)
-        if q:
-            mat = mat @ np.linalg.matrix_power(clock, q)
-        out += c.to_complex() * (lam**r) * mat
+        out[(j + p) % t, j] += c.to_complex() * theta.lam ** ((r + q * j) % t)
     return out
 
 
@@ -380,11 +360,20 @@ def _exponent(rec: Mapping, name: str) -> int:
     return int(v)
 
 
+def _coefficient(rec: Mapping, name: str) -> Fraction:
+    v = rec.get(name, 0)
+    # A float is already a binary approximation, and a bool is an int.
+    if isinstance(v, bool) or not isinstance(v, (numbers.Rational, str)):
+        raise ValueError(f"coefficient {name} must be an integer or a string "
+                         f"such as \"1/2\", got {v!r}")
+    return Fraction(v)
+
+
 def element_from_dict(data: Mapping) -> AlgebraElement:
     terms: dict[Key, GaussianRational] = {}
     for rec in data.get("terms", []):
         key = (_exponent(rec, "p"), _exponent(rec, "q"), _exponent(rec, "r"))
-        coeff = GaussianRational.of(rec.get("re", 0), rec.get("im", 0))
+        coeff = GaussianRational(_coefficient(rec, "re"), _coefficient(rec, "im"))
         terms[key] = terms.get(key, GR_ZERO) + coeff
     return AlgebraElement(terms)
 

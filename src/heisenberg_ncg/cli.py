@@ -1,8 +1,12 @@
 """Command-line surface.
 
-Every subcommand prints a single JSON document (default) or a readable
-table, always echoing the resolved configuration.  Exit codes: 0 success,
-1 verification failure, 2 usage error (including malformed JSON).
+Every command ('alg mul', 'deriv apply', 'index', ...) has its own leaf
+parser that declares its inputs as positionals and only the options its
+handler reads; ``--json``/``--table`` and ``--seed`` are shared by all.  An
+option a command does not read is a usage error.  Every command prints a
+single JSON document (default) or a readable table, always echoing the
+resolved configuration.  Exit codes: 0 success, 1 verification failure,
+2 usage error (including malformed JSON).
 """
 
 from __future__ import annotations
@@ -12,8 +16,6 @@ import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import acceptance as acc
 from . import chern as ch
@@ -30,11 +32,16 @@ from .algebra import (
     is_central,
     matrix_to_jsonable,
 )
-from .fredholm import even_pairing_trace, odd_pairing
+from .fredholm import odd_pairing
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
+
+# smallest stabilization window of `index` and `pairing verify`
+MIN_TRUNCATION = 16
+# largest t for `alg eval --theta s/t`: its output is a dense t x t matrix
+MAX_EVAL_DIMENSION = 256
 
 
 class UsageError(Exception):
@@ -163,99 +170,110 @@ def _print_table(obj, indent: int = 0) -> None:
         print(f"{pad}{obj}")
 
 
-# ---- subcommand handlers; each returns (config, result, exit_code) ----
+# ---- command handlers; each returns (config, result, exit_code) ----
 
 
-def cmd_alg(args):
-    if args.action == "mul":
-        x, y = _element(args.inputs[0]), _element(args.inputs[1])
-        return {}, element_to_dict(x * y), EXIT_OK
-    if args.action == "star":
-        return {}, element_to_dict(_element(args.inputs[0]).star()), EXIT_OK
-    if args.action == "central":
-        x = _element(args.inputs[0])
-        return {}, {"central": is_central(x)}, EXIT_OK
-    if args.action == "eval":
-        theta = _angle(args.theta)
-        x = _element(args.inputs[0])
-        m = eval_at_angle(x, theta)
-        return (
-            {"theta": f"{theta.s}/{theta.t}"},
-            {"dimension": theta.t, "matrix": matrix_to_jsonable(m)},
-            EXIT_OK,
-        )
-    raise UsageError(f"unknown alg action {args.action}")
+def cmd_alg_mul(args):
+    return {}, element_to_dict(_element(args.x) * _element(args.y)), EXIT_OK
 
 
-def cmd_deriv(args):
-    d = _derivation(args.inputs[0])
-    if args.action == "check":
-        rep = dv.check_consistency(d)
-        result = {
-            "consistent": rep.passed,
-            "violations": [
-                {"kind": v.kind, "cell": list(v.cell)} for v in rep.violations
-            ],
-        }
-        return {}, result, EXIT_OK if rep.passed else EXIT_VERIFICATION
-    # apply goes through decompose, so both fail the same two ways
+def cmd_alg_star(args):
+    return {}, element_to_dict(_element(args.x).star()), EXIT_OK
+
+
+def cmd_alg_central(args):
+    return {}, {"central": is_central(_element(args.x))}, EXIT_OK
+
+
+def cmd_alg_eval(args):
+    theta = _angle(args.theta)
+    if theta.t > MAX_EVAL_DIMENSION:
+        raise UsageError(f"eval dimension {theta.t} exceeds {MAX_EVAL_DIMENSION}")
+    m = eval_at_angle(_element(args.x), theta)
+    return (
+        {"theta": f"{theta.s}/{theta.t}"},
+        {"dimension": theta.t, "matrix": matrix_to_jsonable(m)},
+        EXIT_OK,
+    )
+
+
+def cmd_deriv_check(args):
+    rep = dv.check_consistency(_derivation(args.d))
+    result = {
+        "consistent": rep.passed,
+        "violations": [{"kind": v.kind, "cell": list(v.cell)} for v in rep.violations],
+    }
+    return {}, result, EXIT_OK if rep.passed else EXIT_VERIFICATION
+
+
+def cmd_deriv_decompose(args):
+    d = _derivation(args.d)
     try:
-        if args.action == "decompose":
-            return {}, dv.decomposition_to_dict(dv.decompose(d)), EXIT_OK
-        if args.action == "apply":
-            y = _element(args.inputs[1])
-            return {}, element_to_dict(dv.apply(d, y)), EXIT_OK
+        return {}, dv.decomposition_to_dict(dv.decompose(d)), EXIT_OK
     except (ValueError, ArithmeticError) as e:
         raise VerificationFailure(str(e)) from None
-    raise UsageError(f"unknown deriv action {args.action}")
 
 
-def cmd_group(args):
-    if args.action == "classify":
-        g = _group_element(args.element)
-        rep = gs.classify_element(g)
-        result = rep.to_dict()
-        result["conjugacy_representative"] = list(
-            gs.conjugacy_representative(g).as_tuple()
-        )
-        return {"element": list(g.as_tuple())}, result, EXIT_OK
-    if args.action == "cohomology":
-        try:
-            prof = gs.group_cohomology(args.type)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
-        return {"type": args.type}, prof.to_dict(), EXIT_OK
-    if args.action == "hc-dim":
-        if args.n is None or args.n < 0:
-            raise UsageError("hc-dim requires a nonnegative --n")
-        rep = gs.cyclic_cohomology_dim(args.n)
-        return {"n": args.n}, rep.to_dict(), EXIT_OK
-    raise UsageError(f"unknown group action {args.action}")
+def cmd_deriv_apply(args):
+    d, y = _derivation(args.d), _element(args.y)
+    # apply runs decompose, so it fails the same two ways
+    try:
+        return {}, element_to_dict(dv.apply(d, y)), EXIT_OK
+    except (ValueError, ArithmeticError) as e:
+        raise VerificationFailure(str(e)) from None
 
 
-def cmd_pairing(args):
-    if args.action == "table":
-        even, odd = kk.pairing_tables()
-        even_t2, odd_t2 = kk.torus_pairing_tables()
-        result = {
-            "even": even.to_dict(),
-            "odd": odd.to_dict(),
-            "torus_even": even_t2.to_dict(),
-            "torus_odd": odd_t2.to_dict(),
-        }
-        return {}, result, EXIT_OK
-    if args.action == "verify":
-        truncs = (max(args.truncation // 2, 16), args.truncation, args.truncation * 2)
-        rep = acc.criterion_1_pairing_tables(truncs)
-        _split_timings([rep])
-        code = EXIT_OK if rep["passed"] else EXIT_VERIFICATION
-        return {"truncations": list(truncs)}, rep, code
-    raise UsageError(f"unknown pairing action {args.action}")
+def cmd_group_classify(args):
+    g = _group_element(args.element)
+    result = gs.classify_element(g).to_dict()
+    result["conjugacy_representative"] = list(gs.conjugacy_representative(g).as_tuple())
+    return {"element": list(g.as_tuple())}, result, EXIT_OK
+
+
+def cmd_group_cohomology(args):
+    try:
+        prof = gs.group_cohomology(args.type)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    return {"type": args.type}, prof.to_dict(), EXIT_OK
+
+
+def cmd_group_hc_dim(args):
+    if args.n is None or args.n < 0:
+        raise UsageError("hc-dim requires a nonnegative --n")
+    return {"n": args.n}, gs.cyclic_cohomology_dim(args.n).to_dict(), EXIT_OK
+
+
+def cmd_pairing_table(args):
+    even, odd = kk.pairing_tables()
+    even_t2, odd_t2 = kk.torus_pairing_tables()
+    result = {
+        "even": even.to_dict(),
+        "odd": odd.to_dict(),
+        "torus_even": even_t2.to_dict(),
+        "torus_odd": odd_t2.to_dict(),
+    }
+    return {}, result, EXIT_OK
+
+
+def _windows(truncation: int) -> tuple[int, int, int]:
+    """The three stabilization windows: half, given and double truncation."""
+    if truncation < MIN_TRUNCATION:
+        raise UsageError(f"--truncation must be at least {MIN_TRUNCATION}")
+    return (max(truncation // 2, MIN_TRUNCATION), truncation, truncation * 2)
+
+
+def cmd_pairing_verify(args):
+    truncs = _windows(args.truncation)
+    rep = acc.criterion_1_pairing_tables(truncs)
+    _split_timings([rep])
+    code = EXIT_OK if rep["passed"] else EXIT_VERIFICATION
+    return {"truncations": list(truncs)}, rep, code
 
 
 def cmd_index(args):
+    truncs = _windows(args.truncation)
     u = _matrix_element(args.unitary)
-    truncs = (max(args.truncation // 2, 16), args.truncation, args.truncation * 2)
     try:
         idx = odd_pairing(args.module, u, truncs, args.tol)
     except (ValueError, ArithmeticError) as e:
@@ -296,7 +314,7 @@ def cmd_chern(args):
 
 def cmd_sequence(args):
     builder = (
-        kk.pv_ktheory_sequence if args.which == "ktheory" else kk.khomology_sequence
+        kk.pv_ktheory_sequence if args.action == "ktheory" else kk.khomology_sequence
     )
     maps = builder()
     result = {"maps": [m.to_dict() for m in maps]}
@@ -307,10 +325,11 @@ def cmd_sequence(args):
         result["exact"] = all(r.exact for r in reports)
         if not result["exact"]:
             code = EXIT_VERIFICATION
-    return {"sequence": args.which, "checked": args.check}, result, code
+    return {"sequence": args.action, "checked": args.check}, result, code
 
 
 def cmd_report(args):
+    """Prints its own output: the table has one line per criterion."""
     seed = _resolve_seed(args)
     report = acc.run_all(seed=seed)
     timings = _split_timings(report["results"])
@@ -324,8 +343,7 @@ def cmd_report(args):
             )
         print("overall:", "PASS" if report["passed"] else "FAIL")
     else:
-        doc = {"command": "report all", "config": {"seed": seed}, "result": report}
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        _emit(args, "report all", {"seed": seed}, report)
     return EXIT_OK if report["passed"] else EXIT_VERIFICATION
 
 
@@ -333,130 +351,108 @@ def cmd_report(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One leaf parser per command, each with only the options its handler
+    reads, plus the output format and seed shared by every command."""
+    shared = argparse.ArgumentParser(add_help=False)
+    fmt = shared.add_mutually_exclusive_group()
+    fmt.add_argument("--json", dest="table", action="store_false",
+                     default=False, help="JSON output (default)")
+    fmt.add_argument("--table", dest="table", action="store_true",
+                     help="human-readable output")
+    shared.add_argument("--seed", type=int, default=acc.DEFAULT_SEED)
+
     parser = argparse.ArgumentParser(
         prog="hnc",
         description="Invariants of the Heisenberg group ring and its C*-algebra",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    commands = parser.add_subparsers(dest="subcommand", required=True)
+    groups = {
+        name: commands.add_parser(name, help=help).add_subparsers(
+            dest="action", required=True)
+        for name, help in (
+            ("alg", "group-ring arithmetic"),
+            ("deriv", "derivation checks and decomposition"),
+            ("group", "conjugacy and cohomology"),
+            ("pairing", "pairing tables and verification"),
+            ("sequence", "six-term sequences"),
+            ("report", "run the full verification suite"),
+        )
+    }
 
-    def common(p):
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", dest="table", action="store_false",
-                         default=False, help="JSON output (default)")
-        fmt.add_argument("--table", dest="table", action="store_true",
-                         help="human-readable output")
-        p.add_argument("--seed", type=int, default=acc.DEFAULT_SEED)
-        p.add_argument("--truncation", type=int, default=64)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--grid", type=int, default=64)
-        p.add_argument("--n-commutators", type=int, default=4)
+    def leaf(command: str, handler, help: str) -> argparse.ArgumentParser:
+        *group, name = command.split()
+        parent = groups[group[0]] if group else commands
+        p = parent.add_parser(name, parents=[shared], help=help)
+        p.set_defaults(handler=handler, command=command)
+        return p
 
-    p = sub.add_parser("alg", help="group-ring arithmetic")
-    p.add_argument("action", choices=["mul", "star", "central", "eval"])
-    p.add_argument("inputs", nargs="*", help="element JSON, file path, or -")
-    p.add_argument("--theta", default="0/1", help="angle s/t for eval")
-    common(p)
+    element = "element JSON, file path, or -"
+    derivation = "derivation JSON, file path, or -"
 
-    p = sub.add_parser("deriv", help="derivation checks and decomposition")
-    p.add_argument("action", choices=["check", "decompose", "apply"])
-    p.add_argument("inputs", nargs="*", help="derivation (and element) JSON")
-    common(p)
+    p = leaf("alg mul", cmd_alg_mul, "product x*y")
+    p.add_argument("x", help=element)
+    p.add_argument("y", help=element)
+    leaf("alg star", cmd_alg_star, "adjoint x*").add_argument("x", help=element)
+    leaf("alg central", cmd_alg_central, "is x central?").add_argument("x", help=element)
+    p = leaf("alg eval", cmd_alg_eval, "clock-and-shift matrix of x at an angle")
+    p.add_argument("x", help=element)
+    p.add_argument("--theta", default="0/1", help="angle s/t")
 
-    p = sub.add_parser("group", help="conjugacy and cohomology")
-    p.add_argument("action", choices=["classify", "cohomology", "hc-dim"])
-    p.add_argument("--element", default="[0,0,0]", help="JSON triple [p,q,r]")
-    p.add_argument("--type", default="H3", help="group descriptor")
-    p.add_argument("--n", type=int, default=None, help="cyclic degree")
-    common(p)
+    leaf("deriv check", cmd_deriv_check, "consistency of d").add_argument(
+        "d", help=derivation)
+    leaf("deriv decompose", cmd_deriv_decompose, "d = z1*d1 + z2*d2 + [., x]"
+         ).add_argument("d", help=derivation)
+    p = leaf("deriv apply", cmd_deriv_apply, "d(y) through the decomposition")
+    p.add_argument("d", help=derivation)
+    p.add_argument("y", help=element)
 
-    p = sub.add_parser("pairing", help="pairing tables and verification")
-    p.add_argument("action", choices=["table", "verify"])
-    common(p)
+    leaf("group classify", cmd_group_classify, "centralizer and conjugacy class"
+         ).add_argument("--element", default="[0,0,0]", help="JSON triple [p,q,r]")
+    leaf("group cohomology", cmd_group_cohomology, "group cohomology profile"
+         ).add_argument("--type", default="H3", help="group descriptor")
+    leaf("group hc-dim", cmd_group_hc_dim, "cyclic cohomology dimension"
+         ).add_argument("--n", type=int, default=None, help="cyclic degree")
 
-    p = sub.add_parser("index", help="index pairing of an odd module")
+    leaf("pairing table", cmd_pairing_table, "both tables with provenance")
+    leaf("pairing verify", cmd_pairing_verify, "recompute the numeric entries"
+         ).add_argument("--truncation", type=int, default=64)
+
+    p = leaf("index", cmd_index, "index pairing of an odd module")
     p.add_argument("--module", required=True,
                    choices=["z1", "z1prime", "w1", "w1prime", "del0_w0"])
     p.add_argument("--unitary", required=True,
                    help="element JSON, {'blocks': ...}, file path, or -")
-    common(p)
+    p.add_argument("--truncation", type=int, default=64)
+    p.add_argument("--tol", type=float, default=1e-8)
 
-    p = sub.add_parser("chern", help="lattice Chern number of the Bott field")
+    p = leaf("chern", cmd_chern, "lattice Chern number of the Bott field")
+    p.add_argument("--grid", type=int, default=64)
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--dirac", action="store_true",
                    help="also evaluate the Dirac trace pairing")
-    common(p)
+    p.add_argument("--truncation", type=int, default=64, help="with --dirac")
+    p.add_argument("--n-commutators", type=int, default=4, help="with --dirac")
 
-    p = sub.add_parser("sequence", help="six-term sequences")
-    p.add_argument("which", choices=["ktheory", "khomology"])
-    p.add_argument("--check", action="store_true", help="verify exactness")
-    common(p)
+    for which in ("ktheory", "khomology"):
+        leaf(f"sequence {which}", cmd_sequence, f"the {which} sequence"
+             ).add_argument("--check", action="store_true", help="verify exactness")
 
-    p = sub.add_parser("report", help="run the full verification suite")
-    p.add_argument("action", choices=["all"])
-    common(p)
-
+    leaf("report all", cmd_report, "all ten criteria")
     return parser
 
 
-_HANDLERS = {
-    "alg": cmd_alg,
-    "deriv": cmd_deriv,
-    "group": cmd_group,
-    "pairing": cmd_pairing,
-    "index": cmd_index,
-    "chern": cmd_chern,
-    "sequence": cmd_sequence,
-}
-
-
-def _needed_inputs(args) -> int:
-    if args.subcommand == "alg":
-        return 2 if args.action == "mul" else 1
-    if args.subcommand == "deriv":
-        return 2 if args.action == "apply" else 1
-    return 0
-
-
-def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """Parse argv, also taking input arguments that follow an option.
-
-    argparse closes the ``inputs`` list at the first option, so in
-    ``alg eval --theta 1/3 X`` it reports X as unrecognized.  Such leftovers
-    are appended to ``inputs`` in order; a leftover option is still an error.
-    """
-    args, extra = parser.parse_known_args(argv)
-    if extra:
-        if not hasattr(args, "inputs") or any(
-            e.startswith("-") and e != "-" for e in extra
-        ):
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
-        args.inputs += extra
-    return args
-
-
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = _parse(parser, argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
 
     try:
-        if args.subcommand == "report":
+        if args.handler is cmd_report:
             return cmd_report(args)
-        n = _needed_inputs(args)
-        if len(getattr(args, "inputs", []) or []) < n:
-            raise UsageError(
-                f"{args.subcommand} {getattr(args, 'action', '')} needs "
-                f"{n} input argument(s)"
-            )
-        config, result, code = _HANDLERS[args.subcommand](args)
+        config, result, code = args.handler(args)
         config.setdefault("seed", _resolve_seed(args))
-        command = args.subcommand + (
-            f" {args.action}" if hasattr(args, "action") else f" {args.which}"
-            if hasattr(args, "which") else ""
-        )
-        _emit(args, command, config, result)
+        _emit(args, args.command, config, result)
         return code
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from math import gcd
 
-from .algebra import GroupElement, group_mul
+from .algebra import GroupElement
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def classify_element(g: GroupElement) -> CentralizerReport:
 
 
 def commutes(g: GroupElement, h: GroupElement) -> bool:
-    return group_mul(g, h) == group_mul(h, g)
+    return g * h == h * g
 
 
 def centralizer_membership(g: GroupElement, h: GroupElement) -> bool:

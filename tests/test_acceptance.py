@@ -34,3 +34,20 @@ def test_runtime_budgets(report):
     assert by_number[1]["elapsed_s"] < 60
     assert by_number[3]["elapsed_s"] < 120
     assert by_number[6]["elapsed_s"] < 30
+
+
+def test_raising_criterion_fails_alone(monkeypatch):
+    def criterion_1_raises():
+        raise ArithmeticError("singular window")
+
+    def criterion_2_ok(seed=0):
+        return acc._result(2, "ok", seed == 5, 0.0)
+
+    monkeypatch.setattr(acc, "ALL_CRITERIA", (criterion_1_raises, criterion_2_ok))
+    report = acc.run_all(seed=5)
+    first, second = report["results"]
+    assert not report["passed"]
+    assert first["criterion"] == 1 and not first["passed"]
+    assert first["details"] == {"error": "ArithmeticError: singular window"}
+    assert first["elapsed_s"] >= 0
+    assert second["passed"]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,21 @@ class TestEvaluation:
         mu, mv = eval_at_angle(U, theta), eval_at_angle(V, theta)
         assert np.max(np.abs(mv @ mu - theta.lam * mu @ mv)) <= 1e-12
 
+    @pytest.mark.parametrize("s,t", [(0, 1), (1, 2), (2, 5), (5, 7)])
+    def test_matches_matrix_power_reference(self, s, t):
+        theta = RationalAngle.of(s, t)
+        lam = theta.lam
+        shift = np.roll(np.eye(t, dtype=complex), 1, axis=0)
+        clock = np.diag(lam ** np.arange(t))
+        rng = np.random.default_rng(t)
+        x = random_element(rng, box=9, n_terms=6)
+        want = np.zeros((t, t), dtype=complex)
+        for (p, q, r), c in x.terms.items():
+            mat = (np.linalg.matrix_power(shift, p)
+                   @ np.linalg.matrix_power(clock, q))
+            want += c.to_complex() * lam**r * mat
+        assert np.max(np.abs(eval_at_angle(x, theta) - want)) <= 1e-12
+
     def test_central_generator_is_scalar(self):
         theta = RationalAngle.of(1, 4)
         mw = eval_at_angle(W, theta)
@@ -201,6 +218,21 @@ class TestSerialization:
     def test_numpy_integer_exponents_accepted(self):
         rec = {"p": np.int64(1), "q": 0, "r": np.int32(-2), "re": "1", "im": "0"}
         assert element_from_dict({"terms": [rec]}) == AlgebraElement.monomial(1, 0, -2)
+
+    @pytest.mark.parametrize("bad", [
+        {"re": 0.1}, {"re": True}, {"im": 1.0}, {"im": None}, {"re": [1]},
+    ])
+    def test_inexact_coefficients_rejected(self, bad):
+        rec = {"p": 1, "q": 0, "r": 0, "re": "1", "im": "0", **bad}
+        with pytest.raises(ValueError, match="coefficient"):
+            element_from_dict({"terms": [rec]})
+
+    def test_exact_coefficients_accepted(self):
+        rec = {"p": 0, "q": 0, "r": 0, "re": np.int64(2), "im": "-1/3"}
+        want = AlgebraElement.monomial(0, 0, 0, GaussianRational.of(2, "-1/3"))
+        assert element_from_dict({"terms": [rec]}) == want
+        rec = {"p": 0, "q": 0, "r": 0, "re": Fraction(1, 2)}
+        assert element_from_dict({"terms": [rec]}) == ONE.scale(Fraction(1, 2))
 
     def test_identity_constant(self):
         assert IDENTITY.is_identity()

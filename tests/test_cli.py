@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import heisenberg_ncg
+from heisenberg_ncg import acceptance as acc
+from heisenberg_ncg import cli
 from heisenberg_ncg.algebra import U, V, element_from_dict, element_to_dict
-from heisenberg_ncg.cli import run
+from heisenberg_ncg.cli import build_parser, run
 from heisenberg_ncg.derivations import derivation_to_dict, inner_derivation
 
 U_JSON = json.dumps(element_to_dict(U))
@@ -54,6 +57,22 @@ class TestAlgebra:
         after = run_captured(capsys, ["alg", "eval", "--theta", "1/3", U_JSON])
         assert before[0] == 0
         assert after == before
+
+    def test_mul_input_after_option(self, capsys):
+        before = run_captured(capsys, ["alg", "mul", U_JSON, V_JSON, "--seed", "3"])
+        after = run_captured(capsys, ["alg", "mul", U_JSON, "--seed", "3", V_JSON])
+        assert before[0] == 0
+        assert after == before
+
+    def test_eval_dimension_cap(self, capsys, monkeypatch):
+        def no_allocation(*_):
+            raise AssertionError("eval_at_angle ran past the dimension cap")
+
+        monkeypatch.setattr(cli, "eval_at_angle", no_allocation)
+        code, out, err = run_captured(
+            capsys, ["alg", "eval", U_JSON, "--theta", "1/100000"])
+        assert code == 2 and out == ""
+        assert "exceeds" in err
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "u.json"
@@ -166,6 +185,30 @@ class TestVerificationCommands:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["index", "--module", "z1", "--unitary", V_JSON, "--truncation", "4"],
+        ["pairing", "verify", "--truncation", "15"],
+    ])
+    def test_truncation_below_smallest_window_exits_two(self, capsys, argv):
+        code, out, err = run_captured(capsys, argv)
+        assert code == 2 and out == ""
+        assert "--truncation must be at least 16" in err
+
+    def test_report_exits_one_when_a_criterion_raises(self, capsys, monkeypatch):
+        def criterion_1_ok():
+            return acc._result(1, "ok", True, 0.0)
+
+        def criterion_2_raises(seed=0):
+            raise ArithmeticError("no convergence")
+
+        monkeypatch.setattr(acc, "ALL_CRITERIA", (criterion_1_ok, criterion_2_raises))
+        code, out, err = run_captured(capsys, ["report", "all"])
+        assert code == 1
+        results = json.loads(out)["result"]["results"]
+        assert [r["passed"] for r in results] == [True, False]
+        assert results[1]["details"] == {"error": "ArithmeticError: no convergence"}
+        assert set(json.loads(err)["elapsed_s"]) == {"criterion_1", "criterion_2"}
+
     def test_chern(self, capsys):
         code, out, _ = run_captured(capsys, ["chern", "--grid", "16"])
         assert code == 0
@@ -206,6 +249,41 @@ class TestPlumbing:
         )
         assert code == 2 and out == ""
         assert "malformed element" in err
+
+    @pytest.mark.parametrize("bad", [{"re": 0.1}, {"re": True}, {"im": 2.0}])
+    def test_inexact_coefficient_exits_two(self, capsys, bad):
+        rec = {"p": 1, "q": 0, "r": 0, "re": "1", "im": "0", **bad}
+        code, out, err = run_captured(
+            capsys, ["alg", "star", json.dumps({"terms": [rec]})]
+        )
+        assert code == 2 and out == ""
+        assert "malformed element" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["alg", "mul", U_JSON, V_JSON, "--truncation", "5"],
+        ["alg", "star", U_JSON, "--theta", "1/3"],
+        ["group", "hc-dim", "--n", "2", "--element", "[1,2]"],
+        ["pairing", "verify", "--tol", "1e-3"],
+        ["sequence", "ktheory", "--grid", "3"],
+    ])
+    def test_option_the_command_does_not_read_exits_two(self, capsys, argv):
+        code, out, err = run_captured(capsys, argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command-line usage")[1].split("```sh")[1]
+        block = block.split("```")[0].replace("\\\n", " ")
+        commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+        commands = [c[1:] for c in commands if c and c[0] == "hnc"]
+        parser = build_parser()
+        seen = set()
+        for argv in commands:
+            args = parser.parse_args(argv)
+            assert argv[:len(args.command.split())] == args.command.split()
+            seen.add(args.command)
+        assert len(seen) == 17  # every command is shown
 
     def test_byte_identical_output(self, capsys):
         _, out1, _ = run_captured(capsys, ["sequence", "khomology", "--check"])

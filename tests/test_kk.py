@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from heisenberg_ncg.kk import (
+    PairingTable,
     check_duality,
     check_exactness,
     check_faithfulness,
@@ -86,7 +87,18 @@ class TestPairingTables:
 
     def test_unimodular(self):
         for table in (*pairing_tables(), *torus_pairing_tables()):
-            assert abs(table.determinant()) == 1
+            assert table.abs_determinant() == 1
+
+    @pytest.mark.parametrize("entries,det", [
+        ([[2, 3, 1], [4, 1, 7], [0, 5, 2]], 70),
+        ([[0, 1], [1, 0]], 1),
+        ([[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 0, 5], [0, 0, 7, 1]], 70),
+        ([[1, 2], [2, 4]], 0),
+    ])
+    def test_abs_determinant(self, entries, det):
+        n = len(entries)
+        labels = tuple(str(i) for i in range(n))
+        assert PairingTable(labels, labels, entries).abs_determinant() == det
 
     def test_faithfulness(self):
         assert check_faithfulness()["passed"]

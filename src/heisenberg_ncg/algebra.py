@@ -8,8 +8,15 @@ group is modelled by exponent triples (p, q, r) with the multiplication law
 
 Finitely supported complex-rational coefficient functions on Z^3 then model
 the group ring: twisted Laurent polynomials in U, V, W.  All ring operations
-are exact (Gaussian rationals); floating point appears only when an element
-is evaluated in a finite-dimensional representation.
+are exact; floating point appears only when an element is evaluated in a
+finite-dimensional representation.
+
+A coefficient (``GaussianRational``) is three integers (a, b, d) meaning
+(a + b*i)/d, kept canonical (d > 0, gcd(a, b, d) = 1).  A product of two
+elements writes each operand over one common denominator, sums the term
+products as integer pairs per output key, and reduces each output
+coefficient once; the commutator does the same in one pass over the term
+pairs.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import json
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -32,43 +39,104 @@ def _frac(x: Rationalish) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """A complex number with exact rational real and imaginary parts."""
+    """A complex number with exact rational real and imaginary parts.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Stored as three integers (a, b, d) meaning (a + b*i)/d, with d > 0 and
+    gcd(a, b, d) = 1.  The form is canonical, so equal values have equal
+    fields.  Instances are immutable.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
+        re, im = _frac(re), _frac(im)
+        d = lcm(re.denominator, im.denominator)
+        # Both parts are in lowest terms, so gcd(a, b, d) is already 1.
+        _set(self, "_a", re.numerator * (d // re.denominator))
+        _set(self, "_b", im.numerator * (d // im.denominator))
+        _set(self, "_d", d)
 
     @staticmethod
     def of(re: Rationalish = 0, im: Rationalish = 0) -> "GaussianRational":
-        return GaussianRational(_frac(re), _frac(im))
+        return GaussianRational(re, im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a + other._a, self._b + other._b, d1)
+        return _reduced(self._a * d2 + other._a * d1,
+                        self._b * d2 + other._b * d1, d1 * d2)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _reduced(self._a - other._a, self._b - other._b, d1)
+        return _reduced(self._a * d2 - other._a * d1,
+                        self._b * d2 - other._b * d1, d1 * d2)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int true division rounds exactly as Fraction.__float__ does
+        return complex(self._a / self._d, self._b / self._d)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GaussianRational):
+            return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
+
+    def __hash__(self):
+        return hash((self._a, self._b, self._d))
+
+    def __repr__(self) -> str:
+        return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
+        return f"{self.re}{'+' if self._b >= 0 else ''}{self.im}i"
+
+
+_set = object.__setattr__
+
+
+def _raw(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap fields that are already canonical."""
+    x = object.__new__(GaussianRational)
+    _set(x, "_a", a)
+    _set(x, "_b", b)
+    _set(x, "_d", d)
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, brought to the canonical form."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _raw(a, b, d)
 
 
 GR_ZERO = GaussianRational()
@@ -152,7 +220,7 @@ def _coerce_coeff(c: CoeffLike) -> GaussianRational:
         return c
     if isinstance(c, complex):
         return GaussianRational(Fraction(c.real), Fraction(c.imag))
-    return GaussianRational(_frac(c), Fraction(0))
+    return GaussianRational(c)
 
 
 class AlgebraElement:
@@ -256,12 +324,19 @@ class AlgebraElement:
                 (p1 + p2, q1 + q2, r1 + r2 + q1 * p2): c2 if unit else c1 * c2
                 for (p2, q2, r2), c2 in b.items()
             })
-        out: dict[Key, GaussianRational] = {}
-        for (p1, q1, r1), c1 in a.items():
-            for (p2, q2, r2), c2 in b.items():
+        # Integer numerators over one denominator per operand: each term
+        # product is integer work, and each output is reduced once.
+        d1, nums1 = _numerators(a)
+        d2, nums2 = _numerators(b)
+        sums: dict[Key, tuple[int, int]] = {}
+        get = sums.get
+        for (p1, q1, r1), a1, b1 in nums1:
+            for (p2, q2, r2), a2, b2 in nums2:
                 key = (p1 + p2, q1 + q2, r1 + r2 + q1 * p2)
-                out[key] = out.get(key, GR_ZERO) + c1 * c2
-        return AlgebraElement._of_clean(out)
+                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                s = get(key)
+                sums[key] = (re, im) if s is None else (s[0] + re, s[1] + im)
+        return _from_sums(sums, d1 * d2)
 
     def star(self) -> "AlgebraElement":
         out = {}
@@ -270,7 +345,30 @@ class AlgebraElement:
         return AlgebraElement(out)
 
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self * other - other * self
+        """self*other - other*self in one pass over the term pairs.
+
+        Both products share each coefficient product; their keys differ only
+        in the W exponent (q1*p2 against q2*p1), and pairs where those agree
+        cancel.
+        """
+        d1, nums1 = _numerators(self._terms)
+        d2, nums2 = _numerators(other._terms)
+        sums: dict[Key, tuple[int, int]] = {}
+        get = sums.get
+        for (p1, q1, r1), a1, b1 in nums1:
+            for (p2, q2, r2), a2, b2 in nums2:
+                w12, w21 = q1 * p2, q2 * p1
+                if w12 == w21:
+                    continue
+                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                p, q, r = p1 + p2, q1 + q2, r1 + r2
+                key = (p, q, r + w12)
+                s = get(key)
+                sums[key] = (re, im) if s is None else (s[0] + re, s[1] + im)
+                key = (p, q, r + w21)
+                s = get(key)
+                sums[key] = (-re, -im) if s is None else (s[0] - re, s[1] - im)
+        return _from_sums(sums, d1 * d2)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AlgebraElement):
@@ -285,6 +383,17 @@ class AlgebraElement:
             return "AlgebraElement(0)"
         parts = [f"({c}) U^{p} V^{q} W^{r}" for (p, q, r), c in sorted(self._terms.items())]
         return "AlgebraElement(" + " + ".join(parts) + ")"
+
+
+def _numerators(terms: dict[Key, GaussianRational]):
+    """(D, [(key, a', b')]) with every coefficient written as (a' + b'*i)/D."""
+    d = lcm(*[c._d for c in terms.values()])
+    return d, [(k, c._a * (d // c._d), c._b * (d // c._d)) for k, c in terms.items()]
+
+
+def _from_sums(sums: dict[Key, tuple[int, int]], d: int) -> AlgebraElement:
+    """The element with coefficient (a + b*i)/d at each key of ``sums``."""
+    return AlgebraElement._of_clean({k: _reduced(a, b, d) for k, (a, b) in sums.items()})
 
 
 U = AlgebraElement.monomial(1, 0, 0)

@@ -44,6 +44,8 @@ import numpy as np
 # file, so both signs are +1.  They must only ever be changed together.
 ORIENTATION_SIGN = 1
 DIRAC_SIGN = 1
+# smallest sample grid of a Bott field
+MIN_GRID = 8
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,8 @@ class ProjectorField:
 
 def bott_projector(grid: int = 64, mass: float = 1.0) -> ProjectorField:
     """Lower-band spectral projector of the two-band torus family."""
-    if grid < 8:
-        raise ValueError("grid must be at least 8")
+    if grid < MIN_GRID:
+        raise ValueError(f"grid must be at least {MIN_GRID}")
     if mass in (-2.0, 0.0, 2.0) or not (-2.0 < mass < 2.0) or mass == 0:
         raise ValueError("mass must lie in (-2, 0) or (0, 2); the family is "
                          "gapless at -2, 0 and 2")

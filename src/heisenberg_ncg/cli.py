@@ -260,7 +260,11 @@ def _windows(truncation: int) -> tuple[int, int, int]:
     """The three stabilization windows: half, given and double truncation."""
     if truncation < MIN_TRUNCATION:
         raise UsageError(f"--truncation must be at least {MIN_TRUNCATION}")
-    return (max(truncation // 2, MIN_TRUNCATION), truncation, truncation * 2)
+    windows = (max(truncation // 2, MIN_TRUNCATION), truncation, truncation * 2)
+    if len(set(windows)) < 3:
+        raise UsageError(f"--truncation {truncation} repeats a window {list(windows)}; "
+                         f"the three windows must be distinct")
+    return windows
 
 
 def cmd_pairing_verify(args):
@@ -287,6 +291,10 @@ def cmd_index(args):
 
 
 def cmd_chern(args):
+    if args.grid < ch.MIN_GRID:
+        raise UsageError(f"--grid must be at least {ch.MIN_GRID}")
+    if args.dirac and (args.n_commutators < 2 or args.n_commutators % 2):
+        raise UsageError("--n-commutators must be a positive even integer")
     config = {"grid": args.grid, "mass": args.mass}
     try:
         field = ch.bott_projector(args.grid, args.mass)

@@ -99,7 +99,7 @@ def canonical_derivation(which: int) -> Derivation:
 
 def inner_derivation(x: AlgebraElement) -> Derivation:
     """The commutator derivation a -> [a, x] = ax - xa."""
-    return Derivation(U * x - x * U, V * x - x * V)
+    return Derivation(U.commutator(x), V.commutator(x))
 
 
 def check_consistency(d: Derivation) -> ConsistencyReport:
@@ -157,13 +157,12 @@ def _weighted(y: AlgebraElement, axis: int) -> AlgebraElement:
 def apply(d: Derivation, y: AlgebraElement) -> AlgebraElement:
     """Evaluate d on y through its decomposition d = z1*d1 + z2*d2 + [., x].
 
-    Since z1 and z2 are central, d(y) = z1*d1(y) + z2*d2(y) + y*x - x*y.
+    Since z1 and z2 are central, d(y) = z1*d1(y) + z2*d2(y) + (y*x - x*y).
     Raises what ``decompose`` raises: ValueError for an inconsistent
     derivation, ArithmeticError if the reconstruction check fails.
     """
     parts = decompose(d)
-    x = parts.x
-    return parts.z1 * _weighted(y, 0) + parts.z2 * _weighted(y, 1) + y * x - x * y
+    return parts.z1 * _weighted(y, 0) + parts.z2 * _weighted(y, 1) + y.commutator(parts.x)
 
 
 def _column(x: AlgebraElement, p: int, q: int) -> dict[int, GaussianRational]:

@@ -1,7 +1,7 @@
 """End-to-end acceptance gate: all ten verification criteria.
 
-The full report is computed once per session; each criterion then gets its
-own pass/fail test line.
+The full report is computed once per session (``acceptance_report`` in
+conftest.py); each criterion then gets its own pass/fail test line.
 """
 
 import json
@@ -11,26 +11,21 @@ import pytest
 from heisenberg_ncg import acceptance as acc
 
 
-@pytest.fixture(scope="module")
-def report():
-    return acc.run_all(seed=acc.DEFAULT_SEED)
-
-
 @pytest.mark.parametrize("number", range(1, 11))
-def test_criterion(report, number):
-    result = next(r for r in report["results"] if r["criterion"] == number)
+def test_criterion(acceptance_report, number):
+    result = next(r for r in acceptance_report["results"] if r["criterion"] == number)
     status = "PASS" if result["passed"] else "FAIL"
     print(f"[{status}] criterion {number}: {result['name']} "
           f"({result['elapsed_s']}s)")
     assert result["passed"], json.dumps(result["details"], default=str, indent=2)
 
 
-def test_overall(report):
-    assert report["passed"]
+def test_overall(acceptance_report):
+    assert acceptance_report["passed"]
 
 
-def test_runtime_budgets(report):
-    by_number = {r["criterion"]: r for r in report["results"]}
+def test_runtime_budgets(acceptance_report):
+    by_number = {r["criterion"]: r for r in acceptance_report["results"]}
     assert by_number[1]["elapsed_s"] < 60
     assert by_number[3]["elapsed_s"] < 120
     assert by_number[6]["elapsed_s"] < 30

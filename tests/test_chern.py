@@ -127,8 +127,11 @@ class TestDiracPairing:
         assert res["value"] == 0
         assert res["certificates"]["constant_field"]
 
-    def test_bott_field_pairs_to_one(self):
-        res = dirac_even_pairing(bott_projector(64, 1.0), truncation=48)
+    def test_bott_field_pairs_to_one(self, acceptance_report):
+        # criterion 3 runs this pairing: bott_projector(64, 1.0), truncation
+        # 48 and the other defaults
+        crit = next(r for r in acceptance_report["results"] if r["criterion"] == 3)
+        res = crit["details"]["dirac"]
         assert res["value"] == 1
         runs = res["certificates"]["runs"]
         assert len(runs) == 3

@@ -194,6 +194,23 @@ class TestVerificationCommands:
         assert code == 2 and out == ""
         assert "--truncation must be at least 16" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["index", "--module", "z1", "--unitary", V_JSON, "--truncation", "16"],
+        ["pairing", "verify", "--truncation", "16"],
+    ])
+    def test_repeated_window_exits_two(self, capsys, argv):
+        # T = 16 would run the windows [16, 16, 32]: two runs, not three
+        code, out, err = run_captured(capsys, argv)
+        assert code == 2 and out == ""
+        assert "repeats a window [16, 16, 32]" in err
+
+    def test_smallest_distinct_windows_accepted(self, capsys):
+        code, out, _ = run_captured(
+            capsys, ["index", "--module", "z1prime", "--unitary", V_JSON,
+                     "--truncation", "17"])
+        assert code == 0
+        assert json.loads(out)["config"]["truncations"] == [16, 17, 34]
+
     def test_report_exits_one_when_a_criterion_raises(self, capsys, monkeypatch):
         def criterion_1_ok():
             return acc._result(1, "ok", True, 0.0)
@@ -220,6 +237,24 @@ class TestVerificationCommands:
         )
         assert code == 0
         assert json.loads(out)["result"]["lattice_chern"] == -1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["chern", "--grid", "0"], "--grid must be at least 8"),
+        (["chern", "--grid", "7", "--dirac"], "--grid must be at least 8"),
+        (["chern", "--grid", "16", "--dirac", "--n-commutators", "0"],
+         "--n-commutators must be a positive even integer"),
+        (["chern", "--grid", "16", "--dirac", "--n-commutators", "3"],
+         "--n-commutators must be a positive even integer"),
+    ])
+    def test_chern_out_of_range_option_exits_two(self, capsys, monkeypatch,
+                                                  argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a usage error must be raised before any work")
+
+        monkeypatch.setattr(cli.ch, "bott_projector", no_work)
+        code, out, err = run_captured(capsys, argv)
+        assert code == 2 and out == ""
+        assert message in err
 
     def test_sequence_check(self, capsys):
         for which in ("ktheory", "khomology"):

@@ -1,0 +1,168 @@
+"""Property suites for the coefficient type and the ring built on it.
+
+``GaussianRational`` is checked against a reference of ``Fraction`` pairs,
+and ``AlgebraElement`` against the ring axioms, the star and the JSON form.
+Every suite runs on a fixed seed: ``HNC_SEED`` when it is set, else the
+package default, so a failure replays with the same examples.
+"""
+
+import os
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from heisenberg_ncg.acceptance import DEFAULT_SEED
+from heisenberg_ncg.algebra import (
+    AlgebraElement,
+    GaussianRational,
+    element_from_json,
+    element_to_json,
+)
+
+SEED = int(os.environ.get("HNC_SEED", DEFAULT_SEED))
+PROPERTY = settings(database=None, max_examples=60, deadline=None)
+
+# Small parts make sums cancel and denominators share factors; large ones
+# pass 2**53, where only a correctly rounded division gives the same float.
+small_fractions = st.fractions(-20, 20, max_denominator=12)
+large_fractions = st.builds(lambda n, sign, d: Fraction(sign * n, d),
+                            st.integers(2**53, 10**30), st.sampled_from([-1, 1]),
+                            st.integers(1, 10**20))
+fractions = st.one_of(small_fractions, large_fractions)
+pairs = st.tuples(fractions, fractions)
+
+exponents = st.integers(-3, 3)
+keys = st.tuples(exponents, exponents, exponents)
+coefficients = st.builds(GaussianRational, small_fractions, small_fractions)
+elements = st.dictionaries(keys, coefficients, max_size=6).map(AlgebraElement)
+one_term = st.builds(AlgebraElement.monomial, exponents, exponents, exponents,
+                     coefficients)
+operands = st.one_of(elements, one_term)
+
+
+def fields(x: GaussianRational) -> tuple[int, int, int]:
+    return x._a, x._b, x._d
+
+
+# ---- GaussianRational against Fraction pairs ----
+
+@seed(SEED)
+@PROPERTY
+@given(x=pairs, y=pairs)
+def test_arithmetic_matches_fraction_pairs(x, y):
+    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    (a, b), (c, d) = x, y
+    for got, want in ((gx + gy, (a + c, b + d)), (gx - gy, (a - c, b - d)),
+                      (gx * gy, (a * c - b * d, a * d + b * c)),
+                      (-gx, (-a, -b)), (gx.conjugate(), (a, -b))):
+        assert (got.re, got.im) == want
+
+
+@seed(SEED)
+@PROPERTY
+@given(x=pairs, y=pairs)
+def test_every_result_is_canonical(x, y):
+    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    for z in (gx, gy, gx + gy, gx - gy, gx * gy, -gx, gx.conjugate(), gx - gx):
+        a, b, d = fields(z)
+        assert d > 0 and gcd(a, b, d) == 1
+
+
+@seed(SEED)
+@PROPERTY
+@given(x=pairs, y=pairs)
+def test_equality_and_hash_follow_the_value(x, y):
+    gx, gy = GaussianRational(*x), GaussianRational(*y)
+    assert (gx == gy) == (x == y)
+    # the same value reached by another route has the same fields
+    again = (gx + gy) - gy
+    assert again == gx and hash(again) == hash(gx) and fields(again) == fields(gx)
+    assert gx * gy == gy * gx and hash(gx * gy) == hash(gy * gx)
+
+
+@seed(SEED)
+@PROPERTY
+@given(x=pairs)
+def test_re_im_round_trip(x):
+    g = GaussianRational(*x)
+    assert (g.re, g.im) == x
+    assert GaussianRational(g.re, g.im) == g
+    assert GaussianRational.of(str(g.re), str(g.im)) == g
+
+
+@seed(SEED)
+@PROPERTY
+@given(x=pairs)
+def test_to_complex_gives_the_fraction_floats(x):
+    z = GaussianRational(*x).to_complex()
+    want = complex(x[0]) + 1j * complex(x[1])
+    assert (z.real.hex(), z.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+# ---- AlgebraElement ----
+
+
+def fraction_pair_product(x: AlgebraElement, y: AlgebraElement) -> dict:
+    """x*y term by term on Fraction pairs, zeros dropped."""
+    out = {}
+    for (p1, q1, r1), c1 in x.terms.items():
+        for (p2, q2, r2), c2 in y.terms.items():
+            key = (p1 + p2, q1 + q2, r1 + r2 + q1 * p2)
+            re, im = out.get(key, (0, 0))
+            out[key] = (re + c1.re * c2.re - c1.im * c2.im,
+                        im + c1.re * c2.im + c1.im * c2.re)
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+@seed(SEED)
+@PROPERTY
+@given(x=operands, y=operands)
+def test_product_matches_fraction_pairs(x, y):
+    got = {k: (c.re, c.im) for k, c in (x * y).terms.items()}
+    assert got == fraction_pair_product(x, y)
+
+
+@seed(SEED)
+@PROPERTY
+@given(x=operands, y=operands, z=operands)
+def test_associativity(x, y, z):
+    assert (x * y) * z == x * (y * z)
+
+
+@seed(SEED)
+@PROPERTY
+@given(x=operands, y=operands, z=operands)
+def test_distributivity(x, y, z):
+    assert x * (y + z) == x * y + x * z
+    assert (y + z) * x == y * x + z * x
+    assert x * (y - z) == x * y - x * z
+
+
+@seed(SEED)
+@PROPERTY
+@given(x=operands, y=operands)
+def test_star_is_antimultiplicative(x, y):
+    assert (x * y).star() == y.star() * x.star()
+    assert x.star().star() == x
+
+
+@seed(SEED)
+@PROPERTY
+@given(x=operands, y=operands)
+def test_commutator_is_the_difference_of_products(x, y):
+    assert x.commutator(y) == x * y - y * x
+    assert y.commutator(x) == -(x.commutator(y))
+    assert x.commutator(x).is_zero()
+
+
+@seed(SEED)
+@PROPERTY
+@given(x=st.dictionaries(keys, st.builds(GaussianRational, fractions, fractions),
+                         max_size=6).map(AlgebraElement))
+def test_json_round_trip_is_byte_identical(x):
+    text = element_to_json(x)
+    back = element_from_json(text)
+    assert back == x
+    assert element_to_json(back) == text

@@ -114,15 +114,9 @@ def criterion_4_decomposition(seed=DEFAULT_SEED, n_roundtrips=100, n_routes=20) 
     rng = np.random.default_rng(seed)
     failures = []
     for i in range(n_roundtrips):
-        z1 = AlgebraElement({(0, 0, int(r)): int(c) for r, c in zip(
-            rng.integers(-5, 6, 2), rng.integers(-4, 5, 2))})
-        z2 = AlgebraElement({(0, 0, int(r)): int(c) for r, c in zip(
-            rng.integers(-5, 6, 2), rng.integers(-4, 5, 2))})
-        x = random_element(rng, box=5, n_terms=4)
-        x = AlgebraElement({k: c for k, c in x.terms.items() if (k[0], k[1]) != (0, 0)})
-        d = dv.compose_from_parts(z1, z2, x)
-        res = dv.decompose(d)
-        if res.z1 != z1 or res.z2 != z2 or res.x != x:
+        parts = dv.random_derivation_parts(rng, box=5, n_terms=4)
+        d = dv.compose_from_parts(parts.z1, parts.z2, parts.x)
+        if dv.decompose(d) != parts:
             failures.append(i)
 
     route_failures = 0

@@ -273,10 +273,6 @@ class AlgebraElement:
     def one() -> "AlgebraElement":
         return AlgebraElement.monomial(0, 0, 0)
 
-    @staticmethod
-    def from_group(g: GroupElement, coeff: CoeffLike = 1) -> "AlgebraElement":
-        return AlgebraElement.monomial(g.p, g.q, g.r, coeff)
-
     # ---- ring operations ----
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":

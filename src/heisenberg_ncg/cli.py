@@ -2,7 +2,8 @@
 
 Every command ('alg mul', 'deriv apply', 'index', ...) has its own leaf
 parser that declares its inputs as positionals and only the options its
-handler reads; ``--json``/``--table`` and ``--seed`` are shared by all.  An
+handler reads; ``--json``/``--table`` are shared by all, and ``--seed`` (or
+``HNC_SEED``) belongs to ``report all``, the only randomized command.  An
 option a command does not read is a usage error.  Every command prints a
 single JSON document (default) or a readable table, always echoing the
 resolved configuration.  Exit codes: 0 success, 1 verification failure,
@@ -76,37 +77,42 @@ def _load_json(text_or_path: str):
         raise UsageError(f"malformed JSON input: {e}") from None
 
 
-def _element(text_or_path: str) -> AlgebraElement:
+def _parse(text_or_path: str, build, what: str):
+    """Load the JSON input and build ``what`` from it; input the builder
+    rejects is a usage error."""
+    data = _load_json(text_or_path)
     try:
-        return element_from_dict(_load_json(text_or_path))
+        return build(data)
     except (KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"malformed element: {e}") from None
+        raise UsageError(f"malformed {what}: {e}") from None
+
+
+def _matrix_from_dict(data):
+    """Either a single element or {"blocks": [[element, ...], ...]}."""
+    if isinstance(data, dict) and "blocks" in data:
+        return [[element_from_dict(b) for b in row] for row in data["blocks"]]
+    return element_from_dict(data)
+
+
+def _element(text_or_path: str) -> AlgebraElement:
+    return _parse(text_or_path, element_from_dict, "element")
 
 
 def _matrix_element(text_or_path: str):
-    """Either a single element or {"blocks": [[element, ...], ...]}."""
-    data = _load_json(text_or_path)
-    try:
-        if isinstance(data, dict) and "blocks" in data:
-            return [[element_from_dict(b) for b in row] for row in data["blocks"]]
-        return element_from_dict(data)
-    except (KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"malformed element: {e}") from None
+    return _parse(text_or_path, _matrix_from_dict, "element")
 
 
 def _derivation(text_or_path: str) -> dv.Derivation:
-    try:
-        return dv.derivation_from_dict(_load_json(text_or_path))
-    except (KeyError, TypeError, ValueError) as e:
-        raise UsageError(f"malformed derivation: {e}") from None
+    return _parse(text_or_path, dv.derivation_from_dict, "derivation")
 
 
 def _group_element(text: str) -> GroupElement:
     data = _load_json(text)
+    # bool is a subclass of int, but true/false are not exponents
     if (
         not isinstance(data, (list, tuple))
         or len(data) != 3
-        or not all(isinstance(v, int) for v in data)
+        or not all(isinstance(v, int) and not isinstance(v, bool) for v in data)
     ):
         raise UsageError("group element must be a JSON triple [p, q, r]")
     return GroupElement(*data)
@@ -279,15 +285,10 @@ def cmd_index(args):
     truncs = _windows(args.truncation)
     u = _matrix_element(args.unitary)
     try:
-        idx = odd_pairing(args.module, u, truncs, args.tol)
+        idx = odd_pairing(args.module, u, truncs)
     except (ValueError, ArithmeticError) as e:
         raise VerificationFailure(str(e)) from None
-    config = {
-        "module": args.module,
-        "truncations": list(truncs),
-        "tol": args.tol,
-    }
-    return config, {"index": idx}, EXIT_OK
+    return {"module": args.module, "truncations": list(truncs)}, {"index": idx}, EXIT_OK
 
 
 def cmd_chern(args):
@@ -297,9 +298,13 @@ def cmd_chern(args):
         raise UsageError("--n-commutators must be a positive even integer")
     config = {"grid": args.grid, "mass": args.mass}
     try:
+        # raises ValueError only for a grid or mass out of range, before any work
         field = ch.bott_projector(args.grid, args.mass)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    try:
         c = ch.lattice_chern(field)
-    except (ValueError, ArithmeticError) as e:
+    except ArithmeticError as e:
         raise VerificationFailure(str(e)) from None
     result = {"lattice_chern": c}
     if args.dirac:
@@ -360,14 +365,13 @@ def cmd_report(args):
 
 def build_parser() -> argparse.ArgumentParser:
     """One leaf parser per command, each with only the options its handler
-    reads, plus the output format and seed shared by every command."""
+    reads, plus the output format shared by every command."""
     shared = argparse.ArgumentParser(add_help=False)
     fmt = shared.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="table", action="store_false",
                      default=False, help="JSON output (default)")
     fmt.add_argument("--table", dest="table", action="store_true",
                      help="human-readable output")
-    shared.add_argument("--seed", type=int, default=acc.DEFAULT_SEED)
 
     parser = argparse.ArgumentParser(
         prog="hnc",
@@ -431,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unitary", required=True,
                    help="element JSON, {'blocks': ...}, file path, or -")
     p.add_argument("--truncation", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-8)
 
     p = leaf("chern", cmd_chern, "lattice Chern number of the Bott field")
     p.add_argument("--grid", type=int, default=64)
@@ -445,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
         leaf(f"sequence {which}", cmd_sequence, f"the {which} sequence"
              ).add_argument("--check", action="store_true", help="verify exactness")
 
-    leaf("report all", cmd_report, "all ten criteria")
+    leaf("report all", cmd_report, "all ten criteria").add_argument(
+        "--seed", type=int, default=acc.DEFAULT_SEED, help="HNC_SEED overrides it")
     return parser
 
 
@@ -459,7 +463,6 @@ def run(argv=None) -> int:
         if args.handler is cmd_report:
             return cmd_report(args)
         config, result, code = args.handler(args)
-        config.setdefault("seed", _resolve_seed(args))
         _emit(args, args.command, config, result)
         return code
     except UsageError as e:

@@ -13,15 +13,17 @@ together with the axis conditions a_{p,0,r} = 0 for p != 1 and
 b_{0,q,r} = 0 for q != 1 (these follow from the relation plus finite
 support, but are reported separately for diagnostics).
 
-Every consistent derivation splits uniquely as
+A derivation that splits at all splits uniquely as
 
     d = z1 * d1 + z2 * d2 + [., x]
 
 with z1, z2 central (Laurent polynomials in W), d1, d2 the canonical
-derivations d1(U) = U, d2(V) = V, and x normalized to have no W-axis terms.
-The inner part x is recovered cell by cell through telescoping sums over
-the coefficients of dU (step q) or dV (step p), and the result is verified
-by exact reconstruction.
+derivations d1(U) = U, d2(V) = V, and x finitely supported and normalized to
+have no W-axis terms.  The inner part x is recovered cell by cell through
+telescoping sums over the coefficients of dU (step q) or dV (step p), and
+the result is verified by exact reconstruction.  Consistency is necessary
+for the split, not sufficient: d(U) = U V, d(V) = 0 is consistent, but its
+inner part V (1 - W)^-1 has infinite support, so reconstruction fails.
 
 The split is also how a derivation is evaluated: d1 and d2 scale
 U^p V^q W^r by p and by q, so ``apply`` computes
@@ -159,7 +161,7 @@ def apply(d: Derivation, y: AlgebraElement) -> AlgebraElement:
 
     Since z1 and z2 are central, d(y) = z1*d1(y) + z2*d2(y) + (y*x - x*y).
     Raises what ``decompose`` raises: ValueError for an inconsistent
-    derivation, ArithmeticError if the reconstruction check fails.
+    derivation, ArithmeticError if no finitely supported x splits d.
     """
     parts = decompose(d)
     return parts.z1 * _weighted(y, 0) + parts.z2 * _weighted(y, 1) + y.commutator(parts.x)
@@ -236,8 +238,10 @@ def decompose(d: Derivation) -> DecompositionResult:
     """Split a consistent derivation into canonical and inner parts.
 
     Returns (z1, z2, x) with z1 = sum_r a_{1,0,r} W^r, z2 = sum_r b_{0,1,r} W^r,
-    and x the inner part normalized by alpha_{0,0,r} = 0.  Raises if the
-    input is inconsistent or if the exact reconstruction check fails.
+    and x the inner part normalized by alpha_{0,0,r} = 0.  Raises
+    ValueError if the input is inconsistent, and ArithmeticError if the
+    exact reconstruction differs from d, that is, if no finitely supported
+    x splits d.
     """
     report = check_consistency(d)
     if not report.passed:
@@ -268,7 +272,10 @@ def decompose(d: Derivation) -> DecompositionResult:
     x = AlgebraElement(x_terms)  # drops the zero coefficients
     rebuilt = compose_from_parts(z1, z2, x)
     if rebuilt.dU != d.dU or rebuilt.dV != d.dV:
-        raise ArithmeticError("decomposition reconstruction mismatch")
+        cells = len((rebuilt.dU - d.dU).terms) + len((rebuilt.dV - d.dV).terms)
+        raise ArithmeticError(
+            "d is not z1*d1 + z2*d2 + [., x] for any finitely supported x "
+            f"(cells where the reconstruction differs from d: {cells})")
     return DecompositionResult(z1=z1, z2=z2, x=x)
 
 
@@ -293,25 +300,31 @@ def decomposition_to_dict(res: DecompositionResult) -> dict:
     }
 
 
-def random_consistent_derivation(
+def random_derivation_parts(
     rng: np.random.Generator, box: int = 5, n_terms: int = 3
-) -> Derivation:
-    """A random consistent derivation built from random (z1, z2, x) parts."""
-    z1 = AlgebraElement(
-        {(0, 0, int(r)): int(c) for r, c in zip(
-            rng.integers(-box, box + 1, size=2),
-            rng.integers(-4, 5, size=2),
-        )}
-    )
-    z2 = AlgebraElement(
-        {(0, 0, int(r)): int(c) for r, c in zip(
-            rng.integers(-box, box + 1, size=2),
-            rng.integers(-4, 5, size=2),
-        )}
-    )
+) -> DecompositionResult:
+    """Random (z1, z2, x) parts, in the normal form ``decompose`` returns."""
+    def central() -> AlgebraElement:
+        return AlgebraElement(
+            {(0, 0, int(r)): int(c) for r, c in zip(
+                rng.integers(-box, box + 1, size=2),
+                rng.integers(-4, 5, size=2),
+            )}
+        )
+
+    z1 = central()
+    z2 = central()
     x = random_element(rng, box=box, n_terms=n_terms)
     # Normalize: the W-axis part of x acts trivially in commutators anyway.
     x = AlgebraElement(
         {k: c for k, c in x.terms.items() if (k[0], k[1]) != (0, 0)}
     )
-    return compose_from_parts(z1, z2, x)
+    return DecompositionResult(z1=z1, z2=z2, x=x)
+
+
+def random_consistent_derivation(
+    rng: np.random.Generator, box: int = 5, n_terms: int = 3
+) -> Derivation:
+    """A random consistent derivation built from random (z1, z2, x) parts."""
+    parts = random_derivation_parts(rng, box, n_terms)
+    return compose_from_parts(parts.z1, parts.z2, parts.x)

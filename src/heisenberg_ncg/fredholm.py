@@ -4,8 +4,8 @@ Odd modules live on l2(Z) with the symmetry F = sign(n).  Index pairings
 compress the represented unitary to the nonnegative half line and count
 kernel dimensions.  A square truncation of a Toeplitz operator always has
 matrix index zero, so the compressions used here are rectangular: the
-domain window is [0, N] and the range window [0, N + margin], with the
-margin exceeding the band width of the operator.  The adjoint side is the
+domain window is [0, N] and the range window [0, N + band + 2], wider
+than the domain by more than the band width of the operator.  The adjoint side is the
 compression of the represented star of the unitary on the same shape.
 
 Shift convention: "the shift" S is the operator (S xi)(n) = xi(n+1), whose
@@ -29,11 +29,10 @@ from typing import Literal, Sequence, Union
 
 import numpy as np
 
-from .algebra import AlgebraElement, apply_automorphism
+from .algebra import AlgebraElement
 
-SpecName = Literal[
-    "z0", "z1", "z1prime", "w0", "w1", "w1prime", "dirac_T2", "del1_w1", "del0_w0"
-]
+# Singular values at or below this count towards a kernel dimension.
+KERNEL_TOL = 1e-8
 
 # Generator actions for the odd l2(Z) modules: which generators act by the
 # shift; all others act by the identity.
@@ -53,17 +52,14 @@ _EVEN_GRADED = {"dirac_T2", "del1_w1"}
 class FredholmModuleSpec:
     name: str
     parity: Literal["even", "odd"]
-    base_space: Literal["C2", "l2Z", "l2Z2_pair"]
     truncation: int
 
 
 def module_spec(name: str, truncation: int = 64) -> FredholmModuleSpec:
     if name in _ODD_SHIFT_GEN:
-        return FredholmModuleSpec(name, "odd", "l2Z", truncation)
-    if name in _EVEN_SCALAR:
-        return FredholmModuleSpec(name, "even", "C2", truncation)
-    if name in _EVEN_GRADED:
-        return FredholmModuleSpec(name, "even", "l2Z2_pair", truncation)
+        return FredholmModuleSpec(name, "odd", truncation)
+    if name in _EVEN_SCALAR or name in _EVEN_GRADED:
+        return FredholmModuleSpec(name, "even", truncation)
     raise ValueError(f"unknown module name: {name!r}")
 
 
@@ -80,7 +76,7 @@ class TruncatedOperator:
 
     window: tuple[int, int]
     entries: np.ndarray
-    star_entries: np.ndarray | None = None
+    star_entries: np.ndarray
 
 
 MatrixElement = Union[AlgebraElement, Sequence[Sequence[AlgebraElement]]]
@@ -90,6 +86,21 @@ def _as_blocks(x: MatrixElement) -> list[list[AlgebraElement]]:
     if isinstance(x, AlgebraElement):
         return [[x]]
     return [list(row) for row in x]
+
+
+def _star_blocks(blocks: list[list[AlgebraElement]]) -> list[list[AlgebraElement]]:
+    """The star of a block matrix: transpose, and star every entry."""
+    return [[row[i].star() for row in blocks] for i in range(len(blocks[0]))]
+
+
+def _block_product(
+    a: list[list[AlgebraElement]], b: list[list[AlgebraElement]]
+) -> list[list[AlgebraElement]]:
+    return [
+        [sum((row[t] * b[t][j] for t in range(len(b))), AlgebraElement.zero())
+         for j in range(len(b[0]))]
+        for row in a
+    ]
 
 
 def _odd_symbol(spec: FredholmModuleSpec, x: AlgebraElement) -> dict[int, complex]:
@@ -120,34 +131,24 @@ def _laurent_matrix(symbol: dict[int, complex], rows: int, cols: int) -> np.ndar
     return m
 
 
-def build_representation(
-    spec: FredholmModuleSpec, x: MatrixElement, margin: int | None = None
-) -> TruncatedOperator:
+def build_representation(spec: FredholmModuleSpec, x: MatrixElement) -> TruncatedOperator:
     """Rectangular half-line compression of pi(x) (odd specs).
 
     For block-matrix arguments the blocks are assembled diagonally per
-    entry.  The margin defaults to the band width of the symbol plus two.
+    entry.  The range window exceeds the domain window by the band width of
+    the symbol plus two.
     """
     if spec.parity != "odd":
         raise ValueError("build_representation compresses odd modules; use "
                          "even_pairing_trace for even modules")
     blocks = _as_blocks(x)
-    star_blocks = [
-        [blocks[j][i].star() for j in range(len(blocks))]
-        for i in range(len(blocks[0]))
-    ]
     symbols = [[_odd_symbol(spec, e) for e in row] for row in blocks]
-    star_symbols = [[_odd_symbol(spec, e) for e in row] for row in star_blocks]
+    star_symbols = [[_odd_symbol(spec, e) for e in row] for row in _star_blocks(blocks)]
 
-    band = 0
-    for row in symbols + star_symbols:
-        for s in row:
-            if s:
-                band = max(band, max(abs(k) for k in s))
-    if margin is None:
-        margin = band + 2
+    band = max((abs(k) for row in symbols + star_symbols for s in row for k in s),
+               default=0)
     n_dom = spec.truncation + 1
-    n_rng = spec.truncation + 1 + margin
+    n_rng = spec.truncation + 1 + band + 2
     if spec.truncation < band + 2:
         raise ValueError("truncation window too small for the support")
 
@@ -164,15 +165,13 @@ def build_representation(
     )
 
 
-def _kernel_dim(m: np.ndarray, tol: float) -> int:
+def _kernel_dim(m: np.ndarray) -> int:
     sv = np.linalg.svd(m, compute_uv=False)
     cols = m.shape[1]
-    return int(cols - np.count_nonzero(sv > tol))
+    return int(cols - np.count_nonzero(sv > KERNEL_TOL))
 
 
-def fredholm_index(
-    ops: Sequence[TruncatedOperator], tol: float = 1e-8
-) -> int:
+def fredholm_index(ops: Sequence[TruncatedOperator]) -> int:
     """dim ker T - dim ker T* with a stabilization certificate.
 
     Every supplied truncation must report the same kernel dimensions;
@@ -180,11 +179,7 @@ def fredholm_index(
     """
     if len(ops) < 2:
         raise ValueError("need at least two truncation sizes for stabilization")
-    values = []
-    for op in ops:
-        if op.star_entries is None:
-            raise ValueError("operator carries no star compression")
-        values.append(_kernel_dim(op.entries, tol) - _kernel_dim(op.star_entries, tol))
+    values = [_kernel_dim(op.entries) - _kernel_dim(op.star_entries) for op in ops]
     if len(set(values)) != 1:
         raise ArithmeticError(f"index did not stabilize across truncations: {values}")
     return values[0]
@@ -193,30 +188,21 @@ def fredholm_index(
 def _check_unitary(x: MatrixElement) -> None:
     blocks = _as_blocks(x)
     k = len(blocks)
-    prod_rows = [[AlgebraElement.zero() for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            acc = AlgebraElement.zero()
-            for t in range(k):
-                acc = acc + blocks[i][t] * blocks[j][t].star()
-            prod_rows[i][j] = acc
-    for i in range(k):
-        for j in range(k):
-            expected = AlgebraElement.one() if i == j else AlgebraElement.zero()
-            if prod_rows[i][j] != expected:
-                raise ValueError("input is not unitary in the group ring")
+    identity = [
+        [AlgebraElement.one() if i == j else AlgebraElement.zero() for j in range(k)]
+        for i in range(k)
+    ]
+    if _block_product(blocks, _star_blocks(blocks)) != identity:
+        raise ValueError("input is not unitary in the group ring")
 
 
 def odd_pairing(
-    spec_name: str,
-    u: MatrixElement,
-    truncations: Sequence[int] = (32, 64, 128),
-    tol: float = 1e-8,
+    spec_name: str, u: MatrixElement, truncations: Sequence[int] = (32, 64, 128)
 ) -> int:
     """Index pairing of an odd module with a unitary (or matrix unitary)."""
     _check_unitary(u)
     ops = [build_representation(module_spec(spec_name, n), u) for n in truncations]
-    return fredholm_index(ops, tol)
+    return fredholm_index(ops)
 
 
 def even_pairing_trace(
@@ -240,21 +226,8 @@ def even_pairing_trace(
     k = len(blocks)
 
     # exact projection check (p = p* = p^2) in the group ring
-    star = [[blocks[j][i].star() for j in range(k)] for i in range(k)]
-    square = [
-        [
-            sum(
-                (blocks[i][t] * blocks[t][j] for t in range(k)),
-                AlgebraElement.zero(),
-            )
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    for i in range(k):
-        for j in range(k):
-            if blocks[i][j] != star[i][j] or blocks[i][j] != square[i][j]:
-                raise ValueError("input is not a projection in the group ring")
+    if blocks != _star_blocks(blocks) or blocks != _block_product(blocks, blocks):
+        raise ValueError("input is not a projection in the group ring")
 
     def scalar(e: AlgebraElement) -> complex:
         return sum(c.to_complex() for c in e.terms.values())
@@ -304,72 +277,3 @@ def even_pairing_trace(
 
     raise ValueError(f"{spec_name} is not an even module")
 
-
-def unitary_equivalence_check(truncation: int = 12, seed: int = 0) -> dict:
-    """Interior verification that conjugation by T0 e_{m,n} = e_{m,n-m}
-    intertwines the doubled-torus representation with its automorphism
-    twist: T0* pi(a) T0 = pi(alpha(a)) for a in the algebra of U and W.
-
-    Works entirely with exact index arithmetic on basis vectors: pi(U)
-    shifts m, pi(W) shifts n, so both sides are permutation operators and
-    equality is checked cell by cell away from the window boundary.
-    """
-    N = truncation
-    rng = np.random.default_rng(seed)
-
-    def pi_action(p: int, r: int, m: int, n: int) -> tuple[int, int]:
-        # pi(U^p W^r) e_{m,n} = e_{m+p, n+r}
-        return (m + p, n + r)
-
-    def conjugated(p: int, r: int, m: int, n: int) -> tuple[int, int]:
-        # T0 e_{m,n} = e_{m, n-m}; T0* e_{m,n} = e_{m, n+m}
-        m1, n1 = m, n - m
-        m2, n2 = pi_action(p, r, m1, n1)
-        return (m2, n2 + m2)
-
-    words = [(1, 0), (0, 1)]
-    for _ in range(4):
-        words.append((int(rng.integers(-3, 4)), int(rng.integers(-3, 4))))
-
-    checks = []
-    for (p, r) in words:
-        ok = True
-        for m in range(-N, N + 1):
-            for n in range(-N, N + 1):
-                lhs = conjugated(p, r, m, n)
-                # alpha(U^p W^r) = U^p W^{r+p}
-                rhs = pi_action(p, r + p, m, n)
-                if lhs != rhs:
-                    ok = False
-        checks.append({"word": {"p": p, "r": r}, "exact": ok})
-    return {"passed": all(c["exact"] for c in checks), "checks": checks}
-
-
-def representation_relation_check(spec_name: str, truncation: int = 16) -> dict:
-    """Interior check that the compressed representation respects VU = WUV."""
-    from .algebra import U, V, W
-
-    spec = module_spec(spec_name, truncation)
-    lhs = build_representation(spec, V * U)
-    rhs = build_representation(spec, W * U * V)
-    diff = np.max(np.abs(lhs.entries - rhs.entries))
-    return {"passed": bool(diff < 1e-12), "max_difference": float(diff)}
-
-
-def automorphism_operator_identities(truncation: int = 16) -> dict:
-    """Operator-level identities for the torus modules under the twist:
-    the first module does not see the twist of U, the second sends the
-    twist of U to the image of W."""
-    from .algebra import U, W
-
-    w1 = module_spec("w1", truncation)
-    w1p = module_spec("w1prime", truncation)
-    aU = apply_automorphism(U)
-    t1 = build_representation(w1, aU)
-    t2 = build_representation(w1, U)
-    t3 = build_representation(w1p, aU)
-    t4 = build_representation(w1p, W)
-    return {
-        "w1_alphaU_equals_U": bool(np.array_equal(t1.entries, t2.entries)),
-        "w1prime_alphaU_equals_W": bool(np.array_equal(t3.entries, t4.entries)),
-    }

@@ -70,11 +70,6 @@ class CyclicDimReport:
         }
 
 
-def hcf(a: int, b: int) -> int:
-    """Positive gcd with hcf(a, 0) = |a|."""
-    return gcd(abs(a), abs(b))
-
-
 def _ng_label(l: int) -> str:
     # Z x Z_1 collapses to Z.
     return "Z" if l == 1 else f"ZxZl({l})"
@@ -92,15 +87,15 @@ def classify_element(g: GroupElement) -> CentralizerReport:
             "Case4b", 0, 0, 0, 0, abs(r), f"CentralExtension({abs(r)})"
         )
     if q == 0:
-        l = hcf(p, r)
+        l = gcd(p, r)
         return CentralizerReport("Case2", abs(p), p // abs(p), 0, 0, l, _ng_label(l))
     if p == 0:
-        l = hcf(q, r)
+        l = gcd(q, r)
         return CentralizerReport("Case3", abs(q), 0, q // abs(q), 0, l, _ng_label(l))
-    k = hcf(p, q)
+    k = gcd(p, q)
     p_prime, q_prime = p // k, q // k
     s_k = p_prime * q_prime * k * (k - 1) // 2
-    l = hcf(k, r - s_k)
+    l = gcd(k, r - s_k)
     return CentralizerReport("Case1", k, p_prime, q_prime, s_k, l, _ng_label(l))
 
 
@@ -120,7 +115,7 @@ def conjugacy_representative(g: GroupElement) -> GroupElement:
     are singleton classes."""
     if g.is_central():
         return g
-    k = hcf(g.p, g.q)
+    k = gcd(g.p, g.q)
     return GroupElement(g.p, g.q, g.r % k)
 
 

@@ -1,6 +1,22 @@
+import os
+
 import pytest
+from hypothesis import seed, settings
 
 from heisenberg_ncg import acceptance as acc
+
+# Every hypothesis suite draws its examples from HNC_SEED when it is set,
+# else from the package default, and keeps no example database, so a failure
+# replays from the seed alone.
+SEED = int(os.environ.get("HNC_SEED", acc.DEFAULT_SEED))
+
+
+def seeded(max_examples: int = 100):
+    """Hypothesis settings for a property test, under the seed rule above."""
+    def decorate(test):
+        test = settings(database=None, max_examples=max_examples, deadline=None)(test)
+        return seed(SEED)(test)
+    return decorate
 
 
 @pytest.fixture(scope="session")

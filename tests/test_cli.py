@@ -59,8 +59,8 @@ class TestAlgebra:
         assert after == before
 
     def test_mul_input_after_option(self, capsys):
-        before = run_captured(capsys, ["alg", "mul", U_JSON, V_JSON, "--seed", "3"])
-        after = run_captured(capsys, ["alg", "mul", U_JSON, "--seed", "3", V_JSON])
+        before = run_captured(capsys, ["alg", "mul", U_JSON, V_JSON, "--table"])
+        after = run_captured(capsys, ["alg", "mul", U_JSON, "--table", V_JSON])
         assert before[0] == 0
         assert after == before
 
@@ -121,6 +121,18 @@ class TestDeriv:
         assert code == 1 and out == ""
         assert "inconsistent derivation (3 violating cells)" in err
 
+    def test_consistent_but_not_decomposable(self, capsys):
+        # Leibniz holds on VU = WUV, but the inner part V (1 - W)^-1 has
+        # infinite support
+        d = json.dumps({"dU": element_to_dict(U * V), "dV": {"terms": []}})
+        code, out, _ = run_captured(capsys, ["deriv", "check", d])
+        assert code == 0 and json.loads(out)["result"]["consistent"]
+        for argv in (["deriv", "decompose", d], ["deriv", "apply", d, V_JSON]):
+            code, out, err = run_captured(capsys, argv)
+            assert code == 1 and out == ""
+            assert ("d is not z1*d1 + z2*d2 + [., x] for any finitely supported x "
+                    "(cells where the reconstruction differs from d: 1)") in err
+
     def test_apply(self, capsys):
         dj = json.dumps(derivation_to_dict(inner_derivation(U)))
         code, out, _ = run_captured(capsys, ["deriv", "apply", dj, V_JSON])
@@ -153,6 +165,12 @@ class TestGroup:
     def test_bad_element_is_usage_error(self, capsys):
         code, _, _ = run_captured(capsys, ["group", "classify", "--element", "[1,2]"])
         assert code == 2
+
+    def test_bool_element_is_usage_error(self, capsys):
+        code, out, err = run_captured(
+            capsys, ["group", "classify", "--element", "[true,false,1]"])
+        assert code == 2 and out == ""
+        assert "group element must be a JSON triple" in err
 
 
 class TestVerificationCommands:
@@ -256,6 +274,16 @@ class TestVerificationCommands:
         assert code == 2 and out == ""
         assert message in err
 
+    @pytest.mark.parametrize("mass", ["3", "0", "nan"])
+    def test_chern_mass_out_of_range_exits_two(self, capsys, monkeypatch, mass):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a usage error must be raised before any work")
+
+        monkeypatch.setattr(cli.ch, "lattice_chern", no_work)
+        code, out, err = run_captured(capsys, ["chern", "--grid", "16", "--mass", mass])
+        assert code == 2 and out == ""
+        assert "mass must lie in (-2, 0) or (0, 2)" in err
+
     def test_sequence_check(self, capsys):
         for which in ("ktheory", "khomology"):
             code, out, _ = run_captured(capsys, ["sequence", which, "--check"])
@@ -300,6 +328,8 @@ class TestPlumbing:
         ["group", "hc-dim", "--n", "2", "--element", "[1,2]"],
         ["pairing", "verify", "--tol", "1e-3"],
         ["sequence", "ktheory", "--grid", "3"],
+        ["alg", "star", U_JSON, "--seed", "5"],
+        ["index", "--module", "z1", "--unitary", U_JSON, "--tol", "-1"],
     ])
     def test_option_the_command_does_not_read_exits_two(self, capsys, argv):
         code, out, err = run_captured(capsys, argv)
@@ -338,9 +368,24 @@ class TestPlumbing:
         assert "config" in json.loads(out)
 
     def test_env_seed_override(self, capsys, monkeypatch):
+        seen = []
+
+        def criterion_1_seeded(seed=0):
+            seen.append(seed)
+            return acc._result(1, "seeded", True, 0.0)
+
+        monkeypatch.setattr(acc, "ALL_CRITERIA", (criterion_1_seeded,))
         monkeypatch.setenv("HNC_SEED", "123")
-        _, out, _ = run_captured(capsys, ["alg", "central", U_JSON, "--seed", "7"])
-        assert json.loads(out)["config"]["seed"] == 123
+        code, out, _ = run_captured(capsys, ["report", "all", "--seed", "7"])
+        assert code == 0 and seen == [123]
+        doc = json.loads(out)
+        assert doc["config"]["seed"] == doc["result"]["seed"] == 123
+
+    def test_seed_is_read_only_by_report(self, capsys, monkeypatch):
+        without = run_captured(capsys, ["alg", "star", U_JSON])
+        monkeypatch.setenv("HNC_SEED", "abc")
+        assert run_captured(capsys, ["alg", "star", U_JSON]) == without
+        assert without[0] == 0 and "seed" not in json.loads(without[1])["config"]
 
     def test_table_mode(self, capsys):
         code, out, _ = run_captured(capsys, ["group", "hc-dim", "--n", "2", "--table"])

@@ -10,14 +10,11 @@ from heisenberg_ncg.algebra import (
     GaussianRational,
 )
 from heisenberg_ncg.fredholm import (
-    automorphism_operator_identities,
     build_representation,
     even_pairing_trace,
     fredholm_index,
     module_spec,
     odd_pairing,
-    representation_relation_check,
-    unitary_equivalence_check,
 )
 
 ZERO = AlgebraElement.zero()
@@ -122,16 +119,3 @@ class TestEvenTracePairings:
         with pytest.raises(ValueError):
             even_pairing_trace("z0", ONE, 3)
 
-
-class TestStructuralIdentities:
-    def test_defining_relation_in_compression(self):
-        for name in ("z1", "z1prime", "w1", "w1prime"):
-            assert representation_relation_check(name)["passed"]
-
-    def test_twist_intertwiner_exact(self):
-        assert unitary_equivalence_check()["passed"]
-
-    def test_twist_operator_identities(self):
-        res = automorphism_operator_identities()
-        assert res["w1_alphaU_equals_U"]
-        assert res["w1prime_alphaU_equals_W"]

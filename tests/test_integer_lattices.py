@@ -1,5 +1,6 @@
 import numpy as np
-from hypothesis import given, settings
+from conftest import seeded
+from hypothesis import given
 from hypothesis import strategies as st
 
 from heisenberg_ncg.integer_lattices import (
@@ -37,8 +38,8 @@ def det_sign_free_unimodular(m: np.ndarray) -> bool:
 
 
 class TestDiagonalization:
+    @seeded(150)
     @given(small_matrices)
-    @settings(max_examples=150, deadline=None)
     def test_transforms_are_unimodular_and_diagonalize(self, rows):
         A = as_int_matrix(rows)
         L, D, R = smith_diagonalize(A)
@@ -59,16 +60,16 @@ class TestDiagonalization:
 
 
 class TestKernelsAndImages:
+    @seeded(100)
     @given(small_matrices)
-    @settings(max_examples=100, deadline=None)
     def test_kernel_basis_annihilated(self, rows):
         A = as_int_matrix(rows)
         K = kernel_basis(A)
         if K.shape[1]:
             assert (A @ K == 0).all()
 
+    @seeded(100)
     @given(small_matrices, st.lists(st.integers(-5, 5), min_size=1, max_size=4))
-    @settings(max_examples=100, deadline=None)
     def test_columns_lie_in_image(self, rows, coeffs):
         A = as_int_matrix(rows)
         v = A @ np.array(coeffs[: A.shape[1]] + [0] * max(0, A.shape[1] - len(coeffs)), dtype=object)

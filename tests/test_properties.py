@@ -2,18 +2,18 @@
 
 ``GaussianRational`` is checked against a reference of ``Fraction`` pairs,
 and ``AlgebraElement`` against the ring axioms, the star and the JSON form.
-Every suite runs on a fixed seed: ``HNC_SEED`` when it is set, else the
-package default, so a failure replays with the same examples.
+Every suite runs under the seed rule of ``conftest.seeded``: ``HNC_SEED``
+when it is set, else the package default, so a failure replays with the
+same examples.
 """
 
-import os
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, seed, settings
+from conftest import seeded
+from hypothesis import given
 from hypothesis import strategies as st
 
-from heisenberg_ncg.acceptance import DEFAULT_SEED
 from heisenberg_ncg.algebra import (
     AlgebraElement,
     GaussianRational,
@@ -21,8 +21,7 @@ from heisenberg_ncg.algebra import (
     element_to_json,
 )
 
-SEED = int(os.environ.get("HNC_SEED", DEFAULT_SEED))
-PROPERTY = settings(database=None, max_examples=60, deadline=None)
+PROPERTY = seeded(60)
 
 # Small parts make sums cancel and denominators share factors; large ones
 # pass 2**53, where only a correctly rounded division gives the same float.
@@ -48,7 +47,6 @@ def fields(x: GaussianRational) -> tuple[int, int, int]:
 
 # ---- GaussianRational against Fraction pairs ----
 
-@seed(SEED)
 @PROPERTY
 @given(x=pairs, y=pairs)
 def test_arithmetic_matches_fraction_pairs(x, y):
@@ -60,7 +58,6 @@ def test_arithmetic_matches_fraction_pairs(x, y):
         assert (got.re, got.im) == want
 
 
-@seed(SEED)
 @PROPERTY
 @given(x=pairs, y=pairs)
 def test_every_result_is_canonical(x, y):
@@ -70,7 +67,6 @@ def test_every_result_is_canonical(x, y):
         assert d > 0 and gcd(a, b, d) == 1
 
 
-@seed(SEED)
 @PROPERTY
 @given(x=pairs, y=pairs)
 def test_equality_and_hash_follow_the_value(x, y):
@@ -82,7 +78,6 @@ def test_equality_and_hash_follow_the_value(x, y):
     assert gx * gy == gy * gx and hash(gx * gy) == hash(gy * gx)
 
 
-@seed(SEED)
 @PROPERTY
 @given(x=pairs)
 def test_re_im_round_trip(x):
@@ -92,7 +87,6 @@ def test_re_im_round_trip(x):
     assert GaussianRational.of(str(g.re), str(g.im)) == g
 
 
-@seed(SEED)
 @PROPERTY
 @given(x=pairs)
 def test_to_complex_gives_the_fraction_floats(x):
@@ -116,7 +110,6 @@ def fraction_pair_product(x: AlgebraElement, y: AlgebraElement) -> dict:
     return {k: v for k, v in out.items() if v != (0, 0)}
 
 
-@seed(SEED)
 @PROPERTY
 @given(x=operands, y=operands)
 def test_product_matches_fraction_pairs(x, y):
@@ -124,14 +117,12 @@ def test_product_matches_fraction_pairs(x, y):
     assert got == fraction_pair_product(x, y)
 
 
-@seed(SEED)
 @PROPERTY
 @given(x=operands, y=operands, z=operands)
 def test_associativity(x, y, z):
     assert (x * y) * z == x * (y * z)
 
 
-@seed(SEED)
 @PROPERTY
 @given(x=operands, y=operands, z=operands)
 def test_distributivity(x, y, z):
@@ -140,7 +131,6 @@ def test_distributivity(x, y, z):
     assert x * (y - z) == x * y - x * z
 
 
-@seed(SEED)
 @PROPERTY
 @given(x=operands, y=operands)
 def test_star_is_antimultiplicative(x, y):
@@ -148,7 +138,6 @@ def test_star_is_antimultiplicative(x, y):
     assert x.star().star() == x
 
 
-@seed(SEED)
 @PROPERTY
 @given(x=operands, y=operands)
 def test_commutator_is_the_difference_of_products(x, y):
@@ -157,7 +146,6 @@ def test_commutator_is_the_difference_of_products(x, y):
     assert x.commutator(x).is_zero()
 
 
-@seed(SEED)
 @PROPERTY
 @given(x=st.dictionaries(keys, st.builds(GaussianRational, fractions, fractions),
                          max_size=6).map(AlgebraElement))

@@ -180,18 +180,14 @@ def criterion_6_centralizers(seed=DEFAULT_SEED, count=50, box=6) -> dict:
         if not g.is_identity():
             elements.append(g)
 
+    points = gs.box_points(box)
     mismatches = []
     cases = set()
     for g in elements:
         cases.add(gs.classify_element(g).case)
         brute = {h.as_tuple() for h in gs.brute_force_centralizer(g, box)}
-        closed = {
-            (p, q, r)
-            for p in range(-box, box + 1)
-            for q in range(-box, box + 1)
-            for r in range(-box, box + 1)
-            if gs.centralizer_membership(g, GroupElement(p, q, r))
-        }
+        member = gs.centralizer_membership(g, points)
+        closed = set(zip(*(c[member].tolist() for c in points.as_tuple())))
         if brute != closed:
             mismatches.append(g.as_tuple())
     passed = not mismatches and {"Case1", "Case2", "Case3", "Case4a", "Case4b"} <= cases

@@ -475,6 +475,8 @@ def _coefficient(rec: Mapping, name: str) -> Fraction:
 
 
 def element_from_dict(data: Mapping) -> AlgebraElement:
+    if not isinstance(data, Mapping):
+        raise TypeError(f"an element is a JSON object, got {data!r}")
     terms: dict[Key, GaussianRational] = {}
     for rec in data.get("terms", []):
         key = (_exponent(rec, "p"), _exponent(rec, "q"), _exponent(rec, "r"))

@@ -88,9 +88,18 @@ def _parse(text_or_path: str, build, what: str):
 
 
 def _matrix_from_dict(data):
-    """Either a single element or {"blocks": [[element, ...], ...]}."""
+    """Either a single element or {"blocks": [[element, ...], ...]}, a
+    nonempty square matrix of elements."""
     if isinstance(data, dict) and "blocks" in data:
-        return [[element_from_dict(b) for b in row] for row in data["blocks"]]
+        blocks = data["blocks"]
+        if (
+            not isinstance(blocks, list)
+            or not blocks
+            or not all(isinstance(row, list) and len(row) == len(blocks)
+                       for row in blocks)
+        ):
+            raise ValueError("blocks must be a nonempty square list of lists")
+        return [[element_from_dict(b) for b in row] for row in blocks]
     return element_from_dict(data)
 
 

@@ -20,7 +20,13 @@ import re
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .algebra import GroupElement
+
+# Coordinates of g below this bound keep g.q * h.p, for h in a box of at
+# most 12, far inside int64.
+_MAX_BRUTE_FORCE_COORDINATE = 2**31
 
 
 @dataclass(frozen=True)
@@ -99,14 +105,12 @@ def classify_element(g: GroupElement) -> CentralizerReport:
     return CentralizerReport("Case1", k, p_prime, q_prime, s_k, l, _ng_label(l))
 
 
-def commutes(g: GroupElement, h: GroupElement) -> bool:
-    return g * h == h * g
+def centralizer_membership(g: GroupElement, h: GroupElement) -> bool | np.ndarray:
+    """Closed-form membership predicate for the centralizer of g.
 
-
-def centralizer_membership(g: GroupElement, h: GroupElement) -> bool:
-    """Closed-form membership predicate for the centralizer of g."""
-    if g.is_central():
-        return True
+    For central g both sides are 0.  Works elementwise when h's fields are
+    arrays, as for ``box_points``.
+    """
     return g.q * h.p == h.q * g.p
 
 
@@ -119,18 +123,30 @@ def conjugacy_representative(g: GroupElement) -> GroupElement:
     return GroupElement(g.p, g.q, g.r % k)
 
 
+def box_points(box: int) -> GroupElement:
+    """Every (p, q, r) in [-box, box]^3 as one GroupElement whose fields are
+    int64 arrays, in lexicographic (p, q, r) order."""
+    span = np.arange(-box, box + 1, dtype=np.int64)
+    p, q, r = np.meshgrid(span, span, span, indexing="ij")
+    return GroupElement(p.ravel(), q.ravel(), r.ravel())
+
+
 def brute_force_centralizer(g: GroupElement, box: int) -> list[GroupElement]:
-    """All h with coordinates in [-box, box] commuting with g."""
+    """All h with coordinates in [-box, box] commuting with g, in
+    lexicographic (p, q, r) order.
+
+    The group law is evaluated once on the whole box: g*h and h*g are
+    GroupElements with array fields, compared field by field.
+    """
     if box > 12:
         raise ValueError("box larger than 12 is not supported")
-    out = []
-    for p in range(-box, box + 1):
-        for q in range(-box, box + 1):
-            for r in range(-box, box + 1):
-                h = GroupElement(p, q, r)
-                if commutes(g, h):
-                    out.append(h)
-    return out
+    if any(abs(c) >= _MAX_BRUTE_FORCE_COORDINATE for c in g.as_tuple()):
+        raise ValueError("coordinates of g must be below 2**31 in absolute value")
+    h = box_points(box)
+    gh, hg = g * h, h * g
+    commuting = (gh.p == hg.p) & (gh.q == hg.q) & (gh.r == hg.r)
+    p, q, r = (c[commuting].tolist() for c in h.as_tuple())
+    return [GroupElement(*t) for t in zip(p, q, r)]
 
 
 _ZXZL = re.compile(r"^ZxZl\((\d+)\)$")

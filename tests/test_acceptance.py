@@ -9,6 +9,7 @@ import json
 import pytest
 
 from heisenberg_ncg import acceptance as acc
+from heisenberg_ncg import group_structure as gs
 
 
 @pytest.mark.parametrize("number", range(1, 11))
@@ -46,3 +47,20 @@ def test_raising_criterion_fails_alone(monkeypatch):
     assert first["details"] == {"error": "ArithmeticError: singular window"}
     assert first["elapsed_s"] >= 0
     assert second["passed"]
+
+
+def test_criterion_6_catches_a_wrong_closed_form(monkeypatch):
+    monkeypatch.setattr(gs, "centralizer_membership",
+                        lambda g, h: g.p * h.p == h.q * g.q)
+    result = acc.criterion_6_centralizers()
+    assert not result["passed"]
+    assert result["details"]["mismatches"]
+
+
+def test_criterion_6_catches_a_brute_force_that_drops_an_element(monkeypatch):
+    brute_force = gs.brute_force_centralizer
+    monkeypatch.setattr(gs, "brute_force_centralizer",
+                        lambda g, box: brute_force(g, box)[1:])
+    result = acc.criterion_6_centralizers()
+    assert not result["passed"]
+    assert len(result["details"]["mismatches"]) == 50

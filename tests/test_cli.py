@@ -203,6 +203,19 @@ class TestVerificationCommands:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("blocks", [
+        [],
+        [[]],
+        [[element_to_dict(U)], [element_to_dict(U), element_to_dict(V)]],
+    ], ids=["empty", "empty-row", "ragged"])
+    def test_index_malformed_blocks_exit_two(self, capsys, blocks):
+        code, out, err = run_captured(
+            capsys,
+            ["index", "--module", "z1", "--unitary", json.dumps({"blocks": blocks})],
+        )
+        assert code == 2 and out == ""
+        assert "malformed element" in err
+
     @pytest.mark.parametrize("argv", [
         ["index", "--module", "z1", "--unitary", V_JSON, "--truncation", "4"],
         ["pairing", "verify", "--truncation", "15"],
@@ -321,6 +334,17 @@ class TestPlumbing:
         )
         assert code == 2 and out == ""
         assert "malformed element" in err
+
+    @pytest.mark.parametrize("argv, what", [
+        (["alg", "star", '"U"'], "element"),
+        (["alg", "star", "[1,2]"], "element"),
+        (["alg", "star", "5"], "element"),
+        (["deriv", "check", '{"dU":5,"dV":{"terms":[]}}'], "derivation"),
+    ])
+    def test_element_that_is_not_an_object_exits_two(self, capsys, argv, what):
+        code, out, err = run_captured(capsys, argv)
+        assert code == 2 and out == ""
+        assert f"malformed {what}" in err
 
     @pytest.mark.parametrize("argv", [
         ["alg", "mul", U_JSON, V_JSON, "--truncation", "5"],

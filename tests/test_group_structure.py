@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 from conftest import seeded
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heisenberg_ncg.algebra import GroupElement, conjugate
@@ -11,7 +11,6 @@ from heisenberg_ncg.group_structure import (
     brute_force_centralizer,
     centralizer_membership,
     classify_element,
-    commutes,
     conjugacy_representative,
     cyclic_cohomology_dim,
     group_cohomology,
@@ -19,6 +18,14 @@ from heisenberg_ncg.group_structure import (
 )
 
 ints = st.integers(-10, 10)
+
+
+def scalar_centralizer(g, box):
+    """The centralizer by the scalar triple loop: one GroupElement per box
+    point, in lexicographic (p, q, r) order."""
+    span = range(-box, box + 1)
+    points = (GroupElement(p, q, r) for p in span for q in span for r in span)
+    return [h for h in points if g * h == h * g]
 
 
 class TestClassification:
@@ -58,7 +65,23 @@ class TestCentralizers:
     @given(ints, ints, ints, ints, ints, ints)
     def test_membership_predicate_matches_commutation(self, a, b, c, d, e, f):
         g, h = GroupElement(a, b, c), GroupElement(d, e, f)
-        assert centralizer_membership(g, h) == commutes(g, h)
+        assert centralizer_membership(g, h) == (g * h == h * g)
+
+    @seeded()
+    @given(ints, ints, ints, st.integers(0, 4))
+    @example(0, 0, 0, 4)
+    @example(0, 0, -3, 4)
+    def test_brute_force_matches_scalar_loop(self, a, b, c, box):
+        g = GroupElement(a, b, c)
+        result = brute_force_centralizer(g, box)
+        assert result == scalar_centralizer(g, box)
+        assert all(type(v) is int for h in result for v in h.as_tuple())
+
+    @pytest.mark.parametrize("g", [
+        GroupElement(2**62, 1, 0), GroupElement(0, -2**31, 0), GroupElement(1, 1, 2**31)])
+    def test_brute_force_rejects_coordinates_that_could_wrap(self, g):
+        with pytest.raises(ValueError):
+            brute_force_centralizer(g, 6)
 
     def test_fifty_seeded_elements_match_brute_force(self):
         t0 = time.time()

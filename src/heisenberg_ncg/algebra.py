@@ -432,6 +432,7 @@ def eval_at_angle(x: AlgebraElement, theta: RationalAngle) -> np.ndarray:
     out = np.zeros((t, t), dtype=complex)
     # U^p V^q W^r sends e_j to lambda^(r + q*j) e_{j+p}; lambda^t = 1.
     for (p, q, r), c in x.terms.items():
+        p, q, r = p % t, q % t, r % t  # as Python ints, so int64 cannot overflow
         out[(j + p) % t, j] += c.to_complex() * theta.lam ** ((r + q * j) % t)
     return out
 

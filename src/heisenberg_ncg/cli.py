@@ -43,6 +43,12 @@ EXIT_USAGE = 2
 MIN_TRUNCATION = 16
 # largest t for `alg eval --theta s/t`: its output is a dense t x t matrix
 MAX_EVAL_DIMENSION = 256
+# Caps that keep one command near 1 GB of measured peak RSS: ~260 (k*T)^2 B for
+# `index`/`pairing verify --truncation` T with a k x k block unitary, ~250 G^2 B
+# for `chern --grid` G, ~6.4 kB per point of the (<= 3N)^2 `--dirac` grid.
+MAX_BLOCK_TRUNCATION = 1800
+MAX_GRID = 2048
+MAX_DIRAC_TRUNCATION = 128
 
 
 class UsageError(Exception):
@@ -271,10 +277,14 @@ def cmd_pairing_table(args):
     return {}, result, EXIT_OK
 
 
-def _windows(truncation: int) -> tuple[int, int, int]:
-    """The three stabilization windows: half, given and double truncation."""
+def _windows(truncation: int, blocks: int) -> tuple[int, int, int]:
+    """The three stabilization windows: half, given and double truncation,
+    for a unitary of blocks x blocks elements."""
     if truncation < MIN_TRUNCATION:
         raise UsageError(f"--truncation must be at least {MIN_TRUNCATION}")
+    if blocks * truncation > MAX_BLOCK_TRUNCATION:
+        raise UsageError(f"--truncation {truncation} exceeds {MAX_BLOCK_TRUNCATION // blocks}"
+                         f" for a {blocks}x{blocks} block unitary")
     windows = (max(truncation // 2, MIN_TRUNCATION), truncation, truncation * 2)
     if len(set(windows)) < 3:
         raise UsageError(f"--truncation {truncation} repeats a window {list(windows)}; "
@@ -283,7 +293,7 @@ def _windows(truncation: int) -> tuple[int, int, int]:
 
 
 def cmd_pairing_verify(args):
-    truncs = _windows(args.truncation)
+    truncs = _windows(args.truncation, 2)  # [V_a] is the largest unitary, 2x2
     rep = acc.criterion_1_pairing_tables(truncs)
     _split_timings([rep])
     code = EXIT_OK if rep["passed"] else EXIT_VERIFICATION
@@ -291,8 +301,8 @@ def cmd_pairing_verify(args):
 
 
 def cmd_index(args):
-    truncs = _windows(args.truncation)
     u = _matrix_element(args.unitary)
+    truncs = _windows(args.truncation, len(u) if isinstance(u, list) else 1)
     try:
         idx = odd_pairing(args.module, u, truncs)
     except (ValueError, ArithmeticError) as e:
@@ -303,6 +313,10 @@ def cmd_index(args):
 def cmd_chern(args):
     if args.grid < ch.MIN_GRID:
         raise UsageError(f"--grid must be at least {ch.MIN_GRID}")
+    if args.grid > MAX_GRID:
+        raise UsageError(f"--grid must be at most {MAX_GRID}")
+    if args.dirac and args.truncation > MAX_DIRAC_TRUNCATION:
+        raise UsageError(f"--truncation must be at most {MAX_DIRAC_TRUNCATION} with --dirac")
     if args.dirac and (args.n_commutators < 2 or args.n_commutators % 2):
         raise UsageError("--n-commutators must be a positive even integer")
     config = {"grid": args.grid, "mass": args.mass}

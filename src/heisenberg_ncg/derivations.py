@@ -5,13 +5,18 @@ the image of the central generator W is forced to vanish.  Writing
 
     d(U) = sum a_{p,q,r} U^p V^q W^r,    d(V) = sum b_{p,q,r} U^p V^q W^r,
 
-the Leibniz rule applied to the relation VU = WUV forces, for all p, q, r,
+the Leibniz rule applied to the relation VU = WUV is the ring identity
 
-    (b_{p,q+1,r-1} - b_{p,q+1,r+q-1}) + (a_{p+1,q,r-p+q-1} - a_{p+1,q,r+q-1}) = 0
+    d(V) U + V d(U) = W (d(U) V + U d(V)),
 
-together with the axis conditions a_{p,0,r} = 0 for p != 1 and
-b_{0,q,r} = 0 for q != 1 (these follow from the relation plus finite
-support, but are reported separately for diagnostics).
+checked exactly in the ring.  The coefficient of the difference of its
+sides at U^p V^q W^r is the relation at the cell (p-1, q-1, r-q+1), where
+a violation is reported:
+
+    (b_{p,q+1,r-1} - b_{p,q+1,r+q-1}) + (a_{p+1,q,r-p+q-1} - a_{p+1,q,r+q-1}) = 0.
+
+The axis conditions a_{p,0,r} = 0 for p != 1 and b_{0,q,r} = 0 for q != 1
+follow from it plus finite support, but are reported separately.
 
 A derivation that splits at all splits uniquely as
 
@@ -20,10 +25,11 @@ A derivation that splits at all splits uniquely as
 with z1, z2 central (Laurent polynomials in W), d1, d2 the canonical
 derivations d1(U) = U, d2(V) = V, and x finitely supported and normalized to
 have no W-axis terms.  The inner part x is recovered cell by cell through
-telescoping sums over the coefficients of dU (step q) or dV (step p), and
-the result is verified by exact reconstruction.  Consistency is necessary
-for the split, not sufficient: d(U) = U V, d(V) = 0 is consistent, but its
-inner part V (1 - W)^-1 has infinite support, so reconstruction fails.
+telescoping sums over the entries of one column of dU (step q) or dV
+(step p), and the result is verified by exact reconstruction.  Consistency
+is necessary for the split, not sufficient: d(U) = U V, d(V) = 0 is
+consistent, but its inner part V (1 - W)^-1 has infinite support, so
+reconstruction fails.
 
 The split is also how a derivation is evaluated: d1 and d2 scale
 U^p V^q W^r by p and by q, so ``apply`` computes
@@ -47,6 +53,7 @@ from .algebra import (
     Key,
     U,
     V,
+    W,
     element_from_dict,
     element_to_dict,
     is_central,
@@ -105,45 +112,20 @@ def inner_derivation(x: AlgebraElement) -> Derivation:
 
 
 def check_consistency(d: Derivation) -> ConsistencyReport:
-    """Verify the coefficient relation forced by VU = WUV and the axis rules."""
-    a = d.dU.terms
-    b = d.dV.terms
+    """Verify the Leibniz identity on VU = WUV and the axis rules."""
     violations: list[Violation] = []
-
-    for (p, q, r) in sorted(a):
+    for (p, q, r) in sorted(d.dU.terms):
         if q == 0 and p != 1:
             violations.append(Violation("axis-a", (p, q, r)))
-    for (p, q, r) in sorted(b):
+    for (p, q, r) in sorted(d.dV.terms):
         if p == 0 and q != 1:
             violations.append(Violation("axis-b", (p, q, r)))
 
-    # The relation at (p, q, r) references b_{p,q+1,*} and a_{p+1,q,*}; it can
-    # only fail where one of the four terms is supported.
-    cells: set[Key] = set()
-    for (P, Q, R) in a:
-        # R = r + q - 1 or R = r - p + q - 1 with p = P - 1, q = Q
-        cells.add((P - 1, Q, R - Q + 1))
-        cells.add((P - 1, Q, R + (P - 1) - Q + 1))
-    for (P, Q, R) in b:
-        # R = r - 1 or R = r + q - 1 with q = Q - 1
-        cells.add((P, Q - 1, R + 1))
-        cells.add((P, Q - 1, R - (Q - 1) + 1))
-
-    def av(p, q, r):
-        return a.get((p, q, r), GR_ZERO)
-
-    def bv(p, q, r):
-        return b.get((p, q, r), GR_ZERO)
-
-    for (p, q, r) in sorted(cells):
-        lhs = (
-            bv(p, q + 1, r - 1)
-            - bv(p, q + 1, r + q - 1)
-            + av(p + 1, q, r - p + q - 1)
-            - av(p + 1, q, r + q - 1)
-        )
-        if not lhs.is_zero():
-            violations.append(Violation("relation", (p, q, r)))
+    # Every product has a monomial factor; see the module docstring for the
+    # cell of each term.
+    rel = d.dV * U + V * d.dU - W * (d.dU * V + U * d.dV)
+    for (p, q, r) in sorted(rel.terms):
+        violations.append(Violation("relation", (p - 1, q - 1, r - q + 1)))
 
     return ConsistencyReport(not violations, tuple(violations))
 
@@ -188,18 +170,19 @@ def _telescope(
 
     ``column`` holds the source coefficients (a_{p+1,q,*} for the a-route,
     b_{p,q+1,*} for the b-route) and ``step`` the nonzero index step (q for
-    the a-route, p for the b-route).  The sum runs away from height 0: over
-    r + step, r + 2*step, ... when step points away from 0 (sign -1 on the
-    a-route), else over r, r - step, ... (sign +1 on the a-route).  The
-    b-route has the opposite signs.  These signs make reconstruction exact.
+    the a-route, p for the b-route).  The sum runs away from height 0, over
+    the column's entries at heights r + step, r + 2*step, ... when step
+    points away from 0 (sign -1 on the a-route), else at r, r - step, ...
+    (sign +1 on the a-route).  The b-route has the opposite signs.  These
+    signs make reconstruction exact.
     """
     if not column:
         return GR_ZERO
     outward = (step > 0) == (r >= 0)
     stride = step if outward else -step
-    stop = max(column) + 1 if stride > 0 else min(column) - 1
     start = r + stride if outward else r
-    total = sum((column[h] for h in range(start, stop, stride) if h in column), GR_ZERO)
+    total = sum((c for h, c in column.items()
+                 if (h - start) % stride == 0 and (h - start) * stride >= 0), GR_ZERO)
     return -total if outward == (route == "a") else total
 
 

@@ -55,9 +55,6 @@ class CentralizerReport:
 class CohomologyProfile:
     dims: tuple[int, ...]
 
-    def dim(self, n: int) -> int:
-        return self.dims[n] if 0 <= n < len(self.dims) else 0
-
     def to_dict(self) -> dict:
         return {"dims": list(self.dims)}
 
@@ -193,7 +190,9 @@ def cyclic_cohomology_dim(n: int) -> CyclicDimReport:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    rank = sum(H3_PROFILE.dim(n - 2 * j) for j in range(n // 2 + 1))
+    # the degrees n - 2j that carry group cohomology: k <= n, n - k even
+    rank = sum(dim for k, dim in enumerate(H3_PROFILE.dims)
+               if k <= n and (n - k) % 2 == 0)
     return CyclicDimReport(degree=n, finite_rank=rank, countable_factor=n <= 2)
 
 

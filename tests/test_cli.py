@@ -16,6 +16,12 @@ from heisenberg_ncg.derivations import derivation_to_dict, inner_derivation
 
 U_JSON = json.dumps(element_to_dict(U))
 V_JSON = json.dumps(element_to_dict(V))
+ZERO = {"terms": []}
+BLOCK_JSON = json.dumps({"blocks": [[element_to_dict(V), ZERO], [ZERO, element_to_dict(U)]]})
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("a usage error must be raised before any work")
 
 
 def run_captured(capsys, argv):
@@ -73,6 +79,18 @@ class TestAlgebra:
             capsys, ["alg", "eval", U_JSON, "--theta", "1/100000"])
         assert code == 2 and out == ""
         assert "exceeds" in err
+
+    @pytest.mark.parametrize("axis", ["p", "q", "r"])
+    def test_eval_huge_exponent_reduces_mod_t(self, capsys, axis):
+        def monomial(e):
+            exps = {"p": 1, "q": 2, "r": 0, axis: e}
+            return json.dumps({"terms": [{**exps, "re": 1}]})
+
+        huge = run_captured(capsys, ["alg", "eval", monomial(10**20 + 5), "--theta", "1/3"])
+        reduced = run_captured(capsys, ["alg", "eval", monomial((10**20 + 5) % 3),
+                                        "--theta", "1/3"])
+        assert huge[0] == 0
+        assert huge == reduced
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "u.json"
@@ -155,6 +173,11 @@ class TestGroup:
         res = json.loads(out)["result"]
         assert res["finite_rank"] == 3 and res["countable_factor"] is False
 
+    def test_hc_dim_huge_degree(self, capsys):
+        code, out, _ = run_captured(capsys, ["group", "hc-dim", "--n", str(10**12)])
+        assert code == 0
+        assert json.loads(out)["result"]["finite_rank"] == 3
+
     def test_cohomology(self, capsys):
         code, out, _ = run_captured(
             capsys, ["group", "cohomology", "--type", "H3"]
@@ -235,6 +258,32 @@ class TestVerificationCommands:
         assert code == 2 and out == ""
         assert "repeats a window [16, 16, 32]" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["index", "--module", "z1", "--unitary", V_JSON, "--truncation", "1801"],
+         "--truncation 1801 exceeds 1800 for a 1x1 block unitary"),
+        (["index", "--module", "z1", "--unitary", BLOCK_JSON, "--truncation", "901"],
+         "--truncation 901 exceeds 900 for a 2x2 block unitary"),
+    ])
+    def test_index_size_cap(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(cli, "odd_pairing", no_work)
+        code, out, err = run_captured(capsys, argv)
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_index_at_size_cap_runs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "odd_pairing", lambda *args: 0)
+        code, out, _ = run_captured(
+            capsys, ["index", "--module", "z1", "--unitary", BLOCK_JSON,
+                     "--truncation", "900"])
+        assert code == 0
+        assert json.loads(out)["config"]["truncations"] == [450, 900, 1800]
+
+    def test_pairing_verify_size_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.acc, "criterion_1_pairing_tables", no_work)
+        code, out, err = run_captured(capsys, ["pairing", "verify", "--truncation", "901"])
+        assert code == 2 and out == ""
+        assert "--truncation 901 exceeds 900 for a 2x2 block unitary" in err
+
     def test_smallest_distinct_windows_accepted(self, capsys):
         code, out, _ = run_captured(
             capsys, ["index", "--module", "z1prime", "--unitary", V_JSON,
@@ -276,12 +325,12 @@ class TestVerificationCommands:
          "--n-commutators must be a positive even integer"),
         (["chern", "--grid", "16", "--dirac", "--n-commutators", "3"],
          "--n-commutators must be a positive even integer"),
+        (["chern", "--grid", "2049"], "--grid must be at most 2048"),
+        (["chern", "--grid", "16", "--dirac", "--truncation", "129"],
+         "--truncation must be at most 128 with --dirac"),
     ])
     def test_chern_out_of_range_option_exits_two(self, capsys, monkeypatch,
                                                   argv, message):
-        def no_work(*args, **kwargs):
-            raise AssertionError("a usage error must be raised before any work")
-
         monkeypatch.setattr(cli.ch, "bott_projector", no_work)
         code, out, err = run_captured(capsys, argv)
         assert code == 2 and out == ""
@@ -289,9 +338,6 @@ class TestVerificationCommands:
 
     @pytest.mark.parametrize("mass", ["3", "0", "nan"])
     def test_chern_mass_out_of_range_exits_two(self, capsys, monkeypatch, mass):
-        def no_work(*args, **kwargs):
-            raise AssertionError("a usage error must be raised before any work")
-
         monkeypatch.setattr(cli.ch, "lattice_chern", no_work)
         code, out, err = run_captured(capsys, ["chern", "--grid", "16", "--mass", mass])
         assert code == 2 and out == ""

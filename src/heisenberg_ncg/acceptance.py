@@ -32,6 +32,28 @@ from .algebra import (
 )
 
 DEFAULT_SEED = 20230823
+# The odd pairings' truncation: windows 32, 64 and 128.
+TRUNCATION = 64
+# Criterion 1's odd K-theory representatives; [V_a], a 2x2 block unitary,
+# bounds the truncations `hnc pairing verify` accepts.
+KTHEORY_ODD = {
+    "[U]": U,
+    "[V]": V,
+    "[V_a]": [[V, AlgebraElement.zero()], [AlgebraElement.zero(), ONE]],
+}
+# Criterion 3: the lattice Chern grids and the Dirac pairing's truncation.
+GRIDS = (16, 32, 64)
+DIRAC_TRUNCATION = 48
+# Criterion 4: exact round trips, and derivations checked cell by cell.
+ROUNDTRIPS = 100
+ROUTE_DERIVATIONS = 20
+# Criterion 5: derivations evaluated on W.
+W_DERIVATIONS = 25
+# Criterion 6: elements compared, and the half-width of the box.
+CENTRALIZER_ELEMENTS = 50
+CENTRALIZER_BOX = 6
+# Criterion 10: products checked against the matrix model.
+PRODUCTS = 1000
 
 
 def _result(number: int, name: str, passed: bool, t0: float, **details) -> dict:
@@ -44,105 +66,107 @@ def _result(number: int, name: str, passed: bool, t0: float, **details) -> dict:
     }
 
 
-def criterion_1_pairing_tables(truncations=(32, 64, 128)) -> dict:
+def criterion_1_pairing_tables(truncation=TRUNCATION) -> dict:
     """Recompute every pairing-table entry that has a numeric route."""
     t0 = time.perf_counter()
     Z = AlgebraElement.zero()
-    ktheory_odd = {"[U]": U, "[V]": V, "[V_a]": [[V, Z], [Z, ONE]]}
     ktheory_even = {"[1]": ONE, "[P_a]": [[ONE, Z], [Z, Z]]}
     even, odd = kk.pairing_tables()
 
     checks = []
     for col in ("z1", "z1'"):
         spec = "z1" if col == "z1" else "z1prime"
-        for row, u in ktheory_odd.items():
-            got = fr.odd_pairing(spec, u, truncations)
+        for row, u in KTHEORY_ODD.items():
+            got = fr.odd_pairing(spec, u, truncation)
             want = odd.entry(row, col)
             checks.append({"entry": f"<{col}, {row}>", "got": got, "want": want})
     for row, p in ktheory_even.items():
-        got = fr.even_pairing_trace("z0", p, 2)
+        got = fr.even_pairing_trace("z0", p)
         want = even.entry(row, "z0")
         checks.append({"entry": f"<z0, {row}>", "got": got, "want": want})
     # the third even generator reaches z0 through the same scalar image
-    got = fr.even_pairing_trace("z0", [[ONE, Z], [Z, Z]], 2)
+    got = fr.even_pairing_trace("z0", [[ONE, Z], [Z, Z]])
     checks.append({"entry": "<z0, [P_b]>", "got": got, "want": even.entry("[P_b]", "z0")})
 
     # the boundary image of the first odd torus module pairs to zero with
     # all three even generators: trace route for [1] and [P_a], index route
     # <w1, [W]> = 0 for [P_b] (boundary-map adjointness).
     checks.append(
-        {"entry": "<d1(w1), [1]>", "got": fr.even_pairing_trace("del1_w1", ONE, 2), "want": 0}
+        {"entry": "<d1(w1), [1]>", "got": fr.even_pairing_trace("del1_w1", ONE), "want": 0}
     )
     checks.append(
         {
             "entry": "<d1(w1), [P_a]>",
-            "got": fr.even_pairing_trace("del1_w1", [[ONE, Z], [Z, Z]], 2),
+            "got": fr.even_pairing_trace("del1_w1", [[ONE, Z], [Z, Z]]),
             "want": 0,
         }
     )
     checks.append(
-        {"entry": "<d1(w1), [P_b]> via <w1, [W]>", "got": fr.odd_pairing("w1", W, truncations), "want": 0}
+        {"entry": "<d1(w1), [P_b]> via <w1, [W]>", "got": fr.odd_pairing("w1", W, truncation), "want": 0}
     )
 
     passed = all(c["got"] == c["want"] for c in checks)
     return _result(1, "pairing table recomputation", passed, t0, checks=checks)
 
 
-def criterion_2_index_theorem(truncations=(32, 64, 128)) -> dict:
+def criterion_2_index_theorem() -> dict:
     """The half-line compression of the implementing unitary has index 1."""
     t0 = time.perf_counter()
-    idx = fr.odd_pairing("z1prime", V, truncations)
+    idx = fr.odd_pairing("z1prime", V, TRUNCATION)
     return _result(2, "Toeplitz index instance", idx == 1, t0, index=idx,
-                   truncations=list(truncations))
+                   truncations=list(fr.odd_windows("z1prime", V, TRUNCATION)))
 
 
-def criterion_3_dirac_bott(grids=(16, 32, 64), truncation=48, n_commutators=4) -> dict:
+def criterion_3_dirac_bott() -> dict:
     """Lattice Chern number +1 and agreement with the Dirac trace route."""
     t0 = time.perf_counter()
-    cherns = {g: ch.lattice_chern(ch.bott_projector(g, 1.0)) for g in grids}
-    field = ch.bott_projector(max(grids), 1.0)
-    dirac = ch.dirac_even_pairing(field, truncation=truncation,
-                                  n_commutators=n_commutators)
+    cherns = {g: ch.lattice_chern(ch.bott_projector(g, 1.0)) for g in GRIDS}
+    field = ch.bott_projector(max(GRIDS), 1.0)
+    dirac = ch.dirac_even_pairing(field, truncation=DIRAC_TRUNCATION)
     passed = all(v == 1 for v in cherns.values()) and dirac["value"] == 1
     return _result(3, "Dirac/Bott pairing cross-oracle", passed, t0,
                    lattice_chern=cherns, dirac=dirac)
 
 
-def criterion_4_decomposition(seed=DEFAULT_SEED, n_roundtrips=100, n_routes=20) -> dict:
+def criterion_4_decomposition(seed=DEFAULT_SEED) -> dict:
     """Exact decomposition round-trips and two-route cell agreement."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = []
-    for i in range(n_roundtrips):
+    for i in range(ROUNDTRIPS):
         parts = dv.random_derivation_parts(rng, box=5, n_terms=4)
         d = dv.compose_from_parts(parts.z1, parts.z2, parts.x)
         if dv.decompose(d) != parts:
             failures.append(i)
 
     route_failures = 0
-    for i in range(n_routes):
+    for _ in range(ROUTE_DERIVATIONS):
         d = dv.random_consistent_derivation(rng, box=4)
-        for p in range(-5, 6):
-            for q in range(-5, 6):
-                if p == 0 or q == 0:
-                    continue
-                for r in range(-7, 8):
-                    ca = dv.inner_coefficient(d, p, q, r, "a")
-                    cb = dv.inner_coefficient(d, p, q, r, "b")
-                    if ca != cb:
-                        route_failures += 1
+        # Interior cells (p, q) in [-5, 5]^2 whose a-column (dU at p+1, q)
+        # or b-column (dV at p, q+1) is nonempty; on every other cell both
+        # routes are zero.
+        live = ({(p - 1, q) for p, q, _ in d.dU.terms}
+                | {(p, q - 1) for p, q, _ in d.dV.terms})
+        for p, q in live:
+            if p == 0 or q == 0 or max(abs(p), abs(q)) > 5:
+                continue
+            for r in range(-7, 8):
+                ca = dv.inner_coefficient(d, p, q, r, "a")
+                cb = dv.inner_coefficient(d, p, q, r, "b")
+                if ca != cb:
+                    route_failures += 1
     passed = not failures and route_failures == 0
     return _result(4, "derivation decomposition round-trip", passed, t0,
                    roundtrip_failures=failures, route_mismatch_cells=route_failures)
 
 
-def criterion_5_central_generator(seed=DEFAULT_SEED, n_derivations=25) -> dict:
+def criterion_5_central_generator(seed=DEFAULT_SEED) -> dict:
     """d(W) = 0 for consistent derivations; injected relation violations
     are detected."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 1)
     w_failures = 0
-    for _ in range(n_derivations):
+    for _ in range(W_DERIVATIONS):
         d = dv.random_consistent_derivation(rng, box=4)
         if not dv.apply(d, W).is_zero():
             w_failures += 1
@@ -164,7 +188,7 @@ def criterion_5_central_generator(seed=DEFAULT_SEED, n_derivations=25) -> dict:
                    w_failures=w_failures, injected=injected, detected=detected)
 
 
-def criterion_6_centralizers(seed=DEFAULT_SEED, count=50, box=6) -> dict:
+def criterion_6_centralizers(seed=DEFAULT_SEED) -> dict:
     """Closed-form centralizer membership equals brute-force enumeration."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 2)
@@ -175,17 +199,17 @@ def criterion_6_centralizers(seed=DEFAULT_SEED, count=50, box=6) -> dict:
         GroupElement(0, 0, 1),   # central generator
         GroupElement(0, 0, 5),   # central with torsion quotient
     ]
-    while len(elements) < count:
+    while len(elements) < CENTRALIZER_ELEMENTS:
         g = GroupElement(*[int(v) for v in rng.integers(-6, 7, 3)])
         if not g.is_identity():
             elements.append(g)
 
-    points = gs.box_points(box)
+    points = gs.box_points(CENTRALIZER_BOX)
     mismatches = []
     cases = set()
     for g in elements:
         cases.add(gs.classify_element(g).case)
-        brute = {h.as_tuple() for h in gs.brute_force_centralizer(g, box)}
+        brute = {h.as_tuple() for h in gs.brute_force_centralizer(g, CENTRALIZER_BOX)}
         member = gs.centralizer_membership(g, points)
         closed = set(zip(*(c[member].tolist() for c in points.as_tuple())))
         if brute != closed:
@@ -246,7 +270,7 @@ def criterion_9_duality() -> dict:
                    duality=dual, faithfulness=faith)
 
 
-def criterion_10_algebra_oracle(seed=DEFAULT_SEED, n_products=1000) -> dict:
+def criterion_10_algebra_oracle(seed=DEFAULT_SEED) -> dict:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 3)
 
@@ -256,7 +280,7 @@ def criterion_10_algebra_oracle(seed=DEFAULT_SEED, n_products=1000) -> dict:
         return m
 
     product_failures = 0
-    for _ in range(n_products):
+    for _ in range(PRODUCTS):
         g1 = GroupElement(*[int(v) for v in rng.integers(-10, 11, 3)])
         g2 = GroupElement(*[int(v) for v in rng.integers(-10, 11, 3)])
         if not (matrix_of(g1 * g2) == matrix_of(g1) @ matrix_of(g2)).all():

@@ -46,6 +46,8 @@ ORIENTATION_SIGN = 1
 DIRAC_SIGN = 1
 # smallest sample grid of a Bott field
 MIN_GRID = 8
+# The Dirac certificate's runs must agree within this of a common integer.
+CONVERGENCE_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -260,20 +262,37 @@ class _DiracEngine:
         return [totals[n] for n in orders]
 
 
+def certificate_windows(kernel_radius: int, truncation: int) -> tuple[int, int]:
+    """The truncations of the Dirac certificate's runs: ``truncation`` and
+    a smaller second one, max(truncation - 8, least).
+
+    least = max(16, K + 8) keeps a margin of 8 around the kernel radius K.
+    Requiring truncation > least also keeps the second run distinct from
+    the first, whose check on truncation it is; otherwise this raises
+    ValueError naming the smallest admissible truncation.
+    """
+    least = max(16, kernel_radius + 8)
+    if truncation <= least:
+        raise ValueError(
+            f"truncation {truncation} must be at least {least + 1} for the "
+            f"kernel radius {kernel_radius}, with a distinct second "
+            "certificate run")
+    return truncation, max(truncation - 8, least)
+
+
 def dirac_even_pairing(
     field: ProjectorField,
     truncation: int = 48,
     n_commutators: int = 4,
     tail: float = 1e-8,
-    convergence_tol: float = 0.1,
     probe_spacing: int = 12,
 ) -> dict:
     """Pairing of the graded torus module with a projector field.
 
-    Evaluates the graded trace at n = n_commutators/2 and n+1 and at a
-    second (smaller) truncation, requires all runs to agree within
-    ``convergence_tol`` of a common integer, and returns that integer with
-    the convergence certificate.
+    Evaluates the graded trace at n = n_commutators/2 and n+1 and, at n,
+    on the second truncation of ``certificate_windows``; requires all runs
+    to agree within ``CONVERGENCE_TOL`` of a common integer, and returns
+    that integer with the convergence certificate.
     """
     if n_commutators < 2 or n_commutators % 2 != 0:
         raise ValueError("n_commutators must be a positive even integer")
@@ -287,22 +306,8 @@ def dirac_even_pairing(
             "certificates": {"constant_field": True, "kernel_radius": K},
         }
 
-    minimum = max(16, K + 8)
-    if truncation < minimum:
-        raise ValueError(
-            "truncation too small for the certified kernel radius; "
-            f"need at least {minimum}"
-        )
-    # The third run is the certificate's check on truncation, so it must
-    # use a different window than the first two.
-    if truncation == minimum:
-        raise ValueError(
-            "truncation too small for a distinct second certificate run; "
-            f"need at least {minimum + 1}"
-        )
-
+    _, second = certificate_windows(K, truncation)
     n = n_commutators // 2
-    second = max(truncation - 8, minimum)
     t_n, t_next = _DiracEngine(coeffs, truncation).graded_traces(
         (n, n + 1), probe_spacing
     )
@@ -321,7 +326,7 @@ def dirac_even_pairing(
     values = [r["value"] for r in runs]
     target = round(values[0])
     residuals = [abs(v - target) for v in values]
-    if max(residuals) > convergence_tol:
+    if max(residuals) > CONVERGENCE_TOL:
         raise ArithmeticError(
             f"graded trace did not converge: values {values}"
         )

@@ -33,20 +33,18 @@ from .algebra import (
     is_central,
     matrix_to_jsonable,
 )
-from .fredholm import odd_pairing
+from .fredholm import odd_pairing, odd_windows
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 
-# smallest stabilization window of `index` and `pairing verify`
-MIN_TRUNCATION = 16
 # largest t for `alg eval --theta s/t`: its output is a dense t x t matrix
 MAX_EVAL_DIMENSION = 256
-# Caps that keep one command near 1 GB of measured peak RSS: ~260 (k*T)^2 B for
-# `index`/`pairing verify --truncation` T with a k x k block unitary, ~250 G^2 B
-# for `chern --grid` G, ~6.4 kB per point of the (<= 3N)^2 `--dirac` grid.
-MAX_BLOCK_TRUNCATION = 1800
+# Caps that keep one command near 1 GB of measured peak RSS (with
+# `fredholm.MAX_BLOCK_TRUNCATION` for `index` and `pairing verify`):
+# ~250 G^2 B for `chern --grid` G, ~6.4 kB per point of the (<= 3N)^2
+# `--dirac` grid.
 MAX_GRID = 2048
 MAX_DIRAC_TRUNCATION = 128
 
@@ -277,24 +275,21 @@ def cmd_pairing_table(args):
     return {}, result, EXIT_OK
 
 
-def _windows(truncation: int, blocks: int) -> tuple[int, int, int]:
-    """The three stabilization windows: half, given and double truncation,
-    for a unitary of blocks x blocks elements."""
-    if truncation < MIN_TRUNCATION:
-        raise UsageError(f"--truncation must be at least {MIN_TRUNCATION}")
-    if blocks * truncation > MAX_BLOCK_TRUNCATION:
-        raise UsageError(f"--truncation {truncation} exceeds {MAX_BLOCK_TRUNCATION // blocks}"
-                         f" for a {blocks}x{blocks} block unitary")
-    windows = (max(truncation // 2, MIN_TRUNCATION), truncation, truncation * 2)
-    if len(set(windows)) < 3:
-        raise UsageError(f"--truncation {truncation} repeats a window {list(windows)}; "
-                         f"the three windows must be distinct")
-    return windows
+def _truncation_rule(rule, *args) -> tuple[int, ...]:
+    """The windows that a library truncation rule gives.  A truncation it
+    rejects is an out-of-range ``--truncation``: the rule's message starts
+    with "truncation" and names the bound."""
+    try:
+        return rule(*args)
+    except ValueError as e:
+        raise UsageError(f"--{e}") from None
 
 
 def cmd_pairing_verify(args):
-    truncs = _windows(args.truncation, 2)  # [V_a] is the largest unitary, 2x2
-    rep = acc.criterion_1_pairing_tables(truncs)
+    # criterion 1's windows; the 2x2 block [V_a] bounds the truncation
+    truncs = _truncation_rule(odd_windows, "z1prime", acc.KTHEORY_ODD["[V_a]"],
+                              args.truncation)
+    rep = acc.criterion_1_pairing_tables(args.truncation)
     _split_timings([rep])
     code = EXIT_OK if rep["passed"] else EXIT_VERIFICATION
     return {"truncations": list(truncs)}, rep, code
@@ -302,9 +297,9 @@ def cmd_pairing_verify(args):
 
 def cmd_index(args):
     u = _matrix_element(args.unitary)
-    truncs = _windows(args.truncation, len(u) if isinstance(u, list) else 1)
+    truncs = _truncation_rule(odd_windows, args.module, u, args.truncation)
     try:
-        idx = odd_pairing(args.module, u, truncs)
+        idx = odd_pairing(args.module, u, args.truncation)
     except (ValueError, ArithmeticError) as e:
         raise VerificationFailure(str(e)) from None
     return {"module": args.module, "truncations": list(truncs)}, {"index": idx}, EXIT_OK
@@ -325,6 +320,12 @@ def cmd_chern(args):
         field = ch.bott_projector(args.grid, args.mass)
     except ValueError as e:
         raise UsageError(str(e)) from None
+    if args.dirac:
+        try:
+            _, radius = ch.fourier_coefficients(field)
+        except ValueError as e:  # the grid cannot certify the decay
+            raise VerificationFailure(str(e)) from None
+        _truncation_rule(ch.certificate_windows, radius, args.truncation)
     try:
         c = ch.lattice_chern(field)
     except ArithmeticError as e:

@@ -7,6 +7,8 @@ matrix index zero, so the compressions used here are rectangular: the
 domain window is [0, N] and the range window [0, N + band + 2], wider
 than the domain by more than the band width of the operator.  The adjoint side is the
 compression of the represented star of the unitary on the same shape.
+An index must agree on the three windows N = max(T // 2, 16), T and 2T
+of one truncation T; ``odd_windows`` is that rule.
 
 Shift convention: "the shift" S is the operator (S xi)(n) = xi(n+1), whose
 matrix moves e_n to e_{n-1}.  With this convention the compression of S to
@@ -25,7 +27,7 @@ handled in the companion module that evaluates Dirac pairings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -33,6 +35,11 @@ from .algebra import AlgebraElement
 
 # Singular values at or below this count towards a kernel dimension.
 KERNEL_TOL = 1e-8
+# The smallest stabilization window.
+MIN_WINDOW = 16
+# Largest k * T for truncation T and a k x k block unitary: the dense
+# compressions take ~260 (k*T)^2 B of measured peak RSS, near 1 GB here.
+MAX_BLOCK_TRUNCATION = 1800
 
 # Generator actions for the odd l2(Z) modules: which generators act by the
 # shift; all others act by the identity.
@@ -49,32 +56,15 @@ _EVEN_GRADED = {"dirac_T2", "del1_w1"}
 
 
 @dataclass(frozen=True)
-class FredholmModuleSpec:
-    name: str
-    parity: Literal["even", "odd"]
-    truncation: int
-
-
-def module_spec(name: str, truncation: int = 64) -> FredholmModuleSpec:
-    if name in _ODD_SHIFT_GEN:
-        return FredholmModuleSpec(name, "odd", truncation)
-    if name in _EVEN_SCALAR or name in _EVEN_GRADED:
-        return FredholmModuleSpec(name, "even", truncation)
-    raise ValueError(f"unknown module name: {name!r}")
-
-
-@dataclass(frozen=True)
 class TruncatedOperator:
     """A finite compression of a represented element.
 
-    ``window`` records (domain_size, range_size) of the rectangular
-    compression; ``entries`` is the matrix of the operator and
+    ``entries`` is the (range x domain) matrix of the operator and
     ``star_entries`` the compression of the represented star on the same
     shape (not the matrix adjoint: compressions do not commute with
     adjoints on the nose).
     """
 
-    window: tuple[int, int]
     entries: np.ndarray
     star_entries: np.ndarray
 
@@ -103,19 +93,32 @@ def _block_product(
     ]
 
 
-def _odd_symbol(spec: FredholmModuleSpec, x: AlgebraElement) -> dict[int, complex]:
+def _odd_symbol(gen: str, x: AlgebraElement) -> dict[int, complex]:
     """Laurent symbol of pi(x) on l2(Z): mapping shift power -> coefficient.
 
-    The distinguished generator acts by the shift, the others by the
-    identity, so a monomial U^p V^q W^r acts as the shift to the power of
-    the distinguished exponent.
+    The distinguished generator ``gen`` acts by the shift, the others by
+    the identity, so a monomial U^p V^q W^r acts as the shift to the power
+    of the distinguished exponent.
     """
-    gen = _ODD_SHIFT_GEN[spec.name]
     out: dict[int, complex] = {}
     for (p, q, r), c in x.terms.items():
         k = {"U": p, "V": q, "W": r}[gen]
         out[k] = out.get(k, 0j) + c.to_complex()
     return out
+
+
+def _symbols(name: str, x: MatrixElement):
+    """Block symbols of pi(x) and of pi(x*) on the odd module ``name``, and
+    the band width: the largest shift power in either."""
+    if name not in _ODD_SHIFT_GEN:
+        raise ValueError(f"{name!r} is not an odd module")
+    gen = _ODD_SHIFT_GEN[name]
+    blocks = _as_blocks(x)
+    symbols = [[_odd_symbol(gen, e) for e in row] for row in blocks]
+    star_symbols = [[_odd_symbol(gen, e) for e in row] for row in _star_blocks(blocks)]
+    band = max((abs(k) for row in symbols + star_symbols for s in row for k in s),
+               default=0)
+    return symbols, star_symbols, band
 
 
 def _laurent_matrix(symbol: dict[int, complex], rows: int, cols: int) -> np.ndarray:
@@ -131,26 +134,17 @@ def _laurent_matrix(symbol: dict[int, complex], rows: int, cols: int) -> np.ndar
     return m
 
 
-def build_representation(spec: FredholmModuleSpec, x: MatrixElement) -> TruncatedOperator:
-    """Rectangular half-line compression of pi(x) (odd specs).
+def build_representation(name: str, x: MatrixElement, truncation: int) -> TruncatedOperator:
+    """Rectangular half-line compression of pi(x) on the odd module ``name``.
 
     For block-matrix arguments the blocks are assembled diagonally per
-    entry.  The range window exceeds the domain window by the band width of
-    the symbol plus two.
+    entry.  The domain window is [0, truncation] and the range window
+    exceeds it by the band width of the symbol plus two; ``odd_windows``
+    says which truncations give a faithful compression.
     """
-    if spec.parity != "odd":
-        raise ValueError("build_representation compresses odd modules; use "
-                         "even_pairing_trace for even modules")
-    blocks = _as_blocks(x)
-    symbols = [[_odd_symbol(spec, e) for e in row] for row in blocks]
-    star_symbols = [[_odd_symbol(spec, e) for e in row] for row in _star_blocks(blocks)]
-
-    band = max((abs(k) for row in symbols + star_symbols for s in row for k in s),
-               default=0)
-    n_dom = spec.truncation + 1
-    n_rng = spec.truncation + 1 + band + 2
-    if spec.truncation < band + 2:
-        raise ValueError("truncation window too small for the support")
+    symbols, star_symbols, band = _symbols(name, x)
+    n_dom = truncation + 1
+    n_rng = truncation + 1 + band + 2
 
     def assemble(sym):
         brows = []
@@ -158,11 +152,7 @@ def build_representation(spec: FredholmModuleSpec, x: MatrixElement) -> Truncate
             brows.append([_laurent_matrix(s, n_rng, n_dom) for s in row])
         return np.block(brows)
 
-    return TruncatedOperator(
-        window=(n_dom, n_rng),
-        entries=assemble(symbols),
-        star_entries=assemble(star_symbols),
-    )
+    return TruncatedOperator(entries=assemble(symbols), star_entries=assemble(star_symbols))
 
 
 def _kernel_dim(m: np.ndarray) -> int:
@@ -196,32 +186,51 @@ def _check_unitary(x: MatrixElement) -> None:
         raise ValueError("input is not unitary in the group ring")
 
 
-def odd_pairing(
-    spec_name: str, u: MatrixElement, truncations: Sequence[int] = (32, 64, 128)
-) -> int:
-    """Index pairing of an odd module with a unitary (or matrix unitary)."""
+def odd_windows(name: str, u: MatrixElement, truncation: int) -> tuple[int, int, int]:
+    """The stabilization windows (max(T // 2, 16), T, 2T) of truncation T
+    for the pairing of the odd module ``name`` with ``u``.
+
+    Raises ValueError, naming the bound, unless the three windows are
+    distinct, the smallest is at least the band width of u plus two (so
+    the compression sees the whole kernel), and k * T is at most
+    ``MAX_BLOCK_TRUNCATION`` for a k x k block unitary.
+    """
+    symbols, _, band = _symbols(name, u)
+    k = len(symbols)
+    if k * truncation > MAX_BLOCK_TRUNCATION:
+        raise ValueError(f"truncation {truncation} exceeds {MAX_BLOCK_TRUNCATION // k}"
+                         f" for a {k}x{k} block unitary")
+    windows = (max(truncation // 2, MIN_WINDOW), truncation, 2 * truncation)
+    # MIN_WINDOW + 1 is the least T with three distinct windows; a band
+    # with band + 2 > MIN_WINDOW needs T // 2 >= band + 2 on top of that.
+    least = MIN_WINDOW + 1 if band + 2 <= MIN_WINDOW else 2 * (band + 2)
+    if truncation < least:
+        raise ValueError(
+            f"truncation {truncation} must be at least {least}: the windows "
+            f"{list(windows)} must be distinct, and the smallest at least "
+            f"{band + 2} (the unitary's band width {band} plus 2)")
+    return windows
+
+
+def odd_pairing(name: str, u: MatrixElement, truncation: int = 64) -> int:
+    """Index pairing of an odd module with a unitary (or matrix unitary),
+    stabilized over the windows ``odd_windows`` gives for ``truncation``."""
     _check_unitary(u)
-    ops = [build_representation(module_spec(spec_name, n), u) for n in truncations]
-    return fredholm_index(ops)
+    windows = odd_windows(name, u, truncation)
+    return fredholm_index([build_representation(name, u, n) for n in windows])
 
 
-def even_pairing_trace(
-    spec_name: str,
-    p: MatrixElement,
-    n_commutators: int = 2,
-) -> int:
+def even_pairing_trace(name: str, p: MatrixElement) -> int:
     """Trace-formula pairing for the scalar even modules (z0, w0).
 
     The representation is psi + 0 on C^2 with psi killing all generator
     exponents (every generator maps to 1), amplified over matrix entries.
-    The formula (-1)^n Tr(gamma pi(p) [F, pi(p)]^{2n}) is exact on this
-    finite-dimensional space.  For the graded two-dimensional modules use
-    the Dirac evaluation engine; the only projections this routine accepts
-    there are those commuting with F, for which the pairing vanishes.
+    The formula (-1)^n Tr(gamma pi(p) [F, pi(p)]^{2n}), evaluated at
+    n = 1, is exact on this finite-dimensional space.  For the graded
+    two-dimensional modules use the Dirac evaluation engine; the only
+    projections this routine accepts there are those commuting with F, for
+    which the pairing vanishes.
     """
-    if n_commutators < 1 or n_commutators % 2 != 0:
-        raise ValueError("n_commutators must be a positive even integer")
-    spec = module_spec(spec_name)
     blocks = _as_blocks(p)
     k = len(blocks)
 
@@ -234,7 +243,7 @@ def even_pairing_trace(
 
     psi = np.array([[scalar(blocks[i][j]) for j in range(k)] for i in range(k)])
 
-    if spec.name in _EVEN_SCALAR:
+    if name in _EVEN_SCALAR:
         dim = 2 * k
         pi_p = np.zeros((dim, dim), dtype=complex)
         pi_p[:k, :k] = psi
@@ -247,18 +256,13 @@ def even_pairing_trace(
             [np.zeros((k, k)), -np.eye(k)],
         ]).astype(complex)
         comm = F @ pi_p - pi_p @ F
-        # n_commutators = 2n counts the commutator factors in the formula
-        # (-1)^n Tr(gamma pi(p) [F, pi(p)]^{2n}).
-        n = n_commutators // 2
-        val = ((-1) ** n) * np.trace(
-            gamma @ pi_p @ np.linalg.matrix_power(comm, n_commutators)
-        )
+        val = -np.trace(gamma @ pi_p @ (comm @ comm))
         out = float(np.real(val))
         if abs(out - round(out)) > 1e-9:
             raise ArithmeticError("trace pairing did not evaluate to an integer")
         return int(round(out))
 
-    if spec.name in _EVEN_GRADED:
+    if name in _EVEN_GRADED:
         # The graded torus modules: a projection whose represented matrix
         # is constant across the lattice commutes with the diagonal phase
         # operator, so the pairing vanishes identically.  Constant here
@@ -275,5 +279,5 @@ def even_pairing_trace(
                     )
         return 0
 
-    raise ValueError(f"{spec_name} is not an even module")
+    raise ValueError(f"{name!r} is not an even module")
 

@@ -33,67 +33,46 @@ def _exgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def _eliminate(D: np.ndarray, T: np.ndarray, i: int) -> bool:
+    """Clear D[j, i] for every j > i by unimodular row operations on D,
+    repeated on T; returns whether any row changed."""
+    changed = False
+    for j in range(i + 1, D.shape[0]):
+        a, b = D[i, i], D[j, i]
+        if b == 0:
+            continue
+        if a != 0 and b % a == 0:
+            # row j -= (b // a) * row i
+            x, y, u, v = 1, 0, 1, b // a
+        else:
+            g, x, y = _exgcd(int(a), int(b))
+            u, v = int(a) // g, int(b) // g
+        for M in (D, T):
+            mi, mj = M[i].copy(), M[j].copy()
+            M[i] = x * mi + y * mj
+            M[j] = -v * mi + u * mj
+        changed = True
+    return changed
+
+
 def smith_diagonalize(A: np.ndarray):
     """Diagonalize A over Z with unimodular transforms.
 
     Returns (L, D, R) with D = L @ A @ R diagonal (not necessarily with
     divisibility along the diagonal, which the lattice computations here do
-    not need), and L, R unimodular.
+    not need), and L, R unimodular.  Column i is cleared below the diagonal
+    by row operations on (D, L), and row i right of it by the same row
+    operations on the transposed views (D.T, R.T), until both stay clear.
     """
     A = as_int_matrix(A)
     m, n = A.shape
     D = A.copy()
     L = np.eye(m, dtype=object)
     R = np.eye(n, dtype=object)
-
-    def clear_col(i) -> bool:
-        changed = False
-        for j in range(i + 1, m):
-            if D[j, i] == 0:
-                continue
-            if D[i, i] != 0 and D[j, i] % D[i, i] == 0:
-                f = D[j, i] // D[i, i]
-                D[j] = D[j] - f * D[i]
-                L[j] = L[j] - f * L[i]
-                changed = True
-                continue
-            g, x, y = _exgcd(int(D[i, i]), int(D[j, i]))
-            u, v = int(D[i, i]) // g, int(D[j, i]) // g
-            ri, rj = D[i].copy(), D[j].copy()
-            D[i] = x * ri + y * rj
-            D[j] = -v * ri + u * rj
-            li, lj = L[i].copy(), L[j].copy()
-            L[i] = x * li + y * lj
-            L[j] = -v * li + u * lj
-            changed = True
-        return changed
-
-    def clear_row(i) -> bool:
-        changed = False
-        for j in range(i + 1, n):
-            if D[i, j] == 0:
-                continue
-            if D[i, i] != 0 and D[i, j] % D[i, i] == 0:
-                f = D[i, j] // D[i, i]
-                D[:, j] = D[:, j] - f * D[:, i]
-                R[:, j] = R[:, j] - f * R[:, i]
-                changed = True
-                continue
-            g, x, y = _exgcd(int(D[i, i]), int(D[i, j]))
-            u, v = int(D[i, i]) // g, int(D[i, j]) // g
-            ci, cj = D[:, i].copy(), D[:, j].copy()
-            D[:, i] = x * ci + y * cj
-            D[:, j] = -v * ci + u * cj
-            ri, rj = R[:, i].copy(), R[:, j].copy()
-            R[:, i] = x * ri + y * rj
-            R[:, j] = -v * ri + u * rj
-            changed = True
-        return changed
-
     for i in range(min(m, n)):
         while True:
-            c1 = clear_col(i)
-            c2 = clear_row(i)
+            c1 = _eliminate(D, L, i)
+            c2 = _eliminate(D.T, R.T, i)
             if not (c1 or c2):
                 break
     return L, D, R

@@ -9,7 +9,9 @@ import json
 import pytest
 
 from heisenberg_ncg import acceptance as acc
+from heisenberg_ncg import derivations as dv
 from heisenberg_ncg import group_structure as gs
+from heisenberg_ncg.algebra import GR_ZERO
 
 
 @pytest.mark.parametrize("number", range(1, 11))
@@ -64,3 +66,28 @@ def test_criterion_6_catches_a_brute_force_that_drops_an_element(monkeypatch):
     result = acc.criterion_6_centralizers()
     assert not result["passed"]
     assert len(result["details"]["mismatches"]) == 50
+
+
+def test_criterion_4_visits_every_cell_where_a_route_is_nonzero(monkeypatch):
+    # the route check skips cells whose a- and b-columns are both empty;
+    # every cell of the box where either route is nonzero must still be seen
+    inner = dv.inner_coefficient
+    visited = {}
+
+    def recording(d, p, q, r, route):
+        visited.setdefault(id(d), (d, set()))[1].add((p, q, r))
+        return inner(d, p, q, r, route)
+
+    monkeypatch.setattr(dv, "inner_coefficient", recording)
+    result = acc.criterion_4_decomposition()
+    monkeypatch.undo()
+    assert result["passed"]
+    assert len(visited) == acc.ROUTE_DERIVATIONS
+    for d, cells in visited.values():
+        nonzero = {
+            (p, q, r)
+            for p in range(-5, 6) for q in range(-5, 6) if p and q
+            for r in range(-7, 8)
+            if inner(d, p, q, r, "a") != GR_ZERO or inner(d, p, q, r, "b") != GR_ZERO
+        }
+        assert nonzero and nonzero <= cells

@@ -246,7 +246,7 @@ class TestVerificationCommands:
     def test_truncation_below_smallest_window_exits_two(self, capsys, argv):
         code, out, err = run_captured(capsys, argv)
         assert code == 2 and out == ""
-        assert "--truncation must be at least 16" in err
+        assert "must be at least 17" in err
 
     @pytest.mark.parametrize("argv", [
         ["index", "--module", "z1", "--unitary", V_JSON, "--truncation", "16"],
@@ -256,7 +256,21 @@ class TestVerificationCommands:
         # T = 16 would run the windows [16, 16, 32]: two runs, not three
         code, out, err = run_captured(capsys, argv)
         assert code == 2 and out == ""
-        assert "repeats a window [16, 16, 32]" in err
+        assert "--truncation 16 must be at least 17: the windows [16, 16, 32]" in err
+
+    def test_smallest_window_below_the_band_exits_two(self, capsys, monkeypatch):
+        # U^40 has band width 40, so the smallest window T // 2 must be at
+        # least 42: the default T = 64 (window 32) is out of range, 84 is not
+        monkeypatch.setattr(cli, "odd_pairing", no_work)
+        u40 = json.dumps({"terms": [{"p": 40, "q": 0, "r": 0, "re": "1", "im": "0"}]})
+        code, out, err = run_captured(capsys, ["index", "--module", "z1", "--unitary", u40])
+        assert code == 2 and out == ""
+        assert "--truncation 64 must be at least 84" in err
+        monkeypatch.undo()
+        code, out, _ = run_captured(
+            capsys, ["index", "--module", "z1", "--unitary", u40, "--truncation", "84"])
+        assert code == 0
+        assert json.loads(out)["result"] == {"index": 40}
 
     @pytest.mark.parametrize("argv, message", [
         (["index", "--module", "z1", "--unitary", V_JSON, "--truncation", "1801"],
@@ -335,6 +349,18 @@ class TestVerificationCommands:
         code, out, err = run_captured(capsys, argv)
         assert code == 2 and out == ""
         assert message in err
+
+    @pytest.mark.parametrize("truncation", ["20", "32"])
+    def test_chern_dirac_truncation_below_certificate_windows_exits_two(
+            self, capsys, monkeypatch, truncation):
+        # the grid-64 Bott field has kernel radius 24: the certificate needs
+        # a truncation above max(16, 24 + 8) = 32
+        monkeypatch.setattr(cli.ch, "lattice_chern", no_work)
+        monkeypatch.setattr(cli.ch, "dirac_even_pairing", no_work)
+        code, out, err = run_captured(
+            capsys, ["chern", "--dirac", "--truncation", truncation])
+        assert code == 2 and out == ""
+        assert f"--truncation {truncation} must be at least 33" in err
 
     @pytest.mark.parametrize("mass", ["3", "0", "nan"])
     def test_chern_mass_out_of_range_exits_two(self, capsys, monkeypatch, mass):

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heisenberg_ncg.integer_lattices import (
+    _exgcd,
     as_int_matrix,
     image_equals_kernel,
     kernel_basis,
@@ -37,7 +38,81 @@ def det_sign_free_unimodular(m: np.ndarray) -> bool:
     return abs(det([list(r) for r in a])) == 1
 
 
+def reference_smith(A: np.ndarray):
+    """The diagonalization with separate column and row sweeps, kept as the
+    reference for the shared elimination step."""
+    m, n = A.shape
+    D = A.copy()
+    L = np.eye(m, dtype=object)
+    R = np.eye(n, dtype=object)
+
+    def clear_col(i) -> bool:
+        changed = False
+        for j in range(i + 1, m):
+            if D[j, i] == 0:
+                continue
+            if D[i, i] != 0 and D[j, i] % D[i, i] == 0:
+                f = D[j, i] // D[i, i]
+                D[j] = D[j] - f * D[i]
+                L[j] = L[j] - f * L[i]
+                changed = True
+                continue
+            g, x, y = _exgcd(int(D[i, i]), int(D[j, i]))
+            u, v = int(D[i, i]) // g, int(D[j, i]) // g
+            ri, rj = D[i].copy(), D[j].copy()
+            D[i] = x * ri + y * rj
+            D[j] = -v * ri + u * rj
+            li, lj = L[i].copy(), L[j].copy()
+            L[i] = x * li + y * lj
+            L[j] = -v * li + u * lj
+            changed = True
+        return changed
+
+    def clear_row(i) -> bool:
+        changed = False
+        for j in range(i + 1, n):
+            if D[i, j] == 0:
+                continue
+            if D[i, i] != 0 and D[i, j] % D[i, i] == 0:
+                f = D[i, j] // D[i, i]
+                D[:, j] = D[:, j] - f * D[:, i]
+                R[:, j] = R[:, j] - f * R[:, i]
+                changed = True
+                continue
+            g, x, y = _exgcd(int(D[i, i]), int(D[i, j]))
+            u, v = int(D[i, i]) // g, int(D[i, j]) // g
+            ci, cj = D[:, i].copy(), D[:, j].copy()
+            D[:, i] = x * ci + y * cj
+            D[:, j] = -v * ci + u * cj
+            ri, rj = R[:, i].copy(), R[:, j].copy()
+            R[:, i] = x * ri + y * rj
+            R[:, j] = -v * ri + u * rj
+            changed = True
+        return changed
+
+    for i in range(min(m, n)):
+        while True:
+            c1 = clear_col(i)
+            c2 = clear_row(i)
+            if not (c1 or c2):
+                break
+    return L, D, R
+
+
 class TestDiagonalization:
+    @seeded(300)
+    @given(st.integers(1, 6).flatmap(lambda m: st.lists(
+        st.lists(st.integers(-40, 40), min_size=m, max_size=m),
+        min_size=1, max_size=6)))
+    def test_matches_reference_sweeps(self, rows):
+        A = as_int_matrix(rows)
+        got = smith_diagonalize(A)
+        want = reference_smith(A)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tolist() == w.tolist()
+            assert {type(v) for v in g.flat} <= {int}
+
     @seeded(150)
     @given(small_matrices)
     def test_transforms_are_unimodular_and_diagonalize(self, rows):

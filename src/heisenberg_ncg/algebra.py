@@ -33,9 +33,17 @@ import numpy as np
 Rationalish = Union[int, Fraction, str]
 
 
+def _is_exact(x) -> bool:
+    # A float is already a binary approximation, and a bool is an int.
+    return not isinstance(x, bool) and isinstance(x, (numbers.Rational, str))
+
+
 def _frac(x: Rationalish) -> Fraction:
     if isinstance(x, Fraction):
         return x
+    if not _is_exact(x):
+        raise TypeError(f"a coefficient must be an integer, a Fraction or a "
+                        f"string such as \"1/2\", got {x!r}")
     return Fraction(x)
 
 
@@ -212,15 +220,11 @@ class RationalAngle:
 
 
 Key = tuple[int, int, int]
-CoeffLike = Union[int, Fraction, complex, GaussianRational]
+CoeffLike = Union[int, Fraction, GaussianRational]
 
 
 def _coerce_coeff(c: CoeffLike) -> GaussianRational:
-    if isinstance(c, GaussianRational):
-        return c
-    if isinstance(c, complex):
-        return GaussianRational(Fraction(c.real), Fraction(c.imag))
-    return GaussianRational(c)
+    return c if isinstance(c, GaussianRational) else GaussianRational(c)
 
 
 class AlgebraElement:
@@ -468,8 +472,7 @@ def _exponent(rec: Mapping, name: str) -> int:
 
 def _coefficient(rec: Mapping, name: str) -> Fraction:
     v = rec.get(name, 0)
-    # A float is already a binary approximation, and a bool is an int.
-    if isinstance(v, bool) or not isinstance(v, (numbers.Rational, str)):
+    if not _is_exact(v):
         raise ValueError(f"coefficient {name} must be an integer or a string "
                          f"such as \"1/2\", got {v!r}")
     return Fraction(v)

@@ -100,31 +100,25 @@ def constant_projector(grid: int = 64, diag=(1.0, 0.0)) -> ProjectorField:
 
 def fourier_coefficients(
     field: ProjectorField, tail: float = 1e-8
-) -> tuple[dict[tuple[int, int], np.ndarray], int]:
+) -> tuple[np.ndarray, int]:
     """2x2 Fourier coefficients of the field, truncated to the smallest
     square |v|_inf <= K whose discarded tail (sum of max block entries)
-    is below ``tail``.  Raises if the grid cannot certify that decay."""
+    is below ``tail``: a (2K+1, 2K+1, 2, 2) array whose entry [a + K, b + K]
+    is the block of frequency (a, b), and K.  Raises ArithmeticError if the
+    grid cannot certify that decay."""
     g = field.grid
     c = np.fft.ifft2(field.samples, axes=(0, 1))
     freqs = np.fft.fftfreq(g, 1 / g).astype(int)
     mag = np.abs(c).max(axis=(2, 3))
     vmax = np.maximum(np.abs(freqs)[:, None], np.abs(freqs)[None, :])
-    chosen = None
     for K in range(1, g // 2):
         if mag[vmax > K].sum() < tail:
-            chosen = K
-            break
-    if chosen is None:
-        raise ValueError(
-            "Fourier tail does not certify the requested decay bound; "
-            "increase the grid or relax the tolerance"
-        )
-    coeffs = {}
-    for i in range(g):
-        for j in range(g):
-            if vmax[i, j] <= chosen and mag[i, j] > 0:
-                coeffs[(int(freqs[i]), int(freqs[j]))] = c[i, j].copy()
-    return coeffs, chosen
+            kept = np.arange(-K, K + 1) % g
+            return c[np.ix_(kept, kept)], K
+    raise ArithmeticError(
+        "Fourier tail does not certify the requested decay bound; "
+        "increase the grid or relax the tolerance"
+    )
 
 
 def lattice_chern(field: ProjectorField) -> int:
@@ -158,27 +152,27 @@ class _DiracEngine:
     """Truncated-window evaluator for the graded torus trace formula.
 
     A batch of vectors on the window is an array of shape (B, 2, w, w):
-    batch, orbital, then the lattice coordinates m, n in [-N, N].
+    batch, orbital, then the lattice coordinates m, n in [-N, N].  The
+    coefficients are the centred block array of ``fourier_coefficients``.
     """
 
-    def __init__(self, coeffs, truncation: int):
+    def __init__(self, coeffs: np.ndarray, truncation: int):
         # Imported here, its only user: scipy.fft doubles the objects that
         # every full garbage collection scans, also in exact arithmetic.
         import scipy.fft as sfft
         self.w = w = 2 * truncation + 1
-        K = max(max(abs(a), abs(b)) for (a, b) in coeffs)
+        K = len(coeffs) // 2
         # Zero padding: the convolution output is cropped back to the
         # window, so wrap-around artifacts vanish once the circle length
         # exceeds the window plus the kernel radius.
         self.L = L = sfft.next_fast_len(w + K)
         # The symbol sum_v c_v exp(-2 pi i <v, k> / L) is the 2-D DFT of the
-        # coefficient blocks placed at (a mod L, b mod L); L > 2K keeps
+        # coefficient blocks placed at (a mod L, b mod L); L >= w + K > 2K,
+        # true at every truncation certificate_windows admits, keeps
         # distinct frequencies apart.
-        ab = np.array(list(coeffs)) % L
+        at = np.arange(-K, K + 1) % L
         grid = np.zeros((2, 2, L, L), dtype=complex)
-        grid[:, :, ab[:, 0], ab[:, 1]] = np.moveaxis(
-            np.array(list(coeffs.values())), 0, -1
-        )
+        grid[:, :, at[:, None], at] = coeffs.transpose(2, 3, 0, 1)
         self.symbol = sfft.fft2(grid)
         m = np.arange(-truncation, truncation + 1)
         z = m[:, None] + 1j * m[None, :]
@@ -292,15 +286,18 @@ def dirac_even_pairing(
     Evaluates the graded trace at n = n_commutators/2 and n+1 and, at n,
     on the second truncation of ``certificate_windows``; requires all runs
     to agree within ``CONVERGENCE_TOL`` of a common integer, and returns
-    that integer with the convergence certificate.
+    that integer with the convergence certificate.  Raises ValueError for
+    arguments out of range (before any engine work) and ArithmeticError
+    for an uncertified Fourier tail or runs that do not converge.
     """
     if n_commutators < 2 or n_commutators % 2 != 0:
         raise ValueError("n_commutators must be a positive even integer")
     coeffs, K = fourier_coefficients(field, tail)
 
-    # Fast exact path: fields constant over the torus commute with the
-    # phase operator, so every commutator vanishes.
-    if set(coeffs) <= {(0, 0)}:
+    # Fast exact path: fields constant over the torus (every block but the
+    # centre is zero) commute with the phase operator, so every commutator
+    # vanishes.
+    if np.count_nonzero(coeffs) == np.count_nonzero(coeffs[K, K]):
         return {
             "value": 0,
             "certificates": {"constant_field": True, "kernel_radius": K},

@@ -275,10 +275,11 @@ def cmd_pairing_table(args):
     return {}, result, EXIT_OK
 
 
-def _truncation_rule(rule, *args) -> tuple[int, ...]:
-    """The windows that a library truncation rule gives.  A truncation it
-    rejects is an out-of-range ``--truncation``: the rule's message starts
-    with "truncation" and names the bound."""
+def _truncation_rule(rule, *args):
+    """``rule(*args)``, for a library call whose only ValueError is its
+    truncation rule (a window rule, or a pairing that checks one before any
+    work).  A truncation it rejects is an out-of-range ``--truncation``: the
+    rule's message starts with "truncation" and names the bound."""
     try:
         return rule(*args)
     except ValueError as e:
@@ -320,30 +321,21 @@ def cmd_chern(args):
         field = ch.bott_projector(args.grid, args.mass)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    if args.dirac:
-        try:
-            _, radius = ch.fourier_coefficients(field)
-        except ValueError as e:  # the grid cannot certify the decay
-            raise VerificationFailure(str(e)) from None
-        _truncation_rule(ch.certificate_windows, radius, args.truncation)
+    result = {}
     try:
-        c = ch.lattice_chern(field)
+        if args.dirac:
+            config.update(
+                {"truncation": args.truncation, "n_commutators": args.n_commutators}
+            )
+            # its only ValueError is the certificate_windows rule, raised
+            # before the engine runs
+            result["dirac"] = _truncation_rule(
+                ch.dirac_even_pairing, field, args.truncation, args.n_commutators)
+        result["lattice_chern"] = ch.lattice_chern(field)
     except ArithmeticError as e:
         raise VerificationFailure(str(e)) from None
-    result = {"lattice_chern": c}
     if args.dirac:
-        config.update(
-            {"truncation": args.truncation, "n_commutators": args.n_commutators}
-        )
-        try:
-            result["dirac"] = ch.dirac_even_pairing(
-                field,
-                truncation=args.truncation,
-                n_commutators=args.n_commutators,
-            )
-        except (ValueError, ArithmeticError) as e:
-            raise VerificationFailure(str(e)) from None
-        result["agree"] = result["dirac"]["value"] == c
+        result["agree"] = result["dirac"]["value"] == result["lattice_chern"]
         if not result["agree"]:
             return config, result, EXIT_VERIFICATION
     return config, result, EXIT_OK

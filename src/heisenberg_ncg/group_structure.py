@@ -128,9 +128,8 @@ def box_points(box: int) -> GroupElement:
     return GroupElement(p.ravel(), q.ravel(), r.ravel())
 
 
-def brute_force_centralizer(g: GroupElement, box: int) -> list[GroupElement]:
-    """All h with coordinates in [-box, box] commuting with g, in
-    lexicographic (p, q, r) order.
+def brute_force_centralizer(g: GroupElement, box: int) -> np.ndarray:
+    """Boolean mask over ``box_points(box)``: True where h commutes with g.
 
     The group law is evaluated once on the whole box: g*h and h*g are
     GroupElements with array fields, compared field by field.
@@ -141,9 +140,7 @@ def brute_force_centralizer(g: GroupElement, box: int) -> list[GroupElement]:
         raise ValueError("coordinates of g must be below 2**31 in absolute value")
     h = box_points(box)
     gh, hg = g * h, h * g
-    commuting = (gh.p == hg.p) & (gh.q == hg.q) & (gh.r == hg.r)
-    p, q, r = (c[commuting].tolist() for c in h.as_tuple())
-    return [GroupElement(*t) for t in zip(p, q, r)]
+    return (gh.p == hg.p) & (gh.q == hg.q) & (gh.r == hg.r)
 
 
 _ZXZL = re.compile(r"^ZxZl\((\d+)\)$")

@@ -6,6 +6,7 @@ conftest.py); each criterion then gets its own pass/fail test line.
 
 import json
 
+import numpy as np
 import pytest
 
 from heisenberg_ncg import acceptance as acc
@@ -61,8 +62,13 @@ def test_criterion_6_catches_a_wrong_closed_form(monkeypatch):
 
 def test_criterion_6_catches_a_brute_force_that_drops_an_element(monkeypatch):
     brute_force = gs.brute_force_centralizer
-    monkeypatch.setattr(gs, "brute_force_centralizer",
-                        lambda g, box: brute_force(g, box)[1:])
+
+    def dropping(g, box):
+        mask = brute_force(g, box)
+        mask[np.argmax(mask)] = False  # clear the first True
+        return mask
+
+    monkeypatch.setattr(gs, "brute_force_centralizer", dropping)
     result = acc.criterion_6_centralizers()
     assert not result["passed"]
     assert len(result["details"]["mismatches"]) == 50

@@ -238,5 +238,23 @@ class TestSerialization:
         rec = {"p": 0, "q": 0, "r": 0, "re": Fraction(1, 2)}
         assert element_from_dict({"terms": [rec]}) == ONE.scale(Fraction(1, 2))
 
+    @pytest.mark.parametrize("bad", [0.1, 1.0, np.float64(2.0), 0.5j, 1 + 0j, True, False])
+    @pytest.mark.parametrize("build", [
+        GaussianRational,
+        lambda c: GaussianRational(0, c),
+        lambda c: AlgebraElement({(0, 0, 0): c}),
+        lambda c: AlgebraElement.monomial(1, 0, 0, c),
+        lambda c: ONE.scale(c),
+    ], ids=["re", "im", "element", "monomial", "scale"])
+    def test_library_rejects_inexact_coefficients(self, build, bad):
+        # a float or complex is already a binary approximation, and a bool
+        # is an int; none of them is silently made exact
+        with pytest.raises(TypeError, match="coefficient"):
+            build(bad)
+
+    def test_library_accepts_numpy_integer_coefficients(self):
+        assert AlgebraElement({(0, 0, 0): np.int64(3)}) == ONE.scale(3)
+        assert GaussianRational(np.int32(1), "1/2") == GaussianRational.of(1, Fraction(1, 2))
+
     def test_identity_constant(self):
         assert IDENTITY.is_identity()

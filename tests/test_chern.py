@@ -18,6 +18,37 @@ from heisenberg_ncg.chern import (
 )
 
 
+def _blocks(coeffs):
+    """((a, b), block) for every block of a centred coefficient array."""
+    K = len(coeffs) // 2
+    for i, row in enumerate(coeffs):
+        for j, c in enumerate(row):
+            yield (i - K, j - K), c
+
+
+def _dict_coefficients(field, tail):
+    """The earlier dict form of ``fourier_coefficients``: the nonzero kept
+    blocks keyed by frequency, collected by a loop over the grid."""
+    g = field.grid
+    c = np.fft.ifft2(field.samples, axes=(0, 1))
+    freqs = np.fft.fftfreq(g, 1 / g).astype(int)
+    mag = np.abs(c).max(axis=(2, 3))
+    vmax = np.maximum(np.abs(freqs)[:, None], np.abs(freqs)[None, :])
+    chosen = None
+    for K in range(1, g // 2):
+        if mag[vmax > K].sum() < tail:
+            chosen = K
+            break
+    if chosen is None:
+        raise ValueError("Fourier tail does not certify the requested decay bound")
+    coeffs = {}
+    for i in range(g):
+        for j in range(g):
+            if vmax[i, j] <= chosen and mag[i, j] > 0:
+                coeffs[(int(freqs[i]), int(freqs[j]))] = c[i, j].copy()
+    return coeffs, chosen
+
+
 class TestProjectorFields:
     def test_bott_field_is_valid(self):
         field = bott_projector(32, 1.0)
@@ -42,12 +73,36 @@ class TestProjectorFields:
         field = bott_projector(64, 1.0)
         coeffs, K = fourier_coefficients(field)
         assert K < 32
+        assert coeffs.shape == (2 * K + 1, 2 * K + 1, 2, 2)
         # reconstruct a sample point from the coefficients
         k = 2 * np.pi * np.arange(64) / 64
         total = np.zeros((2, 2), dtype=complex)
-        for (a, b), c in coeffs.items():
+        for (a, b), c in _blocks(coeffs):
             total += c * np.exp(-1j * (a * k[5] + b * k[9]))
         assert np.max(np.abs(total - field.samples[5, 9])) < 1e-6
+
+    @pytest.mark.parametrize("tail", [1e-8, 1e-5, 1e-3])
+    @pytest.mark.parametrize("grid", [8, 16, 24, 32, 64, 128])
+    def test_block_array_matches_dict_routine(self, grid, tail):
+        # the array holds exactly the blocks the earlier dict routine kept,
+        # bit for bit, and zeros at the frequencies it dropped
+        for mass in (-1.9, -1.5, -1.0, -0.3, 0.1, 0.5, 1.0, 1.7):
+            field = bott_projector(grid, mass)
+            try:
+                ref, ref_K = _dict_coefficients(field, tail)
+            except ValueError:
+                with pytest.raises(ArithmeticError, match="does not certify"):
+                    fourier_coefficients(field, tail)
+                continue
+            coeffs, K = fourier_coefficients(field, tail)
+            assert K == ref_K
+            assert coeffs.shape == (2 * K + 1, 2 * K + 1, 2, 2)
+            for (a, b), c in _blocks(coeffs):
+                if (a, b) in ref:
+                    assert c.tobytes() == ref.pop((a, b)).tobytes()
+                else:
+                    assert not c.any()
+            assert not ref
 
 
 class TestLatticeChern:
@@ -74,7 +129,7 @@ class TestDiracPairing:
         P = np.zeros((dim, dim), dtype=complex)
         for m in range(w):
             for n in range(w):
-                for (da, db), c in coeffs.items():
+                for (da, db), c in _blocks(coeffs):
                     mm, nn = m + da, n + db
                     if 0 <= mm < w and 0 <= nn < w:
                         for a in range(2):
@@ -103,7 +158,7 @@ class TestDiracPairing:
         # reference: one full-grid exponential per coefficient block
         f1 = np.fft.fftfreq(engine.L)
         ref = np.zeros((engine.L, engine.L, 2, 2), dtype=complex)
-        for (a, b), c in coeffs.items():
+        for (a, b), c in _blocks(coeffs):
             ref += (
                 np.exp(-2j * np.pi * (a * f1[:, None] + b * f1[None, :]))[
                     ..., None, None
@@ -159,10 +214,10 @@ def test_scipy_is_imported_only_by_the_dirac_engine():
     # Exact-arithmetic work and the CLI never load scipy.fft, which would
     # double the objects that every full garbage collection scans.
     code = (
-        "import sys, heisenberg_ncg.cli\n"
+        "import sys, heisenberg_ncg.cli, numpy as np\n"
         "print('scipy.fft' in sys.modules)\n"
         "from heisenberg_ncg.chern import _DiracEngine\n"
-        "_DiracEngine({(0, 0): [[1, 0], [0, 0]]}, 2)\n"
+        "_DiracEngine(np.array([[[[1, 0], [0, 0]]]]), 2)\n"
         "print('scipy.fft' in sys.modules)\n"
     )
     src = str(Path(heisenberg_ncg.__file__).parents[1])

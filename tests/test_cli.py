@@ -356,11 +356,40 @@ class TestVerificationCommands:
         # the grid-64 Bott field has kernel radius 24: the certificate needs
         # a truncation above max(16, 24 + 8) = 32
         monkeypatch.setattr(cli.ch, "lattice_chern", no_work)
-        monkeypatch.setattr(cli.ch, "dirac_even_pairing", no_work)
+        monkeypatch.setattr(cli.ch, "_DiracEngine", no_work)
         code, out, err = run_captured(
             capsys, ["chern", "--dirac", "--truncation", truncation])
         assert code == 2 and out == ""
         assert f"--truncation {truncation} must be at least 33" in err
+
+    def test_chern_dirac_computes_the_coefficients_once(self, capsys, monkeypatch):
+        # the engine's stand-in makes every certificate run read exactly 1
+        class Engine:
+            def __init__(self, coeffs, truncation):
+                pass
+
+            def graded_traces(self, orders, spacing):
+                return [(-1) ** n for n in orders]
+
+        calls = []
+        coefficients = cli.ch.fourier_coefficients
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return coefficients(*args, **kwargs)
+
+        monkeypatch.setattr(cli.ch, "_DiracEngine", Engine)
+        monkeypatch.setattr(cli.ch, "fourier_coefficients", counting)
+        code, out, _ = run_captured(capsys, ["chern", "--grid", "64", "--dirac"])
+        assert code == 0
+        assert json.loads(out)["result"]["dirac"]["value"] == 1
+        assert len(calls) == 1
+
+    def test_chern_dirac_uncertified_fourier_tail_exits_one(self, capsys):
+        code, out, err = run_captured(
+            capsys, ["chern", "--grid", "16", "--dirac", "--truncation", "40"])
+        assert code == 1 and out == ""
+        assert "verification failure: Fourier tail does not certify" in err
 
     @pytest.mark.parametrize("mass", ["3", "0", "nan"])
     def test_chern_mass_out_of_range_exits_two(self, capsys, monkeypatch, mass):

@@ -20,12 +20,15 @@ from heisenberg_ncg.group_structure import (
 ints = st.integers(-10, 10)
 
 
-def scalar_centralizer(g, box):
-    """The centralizer by the scalar triple loop: one GroupElement per box
-    point, in lexicographic (p, q, r) order."""
+def scalar_points(box):
+    """One GroupElement per box point, in lexicographic (p, q, r) order."""
     span = range(-box, box + 1)
-    points = (GroupElement(p, q, r) for p in span for q in span for r in span)
-    return [h for h in points if g * h == h * g]
+    return [GroupElement(p, q, r) for p in span for q in span for r in span]
+
+
+def scalar_centralizer(g, box):
+    """The centralizer mask by the scalar triple loop."""
+    return np.array([g * h == h * g for h in scalar_points(box)])
 
 
 class TestClassification:
@@ -74,8 +77,8 @@ class TestCentralizers:
     def test_brute_force_matches_scalar_loop(self, a, b, c, box):
         g = GroupElement(a, b, c)
         result = brute_force_centralizer(g, box)
-        assert result == scalar_centralizer(g, box)
-        assert all(type(v) is int for h in result for v in h.as_tuple())
+        assert np.array_equal(result, scalar_centralizer(g, box))
+        assert result.dtype == bool and result.shape == ((2 * box + 1) ** 3,)
 
     @pytest.mark.parametrize("g", [
         GroupElement(2**62, 1, 0), GroupElement(0, -2**31, 0), GroupElement(1, 1, 2**31)])
@@ -101,15 +104,9 @@ class TestCentralizers:
         cases = set()
         for g in elements:
             cases.add(classify_element(g).case)
-            brute = {h.as_tuple() for h in brute_force_centralizer(g, box)}
-            closed = {
-                (p, q, r)
-                for p in range(-box, box + 1)
-                for q in range(-box, box + 1)
-                for r in range(-box, box + 1)
-                if centralizer_membership(g, GroupElement(p, q, r))
-            }
-            assert brute == closed, g.as_tuple()
+            brute = brute_force_centralizer(g, box)
+            closed = [centralizer_membership(g, h) for h in scalar_points(box)]
+            assert np.array_equal(brute, closed), g.as_tuple()
         assert {"Case1", "Case2", "Case3", "Case4a", "Case4b"} <= cases
         assert time.time() - t0 < 30
 

@@ -1,15 +1,19 @@
-"""The benchmark's traced run wraps named entry points of the package.
+"""The benchmark calls named entry points of the package.
 
-Building ``bench/spans.Tracer`` resolves every one of them, so deleting or
-renaming a traced function fails here, not only in a traced benchmark run.
+Building ``bench/spans.Tracer`` resolves every traced one, and one ``dirac``
+workload operation calls the Dirac API as the benchmark does, so deleting or
+renaming a traced function, or changing that API, fails here, not only in a
+benchmark run.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
 import heisenberg_ncg.cli  # noqa: F401  (imports every traced module)
 
-SPANS = Path(__file__).parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def test_tracer_resolves_every_entry_point():
@@ -18,3 +22,11 @@ def test_tracer_resolves_every_entry_point():
     spec.loader.exec_module(spans)
     # raises AttributeError (or KeyError) for a traced name the package lost
     assert spans.Tracer()._patches
+
+
+def test_dirac_workload_operation_passes_its_oracle(monkeypatch):
+    # workloads imports its sibling modules by their top-level names
+    monkeypatch.syspath_prepend(str(BENCH))
+    dirac = importlib.import_module("workloads").Dirac()
+    dirac.setup(seed=0)
+    assert dirac.check(0, dirac.op(0)) == []

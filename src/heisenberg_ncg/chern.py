@@ -16,17 +16,20 @@ which is gapped away from mass in {-2, 0, 2} and has unit Chern class for
 * ``dirac_even_pairing``: the trace formula against the graded module
   whose symmetry is the phase operator F0 e_{m,n} = (m+in)/|m+in|.  The
   projector acts on l2(Z^2) x C^2 by Fourier multiplication; with
-  A = F0 P - P F0 restricted to one copy of the Hilbert space, the graded
-  trace collapses to Tr(P (A A*)^n) - Tr(P (A* A)^n).  Traces over the
-  truncation window are evaluated stochastically-exactly by comb probing:
-  probe vectors supported on sublattices of spacing D recover the diagonal
+  A = F0 P - P F0 and D = P - F0 P F0*, one has A = -D F0, so A A* = D^2
+  and A* A = F0* D^2 F0, and by cyclicity the graded trace
+  Tr(P (A A*)^n) - Tr(P (A* A)^n) is Tr(D^(2n+1)) (Connes 1985).  On the
+  truncation window this is exact: it uses only that the diagonal F0 is
+  unitary and the window finite-dimensional, not that the compressed P is
+  idempotent.  Traces over the window are evaluated by comb probing:
+  probe vectors supported on sublattices of spacing s recover the diagonal
   up to aliasing terms controlled by the exponential decay of the Fourier
   coefficients.  P is applied via zero-padded FFT convolution: its symbol
   is built by one 2-D FFT of the coefficient blocks, the 2x2 symbol
   multiply is done in place, and the transforms are pruned 1-D FFTs that
-  skip the padding rows.  The two probing chains share their first P v;
-  one pass of n+1 steps yields the traces at n and n+1, and the
-  diagonal entries are read against P v, so no final P is applied.
+  skip the padding rows.  Each power of D costs one application of P to
+  the stacked batch [u, F0* u]; one pass of n+2 powers yields the traces
+  at n and n+1.
 
 Orientation: the global sign convention is calibrated once so that the
 mass = +1 field has lattice Chern number +1 and the Dirac pairing agrees
@@ -142,9 +145,9 @@ def lattice_chern(field: ProjectorField) -> int:
     return ORIENTATION_SIGN * int(nearest)
 
 
-# Probes per batch.  The chains hold about a dozen batch-sized arrays: one
-# pairing at truncation 48 peaked at 142 MB resident with 16 probes per
-# batch and 225 MB with 32, at the same speed.
+# Probes per batch; each power of D applies P to a stacked batch of twice
+# as many.  One pairing at truncation 48 peaked at 141 MB resident, and
+# `hnc chern --grid 64 --dirac --truncation 128` at 473 MB.
 _PROBE_CHUNK = 16
 
 
@@ -203,14 +206,6 @@ class _DiracEngine:
         h = sfft.ifft2(h, axes=(-2,), overwrite_x=True)[:, :, :w]
         return sfft.ifft2(h, axes=(-1,))[..., :w]
 
-    def _commutator(self, f: np.ndarray, v: np.ndarray, pv: np.ndarray):
-        """f P v - P (f v), given pv = P v.  With f = f0 this is A; with
-        f = conj(f0) it is the engine's star operator, the negated true
-        adjoint of A."""
-        out = f * pv
-        out -= self.apply_p(f * v)
-        return out
-
     def _probe_chunks(self, spacing: int):
         """Comb probes, one per (sublattice offset, orbital), in batches."""
         w = self.w
@@ -228,31 +223,26 @@ class _DiracEngine:
             yield probes
 
     def graded_traces(self, orders, spacing: int) -> list[float]:
-        """Tr(P (A A*)^n) - Tr(P (A* A)^n) over the window by comb probing,
-        for each n in ``orders``, from one pass of max(orders) steps.
+        """Tr(D^(2n+1)) with D = P - F0 P F0* over the window by comb
+        probing, for each n in ``orders``, from one pass of max(orders) + 1
+        steps of D.
 
-        Both chains start from P v, computed once.  The truncated P is
-        Hermitian (its coefficient blocks satisfy c_{-v} = c_v^*), so each
-        probe's diagonal entry <v, P u> is read as <P v, u>: no final P.
+        Each step is one ``apply_p`` on the stacked batch [u, F0* u].  D is
+        Hermitian, so each probe's diagonal entry <v, D^(2n+1) v> is read as
+        <D^n v, D^(n+1) v>: only the current power and the next are held.
         """
         f, fc = self.f0, self.f0.conj()
-        top = max(orders)
         totals = dict.fromkeys(orders, 0.0)
         for probes in self._probe_chunks(spacing):
-            pv = self.apply_p(probes)
-            u1 = u2 = probes
-            pu1 = pu2 = pv
-            for k in range(1, top + 1):
-                x = self._commutator(fc, u1, pu1)
-                u1 = self._commutator(f, x, self.apply_p(x))
-                y = self._commutator(f, u2, pu2)
-                u2 = self._commutator(fc, y, self.apply_p(y))
-                if k in totals:
+            b, u = len(probes), probes
+            for n in range(max(orders) + 1):
+                pu = self.apply_p(np.concatenate((u, fc * u)))
+                du = pu[:b] - f * pu[b:]
+                if n in totals:
                     # an elementwise sum, not np.vdot: the BLAS dot product
                     # runs threaded and doubles CPU time for no wall time
-                    totals[k] += float((pv.conj() * (u1 - u2)).sum().real)
-                if k < top:
-                    pu1, pu2 = self.apply_p(u1), self.apply_p(u2)
+                    totals[n] += float((u.conj() * du).sum().real)
+                u = du
         return [totals[n] for n in orders]
 
 
@@ -292,6 +282,8 @@ def dirac_even_pairing(
     """
     if n_commutators < 2 or n_commutators % 2 != 0:
         raise ValueError("n_commutators must be a positive even integer")
+    if probe_spacing < 1:  # an empty comb would read every trace as 0
+        raise ValueError("probe_spacing must be a positive integer")
     coeffs, K = fourier_coefficients(field, tail)
 
     # Fast exact path: fields constant over the torus (every block but the
@@ -309,10 +301,8 @@ def dirac_even_pairing(
         (n, n + 1), probe_spacing
     )
     (t_second,) = _DiracEngine(coeffs, second).graded_traces((n,), probe_spacing)
-    # (-1)^n undoes the sign the engine's star operator (the negated adjoint)
-    # puts on a chain of n commutator pairs
     runs = [
-        {"n_commutators": 2 * nn, "truncation": N, "value": (-1) ** nn * raw}
+        {"n_commutators": 2 * nn, "truncation": N, "value": raw}
         for nn, N, raw in (
             (n, truncation, t_n),
             (n + 1, truncation, t_next),
@@ -331,6 +321,10 @@ def dirac_even_pairing(
         "value": DIRAC_SIGN * int(target),
         "certificates": {
             "kernel_radius": K,
+            # every run's aliasing depends on the comb: one probe per
+            # sublattice offset and orbital
+            "probe_spacing": probe_spacing,
+            "probes": 2 * probe_spacing**2,
             "runs": runs,
             "residuals": residuals,
         },

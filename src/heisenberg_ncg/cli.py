@@ -43,10 +43,14 @@ EXIT_USAGE = 2
 MAX_EVAL_DIMENSION = 256
 # Caps that keep one command near 1 GB of measured peak RSS (with
 # `fredholm.MAX_BLOCK_TRUNCATION` for `index` and `pairing verify`):
-# ~250 G^2 B for `chern --grid` G, ~6.4 kB per point of the (<= 3N)^2
-# `--dirac` grid.
+# ~250 G^2 B for `chern --grid` G, ~5.7 kB per point of the (<= 3N)^2
+# `--dirac` grid (473 MB for `chern --grid 64 --dirac --truncation 128`).
 MAX_GRID = 2048
 MAX_DIRAC_TRUNCATION = 128
+# Each +2 of `chern --dirac --n-commutators` adds two applications of P per
+# probe batch, ~0.35 s each at truncation 128 (2 vCPU): at 32 the largest
+# command runs ~4 minutes.
+MAX_DIRAC_COMMUTATORS = 32
 
 
 class UsageError(Exception):
@@ -315,6 +319,9 @@ def cmd_chern(args):
         raise UsageError(f"--truncation must be at most {MAX_DIRAC_TRUNCATION} with --dirac")
     if args.dirac and (args.n_commutators < 2 or args.n_commutators % 2):
         raise UsageError("--n-commutators must be a positive even integer")
+    if args.dirac and args.n_commutators > MAX_DIRAC_COMMUTATORS:
+        raise UsageError(
+            f"--n-commutators must be at most {MAX_DIRAC_COMMUTATORS} with --dirac")
     config = {"grid": args.grid, "mass": args.mass}
     try:
         # raises ValueError only for a grid or mass out of range, before any work

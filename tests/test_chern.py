@@ -119,38 +119,39 @@ class TestLatticeChern:
 
 class TestDiracPairing:
     def test_probing_matches_dense_trace_at_small_size(self):
-        # dense oracle: materialize P, F0 and the trace directly
-        field = bott_projector(64, 1.0)
-        coeffs, K = fourier_coefficients(field, tail=1e-3)
-        N = 10
-        w = 2 * N + 1
-        dim = w * w * 2
-        idx = lambda m, n, a: (m * w + n) * 2 + a
-        P = np.zeros((dim, dim), dtype=complex)
-        for m in range(w):
-            for n in range(w):
-                for (da, db), c in _blocks(coeffs):
-                    mm, nn = m + da, n + db
-                    if 0 <= mm < w and 0 <= nn < w:
-                        for a in range(2):
-                            for b in range(2):
-                                P[idx(mm, nn, a), idx(m, n, b)] += c[a, b]
-        grid = np.arange(-N, N + 1)
-        z = grid[:, None] + 1j * grid[None, :]
-        f0 = np.where(z == 0, 1.0, z / np.where(np.abs(z) == 0, 1.0, np.abs(z)))
-        F = np.diag(np.repeat(f0.reshape(-1), 2))
-        A = F @ P - P @ F
-        AAs, AsA = A @ A.conj().T, A.conj().T @ A
-        engine = _DiracEngine(coeffs, N)
-        for n in (1, 2):
-            dense = np.trace(P @ np.linalg.matrix_power(AAs, n)) - np.trace(
-                P @ np.linalg.matrix_power(AsA, n)
-            )
-            # the engine's star operator is the negated true adjoint, so its
-            # raw chain value carries a factor (-1)^n relative to the dense
-            # trace; the public entry point compensates with the same sign
-            (probed,) = engine.graded_traces((n,), spacing=w)  # spacing >= window: exact
-            assert abs((-1) ** n * probed - dense.real) < 1e-8
+        # dense oracle: materialize P, F0 and both trace forms directly
+        for mass in (1.0, -1.0):
+            field = bott_projector(64, mass)
+            coeffs, K = fourier_coefficients(field, tail=1e-3)
+            N = 10
+            w = 2 * N + 1
+            dim = w * w * 2
+            idx = lambda m, n, a: (m * w + n) * 2 + a
+            P = np.zeros((dim, dim), dtype=complex)
+            for m in range(w):
+                for n in range(w):
+                    for (da, db), c in _blocks(coeffs):
+                        mm, nn = m + da, n + db
+                        if 0 <= mm < w and 0 <= nn < w:
+                            for a in range(2):
+                                for b in range(2):
+                                    P[idx(mm, nn, a), idx(m, n, b)] += c[a, b]
+            grid = np.arange(-N, N + 1)
+            z = grid[:, None] + 1j * grid[None, :]
+            f0 = np.where(z == 0, 1.0, z / np.where(np.abs(z) == 0, 1.0, np.abs(z)))
+            F = np.diag(np.repeat(f0.reshape(-1), 2))
+            A = F @ P - P @ F
+            AAs, AsA = A @ A.conj().T, A.conj().T @ A
+            D = P - F @ P @ F.conj().T
+            engine = _DiracEngine(coeffs, N)
+            for n in (1, 2, 3):
+                chains = np.trace(P @ np.linalg.matrix_power(AAs, n)) - np.trace(
+                    P @ np.linalg.matrix_power(AsA, n)
+                )
+                power = np.trace(np.linalg.matrix_power(D, 2 * n + 1))
+                (probed,) = engine.graded_traces((n,), spacing=w)  # spacing >= window: exact
+                assert abs(probed - chains.real) < 1e-8
+                assert abs(probed - power.real) < 1e-8
 
     def test_fft_symbol_matches_loop_reference(self):
         coeffs, K = fourier_coefficients(bott_projector(64, 1.0), tail=1e-5)
@@ -176,6 +177,24 @@ class TestDiracPairing:
         (t3,) = engine.graded_traces((3,), spacing=6)
         assert abs(both[0] - t2) < 1e-10
         assert abs(both[1] - t3) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_pass_applies_p_once_per_power(self, monkeypatch, n):
+        # orders (n, n + 1) read D^k v up to k = n + 2: n + 2 applications
+        # of P, each on one stacked batch, per probe batch
+        coeffs, K = fourier_coefficients(bott_projector(64, 1.0), tail=1e-5)
+        engine = _DiracEngine(coeffs, 22)
+        apply_p = engine.apply_p
+        calls = []
+
+        def counting(v):
+            calls.append(len(v))
+            return apply_p(v)
+
+        monkeypatch.setattr(engine, "apply_p", counting)
+        engine.graded_traces((n, n + 1), spacing=6)
+        batches = list(engine._probe_chunks(6))
+        assert calls == [2 * len(b) for b in batches for _ in range(n + 2)]
 
     def test_constant_field_pairs_to_zero(self):
         res = dirac_even_pairing(constant_projector(32))
@@ -208,6 +227,10 @@ class TestDiracPairing:
     def test_odd_commutator_count_rejected(self):
         with pytest.raises(ValueError):
             dirac_even_pairing(bott_projector(32, 1.0), n_commutators=3)
+
+    def test_empty_probe_comb_rejected(self):
+        with pytest.raises(ValueError, match="probe_spacing"):
+            dirac_even_pairing(bott_projector(64, 1.0), probe_spacing=0)
 
 
 def test_scipy_is_imported_only_by_the_dirac_engine():

@@ -342,6 +342,10 @@ class TestVerificationCommands:
         (["chern", "--grid", "2049"], "--grid must be at most 2048"),
         (["chern", "--grid", "16", "--dirac", "--truncation", "129"],
          "--truncation must be at most 128 with --dirac"),
+        (["chern", "--grid", "16", "--dirac", "--n-commutators", "34"],
+         "--n-commutators must be at most 32 with --dirac"),
+        (["chern", "--grid", "16", "--dirac", "--n-commutators", "1000000000"],
+         "--n-commutators must be at most 32 with --dirac"),
     ])
     def test_chern_out_of_range_option_exits_two(self, capsys, monkeypatch,
                                                   argv, message):
@@ -369,7 +373,7 @@ class TestVerificationCommands:
                 pass
 
             def graded_traces(self, orders, spacing):
-                return [(-1) ** n for n in orders]
+                return [1.0] * len(orders)
 
         calls = []
         coefficients = cli.ch.fourier_coefficients

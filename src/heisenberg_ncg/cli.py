@@ -47,10 +47,6 @@ MAX_EVAL_DIMENSION = 256
 # `--dirac` grid (473 MB for `chern --grid 64 --dirac --truncation 128`).
 MAX_GRID = 2048
 MAX_DIRAC_TRUNCATION = 128
-# Each +2 of `chern --dirac --n-commutators` adds two applications of P per
-# probe batch, ~0.35 s each at truncation 128 (2 vCPU): at 32 the largest
-# command runs ~4 minutes.
-MAX_DIRAC_COMMUTATORS = 32
 
 
 class UsageError(Exception):
@@ -280,14 +276,18 @@ def cmd_pairing_table(args):
 
 
 def _truncation_rule(rule, *args):
-    """``rule(*args)``, for a library call whose only ValueError is its
-    truncation rule (a window rule, or a pairing that checks one before any
-    work).  A truncation it rejects is an out-of-range ``--truncation``: the
-    rule's message starts with "truncation" and names the bound."""
+    """``rule(*args)``, for a library call that raises its ValueErrors
+    before any work (a window rule, or a pairing that checks one first).
+    A truncation it rejects is an out-of-range ``--truncation``: the rule's
+    message starts with "truncation" and names the bound.  Any other
+    ValueError (an input outside the module's algebra) is a usage error
+    with the library's message as it stands."""
     try:
         return rule(*args)
     except ValueError as e:
-        raise UsageError(f"--{e}") from None
+        message = str(e)
+        raise UsageError(
+            f"--{message}" if message.startswith("truncation") else message) from None
 
 
 def cmd_pairing_verify(args):
@@ -317,11 +317,6 @@ def cmd_chern(args):
         raise UsageError(f"--grid must be at most {MAX_GRID}")
     if args.dirac and args.truncation > MAX_DIRAC_TRUNCATION:
         raise UsageError(f"--truncation must be at most {MAX_DIRAC_TRUNCATION} with --dirac")
-    if args.dirac and (args.n_commutators < 2 or args.n_commutators % 2):
-        raise UsageError("--n-commutators must be a positive even integer")
-    if args.dirac and args.n_commutators > MAX_DIRAC_COMMUTATORS:
-        raise UsageError(
-            f"--n-commutators must be at most {MAX_DIRAC_COMMUTATORS} with --dirac")
     config = {"grid": args.grid, "mass": args.mass}
     try:
         # raises ValueError only for a grid or mass out of range, before any work
@@ -331,13 +326,10 @@ def cmd_chern(args):
     result = {}
     try:
         if args.dirac:
-            config.update(
-                {"truncation": args.truncation, "n_commutators": args.n_commutators}
-            )
+            config["truncation"] = args.truncation
             # its only ValueError is the certificate_windows rule, raised
             # before the engine runs
-            result["dirac"] = _truncation_rule(
-                ch.dirac_even_pairing, field, args.truncation, args.n_commutators)
+            result["dirac"] = _truncation_rule(ch.dirac_even_pairing, field, args.truncation)
         result["lattice_chern"] = ch.lattice_chern(field)
     except ArithmeticError as e:
         raise VerificationFailure(str(e)) from None
@@ -465,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dirac", action="store_true",
                    help="also evaluate the Dirac trace pairing")
     p.add_argument("--truncation", type=int, default=64, help="with --dirac")
-    p.add_argument("--n-commutators", type=int, default=4, help="with --dirac")
 
     for which in ("ktheory", "khomology"):
         leaf(f"sequence {which}", cmd_sequence, f"the {which} sequence"

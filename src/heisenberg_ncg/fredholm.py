@@ -1,14 +1,15 @@
 """Fredholm modules as finite matrix truncations, indices and trace pairings.
 
-Odd modules live on l2(Z) with the symmetry F = sign(n).  Index pairings
-compress the represented unitary to the nonnegative half line and count
-kernel dimensions.  A square truncation of a Toeplitz operator always has
-matrix index zero, so the compressions used here are rectangular: the
-domain window is [0, N] and the range window [0, N + band + 2], wider
-than the domain by more than the band width of the operator.  The adjoint side is the
-compression of the represented star of the unitary on the same shape.
-An index must agree on the three windows N = max(T // 2, 16), T and 2T
-of one truncation T; ``odd_windows`` is that rule.
+Odd modules live on l2(Z) with the symmetry F = sign(n).  Each acts on one
+generator by the shift S and sends the others to 1, so a k x k block
+element x has the symbol pi(x) = sum_s B_s S^s, one k x k complex block per
+shift power s, and (pi being a *-representation) pi(x*) = sum_s B_s* S^(-s).
+Index pairings compress both to the nonnegative half line and count kernel
+dimensions.  A square truncation of a Toeplitz operator always has matrix
+index zero, so the compressions are rectangular: domain [0, N], range
+[0, N + band + 2], wider by more than the band width of the symbol.  An
+index must agree on the three windows N = max(T // 2, 16), T and 2T of one
+truncation T; ``odd_windows`` is that rule.
 
 Shift convention: "the shift" S is the operator (S xi)(n) = xi(n+1), whose
 matrix moves e_n to e_{n-1}.  With this convention the compression of S to
@@ -16,12 +17,14 @@ the half line has a one-dimensional kernel (e_0) while its star is
 injective, so Index(ESE) = +1, matching the index values all the module
 pairings below are normalized to.
 
-Even modules over the scalar representation live on C^2 (doubled per
-matrix ampliation) and their pairings are evaluated by the finite trace
-formula (-1)^n Tr(gamma pi(p) [F, pi(p)]^{2n}), which is exact there.
-The two-dimensional graded modules (the torus Dirac phase operator and the
-boundary image of the first odd torus module share one representation) are
-handled in the companion module that evaluates Dirac pairings.
+Even modules over the scalar representation psi (every generator to 1)
+live on C^2 (doubled per matrix ampliation), and their trace formula
+-Tr(gamma pi(p) [F, pi(p)]^2) equals Tr psi(p)^3 = Tr psi(p): the rank of
+the Gaussian-rational projection psi(p), computed exactly.  Of the
+two-dimensional graded modules (the torus Dirac phase operator and the
+boundary image of the first odd torus module share one representation),
+only projections with scalar blocks pair here; the Dirac pairing of a
+sampled projector field is in the companion module ``chern``.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, GaussianRational
 
 # Singular values at or below this count towards a kernel dimension.
 KERNEL_TOL = 1e-8
@@ -60,9 +63,9 @@ class TruncatedOperator:
     """A finite compression of a represented element.
 
     ``entries`` is the (range x domain) matrix of the operator and
-    ``star_entries`` the compression of the represented star on the same
-    shape (not the matrix adjoint: compressions do not commute with
-    adjoints on the nose).
+    ``star_entries`` the compression of its adjoint on the same shape (not
+    the matrix adjoint: compressions do not commute with adjoints on the
+    nose).
     """
 
     entries: np.ndarray
@@ -93,66 +96,62 @@ def _block_product(
     ]
 
 
-def _odd_symbol(gen: str, x: AlgebraElement) -> dict[int, complex]:
-    """Laurent symbol of pi(x) on l2(Z): mapping shift power -> coefficient.
+def _symbol(name: str, x: MatrixElement) -> dict[int, np.ndarray]:
+    """Symbol of pi(x) on the odd module ``name``: shift power -> k x k
+    complex block.  The zero power is always present, so an empty symbol
+    still has its block size.
 
-    The distinguished generator ``gen`` acts by the shift, the others by
-    the identity, so a monomial U^p V^q W^r acts as the shift to the power
-    of the distinguished exponent.
+    A monomial U^p V^q W^r acts as the shift to the power of the module's
+    shift exponent.  w1prime represents only C*(U, W): VU = WUV would force
+    W = 1, so a term with a V exponent is rejected there.
     """
-    out: dict[int, complex] = {}
-    for (p, q, r), c in x.terms.items():
-        k = {"U": p, "V": q, "W": r}[gen]
-        out[k] = out.get(k, 0j) + c.to_complex()
+    if name not in _ODD_SHIFT_GEN:
+        raise ValueError(f"{name!r} is not an odd module")
+    axis = "UVW".index(_ODD_SHIFT_GEN[name])
+    blocks = _as_blocks(x)
+    k = len(blocks)
+    out = {0: np.zeros((k, k), dtype=complex)}
+    for i, row in enumerate(blocks):
+        for j, e in enumerate(row):
+            for key, c in e.terms.items():
+                if name == "w1prime" and key[1]:
+                    raise ValueError(
+                        "module w1prime represents only C*(U, W); the term "
+                        "U^{} V^{} W^{} has a V exponent".format(*key))
+                s = key[axis]
+                out.setdefault(s, np.zeros((k, k), dtype=complex))[i, j] += c.to_complex()
     return out
 
 
-def _symbols(name: str, x: MatrixElement):
-    """Block symbols of pi(x) and of pi(x*) on the odd module ``name``, and
-    the band width: the largest shift power in either."""
-    if name not in _ODD_SHIFT_GEN:
-        raise ValueError(f"{name!r} is not an odd module")
-    gen = _ODD_SHIFT_GEN[name]
-    blocks = _as_blocks(x)
-    symbols = [[_odd_symbol(gen, e) for e in row] for row in blocks]
-    star_symbols = [[_odd_symbol(gen, e) for e in row] for row in _star_blocks(blocks)]
-    band = max((abs(k) for row in symbols + star_symbols for s in row for k in s),
-               default=0)
-    return symbols, star_symbols, band
+def _compress(symbol: dict[int, np.ndarray], rows: int, cols: int) -> np.ndarray:
+    """sum_s B_s S^s compressed to range [0, rows), domain [0, cols), as a
+    (k rows) x (k cols) block matrix.
 
-
-def _laurent_matrix(symbol: dict[int, complex], rows: int, cols: int) -> np.ndarray:
-    """Matrix of sum_k c_k S^k compressed to range [0, rows), domain [0, cols).
-
-    S is the co-shift matrix e_n -> e_{n-1}, so S^k has ones on the k-th
-    superdiagonal: (S^k)[i, j] = 1 iff i = j - k.
+    S is the co-shift matrix e_n -> e_{n-1}, so S^s has ones on the s-th
+    superdiagonal: (S^s)[i, j] = 1 iff i = j - s.  Each block is written
+    along its diagonal of one (k, rows, k, cols) array.
     """
-    m = np.zeros((rows, cols), dtype=complex)
-    for k, c in symbol.items():
-        for j in range(max(0, k), min(cols, rows + k)):
-            m[j - k, j] += c
-    return m
+    k = len(symbol[0])
+    m = np.zeros((k, rows, k, cols), dtype=complex)
+    for s, block in symbol.items():
+        j = np.arange(max(0, s), min(cols, rows + s))
+        m[:, j - s, :, j] = block
+    return m.reshape(k * rows, k * cols)
 
 
 def build_representation(name: str, x: MatrixElement, truncation: int) -> TruncatedOperator:
     """Rectangular half-line compression of pi(x) on the odd module ``name``.
 
-    For block-matrix arguments the blocks are assembled diagonally per
-    entry.  The domain window is [0, truncation] and the range window
-    exceeds it by the band width of the symbol plus two; ``odd_windows``
-    says which truncations give a faithful compression.
+    The domain window is [0, truncation] and the range window exceeds it
+    by the band width of the symbol plus two; ``odd_windows`` says which
+    truncations give a faithful compression.  The adjoint side compresses
+    sum_s B_s* S^(-s) on the same shape.
     """
-    symbols, star_symbols, band = _symbols(name, x)
-    n_dom = truncation + 1
-    n_rng = truncation + 1 + band + 2
-
-    def assemble(sym):
-        brows = []
-        for row in sym:
-            brows.append([_laurent_matrix(s, n_rng, n_dom) for s in row])
-        return np.block(brows)
-
-    return TruncatedOperator(entries=assemble(symbols), star_entries=assemble(star_symbols))
+    symbol = _symbol(name, x)
+    rows, cols = truncation + 1 + max(map(abs, symbol)) + 2, truncation + 1
+    adjoint = {-s: block.conj().T for s, block in symbol.items()}
+    return TruncatedOperator(entries=_compress(symbol, rows, cols),
+                             star_entries=_compress(adjoint, rows, cols))
 
 
 def _kernel_dim(m: np.ndarray) -> int:
@@ -195,8 +194,8 @@ def odd_windows(name: str, u: MatrixElement, truncation: int) -> tuple[int, int,
     the compression sees the whole kernel), and k * T is at most
     ``MAX_BLOCK_TRUNCATION`` for a k x k block unitary.
     """
-    symbols, _, band = _symbols(name, u)
-    k = len(symbols)
+    symbol = _symbol(name, u)
+    k, band = len(symbol[0]), max(map(abs, symbol))
     if k * truncation > MAX_BLOCK_TRUNCATION:
         raise ValueError(f"truncation {truncation} exceeds {MAX_BLOCK_TRUNCATION // k}"
                          f" for a {k}x{k} block unitary")
@@ -221,63 +220,36 @@ def odd_pairing(name: str, u: MatrixElement, truncation: int = 64) -> int:
 
 
 def even_pairing_trace(name: str, p: MatrixElement) -> int:
-    """Trace-formula pairing for the scalar even modules (z0, w0).
+    """Trace-formula pairing of an even module with a (matrix) projection.
 
-    The representation is psi + 0 on C^2 with psi killing all generator
-    exponents (every generator maps to 1), amplified over matrix entries.
-    The formula (-1)^n Tr(gamma pi(p) [F, pi(p)]^{2n}), evaluated at
-    n = 1, is exact on this finite-dimensional space.  For the graded
-    two-dimensional modules use the Dirac evaluation engine; the only
-    projections this routine accepts there are those commuting with F, for
-    which the pairing vanishes.
+    For z0 and w0 the representation is psi + 0 on C^2 (psi sends every
+    generator to 1), amplified over matrix entries, and
+    -Tr(gamma pi(p) [F, pi(p)]^2) = Tr psi(p)^3 = Tr psi(p): psi is a
+    *-homomorphism, so psi(p) is a Gaussian-rational projection whose
+    trace, the sum of the diagonal blocks' coefficients, is exact.  The
+    graded modules (dirac_T2, del1_w1) accept only projections with scalar
+    blocks, which commute with F, so the pairing vanishes.
     """
     blocks = _as_blocks(p)
-    k = len(blocks)
 
     # exact projection check (p = p* = p^2) in the group ring
     if blocks != _star_blocks(blocks) or blocks != _block_product(blocks, blocks):
         raise ValueError("input is not a projection in the group ring")
 
-    def scalar(e: AlgebraElement) -> complex:
-        return sum(c.to_complex() for c in e.terms.values())
-
-    psi = np.array([[scalar(blocks[i][j]) for j in range(k)] for i in range(k)])
-
     if name in _EVEN_SCALAR:
-        dim = 2 * k
-        pi_p = np.zeros((dim, dim), dtype=complex)
-        pi_p[:k, :k] = psi
-        F = np.block([
-            [np.zeros((k, k)), np.eye(k)],
-            [np.eye(k), np.zeros((k, k))],
-        ]).astype(complex)
-        gamma = np.block([
-            [np.eye(k), np.zeros((k, k))],
-            [np.zeros((k, k)), -np.eye(k)],
-        ]).astype(complex)
-        comm = F @ pi_p - pi_p @ F
-        val = -np.trace(gamma @ pi_p @ (comm @ comm))
-        out = float(np.real(val))
-        if abs(out - round(out)) > 1e-9:
-            raise ArithmeticError("trace pairing did not evaluate to an integer")
-        return int(round(out))
+        trace = sum((c for i, row in enumerate(blocks) for c in row[i].terms.values()),
+                    GaussianRational())
+        return int(trace.re)
 
     if name in _EVEN_GRADED:
-        # The graded torus modules: a projection whose represented matrix
-        # is constant across the lattice commutes with the diagonal phase
-        # operator, so the pairing vanishes identically.  Constant here
-        # means every block is a scalar multiple of the identity of the
-        # ring (Fourier support at the origin after the symbol map).
-        for i in range(k):
-            for j in range(k):
-                supp = blocks[i][j].support()
-                if supp and supp != [(0, 0, 0)]:
-                    raise ValueError(
-                        "graded-module trace route only covers projections "
-                        "commuting with the symmetry; use the Dirac engine "
-                        "for nonconstant projector fields"
-                    )
+        # A projection whose blocks are scalars (support at the origin) is
+        # constant across the lattice and commutes with the diagonal phase
+        # operator.
+        if any(e.support() not in ([], [(0, 0, 0)]) for row in blocks for e in row):
+            raise ValueError(
+                "graded-module trace route only covers projections with scalar "
+                "blocks; a nonconstant projection in the group ring has no route "
+                "here (chern.dirac_even_pairing takes a sampled projector field)")
         return 0
 
     raise ValueError(f"{name!r} is not an even module")
-

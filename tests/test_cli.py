@@ -219,6 +219,18 @@ class TestVerificationCommands:
         assert code == 0
         assert json.loads(out)["result"]["index"] == 1
 
+    def test_index_outside_the_module_algebra_exits_two(self, capsys, monkeypatch):
+        # w1prime sends U and V to 1 and W to the shift: a representation of
+        # C*(U, W) only, so U V is rejected before any work, with the
+        # library's message and no --truncation prefix
+        monkeypatch.setattr(cli, "odd_pairing", no_work)
+        uv = json.dumps(element_to_dict(U * V))
+        code, out, err = run_captured(
+            capsys, ["index", "--module", "w1prime", "--unitary", uv])
+        assert code == 2 and out == ""
+        assert err == ("usage error: module w1prime represents only C*(U, W); "
+                       "the term U^1 V^1 W^0 has a V exponent\n")
+
     def test_index_rejects_non_unitary(self, capsys):
         bad = json.dumps(element_to_dict(U + V))
         code, _, err = run_captured(
@@ -335,17 +347,15 @@ class TestVerificationCommands:
     @pytest.mark.parametrize("argv, message", [
         (["chern", "--grid", "0"], "--grid must be at least 8"),
         (["chern", "--grid", "7", "--dirac"], "--grid must be at least 8"),
-        (["chern", "--grid", "16", "--dirac", "--n-commutators", "0"],
-         "--n-commutators must be a positive even integer"),
-        (["chern", "--grid", "16", "--dirac", "--n-commutators", "3"],
-         "--n-commutators must be a positive even integer"),
+        # the Dirac pairing's commutator count is fixed at 4: the option is
+        # gone, with or without --dirac, and argparse rejects it
+        (["chern", "--grid", "16", "--dirac", "--n-commutators", "4"],
+         "--n-commutators 4"),
+        (["chern", "--grid", "16", "--n-commutators", "4"],
+         "--n-commutators 4"),
         (["chern", "--grid", "2049"], "--grid must be at most 2048"),
         (["chern", "--grid", "16", "--dirac", "--truncation", "129"],
          "--truncation must be at most 128 with --dirac"),
-        (["chern", "--grid", "16", "--dirac", "--n-commutators", "34"],
-         "--n-commutators must be at most 32 with --dirac"),
-        (["chern", "--grid", "16", "--dirac", "--n-commutators", "1000000000"],
-         "--n-commutators must be at most 32 with --dirac"),
     ])
     def test_chern_out_of_range_option_exits_two(self, capsys, monkeypatch,
                                                   argv, message):

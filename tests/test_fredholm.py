@@ -104,6 +104,7 @@ class TestOddPairings:
         assert odd_pairing("w1", W) == 0
         assert odd_pairing("w1prime", W) == 1
         assert odd_pairing("w1prime", U) == 0
+        assert odd_pairing("w1prime", W * U) == 1
 
     def test_boundary_module(self):
         assert odd_pairing("del0_w0", V) == 1
@@ -120,7 +121,51 @@ class TestOddPairings:
             odd_pairing("z1", U.scale(2))
 
 
+def rank_one(v):
+    """v v* / n for a column v of n unitaries: a projection of psi-rank 1."""
+    inv_n = GaussianRational.of(f"1/{len(v)}")
+    return [[(a * b.star()).scale(inv_n) for b in v] for a in v]
+
+
+def float_trace_formula(p):
+    """-Tr(gamma pi(p) [F, pi(p)]^2) on C^2 (x) C^k in floats."""
+    blocks = [[p]] if isinstance(p, AlgebraElement) else p
+    k = len(blocks)
+    psi = np.array([[sum(c.to_complex() for c in e.terms.values()) for e in row]
+                    for row in blocks])
+    pi_p = np.zeros((2 * k, 2 * k), dtype=complex)
+    pi_p[:k, :k] = psi
+    zero, one = np.zeros((k, k)), np.eye(k)
+    F = np.block([[zero, one], [one, zero]])
+    gamma = np.block([[one, zero], [zero, -one]])
+    comm = F @ pi_p - pi_p @ F
+    return float(np.real(-np.trace(gamma @ pi_p @ comm @ comm)))
+
+
 class TestEvenTracePairings:
+    @pytest.mark.parametrize("p", [
+        ONE,
+        ZERO,
+        [[ONE, ZERO], [ZERO, ZERO]],
+        [[ONE, ZERO], [ZERO, ONE]],
+        rank_one([ONE, ONE]),
+        rank_one([ONE, U]),
+        rank_one([ONE, U, V]),
+        rank_one([ONE, ONE, ONE]),
+    ], ids=["one", "zero", "P_a", "identity2", "half", "half_U", "rank1_3x3",
+            "rank1_3x3_scalar"])
+    def test_exact_trace_is_the_float_formula(self, p):
+        want = float_trace_formula(p)
+        for name in ("z0", "w0"):
+            got = even_pairing_trace(name, p)
+            assert type(got) is int
+            assert got == round(want) and abs(want - got) < 1e-12
+
+    def test_rank_two_3x3(self):
+        p = rank_one([ONE, U, V])
+        q = [[(ONE if i == j else ZERO) - p[i][j] for j in range(3)] for i in range(3)]
+        assert even_pairing_trace("z0", q) == 2 == round(float_trace_formula(q))
+
     def test_scalar_column(self):
         Z = ZERO
         assert even_pairing_trace("z0", ONE) == 1
@@ -137,8 +182,8 @@ class TestEvenTracePairings:
         assert even_pairing_trace("dirac_T2", ONE) == 0
 
     def test_graded_nonconstant_rejected(self):
-        # a projection-valued input that does not commute with the phase
-        # operator must be routed through the Dirac engine instead
+        # an input that does not commute with the phase operator has no
+        # route here
         half = GaussianRational.of("1/2")
         p = AlgebraElement({(0, 0, 0): half, (1, 0, 0): GaussianRational.of("1/4"),
                             (-1, 0, 0): GaussianRational.of("1/4")})
@@ -148,6 +193,14 @@ class TestEvenTracePairings:
         with pytest.raises(ValueError):
             even_pairing_trace("del1_w1", p)
 
+    @pytest.mark.parametrize("name", ["del1_w1", "dirac_T2"])
+    def test_graded_nonconstant_projection_has_no_route(self, name):
+        # a genuine projection with nonscalar blocks: the message says no
+        # ring-projection route exists, not to use the sampled-field pairing
+        with pytest.raises(ValueError, match="only covers projections with scalar "
+                                             "blocks; a nonconstant projection"):
+            even_pairing_trace(name, rank_one([ONE, U]))
+
     def test_non_projection_rejected(self):
         with pytest.raises(ValueError):
             even_pairing_trace("z0", U)
@@ -156,3 +209,94 @@ class TestEvenTracePairings:
         with pytest.raises(ValueError, match="is not an even module"):
             even_pairing_trace("z1", ONE)
 
+
+
+def torus_elements(module):
+    """Elements with several terms per shift power and non-real
+    coefficients; w1prime's only use no V exponent."""
+    c = GaussianRational.of
+    elements = [
+        U, V, W, U * V, (U * V).star(), W * U * U,
+        AlgebraElement({(1, 0, 0): c("1/2", "1/3"), (1, 0, 2): c(-1, 2),
+                        (-2, 0, 1): c("3/7"), (0, 0, 0): c(0, -1)}),
+        AlgebraElement({(1, 2, 0): c("1/2", "1/3"), (1, -1, 1): c(-1, 2),
+                        (0, 1, -1): c("3/7"), (-2, 3, 0): c(0, -1)}),
+    ]
+    if module == "w1prime":
+        return [e for e in elements if all(q == 0 for _, q, _ in e.terms)]
+    return elements
+
+
+ODD_MODULES = ["z1", "z1prime", "w1", "w1prime", "del0_w0"]
+
+
+class TestSymbolMatchesEntrywiseAssembly:
+    """The compressions written by diagonal from one symbol, adjoint read
+    off it, equal the entry-by-entry Laurent assembly of pi(x) and of the
+    ring star pi(x*)."""
+
+    @staticmethod
+    def entrywise(name, x, truncation):
+        gen = {"z1": 0, "z1prime": 1, "w1": 0, "w1prime": 2, "del0_w0": 1}[name]
+        blocks = [[x]] if isinstance(x, AlgebraElement) else [list(r) for r in x]
+        star_blocks = [[row[i].star() for row in blocks] for i in range(len(blocks))]
+
+        def laurent(e):
+            out = {}
+            for key, c in e.terms.items():
+                out[key[gen]] = out.get(key[gen], 0j) + c.to_complex()
+            return out
+
+        symbols = [[laurent(e) for e in row] for row in blocks]
+        star_symbols = [[laurent(e) for e in row] for row in star_blocks]
+        band = max((abs(k) for row in symbols + star_symbols for s in row for k in s),
+                   default=0)
+        rows, cols = truncation + 1 + band + 2, truncation + 1
+
+        def matrix(symbol):
+            m = np.zeros((rows, cols), dtype=complex)
+            for k, c in symbol.items():
+                for j in range(max(0, k), min(cols, rows + k)):
+                    m[j - k, j] += c
+            return m
+
+        return (np.block([[matrix(s) for s in row] for row in symbols]),
+                np.block([[matrix(s) for s in row] for row in star_symbols]))
+
+    @pytest.mark.parametrize("name", ODD_MODULES)
+    def test_torus_elements(self, name):
+        for x in torus_elements(name):
+            op = build_representation(name, x, 17)
+            entries, star_entries = self.entrywise(name, x, 17)
+            assert np.array_equal(op.entries, entries)
+            assert np.array_equal(op.star_entries, star_entries)
+
+    @pytest.mark.parametrize("name", ODD_MODULES)
+    def test_block_unitaries(self, name):
+        t = W if name == "w1prime" else V
+        units = [
+            [[ZERO, U], [ONE, ZERO]],
+            [[t, ZERO], [ZERO, ONE]],
+            [[U.scale(GaussianRational.of("3/5")), t.scale(GaussianRational.of(0, "4/5"))],
+             [U.scale(GaussianRational.of(0, "4/5")), t.scale(GaussianRational.of("3/5"))]],
+            [[ZERO, U, ZERO], [ZERO, ZERO, W], [t.star(), ZERO, ZERO]],
+        ]
+        for u in units:
+            op = build_representation(name, u, 20)
+            entries, star_entries = self.entrywise(name, u, 20)
+            assert np.array_equal(op.entries, entries)
+            assert np.array_equal(op.star_entries, star_entries)
+
+
+class TestModuleAlgebra:
+    @pytest.mark.parametrize("x", [U * V, V, [[V, ZERO], [ZERO, ONE]]])
+    def test_w1prime_rejects_a_v_exponent(self, x):
+        # W acts by the shift and U, V by 1: VU = WUV would force W = 1
+        with pytest.raises(ValueError, match=r"module w1prime represents only C\*\(U, W\)"):
+            build_representation("w1prime", x, 32)
+        with pytest.raises(ValueError, match="w1prime"):
+            odd_windows("w1prime", x, 64)
+
+    def test_w1prime_names_the_term(self):
+        with pytest.raises(ValueError, match=r"the term U\^1 V\^1 W\^0 has a V exponent"):
+            odd_pairing("w1prime", U * V)

@@ -161,6 +161,8 @@ def group_cohomology(t: str) -> CohomologyProfile:
         return CohomologyProfile((1, 2, 2, 1))
     m = _ZXZL.match(t)
     if m:
+        if int(m.group(1)) < 1:
+            raise ValueError("ZxZl torsion must be >= 1")
         # The torsion factor is invisible over the complex numbers, so the
         # profile agrees with that of Z for every l >= 1.
         return CohomologyProfile((1, 1))

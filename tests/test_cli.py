@@ -10,9 +10,14 @@ import pytest
 import heisenberg_ncg
 from heisenberg_ncg import acceptance as acc
 from heisenberg_ncg import cli
-from heisenberg_ncg.algebra import U, V, element_from_dict, element_to_dict
+from heisenberg_ncg.algebra import U, V, AlgebraElement, element_from_dict, element_to_dict
 from heisenberg_ncg.cli import build_parser, run
-from heisenberg_ncg.derivations import derivation_to_dict, inner_derivation
+from heisenberg_ncg.derivations import (
+    MAX_INNER_TERMS,
+    Derivation,
+    derivation_to_dict,
+    inner_derivation,
+)
 
 U_JSON = json.dumps(element_to_dict(U))
 V_JSON = json.dumps(element_to_dict(V))
@@ -149,7 +154,20 @@ class TestDeriv:
             code, out, err = run_captured(capsys, argv)
             assert code == 1 and out == ""
             assert ("d is not z1*d1 + z2*d2 + [., x] for any finitely supported x "
-                    "(cells where the reconstruction differs from d: 1)") in err
+                    "(cells where the reconstruction differs from d: 1; "
+                    "cells (p, q) of x with infinite support: [(0, 1)])") in err
+
+    def test_inner_part_cap_exits_one(self, capsys):
+        # six terms whose inner part sum_{r=0}^{n} U^2 V W^r is over the cap
+        n = 10**9
+        dU = AlgebraElement({(3, 1, 0): 1, (3, 1, n + 1): -1})
+        dV = AlgebraElement({(2, 2, 0): -1, (2, 2, 1): -1, (2, 2, n + 1): 1, (2, 2, n + 2): 1})
+        d = json.dumps(derivation_to_dict(Derivation(dU, dV)))
+        assert len(d) < 400
+        for argv in (["deriv", "decompose", d], ["deriv", "apply", d, V_JSON]):
+            code, out, err = run_captured(capsys, argv)
+            assert code == 1 and out == ""
+            assert f"the inner part has more than {MAX_INNER_TERMS} terms" in err
 
     def test_apply(self, capsys):
         dj = json.dumps(derivation_to_dict(inner_derivation(U)))
@@ -184,6 +202,12 @@ class TestGroup:
         )
         assert code == 0
         assert json.loads(out)["result"]["dims"] == [1, 2, 2, 1]
+
+    def test_cohomology_zero_torsion_is_usage_error(self, capsys):
+        # Z x Z/0 would be Z^2, not the profile (1, 1) of every ZxZl(l >= 1)
+        code, out, err = run_captured(capsys, ["group", "cohomology", "--type", "ZxZl(0)"])
+        assert code == 2 and out == ""
+        assert "ZxZl torsion must be >= 1" in err
 
     def test_bad_element_is_usage_error(self, capsys):
         code, _, _ = run_captured(capsys, ["group", "classify", "--element", "[1,2]"])

@@ -6,6 +6,7 @@ from conftest import seeded
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heisenberg_ncg import derivations as dv
 from heisenberg_ncg.algebra import (
     ONE,
     U,
@@ -95,6 +96,51 @@ def coefficient_consistency(d: Derivation) -> ConsistencyReport:
         if not lhs.is_zero():
             violations.append(Violation("relation", (p, q, r)))
     return ConsistencyReport(not violations, tuple(violations))
+
+
+def telescope(column, r, step, route):
+    """The inner-part coefficient at height r as a telescoping sum of the
+    column's entries away from height 0, with a sign case per direction:
+    a reference independent of the column quotient."""
+    outward = (step > 0) == (r >= 0)
+    stride = step if outward else -step
+    start = r + stride if outward else r
+    total = sum((c for h, c in column.items()
+                 if (h - start) % stride == 0 and (h - start) * stride >= 0),
+                GaussianRational(0))
+    return -total if outward == (route == "a") else total
+
+
+def route_columns(d):
+    """Columns of dU at (p+1, q) and of dV at (p, q+1), keyed by (p, q)."""
+    a, b = {}, {}
+    for (p, q, r), c in d.dU.terms.items():
+        a.setdefault((p - 1, q), {})[r] = c
+    for (p, q, r), c in d.dV.terms.items():
+        b.setdefault((p, q - 1), {})[r] = c
+    return a, b
+
+
+def telescoped_inner_part(d):
+    """x telescoped at every height between each column and 0: the a-route
+    for q != 0, the b-route for q == 0."""
+    a, b = route_columns(d)
+    terms = {}
+    for (p, q) in (a.keys() | b.keys()) - {(0, 0)}:
+        column, step, route = (a.get((p, q)), q, "a") if q else (b.get((p, q)), p, "b")
+        if not column:
+            continue
+        for r in range(min(min(column), 0), max(max(column), 0) + 1):
+            terms[(p, q, r)] = telescope(column, r, step, route)
+    return AlgebraElement(terms)
+
+
+def stretched(n):
+    """The inner derivation of x = sum_{r=0}^{n} U^2 V W^r, written from its
+    six terms: d(U) = U^3 V (1 - W^(n+1)), d(V) = U^2 V^2 (W^2 - 1)(1 + ... + W^n)."""
+    dU = AlgebraElement({(3, 1, 0): 1, (3, 1, n + 1): -1})
+    dV = AlgebraElement({(2, 2, 0): -1, (2, 2, 1): -1, (2, 2, n + 1): 1, (2, 2, n + 2): 1})
+    return Derivation(dU, dV)
 
 
 def random_central(rng, n=2):
@@ -239,12 +285,45 @@ class TestDecomposition:
                         )
 
     def test_tall_column_is_linear_in_height(self):
-        # a telescope sums the column's entries, not every height below it
-        x = AlgebraElement.monomial(2, 3, 10**5)
+        # the quotient walks the column's entries, not the heights below them
+        for (p, q, h) in [(2, 3, 10**5), (2, 3, 10**9), (2, 3, -10**9), (-2, -3, -10**9)]:
+            x = AlgebraElement.monomial(p, q, h)
+            t0 = time.perf_counter()
+            res = decompose(inner_derivation(x))
+            assert time.perf_counter() - t0 < 1.0
+            assert res.x == x and res.z1.is_zero() and res.z2.is_zero()
+
+    @seeded(60)
+    @given(derivations)
+    def test_matches_height_by_height_telescope(self, d):
+        assert decompose(d).x == telescoped_inner_part(d)
+        a, b = route_columns(d)
+        for (p, q) in (a.keys() | b.keys() | {(-1, -2), (2, 1)}) - {(0, 0)}:
+            for r in range(-8, 9):
+                if q:
+                    want = telescope(a.get((p, q), {}), r, q, "a")
+                    assert inner_coefficient(d, p, q, r, "a") == want
+                if p:
+                    want = telescope(b.get((p, q), {}), r, p, "b")
+                    assert inner_coefficient(d, p, q, r, "b") == want
+
+    def test_infinite_quotient_has_no_coefficient(self):
+        # d(U) = U V: the a-route column at (0, 1) is V over 1 - W
+        with pytest.raises(ArithmeticError, match=r"a-route quotient at cell \(0, 1\)"):
+            inner_coefficient(Derivation(U * V, AlgebraElement.zero()), 0, 1, 0, "a")
+
+    def test_inner_part_cap(self, monkeypatch):
+        # six terms ask for 10**9 + 1 terms of x: refused before any is written
         t0 = time.perf_counter()
-        res = decompose(inner_derivation(x))
-        assert time.perf_counter() - t0 < 10.0
-        assert res.x == x and res.z1.is_zero() and res.z2.is_zero()
+        with pytest.raises(ValueError, match=f"more than {dv.MAX_INNER_TERMS} terms"):
+            decompose(stretched(10**9))
+        with pytest.raises(ValueError, match=f"more than {dv.MAX_INNER_TERMS} terms"):
+            apply(stretched(10**9), V)
+        assert time.perf_counter() - t0 < 1.0
+        monkeypatch.setattr(dv, "MAX_INNER_TERMS", 10)
+        assert decompose(stretched(9)).x == AlgebraElement({(2, 1, r): 1 for r in range(10)})
+        with pytest.raises(ValueError, match="more than 10 terms"):
+            decompose(stretched(10))
 
     def test_decompose_rejects_inconsistent(self):
         with pytest.raises(ValueError):

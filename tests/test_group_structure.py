@@ -144,6 +144,12 @@ class TestCohomology:
         with pytest.raises(ValueError):
             group_cohomology("F2")
 
+    def test_zero_torsion_rejected(self):
+        # l = 0 would be Z x Z = Z^2, whose profile is (1, 2, 1), not (1, 1)
+        with pytest.raises(ValueError, match="ZxZl torsion must be >= 1"):
+            group_cohomology("ZxZl(0)")
+        assert group_cohomology("ZxZl(1)").dims == (1, 1)
+
     def test_cyclic_ranks(self):
         ranks = [cyclic_cohomology_dim(n).finite_rank for n in range(8)]
         assert ranks == [1, 2, 3, 3, 3, 3, 3, 3]

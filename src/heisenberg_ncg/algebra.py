@@ -23,14 +23,22 @@ from __future__ import annotations
 
 import json
 import numbers
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Rationalish = Union[int, Fraction, str]
+
+# Largest |e| of a decimal coefficient string such as "1e-5": Fraction
+# expands 10**|e| in full, so "1e999999999" would never return.  The bound
+# is the digit limit Python already puts on integer strings.
+MAX_DECIMAL_EXPONENT = 4300
+_DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
 
 
 def _is_exact(x) -> bool:
@@ -39,11 +47,21 @@ def _is_exact(x) -> bool:
 
 
 def _frac(x: Rationalish) -> Fraction:
+    """x as a Fraction; a string that is not a rational number in range
+    (including a zero denominator) is a ValueError."""
     if isinstance(x, Fraction):
         return x
     if not _is_exact(x):
         raise TypeError(f"a coefficient must be an integer, a Fraction or a "
                         f"string such as \"1/2\", got {x!r}")
+    if isinstance(x, str):
+        exponent = _DECIMAL_EXPONENT.search(x)
+        if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent of {x!r} exceeds {MAX_DECIMAL_EXPONENT}")
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     return Fraction(x)
 
 
@@ -216,6 +234,8 @@ class RationalAngle:
 
     @property
     def lam(self) -> complex:
+        import numpy as np
+
         return np.exp(2j * np.pi * self.s / self.t)
 
 
@@ -431,6 +451,8 @@ def eval_at_angle(x: AlgebraElement, theta: RationalAngle) -> np.ndarray:
     times the identity.  This is a unital *-homomorphism onto a quotient in
     which the defining relation becomes VU = lambda UV.
     """
+    import numpy as np
+
     t = theta.t
     j = np.arange(t)
     out = np.zeros((t, t), dtype=complex)
@@ -475,7 +497,7 @@ def _coefficient(rec: Mapping, name: str) -> Fraction:
     if not _is_exact(v):
         raise ValueError(f"coefficient {name} must be an integer or a string "
                          f"such as \"1/2\", got {v!r}")
-    return Fraction(v)
+    return _frac(v)
 
 
 def element_from_dict(data: Mapping) -> AlgebraElement:

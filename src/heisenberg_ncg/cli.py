@@ -8,6 +8,12 @@ option a command does not read is a usage error.  Every command prints a
 single JSON document (default) or a readable table, always echoing the
 resolved configuration.  Exit codes: 0 success, 1 verification failure,
 2 usage error (including malformed JSON).
+
+Only the commands that compute floats ('alg eval', 'index', 'pairing
+verify', 'chern', 'report all') load numpy or scipy: ``acceptance``,
+``chern`` and ``fredholm`` are imported inside the handlers that use them,
+and ``algebra`` imports numpy only to evaluate, so an exact command starts
+without either library.
 """
 
 from __future__ import annotations
@@ -18,8 +24,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import acceptance as acc
-from . import chern as ch
 from . import derivations as dv
 from . import group_structure as gs
 from . import kk
@@ -33,7 +37,6 @@ from .algebra import (
     is_central,
     matrix_to_jsonable,
 )
-from .fredholm import odd_pairing, odd_windows
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -77,7 +80,7 @@ def _load_json(text_or_path: str):
         raw = text_or_path
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also an integer over the int-string digit limit
         raise UsageError(f"malformed JSON input: {e}") from None
 
 
@@ -139,14 +142,15 @@ def _angle(text: str) -> RationalAngle:
         raise UsageError(f"angle must be of the form s/t: {e}") from None
 
 
-def _resolve_seed(args) -> int:
+def _resolve_seed(args, default: int) -> int:
+    """HNC_SEED, else ``--seed``, else ``default``."""
     env = os.environ.get("HNC_SEED")
     if env is not None:
         try:
             return int(env)
         except ValueError:
             raise UsageError("HNC_SEED must be an integer") from None
-    return args.seed
+    return default if args.seed is None else args.seed
 
 
 # ---- output plumbing ----
@@ -291,6 +295,9 @@ def _truncation_rule(rule, *args):
 
 
 def cmd_pairing_verify(args):
+    from . import acceptance as acc
+    from .fredholm import odd_windows
+
     # criterion 1's windows; the 2x2 block [V_a] bounds the truncation
     truncs = _truncation_rule(odd_windows, "z1prime", acc.KTHEORY_ODD["[V_a]"],
                               args.truncation)
@@ -301,6 +308,8 @@ def cmd_pairing_verify(args):
 
 
 def cmd_index(args):
+    from .fredholm import odd_pairing, odd_windows
+
     u = _matrix_element(args.unitary)
     truncs = _truncation_rule(odd_windows, args.module, u, args.truncation)
     try:
@@ -311,6 +320,8 @@ def cmd_index(args):
 
 
 def cmd_chern(args):
+    from . import chern as ch
+
     if args.grid < ch.MIN_GRID:
         raise UsageError(f"--grid must be at least {ch.MIN_GRID}")
     if args.grid > MAX_GRID:
@@ -358,7 +369,9 @@ def cmd_sequence(args):
 
 def cmd_report(args):
     """Prints its own output: the table has one line per criterion."""
-    seed = _resolve_seed(args)
+    from . import acceptance as acc
+
+    seed = _resolve_seed(args, acc.DEFAULT_SEED)
     report = acc.run_all(seed=seed)
     timings = _split_timings(report["results"])
     if args.table:
@@ -463,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
              ).add_argument("--check", action="store_true", help="verify exactness")
 
     leaf("report all", cmd_report, "all ten criteria").add_argument(
-        "--seed", type=int, default=acc.DEFAULT_SEED, help="HNC_SEED overrides it")
+        "--seed", type=int, default=None, help="HNC_SEED overrides it")
     return parser
 
 

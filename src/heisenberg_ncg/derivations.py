@@ -42,9 +42,7 @@ from one decomposition, with no power-by-power Leibniz expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal
 
 from .algebra import (
     GR_ZERO,
@@ -60,6 +58,9 @@ from .algebra import (
     random_element,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # Cap on the terms of x; at it, `hnc deriv decompose` peaks at ~0.7 GB RSS.
 MAX_INNER_TERMS = 10**6
 
@@ -70,15 +71,6 @@ class Derivation:
 
     dU: AlgebraElement
     dV: AlgebraElement
-
-    def __add__(self, other: "Derivation") -> "Derivation":
-        return Derivation(self.dU + other.dU, self.dV + other.dV)
-
-    def __sub__(self, other: "Derivation") -> "Derivation":
-        return Derivation(self.dU - other.dU, self.dV - other.dV)
-
-    def is_zero(self) -> bool:
-        return self.dU.is_zero() and self.dV.is_zero()
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import GroupElement
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Coordinates of g below this bound keep g.q * h.p, for h in a box of at
 # most 12, far inside int64.
@@ -123,6 +125,8 @@ def conjugacy_representative(g: GroupElement) -> GroupElement:
 def box_points(box: int) -> GroupElement:
     """Every (p, q, r) in [-box, box]^3 as one GroupElement whose fields are
     int64 arrays, in lexicographic (p, q, r) order."""
+    import numpy as np
+
     span = np.arange(-box, box + 1, dtype=np.int64)
     p, q, r = np.meshgrid(span, span, span, indexing="ij")
     return GroupElement(p.ravel(), q.ravel(), r.ravel())

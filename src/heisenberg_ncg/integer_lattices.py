@@ -2,20 +2,48 @@
 
 Provides kernel bases, integer image membership and lattice comparison for
 integer matrices, which is what exactness checking of six-term sequences
-needs.  All matrices use numpy object dtype so arithmetic stays exact for
-arbitrarily large intermediate entries.
+needs.  A matrix is a tuple of row tuples of Python ints, so arithmetic
+stays exact for arbitrarily large intermediate entries; an m x 0 matrix is
+m empty rows.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from operator import index
+
+Matrix = tuple[tuple[int, ...], ...]
 
 
-def as_int_matrix(rows) -> np.ndarray:
-    a = np.array(rows, dtype=object)
-    if a.ndim != 2:
+def as_int_matrix(rows) -> Matrix:
+    """``rows`` as a Matrix; raises ValueError unless it is a nonempty list
+    of rows of one length, and TypeError for an entry that is not an
+    integer."""
+    m = tuple(tuple(map(index, row)) for row in rows)
+    if not m or len({len(row) for row in m}) != 1:
         raise ValueError("expected a 2-D integer matrix")
-    return a
+    return m
+
+
+def shape(A: Matrix) -> tuple[int, int]:
+    return len(A), len(A[0])
+
+
+def transpose(A: Matrix) -> Matrix:
+    """A's columns as rows; an m x 0 matrix has no columns and becomes ()."""
+    return tuple(zip(*A))
+
+
+def matmul(A: Matrix, B: Matrix) -> Matrix:
+    cols = transpose(B)
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
+                 for row in A)
+
+
+def _identity(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 def _exgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -33,71 +61,72 @@ def _exgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def _eliminate(D: np.ndarray, T: np.ndarray, i: int) -> bool:
-    """Clear D[j, i] for every j > i by unimodular row operations on D,
+def _eliminate(D: list[list[int]], T: list[list[int]], i: int) -> bool:
+    """Clear D[j][i] for every j > i by unimodular row operations on D,
     repeated on T; returns whether any row changed."""
     changed = False
-    for j in range(i + 1, D.shape[0]):
-        a, b = D[i, i], D[j, i]
+    for j in range(i + 1, len(D)):
+        a, b = D[i][i], D[j][i]
         if b == 0:
             continue
         if a != 0 and b % a == 0:
             # row j -= (b // a) * row i
             x, y, u, v = 1, 0, 1, b // a
         else:
-            g, x, y = _exgcd(int(a), int(b))
-            u, v = int(a) // g, int(b) // g
+            g, x, y = _exgcd(a, b)
+            u, v = a // g, b // g
         for M in (D, T):
-            mi, mj = M[i].copy(), M[j].copy()
-            M[i] = x * mi + y * mj
-            M[j] = -v * mi + u * mj
+            mi, mj = M[i], M[j]
+            M[i] = [x * s + y * t for s, t in zip(mi, mj)]
+            M[j] = [-v * s + u * t for s, t in zip(mi, mj)]
         changed = True
     return changed
 
 
-def smith_diagonalize(A: np.ndarray):
+def smith_diagonalize(A: Matrix):
     """Diagonalize A over Z with unimodular transforms.
 
-    Returns (L, D, R) with D = L @ A @ R diagonal (not necessarily with
+    Returns (L, D, R) with D = L A R diagonal (not necessarily with
     divisibility along the diagonal, which the lattice computations here do
     not need), and L, R unimodular.  Column i is cleared below the diagonal
     by row operations on (D, L), and row i right of it by the same row
-    operations on the transposed views (D.T, R.T), until both stay clear.
+    operations on the transposes (D^T, R^T), until both stay clear.
     """
     A = as_int_matrix(A)
-    m, n = A.shape
-    D = A.copy()
-    L = np.eye(m, dtype=object)
-    R = np.eye(n, dtype=object)
+    m, n = shape(A)
+    D = [list(row) for row in A]
+    L = _identity(m)
+    Rt = _identity(n)
     for i in range(min(m, n)):
         while True:
             c1 = _eliminate(D, L, i)
-            c2 = _eliminate(D.T, R.T, i)
+            c2 = any(D[i][i + 1:])  # whether _eliminate(D^T, R^T, i) changes a row
+            if c2:
+                Dt = [list(col) for col in zip(*D)]
+                _eliminate(Dt, Rt, i)
+                D = [list(row) for row in zip(*Dt)]
             if not (c1 or c2):
                 break
-    return L, D, R
+    return (tuple(map(tuple, L)), tuple(map(tuple, D)), transpose(Rt))
 
 
-def kernel_basis(A: np.ndarray) -> np.ndarray:
-    """Columns form a Z-basis of the integer kernel of A."""
-    A = as_int_matrix(A)
+def kernel_basis(A: Matrix) -> Matrix:
+    """Columns form a Z-basis of the integer kernel of A (n x 0 if it is
+    trivial)."""
     _, D, R = smith_diagonalize(A)
-    m, n = A.shape
-    cols = [j for j in range(n) if j >= m or D[j, j] == 0]
-    if not cols:
-        return np.zeros((n, 0), dtype=object)
-    return R[:, cols]
+    m, n = shape(D)
+    cols = [j for j in range(n) if j >= m or D[j][j] == 0]
+    return tuple(tuple(row[j] for j in cols) for row in R)
 
 
-def solve_in_image(A: np.ndarray, x) -> bool:
-    """Whether x is in the integer column span of A."""
-    A = as_int_matrix(A)
-    x = np.array(x, dtype=object).reshape(-1)
+def solve_in_image(A: Matrix, x) -> bool:
+    """Whether the vector x is in the integer column span of A."""
+    x = tuple(map(index, x))
     L, D, _ = smith_diagonalize(A)
-    y = L @ x
-    m, n = A.shape
+    y = [sum(a * b for a, b in zip(row, x)) for row in L]
+    m, n = shape(D)
     for i in range(m):
-        d = D[i, i] if i < n else 0
+        d = D[i][i] if i < n else 0
         if d == 0:
             if y[i] != 0:
                 return False
@@ -106,17 +135,16 @@ def solve_in_image(A: np.ndarray, x) -> bool:
     return True
 
 
-def lattice_contained(B1: np.ndarray, B2: np.ndarray) -> bool:
+def lattice_contained(B1: Matrix, B2: Matrix) -> bool:
     """Whether the column lattice of B1 is contained in that of B2."""
-    B1 = as_int_matrix(B1)
-    return all(solve_in_image(B2, B1[:, j]) for j in range(B1.shape[1]))
+    return all(solve_in_image(B2, col) for col in transpose(B1))
 
 
-def lattices_equal(B1: np.ndarray, B2: np.ndarray) -> bool:
+def lattices_equal(B1: Matrix, B2: Matrix) -> bool:
     return lattice_contained(B1, B2) and lattice_contained(B2, B1)
 
 
-def image_equals_kernel(A_in: np.ndarray, A_out: np.ndarray) -> dict:
+def image_equals_kernel(A_in: Matrix, A_out: Matrix) -> dict:
     """Exactness at the middle node of A_in followed by A_out.
 
     Checks that the composition vanishes (image inside kernel) and that
@@ -124,8 +152,7 @@ def image_equals_kernel(A_in: np.ndarray, A_out: np.ndarray) -> dict:
     """
     A_in = as_int_matrix(A_in)
     A_out = as_int_matrix(A_out)
-    comp = A_out @ A_in
-    comp_zero = bool((comp == 0).all())
+    comp_zero = not any(v for row in matmul(A_out, A_in) for v in row)
     ker = kernel_basis(A_out)
     ker_in_im = lattice_contained(ker, A_in)
     return {

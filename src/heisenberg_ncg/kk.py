@@ -21,9 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import prod
 
-import numpy as np
-
-from .integer_lattices import as_int_matrix, image_equals_kernel, smith_diagonalize
+from .integer_lattices import (
+    Matrix,
+    as_int_matrix,
+    image_equals_kernel,
+    matmul,
+    shape,
+    smith_diagonalize,
+    transpose,
+)
 
 
 @dataclass(frozen=True)
@@ -41,21 +47,21 @@ class IntegerMap:
     name: str
     source: AbelianGroupPresentation
     target: AbelianGroupPresentation
-    matrix: np.ndarray  # columns indexed by source generators
+    matrix: Matrix  # columns indexed by source generators
     provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         m = as_int_matrix(self.matrix)
-        if m.shape != (self.target.rank, self.source.rank):
+        if shape(m) != (self.target.rank, self.source.rank):
             raise ValueError(
-                f"{self.name}: matrix shape {m.shape} does not match "
+                f"{self.name}: matrix shape {shape(m)} does not match "
                 f"{self.target.rank}x{self.source.rank}"
             )
         object.__setattr__(self, "matrix", m)
 
     def mutated(self, row: int, col: int, delta: int = 1) -> "IntegerMap":
-        m = self.matrix.copy()
-        m[row, col] = m[row, col] + delta
+        m = [list(r) for r in self.matrix]
+        m[row][col] += delta
         return IntegerMap(self.name + "*", self.source, self.target, m, dict(self.provenance))
 
     def to_dict(self) -> dict:
@@ -63,7 +69,7 @@ class IntegerMap:
             "name": self.name,
             "source": list(self.source.generator_labels),
             "target": list(self.target.generator_labels),
-            "matrix": [[int(v) for v in row] for row in self.matrix],
+            "matrix": [list(row) for row in self.matrix],
             "provenance": self.provenance,
         }
 
@@ -72,17 +78,17 @@ class IntegerMap:
 class PairingTable:
     rows: tuple[str, ...]  # K-theory labels
     cols: tuple[str, ...]  # K-homology labels
-    entries: np.ndarray
+    entries: Matrix
     provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         m = as_int_matrix(self.entries)
-        if m.shape != (len(self.rows), len(self.cols)):
+        if shape(m) != (len(self.rows), len(self.cols)):
             raise ValueError("pairing table shape mismatch")
         object.__setattr__(self, "entries", m)
 
     def entry(self, row: str, col: str) -> int:
-        return int(self.entries[self.rows.index(row), self.cols.index(col)])
+        return self.entries[self.rows.index(row)][self.cols.index(col)]
 
     def abs_determinant(self) -> int:
         """|det| of a square table: the Smith transforms are unimodular, so it
@@ -90,13 +96,13 @@ class PairingTable:
         if len(self.rows) != len(self.cols):
             raise ValueError("determinant of a non-square table")
         _, d, _ = smith_diagonalize(self.entries)
-        return abs(int(prod(d.diagonal())))
+        return abs(prod(d[i][i] for i in range(len(d))))
 
     def to_dict(self) -> dict:
         return {
             "rows": list(self.rows),
             "cols": list(self.cols),
-            "entries": [[int(v) for v in row] for row in self.entries],
+            "entries": [list(row) for row in self.entries],
             "provenance": self.provenance,
         }
 
@@ -298,10 +304,10 @@ def check_duality() -> dict:
     delta1 = kth["delta_1"].matrix  # 2x3, cols [U],[V],[V_a]
     delta0 = kth["delta_0"].matrix  # 2x3, cols [1],[P_a],[P_b]
 
-    lhs_odd = odd.entries @ d0          # <q, d_0(w)> for q in K1(H3)
-    rhs_odd = delta1.T @ even_t2.entries  # <delta_1(q), w>
-    lhs_even = even.entries @ d1        # <q, d_1(w)> for q in K0(H3)
-    rhs_even = delta0.T @ odd_t2.entries  # <delta_0(q), w>
+    lhs_odd = matmul(odd.entries, d0)                     # <q, d_0(w)> for q in K1(H3)
+    rhs_odd = matmul(transpose(delta1), even_t2.entries)  # <delta_1(q), w>
+    lhs_even = matmul(even.entries, d1)                   # <q, d_1(w)> for q in K0(H3)
+    rhs_even = matmul(transpose(delta0), odd_t2.entries)  # <delta_0(q), w>
 
     instances = []
     for i, q in enumerate(odd.rows):
@@ -309,9 +315,9 @@ def check_duality() -> dict:
             instances.append(
                 {
                     "check": f"<d_0({w}), {q}> = <{w}, delta_1({q})>",
-                    "lhs": int(lhs_odd[i, j]),
-                    "rhs": int(rhs_odd[i, j]),
-                    "ok": bool(lhs_odd[i, j] == rhs_odd[i, j]),
+                    "lhs": lhs_odd[i][j],
+                    "rhs": rhs_odd[i][j],
+                    "ok": lhs_odd[i][j] == rhs_odd[i][j],
                 }
             )
     for i, q in enumerate(even.rows):
@@ -319,9 +325,9 @@ def check_duality() -> dict:
             instances.append(
                 {
                     "check": f"<d_1({w}), {q}> = <{w}, delta_0({q})>",
-                    "lhs": int(lhs_even[i, j]),
-                    "rhs": int(rhs_even[i, j]),
-                    "ok": bool(lhs_even[i, j] == rhs_even[i, j]),
+                    "lhs": lhs_even[i][j],
+                    "rhs": rhs_even[i][j],
+                    "ok": lhs_even[i][j] == rhs_even[i][j],
                 }
             )
     return {"passed": all(r["ok"] for r in instances), "instances": instances}

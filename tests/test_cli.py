@@ -3,14 +3,23 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import heisenberg_ncg
 from heisenberg_ncg import acceptance as acc
-from heisenberg_ncg import cli
-from heisenberg_ncg.algebra import U, V, AlgebraElement, element_from_dict, element_to_dict
+from heisenberg_ncg import chern as ch
+from heisenberg_ncg import cli, fredholm
+from heisenberg_ncg.algebra import (
+    MAX_DECIMAL_EXPONENT,
+    U,
+    V,
+    AlgebraElement,
+    element_from_dict,
+    element_to_dict,
+)
 from heisenberg_ncg.cli import build_parser, run
 from heisenberg_ncg.derivations import (
     MAX_INNER_TERMS,
@@ -23,6 +32,15 @@ U_JSON = json.dumps(element_to_dict(U))
 V_JSON = json.dumps(element_to_dict(V))
 ZERO = {"terms": []}
 BLOCK_JSON = json.dumps({"blocks": [[element_to_dict(V), ZERO], [ZERO, element_to_dict(U)]]})
+
+
+def package_env() -> dict:
+    """Environment for a child interpreter that imports this package."""
+    return dict(os.environ, PYTHONPATH=str(Path(heisenberg_ncg.__file__).parents[1]))
+
+
+def monomial_json(**coefficient) -> str:
+    return json.dumps({"terms": [{"p": 1, "q": 0, "r": 0, **coefficient}]})
 
 
 def no_work(*args, **kwargs):
@@ -247,7 +265,7 @@ class TestVerificationCommands:
         # w1prime sends U and V to 1 and W to the shift: a representation of
         # C*(U, W) only, so U V is rejected before any work, with the
         # library's message and no --truncation prefix
-        monkeypatch.setattr(cli, "odd_pairing", no_work)
+        monkeypatch.setattr(fredholm, "odd_pairing", no_work)
         uv = json.dumps(element_to_dict(U * V))
         code, out, err = run_captured(
             capsys, ["index", "--module", "w1prime", "--unitary", uv])
@@ -297,7 +315,7 @@ class TestVerificationCommands:
     def test_smallest_window_below_the_band_exits_two(self, capsys, monkeypatch):
         # U^40 has band width 40, so the smallest window T // 2 must be at
         # least 42: the default T = 64 (window 32) is out of range, 84 is not
-        monkeypatch.setattr(cli, "odd_pairing", no_work)
+        monkeypatch.setattr(fredholm, "odd_pairing", no_work)
         u40 = json.dumps({"terms": [{"p": 40, "q": 0, "r": 0, "re": "1", "im": "0"}]})
         code, out, err = run_captured(capsys, ["index", "--module", "z1", "--unitary", u40])
         assert code == 2 and out == ""
@@ -315,13 +333,13 @@ class TestVerificationCommands:
          "--truncation 901 exceeds 900 for a 2x2 block unitary"),
     ])
     def test_index_size_cap(self, capsys, monkeypatch, argv, message):
-        monkeypatch.setattr(cli, "odd_pairing", no_work)
+        monkeypatch.setattr(fredholm, "odd_pairing", no_work)
         code, out, err = run_captured(capsys, argv)
         assert code == 2 and out == ""
         assert message in err
 
     def test_index_at_size_cap_runs(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "odd_pairing", lambda *args: 0)
+        monkeypatch.setattr(fredholm, "odd_pairing", lambda *args: 0)
         code, out, _ = run_captured(
             capsys, ["index", "--module", "z1", "--unitary", BLOCK_JSON,
                      "--truncation", "900"])
@@ -329,7 +347,7 @@ class TestVerificationCommands:
         assert json.loads(out)["config"]["truncations"] == [450, 900, 1800]
 
     def test_pairing_verify_size_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli.acc, "criterion_1_pairing_tables", no_work)
+        monkeypatch.setattr(acc, "criterion_1_pairing_tables", no_work)
         code, out, err = run_captured(capsys, ["pairing", "verify", "--truncation", "901"])
         assert code == 2 and out == ""
         assert "--truncation 901 exceeds 900 for a 2x2 block unitary" in err
@@ -383,7 +401,7 @@ class TestVerificationCommands:
     ])
     def test_chern_out_of_range_option_exits_two(self, capsys, monkeypatch,
                                                   argv, message):
-        monkeypatch.setattr(cli.ch, "bott_projector", no_work)
+        monkeypatch.setattr(ch, "bott_projector", no_work)
         code, out, err = run_captured(capsys, argv)
         assert code == 2 and out == ""
         assert message in err
@@ -393,8 +411,8 @@ class TestVerificationCommands:
             self, capsys, monkeypatch, truncation):
         # the grid-64 Bott field has kernel radius 24: the certificate needs
         # a truncation above max(16, 24 + 8) = 32
-        monkeypatch.setattr(cli.ch, "lattice_chern", no_work)
-        monkeypatch.setattr(cli.ch, "_DiracEngine", no_work)
+        monkeypatch.setattr(ch, "lattice_chern", no_work)
+        monkeypatch.setattr(ch, "_DiracEngine", no_work)
         code, out, err = run_captured(
             capsys, ["chern", "--dirac", "--truncation", truncation])
         assert code == 2 and out == ""
@@ -410,14 +428,14 @@ class TestVerificationCommands:
                 return [1.0] * len(orders)
 
         calls = []
-        coefficients = cli.ch.fourier_coefficients
+        coefficients = ch.fourier_coefficients
 
         def counting(*args, **kwargs):
             calls.append(args)
             return coefficients(*args, **kwargs)
 
-        monkeypatch.setattr(cli.ch, "_DiracEngine", Engine)
-        monkeypatch.setattr(cli.ch, "fourier_coefficients", counting)
+        monkeypatch.setattr(ch, "_DiracEngine", Engine)
+        monkeypatch.setattr(ch, "fourier_coefficients", counting)
         code, out, _ = run_captured(capsys, ["chern", "--grid", "64", "--dirac"])
         assert code == 0
         assert json.loads(out)["result"]["dirac"]["value"] == 1
@@ -431,7 +449,7 @@ class TestVerificationCommands:
 
     @pytest.mark.parametrize("mass", ["3", "0", "nan"])
     def test_chern_mass_out_of_range_exits_two(self, capsys, monkeypatch, mass):
-        monkeypatch.setattr(cli.ch, "lattice_chern", no_work)
+        monkeypatch.setattr(ch, "lattice_chern", no_work)
         code, out, err = run_captured(capsys, ["chern", "--grid", "16", "--mass", mass])
         assert code == 2 and out == ""
         assert "mass must lie in (-2, 0) or (0, 2)" in err
@@ -473,6 +491,42 @@ class TestPlumbing:
         )
         assert code == 2 and out == ""
         assert "malformed element" in err
+
+    def test_zero_denominator_exits_two(self, capsys):
+        code, out, err = run_captured(
+            capsys, ["alg", "mul", monomial_json(re="1/0"), "{}"])
+        assert code == 2 and out == ""
+        assert err == "usage error: malformed element: zero denominator in '1/0'\n"
+
+    def test_integer_over_the_digit_limit_exits_two(self, capsys):
+        code, out, err = run_captured(
+            capsys, ["alg", "star", '{"terms":[{"p":1,"q":0,"r":0,"re":' + "9" * 5000 + "}]}"])
+        assert code == 2 and out == ""
+        assert "malformed JSON input" in err
+
+    @pytest.mark.parametrize("coefficient", ["1e999999999", "1e-99999999"])
+    def test_huge_decimal_exponent_exits_two_quickly(self, capsys, coefficient):
+        # Fraction would expand 10**|e| in full; the child's timeout catches
+        # a parse that does not return before the in-process run is timed
+        argv = ["alg", "star", monomial_json(re=coefficient)]
+        proc = subprocess.run([sys.executable, "-m", "heisenberg_ncg.cli", *argv],
+                              capture_output=True, env=package_env(), timeout=60)
+        assert proc.returncode == 2
+        t0 = time.perf_counter()
+        code, out, err = run_captured(capsys, argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert f"decimal exponent of '{coefficient}' exceeds {MAX_DECIMAL_EXPONENT}" in err
+
+    @pytest.mark.parametrize("exponent, code", [
+        (MAX_DECIMAL_EXPONENT, 0), (-MAX_DECIMAL_EXPONENT, 0),
+        (MAX_DECIMAL_EXPONENT + 1, 2), (-MAX_DECIMAL_EXPONENT - 1, 2),
+    ])
+    def test_decimal_exponent_bound(self, capsys, exponent, code):
+        # `alg central` prints no coefficient, so 10**4300 (4301 digits)
+        # need not be printable
+        argv = ["alg", "central", monomial_json(re=f"1e{exponent}")]
+        assert run_captured(capsys, argv)[0] == code
 
     @pytest.mark.parametrize("argv, what", [
         (["alg", "star", '"U"'], "element"),
@@ -560,8 +614,7 @@ class TestPlumbing:
         # the reader is gone before the command writes anything
         read_end, write_end = os.pipe()
         os.close(read_end)
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(heisenberg_ncg.__file__).parents[1]))
+        env = package_env()
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "heisenberg_ncg.cli", "group", "hc-dim",
@@ -572,3 +625,48 @@ class TestPlumbing:
             os.close(write_end)
         assert proc.stderr == b""
         assert proc.returncode == 1
+
+
+DERIVATION_JSON = json.dumps(derivation_to_dict(inner_derivation(U)))
+# Runs one command through `cli.run` in a fresh interpreter and reports, on
+# the last line of stderr, its exit code and which float libraries it loaded.
+IMPORT_PROBE = """
+import json, sys
+from heisenberg_ncg.cli import run
+code = run(json.loads(sys.argv[1]))
+loaded = [m for m in ("numpy", "scipy") if m in sys.modules]
+print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
+"""
+
+
+def probe_imports(argv: list[str]) -> dict:
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
+                          capture_output=True, text=True, env=package_env(), timeout=120)
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+class TestColdImports:
+    """Exact commands start without numpy or scipy: only modules that compute
+    floats import them."""
+
+    @pytest.mark.parametrize("argv", [
+        ["alg", "mul", U_JSON, V_JSON],
+        ["alg", "star", U_JSON],
+        ["alg", "central", U_JSON],
+        ["deriv", "check", DERIVATION_JSON],
+        ["deriv", "decompose", DERIVATION_JSON],
+        ["deriv", "apply", DERIVATION_JSON, V_JSON],
+        ["group", "classify", "--element", "[2,4,1]"],
+        ["group", "cohomology", "--type", "H3"],
+        ["group", "hc-dim", "--n", "3"],
+        ["sequence", "ktheory", "--check"],
+        ["sequence", "khomology", "--check"],
+        ["pairing", "table"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_exact_command_loads_no_float_library(self, argv):
+        assert probe_imports(argv) == {"code": 0, "loaded": []}
+
+    def test_index_loads_numpy(self):
+        # the same probe sees numpy where a command needs it
+        result = probe_imports(["index", "--module", "z1prime", "--unitary", V_JSON])
+        assert result["code"] == 0 and "numpy" in result["loaded"]

@@ -10,7 +10,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-import heisenberg_ncg.cli  # noqa: F401  (imports every traced module)
+import heisenberg_ncg.acceptance  # noqa: F401  (imports every traced module)
 
 BENCH = Path(__file__).parents[1] / "bench"
 SPANS = BENCH / "spans.py"

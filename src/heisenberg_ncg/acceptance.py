@@ -32,10 +32,9 @@ from .algebra import (
 )
 
 DEFAULT_SEED = 20230823
-# The odd pairings' truncation: windows 32, 64 and 128.
+# The truncation of the odd pairings' SVD cross-check: windows 32, 64, 128.
 TRUNCATION = 64
-# Criterion 1's odd K-theory representatives; [V_a], a 2x2 block unitary,
-# bounds the truncations `hnc pairing verify` accepts.
+# Criterion 1's odd K-theory representatives.
 KTHEORY_ODD = {
     "[U]": U,
     "[V]": V,
@@ -66,7 +65,13 @@ def _result(number: int, name: str, passed: bool, t0: float, **details) -> dict:
     }
 
 
-def criterion_1_pairing_tables(truncation=TRUNCATION) -> dict:
+def _odd_check(entry: str, name: str, u, want: int) -> dict:
+    """The exact cocycle value as ``got``, with the SVD index beside it."""
+    return {"entry": entry, "got": fr.odd_cocycle_pairing(name, u),
+            "svd": fr.odd_pairing(name, u, TRUNCATION), "want": want}
+
+
+def criterion_1_pairing_tables() -> dict:
     """Recompute every pairing-table entry that has a numeric route."""
     t0 = time.perf_counter()
     Z = AlgebraElement.zero()
@@ -77,9 +82,7 @@ def criterion_1_pairing_tables(truncation=TRUNCATION) -> dict:
     for col in ("z1", "z1'"):
         spec = "z1" if col == "z1" else "z1prime"
         for row, u in KTHEORY_ODD.items():
-            got = fr.odd_pairing(spec, u, truncation)
-            want = odd.entry(row, col)
-            checks.append({"entry": f"<{col}, {row}>", "got": got, "want": want})
+            checks.append(_odd_check(f"<{col}, {row}>", spec, u, odd.entry(row, col)))
     for row, p in ktheory_even.items():
         got = fr.even_pairing_trace("z0", p)
         want = even.entry(row, "z0")
@@ -101,20 +104,19 @@ def criterion_1_pairing_tables(truncation=TRUNCATION) -> dict:
             "want": 0,
         }
     )
-    checks.append(
-        {"entry": "<d1(w1), [P_b]> via <w1, [W]>", "got": fr.odd_pairing("w1", W, truncation), "want": 0}
-    )
+    checks.append(_odd_check("<d1(w1), [P_b]> via <w1, [W]>", "w1", W, 0))
 
-    passed = all(c["got"] == c["want"] for c in checks)
+    passed = all(c["got"] == c["want"] == c.get("svd", c["got"]) for c in checks)
     return _result(1, "pairing table recomputation", passed, t0, checks=checks)
 
 
 def criterion_2_index_theorem() -> dict:
     """The half-line compression of the implementing unitary has index 1."""
     t0 = time.perf_counter()
-    idx = fr.odd_pairing("z1prime", V, TRUNCATION)
-    return _result(2, "Toeplitz index instance", idx == 1, t0, index=idx,
-                   truncations=list(fr.odd_windows("z1prime", V, TRUNCATION)))
+    idx = fr.odd_cocycle_pairing("z1prime", V)
+    svd = fr.odd_pairing("z1prime", V, TRUNCATION)
+    return _result(2, "Toeplitz index instance", idx == svd == 1, t0, index=idx,
+                   svd=svd, truncations=list(fr.odd_windows("z1prime", V, TRUNCATION)))
 
 
 def criterion_3_dirac_bott() -> dict:

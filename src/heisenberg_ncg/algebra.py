@@ -21,9 +21,9 @@ pairs.
 
 from __future__ import annotations
 
-import json
 import numbers
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -477,7 +477,12 @@ def quotient_to_torus(x: AlgebraElement) -> AlgebraElement:
 
 def _term_record(key: Key, c: GaussianRational) -> dict:
     p, q, r = key
-    return {"p": p, "q": q, "r": r, "re": str(c.re), "im": str(c.im)}
+    try:
+        return {"p": p, "q": q, "r": r, "re": str(c.re), "im": str(c.im)}
+    except ValueError:  # an integer over the int-string digit limit
+        raise ValueError(f"the coefficient of U^{p} V^{q} W^{r} has more digits than "
+                         f"the {sys.get_int_max_str_digits()}-digit limit of integer "
+                         "string conversion") from None
 
 
 def element_to_dict(x: AlgebraElement) -> dict:
@@ -509,14 +514,6 @@ def element_from_dict(data: Mapping) -> AlgebraElement:
         coeff = GaussianRational(_coefficient(rec, "re"), _coefficient(rec, "im"))
         terms[key] = terms.get(key, GR_ZERO) + coeff
     return AlgebraElement(terms)
-
-
-def element_to_json(x: AlgebraElement) -> str:
-    return json.dumps(element_to_dict(x), sort_keys=True)
-
-
-def element_from_json(text: str) -> AlgebraElement:
-    return element_from_dict(json.loads(text))
 
 
 def matrix_to_jsonable(m: np.ndarray) -> list:

@@ -94,13 +94,6 @@ def bott_projector(grid: int = 64, mass: float = 1.0) -> ProjectorField:
     return ProjectorField(grid, p)
 
 
-def constant_projector(grid: int = 64, diag=(1.0, 0.0)) -> ProjectorField:
-    p = np.zeros((grid, grid, 2, 2), dtype=complex)
-    p[..., 0, 0] = diag[0]
-    p[..., 1, 1] = diag[1]
-    return ProjectorField(grid, p)
-
-
 def fourier_coefficients(
     field: ProjectorField, tail: float = 1e-8
 ) -> tuple[np.ndarray, int]:
@@ -285,16 +278,6 @@ def dirac_even_pairing(
     if probe_spacing < 1:  # an empty comb would read every trace as 0
         raise ValueError("probe_spacing must be a positive integer")
     coeffs, K = fourier_coefficients(field, tail)
-
-    # Fast exact path: fields constant over the torus (every block but the
-    # centre is zero) commute with the phase operator, so every commutator
-    # vanishes.
-    if np.count_nonzero(coeffs) == np.count_nonzero(coeffs[K, K]):
-        return {
-            "value": 0,
-            "certificates": {"constant_field": True, "kernel_radius": K},
-        }
-
     _, second = certificate_windows(K, truncation)
     n = n_commutators // 2
     t_n, t_next = _DiracEngine(coeffs, truncation).graded_traces(

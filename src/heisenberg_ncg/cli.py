@@ -9,11 +9,11 @@ single JSON document (default) or a readable table, always echoing the
 resolved configuration.  Exit codes: 0 success, 1 verification failure,
 2 usage error (including malformed JSON).
 
-Only the commands that compute floats ('alg eval', 'index', 'pairing
-verify', 'chern', 'report all') load numpy or scipy: ``acceptance``,
-``chern`` and ``fredholm`` are imported inside the handlers that use them,
-and ``algebra`` imports numpy only to evaluate, so an exact command starts
-without either library.
+Only the commands that compute floats ('alg eval', 'pairing verify',
+'chern', 'report all') load numpy or scipy: ``acceptance``, ``chern`` and
+``fredholm`` are imported inside the handlers that use them, and
+``algebra`` and ``fredholm`` import numpy only where they compute floats,
+so an exact command (``index`` included) starts without either library.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ EXIT_USAGE = 2
 
 # largest t for `alg eval --theta s/t`: its output is a dense t x t matrix
 MAX_EVAL_DIMENSION = 256
-# Caps that keep one command near 1 GB of measured peak RSS (with
-# `fredholm.MAX_BLOCK_TRUNCATION` for `index` and `pairing verify`):
+# Caps that keep one command near 1 GB of measured peak RSS:
 # ~250 G^2 B for `chern --grid` G, ~5.7 kB per point of the (<= 3N)^2
 # `--dirac` grid (473 MB for `chern --grid 64 --dirac --truncation 128`).
 MAX_GRID = 2048
@@ -80,7 +79,7 @@ def _load_json(text_or_path: str):
         raw = text_or_path
     try:
         return json.loads(raw)
-    except ValueError as e:  # also an integer over the int-string digit limit
+    except (ValueError, RecursionError) as e:  # also too many digits, too deep
         raise UsageError(f"malformed JSON input: {e}") from None
 
 
@@ -156,6 +155,15 @@ def _resolve_seed(args, default: int) -> int:
 # ---- output plumbing ----
 
 
+def _element_result(x: AlgebraElement) -> dict:
+    """``element_to_dict(x)``; a valid input whose result has a coefficient
+    too long to write out is a verification failure."""
+    try:
+        return element_to_dict(x)
+    except ValueError as e:
+        raise VerificationFailure(str(e)) from None
+
+
 def _emit(args, command: str, config: dict, result: dict) -> None:
     doc = {"command": command, "config": config, "result": result}
     if args.table:
@@ -197,11 +205,11 @@ def _print_table(obj, indent: int = 0) -> None:
 
 
 def cmd_alg_mul(args):
-    return {}, element_to_dict(_element(args.x) * _element(args.y)), EXIT_OK
+    return {}, _element_result(_element(args.x) * _element(args.y)), EXIT_OK
 
 
 def cmd_alg_star(args):
-    return {}, element_to_dict(_element(args.x).star()), EXIT_OK
+    return {}, _element_result(_element(args.x).star()), EXIT_OK
 
 
 def cmd_alg_central(args):
@@ -279,44 +287,26 @@ def cmd_pairing_table(args):
     return {}, result, EXIT_OK
 
 
-def _truncation_rule(rule, *args):
-    """``rule(*args)``, for a library call that raises its ValueErrors
-    before any work (a window rule, or a pairing that checks one first).
-    A truncation it rejects is an out-of-range ``--truncation``: the rule's
-    message starts with "truncation" and names the bound.  Any other
-    ValueError (an input outside the module's algebra) is a usage error
-    with the library's message as it stands."""
-    try:
-        return rule(*args)
-    except ValueError as e:
-        message = str(e)
-        raise UsageError(
-            f"--{message}" if message.startswith("truncation") else message) from None
-
-
 def cmd_pairing_verify(args):
     from . import acceptance as acc
-    from .fredholm import odd_windows
 
-    # criterion 1's windows; the 2x2 block [V_a] bounds the truncation
-    truncs = _truncation_rule(odd_windows, "z1prime", acc.KTHEORY_ODD["[V_a]"],
-                              args.truncation)
-    rep = acc.criterion_1_pairing_tables(args.truncation)
+    rep = acc.criterion_1_pairing_tables()
     _split_timings([rep])
     code = EXIT_OK if rep["passed"] else EXIT_VERIFICATION
-    return {"truncations": list(truncs)}, rep, code
+    return {}, rep, code
 
 
 def cmd_index(args):
-    from .fredholm import odd_pairing, odd_windows
+    from . import fredholm as fr
 
     u = _matrix_element(args.unitary)
-    truncs = _truncation_rule(odd_windows, args.module, u, args.truncation)
     try:
-        idx = odd_pairing(args.module, u, args.truncation)
+        idx = fr.odd_cocycle_pairing(args.module, u)
+    except fr.OutsideModuleError as e:
+        raise UsageError(str(e)) from None
     except (ValueError, ArithmeticError) as e:
         raise VerificationFailure(str(e)) from None
-    return {"module": args.module, "truncations": list(truncs)}, {"index": idx}, EXIT_OK
+    return {"module": args.module}, {"index": idx}, EXIT_OK
 
 
 def cmd_chern(args):
@@ -338,10 +328,10 @@ def cmd_chern(args):
     try:
         if args.dirac:
             config["truncation"] = args.truncation
-            # its only ValueError is the certificate_windows rule, raised
-            # before the engine runs
-            result["dirac"] = _truncation_rule(ch.dirac_even_pairing, field, args.truncation)
+            result["dirac"] = ch.dirac_even_pairing(field, args.truncation)
         result["lattice_chern"] = ch.lattice_chern(field)
+    except ValueError as e:  # only certificate_windows, before any engine work
+        raise UsageError(f"--{e}") from None
     except ArithmeticError as e:
         raise VerificationFailure(str(e)) from None
     if args.dirac:
@@ -454,15 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
          ).add_argument("--n", type=int, default=None, help="cyclic degree")
 
     leaf("pairing table", cmd_pairing_table, "both tables with provenance")
-    leaf("pairing verify", cmd_pairing_verify, "recompute the numeric entries"
-         ).add_argument("--truncation", type=int, default=64)
+    leaf("pairing verify", cmd_pairing_verify, "recompute the numeric entries")
 
     p = leaf("index", cmd_index, "index pairing of an odd module")
     p.add_argument("--module", required=True,
                    choices=["z1", "z1prime", "w1", "w1prime", "del0_w0"])
     p.add_argument("--unitary", required=True,
                    help="element JSON, {'blocks': ...}, file path, or -")
-    p.add_argument("--truncation", type=int, default=64)
 
     p = leaf("chern", cmd_chern, "lattice Chern number of the Bott field")
     p.add_argument("--grid", type=int, default=64)

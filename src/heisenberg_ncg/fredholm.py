@@ -1,15 +1,18 @@
-"""Fredholm modules as finite matrix truncations, indices and trace pairings.
+"""Fredholm modules, their index pairings and trace pairings.
 
 Odd modules live on l2(Z) with the symmetry F = sign(n).  Each acts on one
-generator by the shift S and sends the others to 1, so a k x k block
-element x has the symbol pi(x) = sum_s B_s S^s, one k x k complex block per
-shift power s, and (pi being a *-representation) pi(x*) = sum_s B_s* S^(-s).
-Index pairings compress both to the nonnegative half line and count kernel
-dimensions.  A square truncation of a Toeplitz operator always has matrix
-index zero, so the compressions are rectangular: domain [0, N], range
-[0, N + band + 2], wider by more than the band width of the symbol.  An
-index must agree on the three windows N = max(T // 2, 16), T and 2T of one
-truncation T; ``odd_windows`` is that rule.
+generator by the shift S and sends the others to 1, a character chi onto
+C(T): a k x k block element x has the symbol pi(x) = sum_s B_s S^s, one
+exact k x k block per shift power s, and pi(x*) = sum_s B_s* S^(-s).  The
+pairing with a unitary u is the winding number of chi(u), the cyclic
+1-cocycle value sum_s s ||B_s||_F^2 (Connes 1985), exact in
+``odd_cocycle_pairing``.  Its K-homology cross-check ``odd_pairing``
+compresses both to the nonnegative half line and counts kernel dimensions.
+A square truncation of a Toeplitz operator always has matrix index zero,
+so the compressions are rectangular: domain [0, N], range
+[0, N + band + 2].  That index must agree on the three windows
+N = max(T // 2, 16), T and 2T of one truncation T; ``odd_windows`` is
+that rule.
 
 Shift convention: "the shift" S is the operator (S xi)(n) = xi(n+1), whose
 matrix moves e_n to e_{n-1}.  With this convention the compression of S to
@@ -30,11 +33,13 @@ sampled projector field is in the companion module ``chern``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from fractions import Fraction
+from typing import TYPE_CHECKING, Sequence, Union
 
-import numpy as np
+from .algebra import GR_ZERO, AlgebraElement, GaussianRational
 
-from .algebra import AlgebraElement, GaussianRational
+if TYPE_CHECKING:
+    import numpy as np
 
 # Singular values at or below this count towards a kernel dimension.
 KERNEL_TOL = 1e-8
@@ -96,9 +101,13 @@ def _block_product(
     ]
 
 
-def _symbol(name: str, x: MatrixElement) -> dict[int, np.ndarray]:
-    """Symbol of pi(x) on the odd module ``name``: shift power -> k x k
-    complex block.  The zero power is always present, so an empty symbol
+class OutsideModuleError(ValueError):
+    """An element outside the algebra that an odd module represents."""
+
+
+def _symbol(name: str, x: MatrixElement) -> dict[int, list[list[GaussianRational]]]:
+    """Symbol of pi(x) on the odd module ``name``: shift power -> exact
+    k x k block.  The zero power is always present, so an empty symbol
     still has its block size.
 
     A monomial U^p V^q W^r acts as the shift to the power of the module's
@@ -110,32 +119,32 @@ def _symbol(name: str, x: MatrixElement) -> dict[int, np.ndarray]:
     axis = "UVW".index(_ODD_SHIFT_GEN[name])
     blocks = _as_blocks(x)
     k = len(blocks)
-    out = {0: np.zeros((k, k), dtype=complex)}
+    out = {0: [[GR_ZERO] * k for _ in range(k)]}
     for i, row in enumerate(blocks):
         for j, e in enumerate(row):
             for key, c in e.terms.items():
                 if name == "w1prime" and key[1]:
-                    raise ValueError(
+                    raise OutsideModuleError(
                         "module w1prime represents only C*(U, W); the term "
                         "U^{} V^{} W^{} has a V exponent".format(*key))
-                s = key[axis]
-                out.setdefault(s, np.zeros((k, k), dtype=complex))[i, j] += c.to_complex()
+                out.setdefault(key[axis], [[GR_ZERO] * k for _ in range(k)])[i][j] += c
     return out
 
 
-def _compress(symbol: dict[int, np.ndarray], rows: int, cols: int) -> np.ndarray:
+def _compress(symbol: dict, rows: int, cols: int) -> np.ndarray:
     """sum_s B_s S^s compressed to range [0, rows), domain [0, cols), as a
-    (k rows) x (k cols) block matrix.
+    (k rows) x (k cols) complex block matrix.
 
     S is the co-shift matrix e_n -> e_{n-1}, so S^s has ones on the s-th
     superdiagonal: (S^s)[i, j] = 1 iff i = j - s.  Each block is written
     along its diagonal of one (k, rows, k, cols) array.
     """
+    import numpy as np
     k = len(symbol[0])
     m = np.zeros((k, rows, k, cols), dtype=complex)
     for s, block in symbol.items():
         j = np.arange(max(0, s), min(cols, rows + s))
-        m[:, j - s, :, j] = block
+        m[:, j - s, :, j] = [[c.to_complex() for c in row] for row in block]
     return m.reshape(k * rows, k * cols)
 
 
@@ -149,12 +158,14 @@ def build_representation(name: str, x: MatrixElement, truncation: int) -> Trunca
     """
     symbol = _symbol(name, x)
     rows, cols = truncation + 1 + max(map(abs, symbol)) + 2, truncation + 1
-    adjoint = {-s: block.conj().T for s, block in symbol.items()}
+    adjoint = {-s: [[row[i].conjugate() for row in block] for i in range(len(block))]
+               for s, block in symbol.items()}
     return TruncatedOperator(entries=_compress(symbol, rows, cols),
                              star_entries=_compress(adjoint, rows, cols))
 
 
 def _kernel_dim(m: np.ndarray) -> int:
+    import numpy as np
     sv = np.linalg.svd(m, compute_uv=False)
     cols = m.shape[1]
     return int(cols - np.count_nonzero(sv > KERNEL_TOL))
@@ -213,10 +224,26 @@ def odd_windows(name: str, u: MatrixElement, truncation: int) -> tuple[int, int,
 
 def odd_pairing(name: str, u: MatrixElement, truncation: int = 64) -> int:
     """Index pairing of an odd module with a unitary (or matrix unitary),
-    stabilized over the windows ``odd_windows`` gives for ``truncation``."""
+    stabilized over the windows ``odd_windows`` gives for ``truncation``:
+    the K-homology cross-check of ``odd_cocycle_pairing``."""
     _check_unitary(u)
     windows = odd_windows(name, u, truncation)
     return fredholm_index([build_representation(name, u, n) for n in windows])
+
+
+def odd_cocycle_pairing(name: str, u: MatrixElement) -> int:
+    """Index pairing of an odd module with a unitary (or matrix unitary):
+    the winding number sum_s s ||B_s||_F^2 of its symbol, an exact integer
+    (else ArithmeticError).  An element outside the module's algebra raises
+    OutsideModuleError before the unitarity check's ValueError."""
+    symbol = _symbol(name, u)
+    _check_unitary(u)
+    total = sum((s * (c.re ** 2 + c.im ** 2)
+                 for s, block in symbol.items() for row in block for c in row),
+                Fraction(0))
+    if total.denominator != 1:
+        raise ArithmeticError(f"winding number {total} of a unitary is not an integer")
+    return int(total)
 
 
 def even_pairing_trace(name: str, p: MatrixElement) -> int:

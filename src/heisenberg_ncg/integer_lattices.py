@@ -140,10 +140,6 @@ def lattice_contained(B1: Matrix, B2: Matrix) -> bool:
     return all(solve_in_image(B2, col) for col in transpose(B1))
 
 
-def lattices_equal(B1: Matrix, B2: Matrix) -> bool:
-    return lattice_contained(B1, B2) and lattice_contained(B2, B1)
-
-
 def image_equals_kernel(A_in: Matrix, A_out: Matrix) -> dict:
     """Exactness at the middle node of A_in followed by A_out.
 

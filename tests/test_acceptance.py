@@ -11,6 +11,7 @@ import pytest
 
 from heisenberg_ncg import acceptance as acc
 from heisenberg_ncg import derivations as dv
+from heisenberg_ncg import fredholm as fr
 from heisenberg_ncg import group_structure as gs
 from heisenberg_ncg.algebra import GR_ZERO
 
@@ -50,6 +51,17 @@ def test_raising_criterion_fails_alone(monkeypatch):
     assert first["details"] == {"error": "ArithmeticError: singular window"}
     assert first["elapsed_s"] >= 0
     assert second["passed"]
+
+
+@pytest.mark.parametrize("route", ["odd_cocycle_pairing", "odd_pairing"])
+def test_odd_criteria_fail_when_the_routes_disagree(monkeypatch, route):
+    # the exact cocycle value and the SVD index must agree entry by entry
+    pairing = getattr(fr, route)
+    monkeypatch.setattr(fr, route, lambda *args: pairing(*args) + 1)
+    first, second = acc.criterion_1_pairing_tables(), acc.criterion_2_index_theorem()
+    assert not first["passed"] and not second["passed"]
+    odd = [c for c in first["details"]["checks"] if "svd" in c]
+    assert len(odd) == 7 and all(c["got"] != c["svd"] for c in odd)
 
 
 def test_criterion_6_catches_a_wrong_closed_form(monkeypatch):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +20,7 @@ from heisenberg_ncg.algebra import (
     apply_automorphism,
     conjugate,
     element_from_dict,
-    element_from_json,
-    element_to_json,
+    element_to_dict,
     eval_at_angle,
     is_central,
     quotient_to_torus,
@@ -205,11 +205,12 @@ class TestSerialization:
         x = AlgebraElement(
             {k: GaussianRational.of(a, b) for k, a, b in data}
         )
-        assert element_from_json(element_to_json(x)) == x
+        assert element_from_dict(json.loads(json.dumps(element_to_dict(x)))) == x
 
     def test_json_is_deterministic(self):
         x = U + V.scale(GaussianRational.of(1, -2)) + W
-        assert element_to_json(x) == element_to_json(U + V.scale(GaussianRational.of(1, -2)) + W)
+        y = W + V.scale(GaussianRational.of(1, -2)) + U
+        assert json.dumps(element_to_dict(x)) == json.dumps(element_to_dict(y))
 
     @pytest.mark.parametrize("bad", [
         {"p": 1.7}, {"r": True}, {"q": "1"}, {"p": 2.0}, {"q": None},

@@ -30,8 +30,6 @@ from heisenberg_ncg.derivations import (
 
 U_JSON = json.dumps(element_to_dict(U))
 V_JSON = json.dumps(element_to_dict(V))
-ZERO = {"terms": []}
-BLOCK_JSON = json.dumps({"blocks": [[element_to_dict(V), ZERO], [ZERO, element_to_dict(U)]]})
 
 
 def package_env() -> dict:
@@ -250,22 +248,26 @@ class TestVerificationCommands:
     def test_pairing_verify(self, capsys):
         code, out, _ = run_captured(capsys, ["pairing", "verify"])
         assert code == 0
-        assert json.loads(out)["result"]["passed"]
+        res = json.loads(out)["result"]
+        assert res["passed"]
+        # every odd entry also carries the equal SVD index
+        checks = res["details"]["checks"]
+        assert len(checks) == 12 and all(c["got"] == c["want"] for c in checks)
+        odd = [c for c in checks if "svd" in c]
+        assert len(odd) == 7 and all(c["svd"] == c["got"] for c in odd)
 
     def test_index(self, capsys):
         code, out, _ = run_captured(
-            capsys,
-            ["index", "--module", "z1prime", "--unitary", V_JSON,
-             "--truncation", "32"],
-        )
+            capsys, ["index", "--module", "z1prime", "--unitary", V_JSON])
         assert code == 0
-        assert json.loads(out)["result"]["index"] == 1
+        assert json.loads(out) == {"command": "index", "config": {"module": "z1prime"},
+                                   "result": {"index": 1}}
 
     def test_index_outside_the_module_algebra_exits_two(self, capsys, monkeypatch):
         # w1prime sends U and V to 1 and W to the shift: a representation of
-        # C*(U, W) only, so U V is rejected before any work, with the
-        # library's message and no --truncation prefix
-        monkeypatch.setattr(fredholm, "odd_pairing", no_work)
+        # C*(U, W) only, so U V is rejected before the unitarity check, with
+        # the library's message
+        monkeypatch.setattr(fredholm, "_check_unitary", no_work)
         uv = json.dumps(element_to_dict(U * V))
         code, out, err = run_captured(
             capsys, ["index", "--module", "w1prime", "--unitary", uv])
@@ -293,71 +295,12 @@ class TestVerificationCommands:
         assert code == 2 and out == ""
         assert "malformed element" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["index", "--module", "z1", "--unitary", V_JSON, "--truncation", "4"],
-        ["pairing", "verify", "--truncation", "15"],
-    ])
-    def test_truncation_below_smallest_window_exits_two(self, capsys, argv):
-        code, out, err = run_captured(capsys, argv)
-        assert code == 2 and out == ""
-        assert "must be at least 17" in err
-
-    @pytest.mark.parametrize("argv", [
-        ["index", "--module", "z1", "--unitary", V_JSON, "--truncation", "16"],
-        ["pairing", "verify", "--truncation", "16"],
-    ])
-    def test_repeated_window_exits_two(self, capsys, argv):
-        # T = 16 would run the windows [16, 16, 32]: two runs, not three
-        code, out, err = run_captured(capsys, argv)
-        assert code == 2 and out == ""
-        assert "--truncation 16 must be at least 17: the windows [16, 16, 32]" in err
-
-    def test_smallest_window_below_the_band_exits_two(self, capsys, monkeypatch):
-        # U^40 has band width 40, so the smallest window T // 2 must be at
-        # least 42: the default T = 64 (window 32) is out of range, 84 is not
-        monkeypatch.setattr(fredholm, "odd_pairing", no_work)
+    def test_wide_band_unitary_at_the_defaults(self, capsys):
+        # the exact pairing needs no window: U^40 pairs to 40 as U does to 1
         u40 = json.dumps({"terms": [{"p": 40, "q": 0, "r": 0, "re": "1", "im": "0"}]})
         code, out, err = run_captured(capsys, ["index", "--module", "z1", "--unitary", u40])
-        assert code == 2 and out == ""
-        assert "--truncation 64 must be at least 84" in err
-        monkeypatch.undo()
-        code, out, _ = run_captured(
-            capsys, ["index", "--module", "z1", "--unitary", u40, "--truncation", "84"])
-        assert code == 0
+        assert code == 0 and err == ""
         assert json.loads(out)["result"] == {"index": 40}
-
-    @pytest.mark.parametrize("argv, message", [
-        (["index", "--module", "z1", "--unitary", V_JSON, "--truncation", "1801"],
-         "--truncation 1801 exceeds 1800 for a 1x1 block unitary"),
-        (["index", "--module", "z1", "--unitary", BLOCK_JSON, "--truncation", "901"],
-         "--truncation 901 exceeds 900 for a 2x2 block unitary"),
-    ])
-    def test_index_size_cap(self, capsys, monkeypatch, argv, message):
-        monkeypatch.setattr(fredholm, "odd_pairing", no_work)
-        code, out, err = run_captured(capsys, argv)
-        assert code == 2 and out == ""
-        assert message in err
-
-    def test_index_at_size_cap_runs(self, capsys, monkeypatch):
-        monkeypatch.setattr(fredholm, "odd_pairing", lambda *args: 0)
-        code, out, _ = run_captured(
-            capsys, ["index", "--module", "z1", "--unitary", BLOCK_JSON,
-                     "--truncation", "900"])
-        assert code == 0
-        assert json.loads(out)["config"]["truncations"] == [450, 900, 1800]
-
-    def test_pairing_verify_size_cap(self, capsys, monkeypatch):
-        monkeypatch.setattr(acc, "criterion_1_pairing_tables", no_work)
-        code, out, err = run_captured(capsys, ["pairing", "verify", "--truncation", "901"])
-        assert code == 2 and out == ""
-        assert "--truncation 901 exceeds 900 for a 2x2 block unitary" in err
-
-    def test_smallest_distinct_windows_accepted(self, capsys):
-        code, out, _ = run_captured(
-            capsys, ["index", "--module", "z1prime", "--unitary", V_JSON,
-                     "--truncation", "17"])
-        assert code == 0
-        assert json.loads(out)["config"]["truncations"] == [16, 17, 34]
 
     def test_report_exits_one_when_a_criterion_raises(self, capsys, monkeypatch):
         def criterion_1_ok():
@@ -528,6 +471,30 @@ class TestPlumbing:
         argv = ["alg", "central", monomial_json(re=f"1e{exponent}")]
         assert run_captured(capsys, argv)[0] == code
 
+    @pytest.mark.parametrize("argv", [
+        ["alg", "star", monomial_json(re="1e4300")],
+        ["alg", "mul", monomial_json(re="1e2200"), monomial_json(re="1e2200")],
+    ], ids=["star", "mul"])
+    def test_result_over_the_digit_limit_exits_one(self, capsys, argv):
+        # the inputs are valid; their result has a 4301- or 4401-digit
+        # numerator, which no JSON string of this output may hold
+        code, out, err = run_captured(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("verification failure: the coefficient of U^")
+        assert err.endswith(f"more digits than the {sys.get_int_max_str_digits()}-digit "
+                            "limit of integer string conversion\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["alg", "mul", "DEEP", U_JSON],
+        ["group", "classify", "--element", "DEEP"],
+    ], ids=["alg-mul", "group-classify"])
+    def test_deeply_nested_json_exits_two(self, capsys, tmp_path, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_captured(capsys, [str(deep) if a == "DEEP" else a for a in argv])
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: malformed JSON input: maximum recursion depth")
+
     @pytest.mark.parametrize("argv, what", [
         (["alg", "star", '"U"'], "element"),
         (["alg", "star", "[1,2]"], "element"),
@@ -547,6 +514,8 @@ class TestPlumbing:
         ["sequence", "ktheory", "--grid", "3"],
         ["alg", "star", U_JSON, "--seed", "5"],
         ["index", "--module", "z1", "--unitary", U_JSON, "--tol", "-1"],
+        ["index", "--module", "z1", "--unitary", U_JSON, "--truncation", "64"],
+        ["pairing", "verify", "--truncation", "64"],
     ])
     def test_option_the_command_does_not_read_exits_two(self, capsys, argv):
         code, out, err = run_captured(capsys, argv)
@@ -662,11 +631,12 @@ class TestColdImports:
         ["sequence", "ktheory", "--check"],
         ["sequence", "khomology", "--check"],
         ["pairing", "table"],
+        ["index", "--module", "z1prime", "--unitary", V_JSON],
     ], ids=lambda argv: "-".join(argv[:2]))
     def test_exact_command_loads_no_float_library(self, argv):
         assert probe_imports(argv) == {"code": 0, "loaded": []}
 
-    def test_index_loads_numpy(self):
+    def test_alg_eval_loads_numpy(self):
         # the same probe sees numpy where a command needs it
-        result = probe_imports(["index", "--module", "z1prime", "--unitary", V_JSON])
+        result = probe_imports(["alg", "eval", U_JSON, "--theta", "1/3"])
         assert result["code"] == 0 and "numpy" in result["loaded"]

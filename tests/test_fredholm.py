@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from conftest import seeded
+from hypothesis import given
+from hypothesis import strategies as st
 
+from heisenberg_ncg import fredholm
 from heisenberg_ncg.algebra import (
     ONE,
     U,
@@ -10,9 +14,11 @@ from heisenberg_ncg.algebra import (
     GaussianRational,
 )
 from heisenberg_ncg.fredholm import (
+    OutsideModuleError,
     build_representation,
     even_pairing_trace,
     fredholm_index,
+    odd_cocycle_pairing,
     odd_pairing,
     odd_windows,
 )
@@ -121,6 +127,73 @@ class TestOddPairings:
             odd_pairing("z1", U.scale(2))
 
 
+ODD_MODULES = ["z1", "z1prime", "w1", "w1prime", "del0_w0"]
+SHIFT_AXIS = {"z1": 0, "z1prime": 1, "w1": 0, "w1prime": 2, "del0_w0": 1}
+HALF = GaussianRational.of("1/2")
+SWAP = [[ZERO, ONE], [ONE, ZERO]]
+
+
+def block_unitaries(name):
+    """(u, degree): a product of three 2x2 block unitaries, each a mixer
+    [[(1+x)/2, (1-x)/2], [(1-x)/2, (1+x)/2]] (determinant x), a diagonal
+    diag(g, h) or the swap, for monomials x, g, h of the module's algebra;
+    degree is the winding number of det u, the sum of the determinants'
+    shift exponents."""
+    axis = SHIFT_AXIS[name]
+    exps = st.integers(-3, 3)
+    keys = st.tuples(exps, st.just(0) if name == "w1prime" else exps, exps)
+
+    def mixer(k):
+        x = AlgebraElement.monomial(*k)
+        plus, minus = (ONE + x).scale(HALF), (ONE - x).scale(HALF)
+        return [[plus, minus], [minus, plus]], k[axis]
+
+    def diagonal(k1, k2):
+        return ([[AlgebraElement.monomial(*k1), ZERO], [ZERO, AlgebraElement.monomial(*k2)]],
+                k1[axis] + k2[axis])
+
+    factor = st.one_of(st.builds(mixer, keys), st.builds(diagonal, keys, keys),
+                       st.just((SWAP, 0)))
+
+    def product(factors):
+        (u, d), *rest = factors
+        for f, e in rest:
+            u, d = fredholm._block_product(u, f), d + e
+        return u, d
+
+    return st.lists(factor, min_size=3, max_size=3).map(product)
+
+
+class TestCocyclePairing:
+    @pytest.mark.parametrize("name", ODD_MODULES)
+    def test_block_unitaries_match_the_svd_route(self, name):
+        @seeded(12)
+        @given(block_unitaries(name))
+        def check(case):
+            u, degree = case
+            assert odd_cocycle_pairing(name, u) == odd_pairing(name, u, 64) == degree
+
+        check()
+
+    def test_wide_band_needs_no_window(self):
+        assert odd_cocycle_pairing("z1", monomial(40, 0)) == 40
+        assert odd_cocycle_pairing("z1", monomial(0, 40)) == 0
+
+    def test_non_unitary_rejected(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            odd_cocycle_pairing("z1", U + V)
+
+    def test_outside_the_module_before_unitarity(self):
+        # U V + U is neither unitary nor in C*(U, W): the module speaks first
+        with pytest.raises(OutsideModuleError, match="w1prime"):
+            odd_cocycle_pairing("w1prime", U * V + U)
+
+    def test_non_integer_sum_raises(self, monkeypatch):
+        monkeypatch.setattr(fredholm, "_check_unitary", lambda u: None)
+        with pytest.raises(ArithmeticError, match="1/4"):
+            odd_cocycle_pairing("z1", U.scale(HALF))
+
+
 def rank_one(v):
     """v v* / n for a column v of n unitaries: a projection of psi-rank 1."""
     inv_n = GaussianRational.of(f"1/{len(v)}")
@@ -227,9 +300,6 @@ def torus_elements(module):
     return elements
 
 
-ODD_MODULES = ["z1", "z1prime", "w1", "w1prime", "del0_w0"]
-
-
 class TestSymbolMatchesEntrywiseAssembly:
     """The compressions written by diagonal from one symbol, adjoint read
     off it, equal the entry-by-entry Laurent assembly of pi(x) and of the
@@ -237,15 +307,16 @@ class TestSymbolMatchesEntrywiseAssembly:
 
     @staticmethod
     def entrywise(name, x, truncation):
-        gen = {"z1": 0, "z1prime": 1, "w1": 0, "w1prime": 2, "del0_w0": 1}[name]
+        gen = SHIFT_AXIS[name]
         blocks = [[x]] if isinstance(x, AlgebraElement) else [list(r) for r in x]
         star_blocks = [[row[i].star() for row in blocks] for i in range(len(blocks))]
 
         def laurent(e):
+            # coefficients summed exactly per shift power, then rounded
             out = {}
             for key, c in e.terms.items():
-                out[key[gen]] = out.get(key[gen], 0j) + c.to_complex()
-            return out
+                out[key[gen]] = out.get(key[gen], GaussianRational()) + c
+            return {k: c.to_complex() for k, c in out.items()}
 
         symbols = [[laurent(e) for e in row] for row in blocks]
         star_symbols = [[laurent(e) for e in row] for row in star_blocks]

@@ -9,7 +9,6 @@ acceptance test suite call.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,8 +31,6 @@ from .algebra import (
 )
 
 DEFAULT_SEED = 20230823
-# The truncation of the odd pairings' SVD cross-check: windows 32, 64, 128.
-TRUNCATION = 64
 # Criterion 1's odd K-theory representatives.
 KTHEORY_ODD = {
     "[U]": U,
@@ -68,7 +65,7 @@ def _result(number: int, name: str, passed: bool, t0: float, **details) -> dict:
 def _odd_check(entry: str, name: str, u, want: int) -> dict:
     """The exact cocycle value as ``got``, with the SVD index beside it."""
     return {"entry": entry, "got": fr.odd_cocycle_pairing(name, u),
-            "svd": fr.odd_pairing(name, u, TRUNCATION), "want": want}
+            "svd": fr.odd_pairing(name, u), "want": want}
 
 
 def criterion_1_pairing_tables() -> dict:
@@ -114,9 +111,9 @@ def criterion_2_index_theorem() -> dict:
     """The half-line compression of the implementing unitary has index 1."""
     t0 = time.perf_counter()
     idx = fr.odd_cocycle_pairing("z1prime", V)
-    svd = fr.odd_pairing("z1prime", V, TRUNCATION)
+    svd = fr.odd_pairing("z1prime", V)
     return _result(2, "Toeplitz index instance", idx == svd == 1, t0, index=idx,
-                   svd=svd, truncations=list(fr.odd_windows("z1prime", V, TRUNCATION)))
+                   svd=svd, truncations=list(fr.odd_windows("z1prime", V)))
 
 
 def criterion_3_dirac_bott() -> dict:

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 if TYPE_CHECKING:
     import numpy as np

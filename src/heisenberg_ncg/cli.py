@@ -44,6 +44,9 @@ EXIT_USAGE = 2
 
 # largest t for `alg eval --theta s/t`: its output is a dense t x t matrix
 MAX_EVAL_DIMENSION = 256
+# largest k for an `index` unitary of k x k blocks: its unitarity check
+# takes k^3 exact ring products (0.6 s for identity blocks at k = 40)
+MAX_INDEX_BLOCKS = 28
 # Caps that keep one command near 1 GB of measured peak RSS:
 # ~250 G^2 B for `chern --grid` G, ~5.7 kB per point of the (<= 3N)^2
 # `--dirac` grid (473 MB for `chern --grid 64 --dirac --truncation 128`).
@@ -105,6 +108,9 @@ def _matrix_from_dict(data):
                        for row in blocks)
         ):
             raise ValueError("blocks must be a nonempty square list of lists")
+        if len(blocks) > MAX_INDEX_BLOCKS:
+            raise UsageError(f"a {len(blocks)}x{len(blocks)} block unitary exceeds the "
+                             f"{MAX_INDEX_BLOCKS}x{MAX_INDEX_BLOCKS} block limit")
         return [[element_from_dict(b) for b in row] for row in blocks]
     return element_from_dict(data)
 
@@ -306,6 +312,12 @@ def cmd_index(args):
         raise UsageError(str(e)) from None
     except (ValueError, ArithmeticError) as e:
         raise VerificationFailure(str(e)) from None
+    try:
+        str(idx)
+    except ValueError:  # a valid unitary whose index JSON cannot hold
+        raise VerificationFailure(f"the index has more digits than the "
+                                  f"{sys.get_int_max_str_digits()}-digit limit of "
+                                  "integer string conversion") from None
     return {"module": args.module}, {"index": idx}, EXIT_OK
 
 
@@ -316,7 +328,10 @@ def cmd_chern(args):
         raise UsageError(f"--grid must be at least {ch.MIN_GRID}")
     if args.grid > MAX_GRID:
         raise UsageError(f"--grid must be at most {MAX_GRID}")
-    if args.dirac and args.truncation > MAX_DIRAC_TRUNCATION:
+    if not args.dirac and args.truncation is not None:
+        raise UsageError("unrecognized arguments: --truncation is read only with --dirac")
+    truncation = 64 if args.truncation is None else args.truncation
+    if truncation > MAX_DIRAC_TRUNCATION:
         raise UsageError(f"--truncation must be at most {MAX_DIRAC_TRUNCATION} with --dirac")
     config = {"grid": args.grid, "mass": args.mass}
     try:
@@ -327,8 +342,8 @@ def cmd_chern(args):
     result = {}
     try:
         if args.dirac:
-            config["truncation"] = args.truncation
-            result["dirac"] = ch.dirac_even_pairing(field, args.truncation)
+            config["truncation"] = truncation
+            result["dirac"] = ch.dirac_even_pairing(field, truncation)
         result["lattice_chern"] = ch.lattice_chern(field)
     except ValueError as e:  # only certificate_windows, before any engine work
         raise UsageError(f"--{e}") from None
@@ -457,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--dirac", action="store_true",
                    help="also evaluate the Dirac trace pairing")
-    p.add_argument("--truncation", type=int, default=64, help="with --dirac")
+    p.add_argument("--truncation", type=int, help="with --dirac (default 64)")
 
     for which in ("ktheory", "khomology"):
         leaf(f"sequence {which}", cmd_sequence, f"the {which} sequence"

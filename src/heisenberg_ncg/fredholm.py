@@ -10,9 +10,9 @@ pairing with a unitary u is the winding number of chi(u), the cyclic
 compresses both to the nonnegative half line and counts kernel dimensions.
 A square truncation of a Toeplitz operator always has matrix index zero,
 so the compressions are rectangular: domain [0, N], range
-[0, N + band + 2].  That index must agree on the three windows
-N = max(T // 2, 16), T and 2T of one truncation T; ``odd_windows`` is
-that rule.
+[0, N + band + 2].  That index must agree on the three windows N, 2N and
+4N that ``odd_windows`` reads off the unitary: N = max(32, band + 2), so
+the smallest window sees the whole kernel.
 
 Shift convention: "the shift" S is the operator (S xi)(n) = xi(n+1), whose
 matrix moves e_n to e_{n-1}.  With this convention the compression of S to
@@ -44,9 +44,9 @@ if TYPE_CHECKING:
 # Singular values at or below this count towards a kernel dimension.
 KERNEL_TOL = 1e-8
 # The smallest stabilization window.
-MIN_WINDOW = 16
-# Largest k * T for truncation T and a k x k block unitary: the dense
-# compressions take ~260 (k*T)^2 B of measured peak RSS, near 1 GB here.
+MIN_WINDOW = 32
+# Largest k * 2N for the middle window 2N and a k x k block unitary: the
+# dense compressions take ~260 (k*2N)^2 B of measured peak RSS, near 1 GB.
 MAX_BLOCK_TRUNCATION = 1800
 
 # Generator actions for the odd l2(Z) modules: which generators act by the
@@ -152,8 +152,8 @@ def build_representation(name: str, x: MatrixElement, truncation: int) -> Trunca
     """Rectangular half-line compression of pi(x) on the odd module ``name``.
 
     The domain window is [0, truncation] and the range window exceeds it
-    by the band width of the symbol plus two; ``odd_windows`` says which
-    truncations give a faithful compression.  The adjoint side compresses
+    by the band width of the symbol plus two; ``odd_windows`` gives the
+    truncations that see the whole kernel.  The adjoint side compresses
     sum_s B_s* S^(-s) on the same shape.
     """
     symbol = _symbol(name, x)
@@ -171,20 +171,6 @@ def _kernel_dim(m: np.ndarray) -> int:
     return int(cols - np.count_nonzero(sv > KERNEL_TOL))
 
 
-def fredholm_index(ops: Sequence[TruncatedOperator]) -> int:
-    """dim ker T - dim ker T* with a stabilization certificate.
-
-    Every supplied truncation must report the same kernel dimensions;
-    otherwise the computation is rejected as non-stabilized.
-    """
-    if len(ops) < 2:
-        raise ValueError("need at least two truncation sizes for stabilization")
-    values = [_kernel_dim(op.entries) - _kernel_dim(op.star_entries) for op in ops]
-    if len(set(values)) != 1:
-        raise ArithmeticError(f"index did not stabilize across truncations: {values}")
-    return values[0]
-
-
 def _check_unitary(x: MatrixElement) -> None:
     blocks = _as_blocks(x)
     k = len(blocks)
@@ -196,39 +182,35 @@ def _check_unitary(x: MatrixElement) -> None:
         raise ValueError("input is not unitary in the group ring")
 
 
-def odd_windows(name: str, u: MatrixElement, truncation: int) -> tuple[int, int, int]:
-    """The stabilization windows (max(T // 2, 16), T, 2T) of truncation T
-    for the pairing of the odd module ``name`` with ``u``.
+def odd_windows(name: str, u: MatrixElement) -> tuple[int, int, int]:
+    """The stabilization windows (N, 2N, 4N), N = max(32, band + 2), of the
+    pairing of the odd module ``name`` with ``u``.
 
-    Raises ValueError, naming the bound, unless the three windows are
-    distinct, the smallest is at least the band width of u plus two (so
-    the compression sees the whole kernel), and k * T is at most
+    Raises ValueError, naming the bound, if k * 2N exceeds
     ``MAX_BLOCK_TRUNCATION`` for a k x k block unitary.
     """
     symbol = _symbol(name, u)
     k, band = len(symbol[0]), max(map(abs, symbol))
-    if k * truncation > MAX_BLOCK_TRUNCATION:
-        raise ValueError(f"truncation {truncation} exceeds {MAX_BLOCK_TRUNCATION // k}"
-                         f" for a {k}x{k} block unitary")
-    windows = (max(truncation // 2, MIN_WINDOW), truncation, 2 * truncation)
-    # MIN_WINDOW + 1 is the least T with three distinct windows; a band
-    # with band + 2 > MIN_WINDOW needs T // 2 >= band + 2 on top of that.
-    least = MIN_WINDOW + 1 if band + 2 <= MIN_WINDOW else 2 * (band + 2)
-    if truncation < least:
-        raise ValueError(
-            f"truncation {truncation} must be at least {least}: the windows "
-            f"{list(windows)} must be distinct, and the smallest at least "
-            f"{band + 2} (the unitary's band width {band} plus 2)")
-    return windows
+    n = max(MIN_WINDOW, band + 2)
+    if k * 2 * n > MAX_BLOCK_TRUNCATION:
+        raise ValueError(f"{k} * {2 * n} exceeds {MAX_BLOCK_TRUNCATION}: a {k}x{k} block "
+                         f"unitary is too large for the windows {[n, 2 * n, 4 * n]}")
+    return n, 2 * n, 4 * n
 
 
-def odd_pairing(name: str, u: MatrixElement, truncation: int = 64) -> int:
+def odd_pairing(name: str, u: MatrixElement) -> int:
     """Index pairing of an odd module with a unitary (or matrix unitary),
-    stabilized over the windows ``odd_windows`` gives for ``truncation``:
-    the K-homology cross-check of ``odd_cocycle_pairing``."""
+    dim ker - dim ker* of its compressions, equal on every window of
+    ``odd_windows`` (else ArithmeticError): the K-homology cross-check of
+    ``odd_cocycle_pairing``."""
+    windows = odd_windows(name, u)
     _check_unitary(u)
-    windows = odd_windows(name, u, truncation)
-    return fredholm_index([build_representation(name, u, n) for n in windows])
+    values = [_kernel_dim(op.entries) - _kernel_dim(op.star_entries)
+              for op in (build_representation(name, u, n) for n in windows)]
+    if len(set(values)) != 1:
+        raise ArithmeticError(f"index did not stabilize across windows {list(windows)}: "
+                              f"{values}")
+    return values[0]
 
 
 def odd_cocycle_pairing(name: str, u: MatrixElement) -> int:

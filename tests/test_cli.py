@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shlex
@@ -7,6 +9,9 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import seeded
+from hypothesis import given
+from hypothesis import strategies as st
 
 import heisenberg_ncg
 from heisenberg_ncg import acceptance as acc
@@ -43,6 +48,12 @@ def monomial_json(**coefficient) -> str:
 
 def no_work(*args, **kwargs):
     raise AssertionError("a usage error must be raised before any work")
+
+
+def identity_blocks(k: int) -> str:
+    one, zero = '{"terms":[{"p":0,"q":0,"r":0,"re":"1"}]}', "{}"
+    rows = ("[" + ",".join(one if i == j else zero for j in range(k)) + "]" for i in range(k))
+    return '{"blocks":[' + ",".join(rows) + "]}"
 
 
 def run_captured(capsys, argv):
@@ -295,6 +306,30 @@ class TestVerificationCommands:
         assert code == 2 and out == ""
         assert "malformed element" in err
 
+    def test_index_block_cap(self, capsys, monkeypatch):
+        # the k^3 unitarity check is refused above 28 x 28 blocks
+        code, out, _ = run_captured(
+            capsys, ["index", "--module", "z1", "--unitary", identity_blocks(28)])
+        assert code == 0
+        assert json.loads(out)["result"] == {"index": 0}
+        monkeypatch.setattr(fredholm, "odd_cocycle_pairing", no_work)
+        code, out, err = run_captured(
+            capsys, ["index", "--module", "z1", "--unitary", identity_blocks(29)])
+        assert code == 2 and out == ""
+        assert err == "usage error: a 29x29 block unitary exceeds the 28x28 block limit\n"
+
+    def test_index_over_the_digit_limit_exits_one(self, capsys):
+        # U^p with p of 4300 nines pairs to p; two of them on the diagonal
+        # pair to 2p, one digit more than a JSON integer here may hold
+        u = '{"terms":[{"p":%s,"q":0,"r":0,"re":"1"}]}' % ("9" * 4300)
+        argv = ["index", "--module", "z1", "--unitary"]
+        code, out, _ = run_captured(capsys, argv + [u])
+        assert code == 0 and out.endswith('{"index":%s}}\n' % ("9" * 4300))
+        blocks = '{"blocks":[[%s,{}],[{},%s]]}' % (u, u)
+        code, out, err = run_captured(capsys, argv + [blocks])
+        assert code == 1 and out == ""
+        assert err.startswith("verification failure: the index has more digits than")
+
     def test_wide_band_unitary_at_the_defaults(self, capsys):
         # the exact pairing needs no window: U^40 pairs to 40 as U does to 1
         u40 = json.dumps({"terms": [{"p": 40, "q": 0, "r": 0, "re": "1", "im": "0"}]})
@@ -381,7 +416,8 @@ class TestVerificationCommands:
         monkeypatch.setattr(ch, "fourier_coefficients", counting)
         code, out, _ = run_captured(capsys, ["chern", "--grid", "64", "--dirac"])
         assert code == 0
-        assert json.loads(out)["result"]["dirac"]["value"] == 1
+        doc = json.loads(out)
+        assert doc["config"]["truncation"] == 64 and doc["result"]["dirac"]["value"] == 1
         assert len(calls) == 1
 
     def test_chern_dirac_uncertified_fourier_tail_exits_one(self, capsys):
@@ -516,6 +552,7 @@ class TestPlumbing:
         ["index", "--module", "z1", "--unitary", U_JSON, "--tol", "-1"],
         ["index", "--module", "z1", "--unitary", U_JSON, "--truncation", "64"],
         ["pairing", "verify", "--truncation", "64"],
+        ["chern", "--grid", "16", "--truncation", "-3"],
     ])
     def test_option_the_command_does_not_read_exits_two(self, capsys, argv):
         code, out, err = run_captured(capsys, argv)
@@ -640,3 +677,85 @@ class TestColdImports:
         # the same probe sees numpy where a command needs it
         result = probe_imports(["alg", "eval", U_JSON, "--theta", "1/3"])
         assert result["code"] == 0 and "numpy" in result["loaded"]
+
+
+# ---- `hnc index` on drawn input ----
+
+NINES = "9" * 4300  # the longest integer string Python converts
+# Exponent and coefficient texts: small values, and values at and just past
+# the 4300-digit bounds of integer strings and decimal exponents.
+EXPONENTS = st.sampled_from([str(e) for e in range(-3, 4)] * 4
+                            + [NINES, "-" + NINES, "1" + "0" * 4300])
+UNIT_COEFFICIENTS = st.sampled_from([("1", "0"), ("-1", "0"), ("0", "1"), ("0", "-1"),
+                                     ('"3/5"', '"4/5"')])
+COEFFICIENTS = st.one_of(
+    UNIT_COEFFICIENTS,
+    st.tuples(st.sampled_from(['"1/2"', "2", '"1e4300"', '"1e-4300"', '"1e4301"',
+                               '"%s"' % NINES, '"1%s"' % NINES, "1" + NINES, "0.5",
+                               "true", '"1/0"']),
+              st.sampled_from(["0", '"1/3"'])))
+
+
+def term_json(keys, coefficient):
+    (p, q, r), (re, im) = keys, coefficient
+    return '{"p":%s,"q":%s,"r":%s,"re":%s,"im":%s}' % (p, q, r, re, im)
+
+
+KEYS = st.tuples(EXPONENTS, EXPONENTS, EXPONENTS)
+# A unit multiple of one monomial is unitary; sums of terms mostly are not.
+ELEMENTS = st.one_of(
+    st.builds(lambda k, c: '{"terms":[%s]}' % term_json(k, c), KEYS, UNIT_COEFFICIENTS),
+    st.lists(st.builds(term_json, KEYS, COEFFICIENTS), max_size=3).map(
+        lambda terms: '{"terms":[%s]}' % ",".join(terms)),
+    st.sampled_from(["{}", '"U"', "5", "[1,2]", '{"terms":[{"p":1}]}', "{nope"]),
+)
+
+
+def block_rows(rows):
+    return '{"blocks":[%s]}' % ",".join("[%s]" % ",".join(row) for row in rows)
+
+
+def diagonal(entries):
+    return block_rows([[e if i == j else "{}" for j in range(len(entries))]
+                       for i, e in enumerate(entries)])
+
+
+UNITARIES = st.one_of(
+    ELEMENTS,
+    st.lists(ELEMENTS, min_size=1, max_size=3).map(diagonal),
+    st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.lists(ELEMENTS, min_size=k, max_size=k), min_size=k, max_size=k)).map(block_rows),
+    st.sampled_from([
+        '{"blocks":[]}', '{"blocks":[[]]}', '{"blocks":[[{}],[{},{}]]}',  # empty, ragged
+        '{"blocks":[[{},{}]]}', '{"blocks":5}', '{"blocks":[5]}', '{"blocks":[[5]]}',
+        '{"blocks":{"a":1}}', '{"blocks":null}',
+        identity_blocks(28), identity_blocks(29),
+    ]),
+)
+MODULES = st.sampled_from(["z1", "z1prime", "w1", "w1prime", "del0_w0"])
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestIndexOnDrawnInput:
+    def test_every_input_ends_in_one_exit_and_repeats(self):
+        # w1prime draws terms with a V exponent; the blocks reach 28 and 29
+        @seeded(150)
+        @given(MODULES, UNITARIES)
+        def check(module, unitary):
+            argv = ["index", "--module", module, "--unitary", unitary]
+            code, out, err = run_quietly(argv)
+            assert code in (0, 1, 2)
+            if code == 0:
+                assert err == "" and set(json.loads(out)["result"]) == {"index"}
+            else:
+                assert out == "" and err.count("\n") == 1
+                assert err.startswith(("usage error: ", "verification failure: "))
+            assert run_quietly(argv) == (code, out, err)
+
+        check()

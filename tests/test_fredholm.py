@@ -17,7 +17,6 @@ from heisenberg_ncg.fredholm import (
     OutsideModuleError,
     build_representation,
     even_pairing_trace,
-    fredholm_index,
     odd_cocycle_pairing,
     odd_pairing,
     odd_windows,
@@ -30,12 +29,17 @@ def monomial(p: int, q: int) -> AlgebraElement:
     return AlgebraElement({(p, q, 0): GaussianRational.of(1)})
 
 
+def identity(k: int) -> list[list[AlgebraElement]]:
+    return [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
+
+
 class TestHalfLineIndex:
     def test_shift_compression_index_is_one(self):
         # the distinguished generator compresses to an operator with
         # one-dimensional kernel (e_0) and injective star
-        ops = [build_representation("z1", U, n) for n in odd_windows("z1", U, 64)]
-        assert fredholm_index(ops) == 1
+        op = build_representation("z1", U, 32)
+        assert fredholm._kernel_dim(op.entries) == 1
+        assert fredholm._kernel_dim(op.star_entries) == 0
 
     def test_rectangular_window_shapes(self):
         # domain [0, 32], range wider by the band width 1 plus 2
@@ -47,10 +51,14 @@ class TestHalfLineIndex:
         star = build_representation("z1", U.star(), 32)
         assert np.array_equal(op.star_entries, star.entries)
 
-    def test_non_stabilized_index_rejected(self):
-        op = build_representation("z1", U, 32)
-        with pytest.raises(ValueError):
-            fredholm_index([op])
+    def test_non_stabilized_index_rejected(self, monkeypatch):
+        # kernel dimensions (T, T*) on the windows 32, 64, 128: the index
+        # is 1, 1, 2
+        dims = iter([1, 0, 1, 0, 2, 0])
+        monkeypatch.setattr(fredholm, "_kernel_dim", lambda m: next(dims))
+        with pytest.raises(ArithmeticError,
+                           match=r"did not stabilize across windows \[32, 64, 128\]: \[1, 1, 2\]"):
+            odd_pairing("z1", U)
 
     @pytest.mark.parametrize("name", ["z0", "dirac_T2", "bogus"])
     def test_non_odd_module_rejected(self, name):
@@ -60,36 +68,33 @@ class TestHalfLineIndex:
 
 class TestWindows:
     def test_default_windows(self):
-        assert odd_windows("z1", U, 64) == (32, 64, 128)
-        assert odd_windows("z1", U, 17) == (16, 17, 34)
-
-    @pytest.mark.parametrize("truncation", [4, 15, 16])
-    def test_below_seventeen_rejected(self, truncation):
-        with pytest.raises(ValueError, match="must be at least 17"):
-            odd_windows("z1", U, truncation)
-
-    def test_block_cap(self):
-        block = [[V, ZERO], [ZERO, ONE]]
-        assert odd_windows("z1prime", block, 900) == (450, 900, 1800)
-        with pytest.raises(ValueError, match="truncation 901 exceeds 900 for a 2x2"):
-            odd_windows("z1prime", block, 901)
+        # every unitary of criteria 1 and 2 has band at most 1
+        v_a = [[V, ZERO], [ZERO, ONE]]
+        for name, u in [("z1", U), ("z1", V), ("z1", v_a), ("z1prime", U),
+                        ("z1prime", V), ("z1prime", v_a), ("w1", W), ("w1prime", W)]:
+            assert odd_windows(name, u) == (32, 64, 128)
 
     def test_smallest_window_holds_the_band(self):
-        # band 40: the smallest window T // 2 must be at least 42
-        u40 = monomial(40, 0)
-        with pytest.raises(ValueError, match="must be at least 84"):
-            odd_windows("z1", u40, 64)
-        with pytest.raises(ValueError, match="must be at least 84"):
-            odd_windows("z1", u40, 83)
-        assert odd_windows("z1", u40, 84) == (42, 84, 168)
+        # band 40: the smallest window is 42; band 30 is the widest at 32
+        assert odd_windows("z1", monomial(40, 0)) == (42, 84, 168)
+        assert odd_windows("z1", monomial(30, 0)) == (32, 64, 128)
+        assert odd_windows("z1", monomial(-31, 0)) == (33, 66, 132)
         # the band belongs to the module's shift generator: V^40 is
         # the identity on z1
-        assert odd_windows("z1", monomial(0, 40), 64) == (32, 64, 128)
+        assert odd_windows("z1", monomial(0, 40)) == (32, 64, 128)
+
+    def test_block_cap(self):
+        # k * 2N <= 1800: 28 x 28 blocks at N = 32, 2 x 2 blocks to band 448
+        assert odd_windows("z1", identity(28)) == (32, 64, 128)
+        with pytest.raises(ValueError, match=r"29 \* 64 exceeds 1800: a 29x29 block"):
+            odd_windows("z1", identity(29))
+        band = [[monomial(448, 0), ZERO], [ZERO, ONE]]
+        assert odd_windows("z1", band) == (450, 900, 1800)
+        with pytest.raises(ValueError, match=r"2 \* 902 exceeds 1800"):
+            odd_windows("z1", [[monomial(449, 0), ZERO], [ZERO, ONE]])
 
     def test_pairing_uses_the_rule(self):
-        assert odd_pairing("z1", monomial(40, 0), 84) == 40
-        with pytest.raises(ValueError, match="must be at least 84"):
-            odd_pairing("z1", monomial(40, 0))
+        assert odd_pairing("z1", monomial(40, 0)) == 40
 
 
 class TestOddPairings:
@@ -171,7 +176,7 @@ class TestCocyclePairing:
         @given(block_unitaries(name))
         def check(case):
             u, degree = case
-            assert odd_cocycle_pairing(name, u) == odd_pairing(name, u, 64) == degree
+            assert odd_cocycle_pairing(name, u) == odd_pairing(name, u) == degree
 
         check()
 
@@ -366,7 +371,7 @@ class TestModuleAlgebra:
         with pytest.raises(ValueError, match=r"module w1prime represents only C\*\(U, W\)"):
             build_representation("w1prime", x, 32)
         with pytest.raises(ValueError, match="w1prime"):
-            odd_windows("w1prime", x, 64)
+            odd_windows("w1prime", x)
 
     def test_w1prime_names_the_term(self):
         with pytest.raises(ValueError, match=r"the term U\^1 V\^1 W\^0 has a V exponent"):

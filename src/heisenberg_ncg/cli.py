@@ -47,6 +47,9 @@ MAX_EVAL_DIMENSION = 256
 # largest k for an `index` unitary of k x k blocks: its unitarity check
 # takes k^3 exact ring products (0.6 s for identity blocks at k = 40)
 MAX_INDEX_BLOCKS = 28
+# most term products in that check's u u*, the sum over block columns of
+# the column's term count squared: up to ~8 us each in-process, so < 1 s
+MAX_INDEX_TERM_PRODUCTS = 100_000
 # Caps that keep one command near 1 GB of measured peak RSS:
 # ~250 G^2 B for `chern --grid` G, ~5.7 kB per point of the (<= 3N)^2
 # `--dirac` grid (473 MB for `chern --grid 64 --dirac --truncation 128`).
@@ -98,7 +101,9 @@ def _parse(text_or_path: str, build, what: str):
 
 def _matrix_from_dict(data):
     """Either a single element or {"blocks": [[element, ...], ...]}, a
-    nonempty square matrix of elements."""
+    nonempty square matrix of elements, small enough for the exact
+    unitarity check: at most MAX_INDEX_BLOCKS blocks a side and
+    MAX_INDEX_TERM_PRODUCTS term products in u u*."""
     if isinstance(data, dict) and "blocks" in data:
         blocks = data["blocks"]
         if (
@@ -111,8 +116,16 @@ def _matrix_from_dict(data):
         if len(blocks) > MAX_INDEX_BLOCKS:
             raise UsageError(f"a {len(blocks)}x{len(blocks)} block unitary exceeds the "
                              f"{MAX_INDEX_BLOCKS}x{MAX_INDEX_BLOCKS} block limit")
-        return [[element_from_dict(b) for b in row] for row in blocks]
-    return element_from_dict(data)
+        u = [[element_from_dict(b) for b in row] for row in blocks]
+        columns = zip(*u)
+    else:
+        u = element_from_dict(data)
+        columns = [[u]]
+    products = sum(sum(len(e.terms) for e in col) ** 2 for col in columns)
+    if products > MAX_INDEX_TERM_PRODUCTS:
+        raise UsageError(f"the unitarity check u u* = 1 would take {products} term products, "
+                         f"over the limit of {MAX_INDEX_TERM_PRODUCTS}")
+    return u
 
 
 def _element(text_or_path: str) -> AlgebraElement:

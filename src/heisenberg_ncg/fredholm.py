@@ -7,7 +7,8 @@ exact k x k block per shift power s, and pi(x*) = sum_s B_s* S^(-s).  The
 pairing with a unitary u is the winding number of chi(u), the cyclic
 1-cocycle value sum_s s ||B_s||_F^2 (Connes 1985), exact in
 ``odd_cocycle_pairing``.  Its K-homology cross-check ``odd_pairing``
-compresses both to the nonnegative half line and counts kernel dimensions.
+compresses both to the nonnegative half line and counts kernel dimensions
+by SVD, a real one when the symbol is real.
 A square truncation of a Toeplitz operator always has matrix index zero,
 so the compressions are rectangular: domain [0, N], range
 [0, N + band + 2].  That index must agree on the three windows N, 2N and
@@ -45,8 +46,9 @@ if TYPE_CHECKING:
 KERNEL_TOL = 1e-8
 # The smallest stabilization window.
 MIN_WINDOW = 32
-# Largest k * 2N for the middle window 2N and a k x k block unitary: the
-# dense compressions take ~260 (k*2N)^2 B of measured peak RSS, near 1 GB.
+# Largest k * 2N for the middle window 2N and a k x k block unitary: at
+# k * 2N = 1792 the dense compressions took 568 MB of measured peak RSS for
+# a real symbol (~185 (k*2N)^2 B) and 655 MB for a complex one.
 MAX_BLOCK_TRUNCATION = 1800
 
 # Generator actions for the odd l2(Z) modules: which generators act by the
@@ -166,7 +168,9 @@ def build_representation(name: str, x: MatrixElement, truncation: int) -> Trunca
 
 def _kernel_dim(m: np.ndarray) -> int:
     import numpy as np
-    sv = np.linalg.svd(m, compute_uv=False)
+    # a real matrix has the same singular values over R as over C, and the
+    # real SVD takes about a quarter of the complex one's flops
+    sv = np.linalg.svd(m if m.imag.any() else m.real, compute_uv=False)
     cols = m.shape[1]
     return int(cols - np.count_nonzero(sv > KERNEL_TOL))
 

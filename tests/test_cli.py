@@ -56,6 +56,12 @@ def identity_blocks(k: int) -> str:
     return '{"blocks":[' + ",".join(rows) + "]}"
 
 
+def powers_of_u(n: int) -> str:
+    """1 + U + ... + U^(n-1), n terms: not unitary for n > 1."""
+    return '{"terms":[%s]}' % ",".join(
+        '{"p":%d,"q":0,"r":0,"re":"1"}' % i for i in range(n))
+
+
 def run_captured(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
@@ -317,6 +323,22 @@ class TestVerificationCommands:
             capsys, ["index", "--module", "z1", "--unitary", identity_blocks(29)])
         assert code == 2 and out == ""
         assert err == "usage error: a 29x29 block unitary exceeds the 28x28 block limit\n"
+
+    def test_index_term_product_cap(self, capsys, monkeypatch):
+        # u u* takes (terms in block column t)^2 term products per column t:
+        # 300^2 + 100^2 is the limit, 301^2 + 100^2 and 317^2 are past it
+        argv = ["index", "--module", "z1", "--unitary"]
+        at = '{"blocks":[[%s,{}],[{},%s]]}' % (powers_of_u(300), powers_of_u(100))
+        code, out, err = run_captured(capsys, argv + [at])
+        assert code == 1 and out == ""
+        assert err == "verification failure: input is not unitary in the group ring\n"
+        monkeypatch.setattr(fredholm, "odd_cocycle_pairing", no_work)
+        past = '{"blocks":[[%s,{}],[{},%s]]}' % (powers_of_u(301), powers_of_u(100))
+        for u, products in [(past, 100601), (powers_of_u(317), 100489)]:
+            code, out, err = run_captured(capsys, argv + [u])
+            assert code == 2 and out == ""
+            assert err == (f"usage error: the unitarity check u u* = 1 would take {products} "
+                           "term products, over the limit of 100000\n")
 
     def test_index_over_the_digit_limit_exits_one(self, capsys):
         # U^p with p of 4300 nines pairs to p; two of them on the diagonal
@@ -730,6 +752,9 @@ UNITARIES = st.one_of(
         '{"blocks":[[{},{}]]}', '{"blocks":5}', '{"blocks":[5]}', '{"blocks":[[5]]}',
         '{"blocks":{"a":1}}', '{"blocks":null}',
         identity_blocks(28), identity_blocks(29),
+        # 100000 term products in u u*, then 100601
+        diagonal([powers_of_u(300), powers_of_u(100)]),
+        diagonal([powers_of_u(301), powers_of_u(100)]),
     ]),
 )
 MODULES = st.sampled_from(["z1", "z1prime", "w1", "w1prime", "del0_w0"])
@@ -744,7 +769,8 @@ def run_quietly(argv):
 
 class TestIndexOnDrawnInput:
     def test_every_input_ends_in_one_exit_and_repeats(self):
-        # w1prime draws terms with a V exponent; the blocks reach 28 and 29
+        # w1prime draws terms with a V exponent; the blocks reach 28 and 29,
+        # and the term products of the unitarity check its limit and past it
         @seeded(150)
         @given(MODULES, UNITARIES)
         def check(module, unitary):

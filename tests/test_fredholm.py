@@ -4,6 +4,7 @@ from conftest import seeded
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heisenberg_ncg import acceptance as acc
 from heisenberg_ncg import fredholm
 from heisenberg_ncg.algebra import (
     ONE,
@@ -197,6 +198,59 @@ class TestCocyclePairing:
         monkeypatch.setattr(fredholm, "_check_unitary", lambda u: None)
         with pytest.raises(ArithmeticError, match="1/4"):
             odd_cocycle_pairing("z1", U.scale(HALF))
+
+
+@pytest.fixture
+def svd_dtypes(monkeypatch):
+    """The dtype of every matrix numpy.linalg.svd receives; each kernel
+    dimension is also checked against a complex SVD of the same matrix."""
+    dtypes = []
+    svd, kernel_dim = np.linalg.svd, fredholm._kernel_dim
+
+    def recording(m, *args, **kwargs):
+        dtypes.append(m.dtype)
+        return svd(m, *args, **kwargs)
+
+    def checked(m):
+        dim = kernel_dim(m)
+        sv = svd(m.astype(complex), compute_uv=False)
+        assert dim == m.shape[1] - np.count_nonzero(sv > fredholm.KERNEL_TOL)
+        return dim
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(fredholm, "_kernel_dim", checked)
+    return dtypes
+
+
+IMAG = GaussianRational.of(0, 1)
+
+
+def rotation(c):
+    """diag(U, 1) [[3/5, -c U], [conj(c) U*, 3/5]] for |c| = 4/5: its
+    determinant is U, so it pairs to 1 on z1."""
+    r = [[ONE.scale(GaussianRational.of("3/5")), U.scale(-c)],
+         [U.star().scale(c.conjugate()), ONE.scale(GaussianRational.of("3/5"))]]
+    return fredholm._block_product([[U, ZERO], [ZERO, ONE]], r)
+
+
+class TestRealSvd:
+    def test_criteria_compressions_are_real(self, svd_dtypes):
+        # criterion 1's seven odd entries and criterion 2's one, each on
+        # three windows with two compressions
+        assert acc.criterion_1_pairing_tables()["passed"]
+        assert acc.criterion_2_index_theorem()["passed"]
+        assert svd_dtypes == [np.dtype(np.float64)] * 48
+
+    @pytest.mark.parametrize("name, u, want, dtype", [
+        ("z1", U.scale(IMAG), 1, np.complex128),
+        ("z1prime", [[V.scale(IMAG), ZERO], [ZERO, ONE]], 1, np.complex128),
+        ("z1", rotation(GaussianRational.of("4/5")), 1, np.float64),
+        ("z1", rotation(GaussianRational.of(0, "4/5")), 1, np.complex128),
+        ("z1prime", rotation(GaussianRational.of(0, "4/5")), 0, np.complex128),
+    ], ids=["iU", "diag(iV,1)", "rotation", "imaginary-rotation", "rotation-z1prime"])
+    def test_svd_route_matches_the_cocycle(self, svd_dtypes, name, u, want, dtype):
+        assert odd_pairing(name, u) == odd_cocycle_pairing(name, u) == want
+        assert svd_dtypes == [np.dtype(dtype)] * 6
 
 
 def rank_one(v):

@@ -236,7 +236,10 @@ class RationalAngle:
     def lam(self) -> complex:
         import numpy as np
 
-        return np.exp(2j * np.pi * self.s / self.t)
+        # s mod t, in integers and with the sign of s: 2*pi*s/t in floats
+        # loses the residue of a large s (and overflows past ~308 digits)
+        s = self.s % self.t if self.s >= 0 else -(-self.s % self.t)
+        return np.exp(2j * np.pi * s / self.t)
 
 
 Key = tuple[int, int, int]

@@ -78,7 +78,7 @@ def bott_projector(grid: int = 64, mass: float = 1.0) -> ProjectorField:
     """Lower-band spectral projector of the two-band torus family."""
     if grid < MIN_GRID:
         raise ValueError(f"grid must be at least {MIN_GRID}")
-    if mass in (-2.0, 0.0, 2.0) or not (-2.0 < mass < 2.0) or mass == 0:
+    if not (-2.0 < mass < 2.0) or mass == 0:
         raise ValueError("mass must lie in (-2, 0) or (0, 2); the family is "
                          "gapless at -2, 0 and 2")
     k = 2 * np.pi * np.arange(grid) / grid

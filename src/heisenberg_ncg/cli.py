@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import derivations as dv
@@ -184,12 +185,20 @@ def _element_result(x: AlgebraElement) -> dict:
 
 
 def _emit(args, command: str, config: dict, result: dict) -> None:
-    doc = {"command": command, "config": config, "result": result}
-    if args.table:
-        print(f"# {command}  config: " + json.dumps(config, sort_keys=True))
-        _print_table(result)
-    else:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    """Render the whole document, then print it, so that a result that
+    cannot be written prints nothing on stdout."""
+    try:
+        if args.table:
+            text = "\n".join([f"# {command}  config: " + json.dumps(config, sort_keys=True),
+                              *_table_lines(result)])
+        else:
+            text = json.dumps({"command": command, "config": config, "result": result},
+                              sort_keys=True, separators=(",", ":"))
+    except ValueError:  # only an integer past the int-string digit limit
+        raise VerificationFailure(f"the result has an integer with more digits than the "
+                                  f"{sys.get_int_max_str_digits()}-digit limit of integer "
+                                  "string conversion") from None
+    print(text)
 
 
 def _split_timings(results: list[dict]) -> dict[str, float]:
@@ -200,24 +209,24 @@ def _split_timings(results: list[dict]) -> dict[str, float]:
     return timings
 
 
-def _print_table(obj, indent: int = 0) -> None:
+def _table_lines(obj, indent: int = 0):
     pad = "  " * indent
     if isinstance(obj, dict):
         for k in sorted(obj, key=str):
             v = obj[k]
-            if isinstance(v, (dict, list)):
-                print(f"{pad}{k}:")
-                _print_table(v, indent + 1)
+            if isinstance(v, (dict, list, tuple)):
+                yield f"{pad}{k}:"
+                yield from _table_lines(v, indent + 1)
             else:
-                print(f"{pad}{k}: {v}")
-    elif isinstance(obj, list):
+                yield f"{pad}{k}: {v}"
+    elif isinstance(obj, (list, tuple)):
         for v in obj:
-            if isinstance(v, (dict, list)):
-                _print_table(v, indent + 1)
+            if isinstance(v, (dict, list, tuple)):
+                yield from _table_lines(v, indent + 1)
             else:
-                print(f"{pad}- {v}")
+                yield f"{pad}- {v}"
     else:
-        print(f"{pad}{obj}")
+        yield f"{pad}{obj}"
 
 
 # ---- command handlers; each returns (config, result, exit_code) ----
@@ -275,7 +284,7 @@ def cmd_deriv_apply(args):
 
 def cmd_group_classify(args):
     g = _group_element(args.element)
-    result = gs.classify_element(g).to_dict()
+    result = asdict(gs.classify_element(g))
     result["conjugacy_representative"] = list(gs.conjugacy_representative(g).as_tuple())
     return {"element": list(g.as_tuple())}, result, EXIT_OK
 
@@ -285,25 +294,20 @@ def cmd_group_cohomology(args):
         prof = gs.group_cohomology(args.type)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    return {"type": args.type}, prof.to_dict(), EXIT_OK
+    return {"type": args.type}, asdict(prof), EXIT_OK
 
 
 def cmd_group_hc_dim(args):
     if args.n is None or args.n < 0:
         raise UsageError("hc-dim requires a nonnegative --n")
-    return {"n": args.n}, gs.cyclic_cohomology_dim(args.n).to_dict(), EXIT_OK
+    return {"n": args.n}, asdict(gs.cyclic_cohomology_dim(args.n)), EXIT_OK
 
 
 def cmd_pairing_table(args):
     even, odd = kk.pairing_tables()
     even_t2, odd_t2 = kk.torus_pairing_tables()
-    result = {
-        "even": even.to_dict(),
-        "odd": odd.to_dict(),
-        "torus_even": even_t2.to_dict(),
-        "torus_odd": odd_t2.to_dict(),
-    }
-    return {}, result, EXIT_OK
+    tables = {"even": even, "odd": odd, "torus_even": even_t2, "torus_odd": odd_t2}
+    return {}, {name: asdict(t) for name, t in tables.items()}, EXIT_OK
 
 
 def cmd_pairing_verify(args):
@@ -325,12 +329,6 @@ def cmd_index(args):
         raise UsageError(str(e)) from None
     except (ValueError, ArithmeticError) as e:
         raise VerificationFailure(str(e)) from None
-    try:
-        str(idx)
-    except ValueError:  # a valid unitary whose index JSON cannot hold
-        raise VerificationFailure(f"the index has more digits than the "
-                                  f"{sys.get_int_max_str_digits()}-digit limit of "
-                                  "integer string conversion") from None
     return {"module": args.module}, {"index": idx}, EXIT_OK
 
 

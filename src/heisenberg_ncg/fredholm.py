@@ -206,7 +206,11 @@ def odd_pairing(name: str, u: MatrixElement) -> int:
     """Index pairing of an odd module with a unitary (or matrix unitary),
     dim ker - dim ker* of its compressions, equal on every window of
     ``odd_windows`` (else ArithmeticError): the K-homology cross-check of
-    ``odd_cocycle_pairing``."""
+    ``odd_cocycle_pairing``.
+
+    ``MAX_BLOCK_TRUNCATION`` bounds its memory, not its time: a 28 x 28
+    identity on ``z1`` (k * 2N = 1792) takes ~25 s and ~570 MB of peak RSS
+    on a 2-core Xeon, for an index of 0."""
     windows = odd_windows(name, u)
     _check_unitary(u)
     values = [_kernel_dim(op.entries) - _kernel_dim(op.star_entries)

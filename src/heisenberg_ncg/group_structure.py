@@ -41,24 +41,10 @@ class CentralizerReport:
     l: int
     ng_type: str  # Z | ZxZl(l) | Z2 | CentralExtension(m) | H3
 
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "k": self.k,
-            "p_prime": self.p_prime,
-            "q_prime": self.q_prime,
-            "s_k": self.s_k,
-            "l": self.l,
-            "ng_type": self.ng_type,
-        }
-
 
 @dataclass(frozen=True)
 class CohomologyProfile:
     dims: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {"dims": list(self.dims)}
 
 
 @dataclass(frozen=True)
@@ -66,13 +52,6 @@ class CyclicDimReport:
     degree: int
     finite_rank: int
     countable_factor: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "finite_rank": self.finite_rank,
-            "countable_factor": self.countable_factor,
-        }
 
 
 def _ng_label(l: int) -> str:

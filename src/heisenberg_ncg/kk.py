@@ -98,14 +98,6 @@ class PairingTable:
         _, d, _ = smith_diagonalize(self.entries)
         return abs(prod(d[i][i] for i in range(len(d))))
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": list(self.rows),
-            "cols": list(self.cols),
-            "entries": [list(row) for row in self.entries],
-            "provenance": self.provenance,
-        }
-
 
 K0_T2 = AbelianGroupPresentation("K0(T2)", ("[1]", "[P_a]"))
 K1_T2 = AbelianGroupPresentation("K1(T2)", ("[U]", "[W]"))

@@ -35,6 +35,11 @@ from heisenberg_ncg.derivations import (
 
 U_JSON = json.dumps(element_to_dict(U))
 V_JSON = json.dumps(element_to_dict(V))
+NINES = "9" * 4300  # the longest integer string Python converts
+# what a valid input exits 1 with when its result holds a longer integer
+OVER_THE_DIGIT_LIMIT = (f"verification failure: the result has an integer with more digits "
+                        f"than the {sys.get_int_max_str_digits()}-digit limit of integer "
+                        "string conversion\n")
 
 
 def package_env() -> dict:
@@ -129,6 +134,18 @@ class TestAlgebra:
                                         "--theta", "1/3"])
         assert huge[0] == 0
         assert huge == reduced
+
+    def test_eval_huge_numerator_reduces_mod_t(self, capsys):
+        # lambda = exp(2 pi i s/t) from s mod t: (10^20 + 1)/3 is 2/3, and a
+        # 400-digit s is past any float
+        w = json.dumps({"terms": [{"p": 0, "q": 0, "r": 1, "re": 1}]})
+        huge = run_captured(capsys, ["alg", "eval", w, "--theta", f"{10**20 + 1}/3"])
+        reduced = run_captured(capsys, ["alg", "eval", w, "--theta", "2/3"])
+        assert huge[0] == 0
+        assert json.loads(huge[1])["result"] == json.loads(reduced[1])["result"]
+        code, out, err = run_captured(capsys, ["alg", "eval", w, "--theta", f"{10**399 + 1}/3"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"] == json.loads(reduced[1])["result"]
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "u.json"
@@ -350,7 +367,7 @@ class TestVerificationCommands:
         blocks = '{"blocks":[[%s,{}],[{},%s]]}' % (u, u)
         code, out, err = run_captured(capsys, argv + [blocks])
         assert code == 1 and out == ""
-        assert err.startswith("verification failure: the index has more digits than")
+        assert err == OVER_THE_DIGIT_LIMIT
 
     def test_wide_band_unitary_at_the_defaults(self, capsys):
         # the exact pairing needs no window: U^40 pairs to 40 as U does to 1
@@ -448,7 +465,7 @@ class TestVerificationCommands:
         assert code == 1 and out == ""
         assert "verification failure: Fourier tail does not certify" in err
 
-    @pytest.mark.parametrize("mass", ["3", "0", "nan"])
+    @pytest.mark.parametrize("mass", ["3", "2", "-2", "0", "nan"])
     def test_chern_mass_out_of_range_exits_two(self, capsys, monkeypatch, mass):
         monkeypatch.setattr(ch, "lattice_chern", no_work)
         code, out, err = run_captured(capsys, ["chern", "--grid", "16", "--mass", mass])
@@ -541,6 +558,21 @@ class TestPlumbing:
         assert err.startswith("verification failure: the coefficient of U^")
         assert err.endswith(f"more digits than the {sys.get_int_max_str_digits()}-digit "
                             "limit of integer string conversion\n")
+
+    @pytest.mark.parametrize("table", [[], ["--table"]], ids=["json", "table"])
+    @pytest.mark.parametrize("argv", [
+        ["alg", "mul"] + ['{"terms":[{"p":%s,"q":0,"r":0,"re":1}]}' % NINES] * 2,
+        ["alg", "star", '{"terms":[{"p":%s,"q":%s,"r":0,"re":1}]}' % (NINES, NINES)],
+        ["deriv", "check",
+         '{"dU":{"terms":[{"p":%s,"q":1,"r":%s,"re":1}]},"dV":{}}' % (NINES, NINES)],
+        ["group", "classify", "--element", "[%s,%s,1]" % (NINES[1:], NINES[1:])],
+    ], ids=["alg-mul", "alg-star", "deriv-check", "group-classify"])
+    def test_integer_in_a_result_over_the_digit_limit_exits_one(self, capsys, argv, table):
+        # valid inputs whose result holds a 4301- to 8600-digit integer
+        # other than a coefficient: an exponent or a centralizer invariant
+        code, out, err = run_captured(capsys, argv + table)
+        assert code == 1 and out == ""
+        assert err == OVER_THE_DIGIT_LIMIT
 
     @pytest.mark.parametrize("argv", [
         ["alg", "mul", "DEEP", U_JSON],
@@ -637,6 +669,9 @@ class TestPlumbing:
         assert code == 0
         assert out.startswith("# group hc-dim")
         assert "finite_rank: 3" in out
+        # a tuple in a result prints as a list does
+        code, out, _ = run_captured(capsys, ["group", "cohomology", "--type", "H3", "--table"])
+        assert code == 0 and out.endswith("dims:\n  - 1\n  - 2\n  - 2\n  - 1\n")
 
     def test_broken_pipe_exits_quietly(self):
         # the reader is gone before the command writes anything
@@ -703,7 +738,6 @@ class TestColdImports:
 
 # ---- `hnc index` on drawn input ----
 
-NINES = "9" * 4300  # the longest integer string Python converts
 # Exponent and coefficient texts: small values, and values at and just past
 # the 4300-digit bounds of integer strings and decimal exponents.
 EXPONENTS = st.sampled_from([str(e) for e in range(-3, 4)] * 4
@@ -783,5 +817,52 @@ class TestIndexOnDrawnInput:
                 assert out == "" and err.count("\n") == 1
                 assert err.startswith(("usage error: ", "verification failure: "))
             assert run_quietly(argv) == (code, out, err)
+
+        check()
+
+
+# ---- the other exact commands on drawn input ----
+
+# Exponents at the digit bound half the time, so that the sum or product of
+# two of them (a product's exponent, a W exponent after a commutation, a
+# centralizer invariant) often passes it.
+WIDE_EXPONENTS = st.one_of(EXPONENTS, st.sampled_from([NINES, "-" + NINES, NINES[1:]]))
+WIDE_KEYS = st.tuples(WIDE_EXPONENTS, WIDE_EXPONENTS, WIDE_EXPONENTS)
+WIDE_ELEMENTS = st.lists(st.builds(term_json, WIDE_KEYS, UNIT_COEFFICIENTS),
+                         min_size=1, max_size=2).map(lambda t: '{"terms":[%s]}' % ",".join(t))
+EXACT_ELEMENTS = st.one_of(ELEMENTS, WIDE_ELEMENTS)
+DERIVATIONS = st.one_of(
+    st.builds(lambda du, dv: '{"dU":%s,"dV":%s}' % (du, dv), EXACT_ELEMENTS, EXACT_ELEMENTS),
+    st.sampled_from(["{}", '{"dU":{}}', '{"dU":5,"dV":{}}', "[1,2]", "{nope"]),
+)
+GROUP_ELEMENTS = st.one_of(
+    WIDE_KEYS.map(lambda key: "[%s]" % ",".join(key)),
+    st.sampled_from(["[1,2]", "[true,false,1]", "[1.5,0,0]", '"U"', "{nope"]),
+)
+EXACT_ARGV = st.one_of(
+    st.tuples(EXACT_ELEMENTS, EXACT_ELEMENTS).map(lambda xy: ["alg", "mul", *xy]),
+    EXACT_ELEMENTS.map(lambda x: ["alg", "star", x]),
+    EXACT_ELEMENTS.map(lambda x: ["alg", "central", x]),
+    DERIVATIONS.map(lambda d: ["deriv", "check", d]),
+    DERIVATIONS.map(lambda d: ["deriv", "decompose", d]),
+    st.tuples(DERIVATIONS, EXACT_ELEMENTS).map(lambda dy: ["deriv", "apply", *dy]),
+    GROUP_ELEMENTS.map(lambda g: ["group", "classify", "--element", g]),
+)
+
+
+class TestExactCommandsOnDrawnInput:
+    def test_every_input_ends_in_one_exit_and_repeats(self):
+        @seeded(300)
+        @given(EXACT_ARGV, st.sampled_from([[], ["--table"]]))
+        def check(argv, table):
+            code, out, err = run_quietly(argv + table)
+            assert code in (0, 1, 2)
+            # `deriv check` exits 1 with a document: the violations it found
+            if code == 0 or (argv[:2] == ["deriv", "check"] and code == 1 and not err):
+                assert err == "" and out.startswith(("{", "# "))
+            else:
+                assert out == "" and err.count("\n") == 1
+                assert err.startswith(("usage error: ", "verification failure: "))
+            assert run_quietly(argv + table) == (code, out, err)
 
         check()

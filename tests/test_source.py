@@ -20,3 +20,16 @@ def test_every_imported_name_is_read(path):
     }
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - read) == []
+
+
+def test_cli_prints_only_where_a_whole_document_is_ready():
+    # `_emit` prints a document only once all of it has rendered, and
+    # `cmd_report` its own table; `_split_timings` and `run` write stderr
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text())
+    printers = {
+        getattr(top, "name", None)  # None for a print outside any function
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+    }
+    assert printers == {"_emit", "_split_timings", "cmd_report", "run"}

@@ -29,6 +29,7 @@ from .algebra import (
     eval_at_angle,
     random_element,
 )
+from .integer_lattices import matmul
 
 DEFAULT_SEED = 20230823
 # Criterion 1's odd K-theory representatives.
@@ -141,19 +142,14 @@ def criterion_4_decomposition(seed=DEFAULT_SEED) -> dict:
     route_failures = 0
     for _ in range(ROUTE_DERIVATIONS):
         d = dv.random_consistent_derivation(rng, box=4)
-        # Interior cells (p, q) in [-5, 5]^2 whose a-column (dU at p+1, q)
-        # or b-column (dV at p, q+1) is nonempty; on every other cell both
-        # routes are zero.
+        # Cells (p, q), p, q != 0, whose a-column (dU at p+1, q) or b-column
+        # (dV at p, q+1) is nonempty; on every other cell both routes are zero.
         live = ({(p - 1, q) for p, q, _ in d.dU.terms}
                 | {(p, q - 1) for p, q, _ in d.dV.terms})
         for p, q in live:
-            if p == 0 or q == 0 or max(abs(p), abs(q)) > 5:
-                continue
-            for r in range(-7, 8):
-                ca = dv.inner_coefficient(d, p, q, r, "a")
-                cb = dv.inner_coefficient(d, p, q, r, "b")
-                if ca != cb:
-                    route_failures += 1
+            if p and q and (dv.inner_coefficient(d, p, q, "a")
+                            != dv.inner_coefficient(d, p, q, "b")):
+                route_failures += 1
     passed = not failures and route_failures == 0
     return _result(4, "derivation decomposition round-trip", passed, t0,
                    roundtrip_failures=failures, route_mismatch_cells=route_failures)
@@ -177,7 +173,7 @@ def criterion_5_central_generator(seed=DEFAULT_SEED) -> dict:
         # Perturb one dU coefficient off the a-axis rule or the relation.
         terms = d.dU.terms
         key = (int(rng.integers(2, 5)), 0, int(rng.integers(-3, 4)))
-        terms[key] = terms.get(key) or GaussianRational.of(1)
+        terms[key] = terms.get(key) or GaussianRational(1)
         bad = dv.Derivation(AlgebraElement(terms), d.dV)
         injected += 1
         if not dv.check_consistency(bad).passed:
@@ -272,15 +268,13 @@ def criterion_10_algebra_oracle(seed=DEFAULT_SEED) -> dict:
     rng = np.random.default_rng(seed + 3)
 
     def matrix_of(g: GroupElement):
-        m = np.eye(3, dtype=object)
-        m[0, 1], m[0, 2], m[1, 2] = g.q, g.r, g.p
-        return m
+        return ((1, g.q, g.r), (0, 1, g.p), (0, 0, 1))
 
     product_failures = 0
     for _ in range(PRODUCTS):
         g1 = GroupElement(*[int(v) for v in rng.integers(-10, 11, 3)])
         g2 = GroupElement(*[int(v) for v in rng.integers(-10, 11, 3)])
-        if not (matrix_of(g1 * g2) == matrix_of(g1) @ matrix_of(g2)).all():
+        if matrix_of(g1 * g2) != matmul(matrix_of(g1), matrix_of(g2)):
             product_failures += 1
 
     hom_failures = 0

@@ -83,10 +83,6 @@ class GaussianRational:
         _set(self, "_b", im.numerator * (d // im.denominator))
         _set(self, "_d", d)
 
-    @staticmethod
-    def of(re: Rationalish = 0, im: Rationalish = 0) -> "GaussianRational":
-        return GaussianRational(re, im)
-
     @property
     def re(self) -> Fraction:
         return Fraction(self._a, self._d)
@@ -166,7 +162,7 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
 
 
 GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational.of(1)
+GR_ONE = GaussianRational(1)
 
 
 @dataclass(frozen=True)
@@ -195,9 +191,6 @@ class GroupElement:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.p, self.q, self.r)
-
-
-IDENTITY = GroupElement(0, 0, 0)
 
 
 def conjugate(h: GroupElement, g: GroupElement) -> GroupElement:
@@ -452,17 +445,23 @@ def eval_at_angle(x: AlgebraElement, theta: RationalAngle) -> np.ndarray:
     With lambda = exp(2*pi*i*s/t):  U acts as the cyclic shift
     e_j -> e_{j+1 mod t}, V as the clock diag(lambda^j) and W as lambda
     times the identity.  This is a unital *-homomorphism onto a quotient in
-    which the defining relation becomes VU = lambda UV.
+    which the defining relation becomes VU = lambda UV.  A coefficient or
+    an entry past the float64 range is an OverflowError.
     """
     import numpy as np
 
     t, lam = theta.t, theta.lam
     j = np.arange(t)
     out = np.zeros((t, t), dtype=complex)
-    # U^p V^q W^r sends e_j to lambda^(r + q*j) e_{j+p}; lambda^t = 1.
-    for (p, q, r), c in x.terms.items():
-        p, q, r = p % t, q % t, r % t  # as Python ints, so int64 cannot overflow
-        out[(j + p) % t, j] += c.to_complex() * lam ** ((r + q * j) % t)
+    try:
+        with np.errstate(over="raise"):
+            # U^p V^q W^r sends e_j to lambda^(r + q*j) e_{j+p}; lambda^t = 1.
+            for (p, q, r), c in x.terms.items():
+                p, q, r = p % t, q % t, r % t  # as Python ints: no int64 overflow
+                out[(j + p) % t, j] += c.to_complex() * lam ** ((r + q * j) % t)
+    except (OverflowError, FloatingPointError):
+        raise OverflowError("the matrix has an entry outside the float64 range "
+                            f"(magnitude up to {np.finfo(float).max:.6g})") from None
     return out
 
 
@@ -524,18 +523,14 @@ def matrix_to_jsonable(m: np.ndarray) -> list:
     return [[{"re": float(v.real), "im": float(v.imag)} for v in row] for row in m]
 
 
-def random_element(
-    rng: np.random.Generator,
-    box: int = 5,
-    n_terms: int = 4,
-    max_num: int = 6,
-) -> AlgebraElement:
-    """A random finitely supported element with small rational coefficients."""
+def random_element(rng: np.random.Generator, box: int = 5, n_terms: int = 4) -> AlgebraElement:
+    """A random finitely supported element with small rational coefficients:
+    numerators in [-6, 6], denominators in [1, 3]."""
     terms: dict[Key, GaussianRational] = {}
     for _ in range(n_terms):
         key = tuple(int(v) for v in rng.integers(-box, box + 1, size=3))
-        num_re = int(rng.integers(-max_num, max_num + 1))
-        num_im = int(rng.integers(-max_num, max_num + 1))
+        num_re = int(rng.integers(-6, 7))
+        num_im = int(rng.integers(-6, 7))
         den = int(rng.integers(1, 4))
         terms[key] = terms.get(key, GR_ZERO) + GaussianRational(
             Fraction(num_re, den), Fraction(num_im, den)

@@ -48,9 +48,10 @@ MAX_EVAL_DIMENSION = 256
 # largest k for an `index` unitary of k x k blocks: its unitarity check
 # takes k^3 exact ring products (0.6 s for identity blocks at k = 40)
 MAX_INDEX_BLOCKS = 28
-# most term products in that check's u u*, the sum over block columns of
-# the column's term count squared: up to ~8 us each in-process, so < 1 s
-MAX_INDEX_TERM_PRODUCTS = 100_000
+# most term products in one command's exact ring work: `alg mul` takes
+# |x| |y|, and `index`'s unitarity check u u* the sum over block columns of
+# the column's term count squared; up to ~8 us each in-process, so < 1 s
+MAX_TERM_PRODUCTS = 100_000
 # Caps that keep one command near 1 GB of measured peak RSS:
 # ~250 G^2 B for `chern --grid` G, ~5.7 kB per point of the (<= 3N)^2
 # `--dirac` grid (473 MB for `chern --grid 64 --dirac --truncation 128`).
@@ -104,7 +105,7 @@ def _matrix_from_dict(data):
     """Either a single element or {"blocks": [[element, ...], ...]}, a
     nonempty square matrix of elements, small enough for the exact
     unitarity check: at most MAX_INDEX_BLOCKS blocks a side and
-    MAX_INDEX_TERM_PRODUCTS term products in u u*."""
+    MAX_TERM_PRODUCTS term products in u u*."""
     if isinstance(data, dict) and "blocks" in data:
         blocks = data["blocks"]
         if (
@@ -123,9 +124,9 @@ def _matrix_from_dict(data):
         u = element_from_dict(data)
         columns = [[u]]
     products = sum(sum(len(e.terms) for e in col) ** 2 for col in columns)
-    if products > MAX_INDEX_TERM_PRODUCTS:
+    if products > MAX_TERM_PRODUCTS:
         raise UsageError(f"the unitarity check u u* = 1 would take {products} term products, "
-                         f"over the limit of {MAX_INDEX_TERM_PRODUCTS}")
+                         f"over the limit of {MAX_TERM_PRODUCTS}")
     return u
 
 
@@ -233,7 +234,12 @@ def _table_lines(obj, indent: int = 0):
 
 
 def cmd_alg_mul(args):
-    return {}, _element_result(_element(args.x) * _element(args.y)), EXIT_OK
+    x, y = _element(args.x), _element(args.y)
+    products = len(x.terms) * len(y.terms)
+    if products > MAX_TERM_PRODUCTS:
+        raise UsageError(f"x*y would take {products} term products, "
+                         f"over the limit of {MAX_TERM_PRODUCTS}")
+    return {}, _element_result(x * y), EXIT_OK
 
 
 def cmd_alg_star(args):
@@ -248,7 +254,11 @@ def cmd_alg_eval(args):
     theta = _angle(args.theta)
     if theta.t > MAX_EVAL_DIMENSION:
         raise UsageError(f"eval dimension {theta.t} exceeds {MAX_EVAL_DIMENSION}")
-    m = eval_at_angle(_element(args.x), theta)
+    x = _element(args.x)
+    try:
+        m = eval_at_angle(x, theta)
+    except OverflowError as e:
+        raise VerificationFailure(str(e)) from None
     return (
         {"theta": f"{theta.s}/{theta.t}"},
         {"dimension": theta.t, "matrix": matrix_to_jsonable(m)},
@@ -298,9 +308,15 @@ def cmd_group_cohomology(args):
 
 
 def cmd_group_hc_dim(args):
-    if args.n is None or args.n < 0:
+    # parsed here, not by argparse, so that a degree past the int-string
+    # digit limit is one usage-error line like the other rejected degrees
+    try:
+        n = None if args.n is None else int(args.n)
+    except ValueError as e:
+        raise UsageError(f"--n must be an integer: {e}") from None
+    if n is None or n < 0:
         raise UsageError("hc-dim requires a nonnegative --n")
-    return {"n": args.n}, asdict(gs.cyclic_cohomology_dim(args.n)), EXIT_OK
+    return {"n": n}, asdict(gs.cyclic_cohomology_dim(n)), EXIT_OK
 
 
 def cmd_pairing_table(args):
@@ -376,7 +392,7 @@ def cmd_sequence(args):
     code = EXIT_OK
     if args.check:
         reports = kk.check_exactness(maps)
-        result["nodes"] = [r.to_dict() for r in reports]
+        result["nodes"] = [asdict(r) for r in reports]
         result["exact"] = all(r.exact for r in reports)
         if not result["exact"]:
             code = EXIT_VERIFICATION
@@ -467,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf("group cohomology", cmd_group_cohomology, "group cohomology profile"
          ).add_argument("--type", default="H3", help="group descriptor")
     leaf("group hc-dim", cmd_group_hc_dim, "cyclic cohomology dimension"
-         ).add_argument("--n", type=int, default=None, help="cyclic degree")
+         ).add_argument("--n", help="cyclic degree")
 
     leaf("pairing table", cmd_pairing_table, "both tables with provenance")
     leaf("pairing verify", cmd_pairing_verify, "recompute the numeric entries")

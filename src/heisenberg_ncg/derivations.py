@@ -177,9 +177,10 @@ def _quotient(column: dict[int, GaussianRational], step: int, sign: int,
 
 
 def inner_coefficient(
-    d: Derivation, p: int, q: int, r: int, route: str
-) -> GaussianRational:
-    """Coefficient alpha_{p,q,r} of the inner part, via one of the two routes.
+    d: Derivation, p: int, q: int, route: str
+) -> dict[int, GaussianRational]:
+    """The column {r: alpha_{p,q,r}} of the inner part at the cell (p, q),
+    via one of the two routes; heights that are absent have coefficient 0.
 
     The a-route divides the dU column at (p+1, q) by 1 - W^q (q != 0), the
     b-route the dV column at (p, q+1) by W^p - 1 (p != 0).  Both agree on
@@ -198,7 +199,7 @@ def inner_coefficient(
         raise ValueError("route must be 'a' or 'b'")
     if quotient is None:
         raise ArithmeticError(f"{route}-route quotient at cell {(p, q)} is infinite")
-    return quotient.get(r, GR_ZERO)
+    return quotient
 
 
 def compose_from_parts(

@@ -33,7 +33,6 @@ sampled projector field is in the companion module ``chern``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence, Union
 
@@ -63,20 +62,6 @@ _ODD_SHIFT_GEN: dict[str, str] = {
 
 _EVEN_SCALAR = {"z0", "w0"}
 _EVEN_GRADED = {"dirac_T2", "del1_w1"}
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """A finite compression of a represented element.
-
-    ``entries`` is the (range x domain) matrix of the operator and
-    ``star_entries`` the compression of its adjoint on the same shape (not
-    the matrix adjoint: compressions do not commute with adjoints on the
-    nose).
-    """
-
-    entries: np.ndarray
-    star_entries: np.ndarray
 
 
 MatrixElement = Union[AlgebraElement, Sequence[Sequence[AlgebraElement]]]
@@ -150,20 +135,23 @@ def _compress(symbol: dict, rows: int, cols: int) -> np.ndarray:
     return m.reshape(k * rows, k * cols)
 
 
-def build_representation(name: str, x: MatrixElement, truncation: int) -> TruncatedOperator:
-    """Rectangular half-line compression of pi(x) on the odd module ``name``.
+def build_representation(
+    name: str, x: MatrixElement, truncation: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rectangular half-line compressions of pi(x) and pi(x*) on the odd
+    module ``name``, as the pair (entries, star_entries).
 
     The domain window is [0, truncation] and the range window exceeds it
     by the band width of the symbol plus two; ``odd_windows`` gives the
     truncations that see the whole kernel.  The adjoint side compresses
-    sum_s B_s* S^(-s) on the same shape.
+    sum_s B_s* S^(-s) on the same shape, so it is not the matrix adjoint
+    of ``entries``: compressions do not commute with adjoints on the nose.
     """
     symbol = _symbol(name, x)
     rows, cols = truncation + 1 + max(map(abs, symbol)) + 2, truncation + 1
     adjoint = {-s: [[row[i].conjugate() for row in block] for i in range(len(block))]
                for s, block in symbol.items()}
-    return TruncatedOperator(entries=_compress(symbol, rows, cols),
-                             star_entries=_compress(adjoint, rows, cols))
+    return _compress(symbol, rows, cols), _compress(adjoint, rows, cols)
 
 
 def _kernel_dim(m: np.ndarray) -> int:
@@ -213,8 +201,8 @@ def odd_pairing(name: str, u: MatrixElement) -> int:
     on a 2-core Xeon, for an index of 0."""
     windows = odd_windows(name, u)
     _check_unitary(u)
-    values = [_kernel_dim(op.entries) - _kernel_dim(op.star_entries)
-              for op in (build_representation(name, u, n) for n in windows)]
+    values = [_kernel_dim(m) - _kernel_dim(m_star)
+              for m, m_star in (build_representation(name, u, n) for n in windows)]
     if len(set(values)) != 1:
         raise ArithmeticError(f"index did not stabilize across windows {list(windows)}: "
                               f"{values}")

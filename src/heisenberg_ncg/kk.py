@@ -12,8 +12,9 @@ implemented by V.  Generator bases:
 All maps are stored as integer matrices whose columns are indexed by the
 source basis.  Entries that no explicit operator construction reaches are
 tagged: either stated by the source classification of the modules, or
-forced by exactness of the hexagon; the duality identities re-derive all
-of them from computable data.
+forced by exactness of the hexagon.  ``check_duality`` only compares the
+stored pairing tables with the stored boundary maps; none of these numbers
+is computed from an operator here.
 """
 
 from __future__ import annotations
@@ -200,17 +201,9 @@ class NodeReport:
     node: str
     incoming: str
     outgoing: str
+    composition_zero: bool
+    kernel_in_image: bool
     exact: bool
-    details: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "node": self.node,
-            "incoming": self.incoming,
-            "outgoing": self.outgoing,
-            "exact": self.exact,
-            **self.details,
-        }
 
 
 def check_exactness(maps: list[IntegerMap]) -> list[NodeReport]:
@@ -225,16 +218,12 @@ def check_exactness(maps: list[IntegerMap]) -> list[NodeReport]:
                 f"maps do not chain at position {i}: "
                 f"{incoming.name} -> {outgoing.name}"
             )
-        res = image_equals_kernel(incoming.matrix, outgoing.matrix)
-        reports.append(
-            NodeReport(
-                node=incoming.target.name,
-                incoming=incoming.name,
-                outgoing=outgoing.name,
-                exact=res["exact"],
-                details=res,
-            )
-        )
+        reports.append(NodeReport(
+            node=incoming.target.name,
+            incoming=incoming.name,
+            outgoing=outgoing.name,
+            **image_equals_kernel(incoming.matrix, outgoing.matrix),
+        ))
     return reports
 
 

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,12 @@ def powers_of_u(n: int) -> str:
     """1 + U + ... + U^(n-1), n terms: not unitary for n > 1."""
     return '{"terms":[%s]}' % ",".join(
         '{"p":%d,"q":0,"r":0,"re":"1"}' % i for i in range(n))
+
+
+def sheared_powers(n: int) -> str:
+    """U^i W^-i for i < n: a product of two has 2n - 1 terms, not n^2."""
+    return '{"terms":[%s]}' % ",".join(
+        '{"p":%d,"q":0,"r":%d,"re":"1"}' % (i, -i) for i in range(n))
 
 
 def run_captured(capsys, argv):
@@ -146,6 +153,32 @@ class TestAlgebra:
         code, out, err = run_captured(capsys, ["alg", "eval", w, "--theta", f"{10**399 + 1}/3"])
         assert code == 0 and err == ""
         assert json.loads(out)["result"] == json.loads(reduced[1])["result"]
+
+    def test_mul_term_product_cap(self, capsys, monkeypatch):
+        # |x| |y| term products: 316^2 = 99856 is within the limit, 317^2 past it
+        code, out, err = run_captured(capsys, ["alg", "mul", *[sheared_powers(316)] * 2])
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["result"]["terms"]) == 631
+        monkeypatch.setattr(AlgebraElement, "__mul__", no_work)
+        code, out, err = run_captured(capsys, ["alg", "mul", *[sheared_powers(317)] * 2])
+        assert code == 2 and out == ""
+        assert err == ("usage error: x*y would take 100489 term products, "
+                       "over the limit of 100000\n")
+
+    @pytest.mark.parametrize("table", [[], ["--table"]])
+    @pytest.mark.parametrize("terms,theta", [
+        ([(0, "1e400")], "1/2"),                # one coefficient past float64
+        ([(0, "1e308"), (1, "1e308")], "0/1"),  # a sum past it
+    ])
+    def test_eval_past_the_float_range_exits_one(self, capsys, terms, theta, table):
+        x = json.dumps({"terms": [{"p": 0, "q": 0, "r": r, "re": c, "im": "0"}
+                                  for r, c in terms]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning either
+            code, out, err = run_captured(capsys, ["alg", "eval", x, "--theta", theta, *table])
+        assert code == 1 and out == ""
+        assert err == ("verification failure: the matrix has an entry outside the float64 "
+                       "range (magnitude up to 1.79769e+308)\n")
 
     def test_file_input(self, capsys, tmp_path):
         path = tmp_path / "u.json"
@@ -860,6 +893,64 @@ class TestExactCommandsOnDrawnInput:
             # `deriv check` exits 1 with a document: the violations it found
             if code == 0 or (argv[:2] == ["deriv", "check"] and code == 1 and not err):
                 assert err == "" and out.startswith(("{", "# "))
+            else:
+                assert out == "" and err.count("\n") == 1
+                assert err.startswith(("usage error: ", "verification failure: "))
+            assert run_quietly(argv + table) == (code, out, err)
+
+        check()
+
+
+# ---- alg eval, group cohomology, group hc-dim, sequence and the alg mul
+# bound on drawn input ----
+
+# Coefficients at, past and below the float64 range; two terms at one key
+# sum past it.
+FLOAT_COEFFICIENTS = st.tuples(st.sampled_from(['"1e308"', '"1e400"', '"1e-400"', "1"]),
+                               st.sampled_from(["0", '"1e308"']))
+EVAL_ELEMENTS = st.one_of(
+    ELEMENTS,
+    st.lists(st.builds(term_json, KEYS, FLOAT_COEFFICIENTS), min_size=1, max_size=3).map(
+        lambda terms: '{"terms":[%s]}' % ",".join(terms)),
+)
+ANGLES = st.sampled_from(["0/1", "-1/3", "1/256", "1/257", "1/0", f"{10**20 + 1}/3"])
+GROUP_TYPES = st.sampled_from([
+    "H3", "Z", "Z2", "ZxZl(5)", "CentralExtension(3)", f"ZxZl({NINES})",
+    "ZxZl(0)", "CentralExtension(1)", f"ZxZl(1{NINES})", f"CentralExtension(1{NINES})",
+    "garbage", "", "ZxZl(-1)",
+])
+DEGREES = st.sampled_from(["0", "3", "-1", "-7", str(10**30), NINES, "1" + NINES, "x"])
+OTHER_ARGV = st.one_of(
+    st.tuples(EVAL_ELEMENTS, ANGLES).map(lambda xt: ["alg", "eval", xt[0], f"--theta={xt[1]}"]),
+    GROUP_TYPES.map(lambda t: ["group", "cohomology", f"--type={t}"]),
+    DEGREES.map(lambda n: ["group", "hc-dim", f"--n={n}"]),
+    st.sampled_from([["sequence", which, *check] for which in ("ktheory", "khomology")
+                     for check in ([], ["--check"])]),
+    st.sampled_from([316, 317]).map(lambda n: ["alg", "mul", *[sheared_powers(n)] * 2]),
+)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestOtherCommandsOnDrawnInput:
+    def test_every_input_ends_in_one_exit_and_repeats(self):
+        @seeded(120)
+        @given(OTHER_ARGV, st.sampled_from([[], ["--table"]]))
+        def check(argv, table):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_quietly(argv + table)
+            assert code in (0, 1, 2)
+            if code == 0:
+                assert err == ""
+                if table:
+                    assert out.startswith("# ")
+                    assert not {"inf", "-inf", "nan"} & {
+                        line.rpartition(": ")[2] for line in out.splitlines()}
+                else:
+                    json.loads(out, parse_constant=reject_constant)
             else:
                 assert out == "" and err.count("\n") == 1
                 assert err.startswith(("usage error: ", "verification failure: "))

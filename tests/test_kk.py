@@ -20,7 +20,7 @@ class TestSequencesExact:
         assert len(reports) == 6
         for rep in reports:
             assert rep.exact, rep.node
-            assert rep.details["composition_zero"] and rep.details["kernel_in_image"]
+            assert rep.composition_zero and rep.kernel_in_image
 
     def test_ktheory_map_values(self):
         maps = {m.name: [list(row) for row in m.matrix] for m in pv_ktheory_sequence()}

@@ -85,7 +85,7 @@ def test_re_im_round_trip(x):
     g = GaussianRational(*x)
     assert (g.re, g.im) == x
     assert GaussianRational(g.re, g.im) == g
-    assert GaussianRational.of(str(g.re), str(g.im)) == g
+    assert GaussianRational(str(g.re), str(g.im)) == g
 
 
 @PROPERTY

@@ -33,3 +33,46 @@ def test_cli_prints_only_where_a_whole_document_is_ready():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
     }
     assert printers == {"_emit", "_split_timings", "cmd_report", "run"}
+
+
+# Public names that only tests call today, kept for the K-theory and pairing
+# work that ROADMAP items 1 and 5 plan for them.
+UNREAD_BY_PLAN = {"apply_automorphism", "quotient_to_torus", "canonical_derivation"}
+
+
+def _defined(statement) -> list[str]:
+    """Names a module-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        return [t.id for t in statement.targets if isinstance(t, ast.Name)]
+    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        return [statement.target.id]
+    return []
+
+
+def _read(statement) -> set[str]:
+    """Names and attributes a statement reads."""
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_reader():
+    # a reader is any module-level statement of src/ or bench/ other than
+    # the one that defines the name
+    bench = sorted((SOURCES[0].parents[2] / "bench").glob("*.py"))
+    statements = [(path, s) for path in SOURCES + bench for s in ast.parse(path.read_text()).body]
+    reads = [_read(s) for _, s in statements]
+    unread = sorted(
+        f"{path.name}: {name}"
+        for i, (path, s) in enumerate(statements) if path in SOURCES
+        for name in _defined(s)
+        if not name.startswith("_") and name not in UNREAD_BY_PLAN
+        and not any(name in r for j, r in enumerate(reads) if j != i)
+    )
+    assert unread == []

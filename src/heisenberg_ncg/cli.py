@@ -9,11 +9,11 @@ single JSON document (default) or a readable table, always echoing the
 resolved configuration.  Exit codes: 0 success, 1 verification failure,
 2 usage error (including malformed JSON).
 
-Only the commands that compute floats ('alg eval', 'pairing verify',
-'chern', 'report all') load numpy or scipy: ``acceptance``, ``chern`` and
-``fredholm`` are imported inside the handlers that use them, and
-``algebra`` and ``fredholm`` import numpy only where they compute floats,
-so an exact command (``index`` included) starts without either library.
+Only the commands that compute floats ('alg eval', 'chern', 'report all')
+load numpy or scipy: ``acceptance``, ``chern`` and ``fredholm`` are
+imported inside the handlers that use them, and ``algebra`` and
+``acceptance`` import numpy only where they need it, so an exact command
+('index' and 'pairing verify' included) starts without either library.
 """
 
 from __future__ import annotations

@@ -4,16 +4,19 @@ Odd modules live on l2(Z) with the symmetry F = sign(n).  Each acts on one
 generator by the shift S and sends the others to 1, a character chi onto
 C(T): a k x k block element x has the symbol pi(x) = sum_s B_s S^s, one
 exact k x k block per shift power s, and pi(x*) = sum_s B_s* S^(-s).  The
-pairing with a unitary u is the winding number of chi(u), the cyclic
-1-cocycle value sum_s s ||B_s||_F^2 (Connes 1985), exact in
-``odd_cocycle_pairing``.  Its K-homology cross-check ``odd_pairing``
-compresses both to the nonnegative half line and counts kernel dimensions
-by SVD, a real one when the symbol is real.
-A square truncation of a Toeplitz operator always has matrix index zero,
-so the compressions are rectangular: domain [0, N], range
-[0, N + band + 2].  That index must agree on the three windows N, 2N and
-4N that ``odd_windows`` reads off the unitary: N = max(32, band + 2), so
-the smallest window sees the whole kernel.
+pairing with a unitary u is the index of T_u = P u P, P the projection onto
+the half line n >= 0, computed exactly two ways: ``odd_cocycle_pairing``
+reads it as the cyclic 1-cocycle value sum_s s ||B_s||_F^2 (Connes 1985),
+and ``odd_pairing``, its K-homology cross-check, as dim ker T_u - dim ker T_u*.
+
+Both kernels lie in a finite window.  For the band b = max |s|, T_u* T_u =
+1 - X* X with X = (1 - P) u P, which vanishes on span[b, oo) (x) C^k.  So
+ker T_u, where f = X* X f, lies in (ker X)^perp, inside span[0, b) (x) C^k,
+and so does ker T_u* = ker T_(u*).  T_u maps that window into span[0, 2b)
+(x) C^k; with C(x) the (2b k) x (b k) compression between the two, the
+index is rank C(u*) - rank C(u), each rank exact over Q(i) (Gohberg & Krein,
+"Systems of integral equations on a half line", AMS Transl. 14 (1960);
+Boettcher & Silbermann, "Analysis of Toeplitz Operators", ch. 2 and 6).
 
 Shift convention: "the shift" S is the operator (S xi)(n) = xi(n+1), whose
 matrix moves e_n to e_{n-1}.  With this convention the compression of S to
@@ -34,21 +37,15 @@ sampled projector field is in the companion module ``chern``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .algebra import GR_ZERO, AlgebraElement, GaussianRational
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# Singular values at or below this count towards a kernel dimension.
-KERNEL_TOL = 1e-8
-# The smallest stabilization window.
-MIN_WINDOW = 32
-# Largest k * 2N for the middle window 2N and a k x k block unitary: at
-# k * 2N = 1792 the dense compressions took 568 MB of measured peak RSS for
-# a real symbol (~185 (k*2N)^2 B) and 655 MB for a complex one.
-MAX_BLOCK_TRUNCATION = 1800
+# Largest b k, the dimension of the window span[0, b) (x) C^k.  Elimination
+# there grows like (b k)^3 times the cost of coefficients whose digits grow
+# along it: at b k = 64, (diag(U, 1) [[3/5, -4/5], [4/5, 3/5]])^32 took
+# 0.7 s on a 2-core Xeon, 1.2 s with 119/169 and 120/169, and 2.7 s at 96.
+MAX_WINDOW = 64
 
 # Generator actions for the odd l2(Z) modules: which generators act by the
 # shift; all others act by the identity.
@@ -65,6 +62,7 @@ _EVEN_GRADED = {"dirac_T2", "del1_w1"}
 
 
 MatrixElement = Union[AlgebraElement, Sequence[Sequence[AlgebraElement]]]
+Matrix = list[list[GaussianRational]]
 
 
 def _as_blocks(x: MatrixElement) -> list[list[AlgebraElement]]:
@@ -118,49 +116,51 @@ def _symbol(name: str, x: MatrixElement) -> dict[int, list[list[GaussianRational
     return out
 
 
-def _compress(symbol: dict, rows: int, cols: int) -> np.ndarray:
-    """sum_s B_s S^s compressed to range [0, rows), domain [0, cols), as a
-    (k rows) x (k cols) complex block matrix.
-
-    S is the co-shift matrix e_n -> e_{n-1}, so S^s has ones on the s-th
-    superdiagonal: (S^s)[i, j] = 1 iff i = j - s.  Each block is written
-    along its diagonal of one (k, rows, k, cols) array.
-    """
-    import numpy as np
+def _compress(symbol: dict, band: int) -> Matrix:
+    """sum_s B_s S^s compressed from domain [0, band) to range [0, 2 band),
+    as rows: block (i, j) is B_(j - i), since S, the co-shift matrix
+    e_n -> e_(n-1), has (S^s)[i, j] = 1 iff i = j - s."""
     k = len(symbol[0])
-    m = np.zeros((k, rows, k, cols), dtype=complex)
-    for s, block in symbol.items():
-        j = np.arange(max(0, s), min(cols, rows + s))
-        m[:, j - s, :, j] = [[c.to_complex() for c in row] for row in block]
-    return m.reshape(k * rows, k * cols)
+    zero = [[GR_ZERO] * k] * k
+    return [[symbol.get(j - i, zero)[a][c] for j in range(band) for c in range(k)]
+            for i in range(2 * band) for a in range(k)]
 
 
-def build_representation(
-    name: str, x: MatrixElement, truncation: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rectangular half-line compressions of pi(x) and pi(x*) on the odd
-    module ``name``, as the pair (entries, star_entries).
-
-    The domain window is [0, truncation] and the range window exceeds it
-    by the band width of the symbol plus two; ``odd_windows`` gives the
-    truncations that see the whole kernel.  The adjoint side compresses
-    sum_s B_s* S^(-s) on the same shape, so it is not the matrix adjoint
-    of ``entries``: compressions do not commute with adjoints on the nose.
-    """
+def build_representation(name: str, x: MatrixElement) -> tuple[Matrix, Matrix]:
+    """Half-line compressions of pi(x) and pi(x*) on the odd module
+    ``name``, as the pair (entries, star_entries), from the window [0, b)
+    of the band b to [0, 2b).  The adjoint side compresses
+    sum_s B_s* S^(-s), not the matrix adjoint of ``entries``.  Raises
+    ValueError, naming the bound, if b k exceeds ``MAX_WINDOW``."""
     symbol = _symbol(name, x)
-    rows, cols = truncation + 1 + max(map(abs, symbol)) + 2, truncation + 1
-    adjoint = {-s: [[row[i].conjugate() for row in block] for i in range(len(block))]
+    k, band = len(symbol[0]), max(map(abs, symbol))
+    if band * k > MAX_WINDOW:
+        raise ValueError(f"a {k}x{k} block unitary of band {band} has a kernel window of "
+                         f"dimension {band * k}, over the limit of {MAX_WINDOW}")
+    adjoint = {-s: [[row[i].conjugate() for row in block] for i in range(k)]
                for s, block in symbol.items()}
-    return _compress(symbol, rows, cols), _compress(adjoint, rows, cols)
+    return _compress(symbol, band), _compress(adjoint, band)
 
 
-def _kernel_dim(m: np.ndarray) -> int:
-    import numpy as np
-    # a real matrix has the same singular values over R as over C, and the
-    # real SVD takes about a quarter of the complex one's flops
-    sv = np.linalg.svd(m if m.imag.any() else m.real, compute_uv=False)
-    cols = m.shape[1]
-    return int(cols - np.count_nonzero(sv > KERNEL_TOL))
+def _rank(m: Matrix) -> int:
+    """Rank over Q(i) by Gaussian elimination, column by column: a column
+    with no nonzero entry is dropped; otherwise the first row with one is
+    the pivot, scaled to lead with 1 and cleared from the other rows."""
+    m, rank = list(m), 0
+    while m and m[0]:
+        i = next((i for i, row in enumerate(m) if not row[0].is_zero()), None)
+        if i is None:
+            m = [row[1:] for row in m]
+            continue
+        pivot = m.pop(i)
+        c = pivot[0]
+        norm = c.re ** 2 + c.im ** 2
+        inverse = GaussianRational(c.re / norm, -c.im / norm)
+        tail = [x * inverse for x in pivot[1:]]
+        m = [[x - row[0] * y for x, y in zip(row[1:], tail)] if not row[0].is_zero()
+             else row[1:] for row in m]
+        rank += 1
+    return rank
 
 
 def _check_unitary(x: MatrixElement) -> None:
@@ -174,39 +174,26 @@ def _check_unitary(x: MatrixElement) -> None:
         raise ValueError("input is not unitary in the group ring")
 
 
-def odd_windows(name: str, u: MatrixElement) -> tuple[int, int, int]:
-    """The stabilization windows (N, 2N, 4N), N = max(32, band + 2), of the
-    pairing of the odd module ``name`` with ``u``.
+class KernelDims(NamedTuple):
+    """dim ker T_u and dim ker T_u* of a Toeplitz operator T_u."""
 
-    Raises ValueError, naming the bound, if k * 2N exceeds
-    ``MAX_BLOCK_TRUNCATION`` for a k x k block unitary.
-    """
-    symbol = _symbol(name, u)
-    k, band = len(symbol[0]), max(map(abs, symbol))
-    n = max(MIN_WINDOW, band + 2)
-    if k * 2 * n > MAX_BLOCK_TRUNCATION:
-        raise ValueError(f"{k} * {2 * n} exceeds {MAX_BLOCK_TRUNCATION}: a {k}x{k} block "
-                         f"unitary is too large for the windows {[n, 2 * n, 4 * n]}")
-    return n, 2 * n, 4 * n
+    dim_ker: int
+    dim_ker_star: int
+
+    @property
+    def index(self) -> int:
+        return self.dim_ker - self.dim_ker_star
 
 
-def odd_pairing(name: str, u: MatrixElement) -> int:
-    """Index pairing of an odd module with a unitary (or matrix unitary),
-    dim ker - dim ker* of its compressions, equal on every window of
-    ``odd_windows`` (else ArithmeticError): the K-homology cross-check of
-    ``odd_cocycle_pairing``.
-
-    ``MAX_BLOCK_TRUNCATION`` bounds its memory, not its time: a 28 x 28
-    identity on ``z1`` (k * 2N = 1792) takes ~25 s and ~570 MB of peak RSS
-    on a 2-core Xeon, for an index of 0."""
-    windows = odd_windows(name, u)
+def odd_pairing(name: str, u: MatrixElement) -> KernelDims:
+    """Index pairing of an odd module with a unitary (or matrix unitary) as
+    the kernel dimensions of T_u and T_u*, each the width b k of the window
+    of ``build_representation`` minus a compression's rank; ``.index`` is
+    their difference."""
+    entries, star_entries = build_representation(name, u)
     _check_unitary(u)
-    values = [_kernel_dim(m) - _kernel_dim(m_star)
-              for m, m_star in (build_representation(name, u, n) for n in windows)]
-    if len(set(values)) != 1:
-        raise ArithmeticError(f"index did not stabilize across windows {list(windows)}: "
-                              f"{values}")
-    return values[0]
+    width = len(entries[0]) if entries else 0
+    return KernelDims(width - _rank(entries), width - _rank(star_entries))
 
 
 def odd_cocycle_pairing(name: str, u: MatrixElement) -> int:

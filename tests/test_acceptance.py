@@ -52,15 +52,19 @@ def test_raising_criterion_fails_alone(monkeypatch):
     assert second["passed"]
 
 
-@pytest.mark.parametrize("route", ["odd_cocycle_pairing", "odd_pairing"])
-def test_odd_criteria_fail_when_the_routes_disagree(monkeypatch, route):
-    # the exact cocycle value and the SVD index must agree entry by entry
+@pytest.mark.parametrize("route, perturb", [
+    ("odd_cocycle_pairing", lambda value: value + 1),
+    ("odd_pairing", lambda kernels: kernels._replace(dim_ker=kernels.dim_ker + 1)),
+], ids=["odd_cocycle_pairing", "odd_pairing"])
+def test_odd_criteria_fail_when_the_routes_disagree(monkeypatch, route, perturb):
+    # the cocycle value and the exact kernel dimensions must agree entry
+    # by entry
     pairing = getattr(fr, route)
-    monkeypatch.setattr(fr, route, lambda *args: pairing(*args) + 1)
+    monkeypatch.setattr(fr, route, lambda *args: perturb(pairing(*args)))
     first, second = acc.criterion_1_pairing_tables(), acc.criterion_2_index_theorem()
     assert not first["passed"] and not second["passed"]
-    odd = [c for c in first["details"]["checks"] if "svd" in c]
-    assert len(odd) == 7 and all(c["got"] != c["svd"] for c in odd)
+    odd = [c for c in first["details"]["checks"] if "dim_ker" in c]
+    assert len(odd) == 7 and all(c["got"] != c["dim_ker"] - c["dim_ker_star"] for c in odd)
 
 
 def test_criterion_6_catches_a_wrong_closed_form(monkeypatch):

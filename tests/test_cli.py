@@ -317,11 +317,11 @@ class TestVerificationCommands:
         assert code == 0
         res = json.loads(out)["result"]
         assert res["passed"]
-        # every odd entry also carries the equal SVD index
+        # every odd entry also carries the kernel dimensions of its index
         checks = res["details"]["checks"]
         assert len(checks) == 12 and all(c["got"] == c["want"] for c in checks)
-        odd = [c for c in checks if "svd" in c]
-        assert len(odd) == 7 and all(c["svd"] == c["got"] for c in odd)
+        odd = [c for c in checks if "dim_ker" in c]
+        assert len(odd) == 7 and all(c["dim_ker"] - c["dim_ker_star"] == c["got"] for c in odd)
 
     def test_index(self, capsys):
         code, out, _ = run_captured(
@@ -758,6 +758,7 @@ class TestColdImports:
         ["sequence", "ktheory", "--check"],
         ["sequence", "khomology", "--check"],
         ["pairing", "table"],
+        ["pairing", "verify"],
         ["index", "--module", "z1prime", "--unitary", V_JSON],
     ], ids=lambda argv: "-".join(argv[:2]))
     def test_exact_command_loads_no_float_library(self, argv):

@@ -4,9 +4,10 @@ from conftest import seeded
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heisenberg_ncg import acceptance as acc
 from heisenberg_ncg import fredholm
 from heisenberg_ncg.algebra import (
+    GR_ONE,
+    GR_ZERO,
     ONE,
     U,
     V,
@@ -20,7 +21,6 @@ from heisenberg_ncg.fredholm import (
     even_pairing_trace,
     odd_cocycle_pairing,
     odd_pairing,
-    odd_windows,
 )
 
 ZERO = AlgebraElement.zero()
@@ -34,97 +34,102 @@ def identity(k: int) -> list[list[AlgebraElement]]:
     return [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
 
 
+def shape(m) -> tuple[int, int]:
+    return len(m), len(m[0]) if m else 0
+
+
 class TestHalfLineIndex:
     def test_shift_compression_index_is_one(self):
         # the distinguished generator compresses to an operator with
         # one-dimensional kernel (e_0) and injective star
-        m, m_star = build_representation("z1", U, 32)
-        assert fredholm._kernel_dim(m) == 1
-        assert fredholm._kernel_dim(m_star) == 0
+        m, m_star = build_representation("z1", U)
+        assert m == [[GR_ZERO], [GR_ZERO]] and m_star == [[GR_ZERO], [GR_ONE]]
+        assert odd_pairing("z1", U) == (1, 0)
 
     def test_rectangular_window_shapes(self):
-        # domain [0, 32], range wider by the band width 1 plus 2
-        m, m_star = build_representation("z1", U, 32)
-        assert m.shape == m_star.shape == (36, 33)
+        # domain [0, b), range [0, 2b), k x k blocks: b = 3, k = 2
+        m, m_star = build_representation("z1", [[monomial(3, 0), ZERO], [ZERO, ONE]])
+        assert shape(m) == shape(m_star) == (12, 6)
 
     def test_star_entries_are_represented_star(self):
-        _, m_star = build_representation("z1", U, 32)
-        star, _ = build_representation("z1", U.star(), 32)
-        assert np.array_equal(m_star, star)
-
-    def test_non_stabilized_index_rejected(self, monkeypatch):
-        # kernel dimensions (T, T*) on the windows 32, 64, 128: the index
-        # is 1, 1, 2
-        dims = iter([1, 0, 1, 0, 2, 0])
-        monkeypatch.setattr(fredholm, "_kernel_dim", lambda m: next(dims))
-        with pytest.raises(ArithmeticError,
-                           match=r"did not stabilize across windows \[32, 64, 128\]: \[1, 1, 2\]"):
-            odd_pairing("z1", U)
+        _, m_star = build_representation("z1", U)
+        star, _ = build_representation("z1", U.star())
+        assert m_star == star
 
     @pytest.mark.parametrize("name", ["z0", "dirac_T2", "bogus"])
     def test_non_odd_module_rejected(self, name):
         with pytest.raises(ValueError, match="is not an odd module"):
-            build_representation(name, U, 32)
+            build_representation(name, U)
 
 
 class TestWindows:
     def test_default_windows(self):
-        # every unitary of criteria 1 and 2 has band at most 1
+        # every unitary of criteria 1 and 2 has band at most 1 on its
+        # module, so its window is [0, 1) (x) C^k or empty
         v_a = [[V, ZERO], [ZERO, ONE]]
-        for name, u in [("z1", U), ("z1", V), ("z1", v_a), ("z1prime", U),
-                        ("z1prime", V), ("z1prime", v_a), ("w1", W), ("w1prime", W)]:
-            assert odd_windows(name, u) == (32, 64, 128)
+        for name, u, want in [("z1", U, (2, 1)), ("z1", V, (0, 0)), ("z1", v_a, (0, 0)),
+                              ("z1prime", U, (0, 0)), ("z1prime", V, (2, 1)),
+                              ("z1prime", v_a, (4, 2)), ("w1", W, (0, 0)),
+                              ("w1prime", W, (2, 1))]:
+            assert tuple(map(shape, build_representation(name, u))) == (want, want)
 
     def test_smallest_window_holds_the_band(self):
-        # band 40: the smallest window is 42; band 30 is the widest at 32
-        assert odd_windows("z1", monomial(40, 0)) == (42, 84, 168)
-        assert odd_windows("z1", monomial(30, 0)) == (32, 64, 128)
-        assert odd_windows("z1", monomial(-31, 0)) == (33, 66, 132)
+        # U^40 has a 40-dimensional kernel: the whole window [0, 40)
+        assert odd_pairing("z1", monomial(40, 0)) == (40, 0)
+        assert odd_pairing("z1", monomial(-31, 0)) == (0, 31)
         # the band belongs to the module's shift generator: V^40 is
         # the identity on z1
-        assert odd_windows("z1", monomial(0, 40)) == (32, 64, 128)
+        assert build_representation("z1", monomial(0, 40)) == ([], [])
 
     def test_block_cap(self):
-        # k * 2N <= 1800: 28 x 28 blocks at N = 32, 2 x 2 blocks to band 448
-        assert odd_windows("z1", identity(28)) == (32, 64, 128)
-        with pytest.raises(ValueError, match=r"29 \* 64 exceeds 1800: a 29x29 block"):
-            odd_windows("z1", identity(29))
-        band = [[monomial(448, 0), ZERO], [ZERO, ONE]]
-        assert odd_windows("z1", band) == (450, 900, 1800)
-        with pytest.raises(ValueError, match=r"2 \* 902 exceeds 1800"):
-            odd_windows("z1", [[monomial(449, 0), ZERO], [ZERO, ONE]])
+        # b k <= 64: band 64 for a scalar, band 32 for 2 x 2 blocks
+        assert odd_pairing("z1", monomial(64, 0)) == (64, 0)
+        with pytest.raises(ValueError, match="a 1x1 block unitary of band 65 has a kernel "
+                                             "window of dimension 65, over the limit of 64"):
+            odd_pairing("z1", monomial(65, 0))
+        band = [[monomial(32, 0), ZERO], [ZERO, ONE]]
+        assert odd_pairing("z1", band) == (32, 0)
+        with pytest.raises(ValueError, match=r"a 2x2 block unitary of band 33 .* dimension 66"):
+            odd_pairing("z1", [[monomial(33, 0), ZERO], [ZERO, ONE]])
 
     def test_pairing_uses_the_rule(self):
-        assert odd_pairing("z1", monomial(40, 0)) == 40
+        # on z1prime V is the shift and U acts by 1: the band is 40
+        assert odd_pairing("z1prime", monomial(3, 40)).index == 40
+
+    def test_band_zero_needs_no_elimination(self):
+        # a 28 x 28 identity has band 0 and an empty window: index 0 with
+        # no elimination
+        assert build_representation("z1", identity(28)) == ([], [])
+        assert odd_pairing("z1", identity(28)) == (0, 0)
 
 
 class TestOddPairings:
     def test_z1_column(self):
-        assert odd_pairing("z1", U) == 1
-        assert odd_pairing("z1", V) == 0
+        assert odd_pairing("z1", U) == (1, 0)
+        assert odd_pairing("z1", V) == (0, 0)
         Z = ZERO
-        assert odd_pairing("z1", [[V, Z], [Z, ONE]]) == 0
+        assert odd_pairing("z1", [[V, Z], [Z, ONE]]) == (0, 0)
 
     def test_z1prime_column(self):
-        assert odd_pairing("z1prime", U) == 0
-        assert odd_pairing("z1prime", V) == 1
+        assert odd_pairing("z1prime", U) == (0, 0)
+        assert odd_pairing("z1prime", V) == (1, 0)
         Z = ZERO
-        assert odd_pairing("z1prime", [[V, Z], [Z, ONE]]) == 1
+        assert odd_pairing("z1prime", [[V, Z], [Z, ONE]]) == (1, 0)
 
     def test_torus_modules(self):
-        assert odd_pairing("w1", U) == 1
-        assert odd_pairing("w1", W) == 0
-        assert odd_pairing("w1prime", W) == 1
-        assert odd_pairing("w1prime", U) == 0
-        assert odd_pairing("w1prime", W * U) == 1
+        assert odd_pairing("w1", U) == (1, 0)
+        assert odd_pairing("w1", W) == (0, 0)
+        assert odd_pairing("w1prime", W) == (1, 0)
+        assert odd_pairing("w1prime", U) == (0, 0)
+        assert odd_pairing("w1prime", W * U) == (1, 0)
 
     def test_boundary_module(self):
-        assert odd_pairing("del0_w0", V) == 1
-        assert odd_pairing("del0_w0", U) == 0
+        assert odd_pairing("del0_w0", V) == (1, 0)
+        assert odd_pairing("del0_w0", U) == (0, 0)
 
     def test_higher_winding(self):
-        assert odd_pairing("z1", U * U) == 2
-        assert odd_pairing("z1", U.star()) == -1
+        assert odd_pairing("z1", U * U) == (2, 0)
+        assert odd_pairing("z1", U.star()) == (0, 1)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
@@ -170,14 +175,67 @@ def block_unitaries(name):
     return st.lists(factor, min_size=3, max_size=3).map(product)
 
 
+def svd_rank(m) -> int:
+    """The rank numpy's SVD reads off an exact compression: singular values
+    above 1e-8."""
+    if not m:
+        return 0
+    return int(np.linalg.matrix_rank(np.array([[c.to_complex() for c in row] for row in m]),
+                                     tol=1e-8))
+
+
+def laurent_det(symbol) -> dict:
+    """det sum_s B_s z^s as {power: coefficient}, by Laplace expansion
+    along the first row."""
+    def entry(i, j):
+        return {s: b[i][j] for s, b in symbol.items() if not b[i][j].is_zero()}
+
+    def det(rows, cols):
+        if not rows:
+            return {0: GR_ONE}
+        out = {}
+        for t, j in enumerate(cols):
+            minor = det(rows[1:], cols[:t] + cols[t + 1:])
+            for s, a in entry(rows[0], j).items():
+                for r, b in minor.items():
+                    term = a * b if t % 2 == 0 else -(a * b)
+                    out[s + r] = out.get(s + r, GR_ZERO) + term
+        return {s: c for s, c in out.items() if not c.is_zero()}
+
+    k = len(symbol[0])
+    return det(list(range(k)), list(range(k)))
+
+
 class TestCocyclePairing:
     @pytest.mark.parametrize("name", ODD_MODULES)
     def test_block_unitaries_match_the_svd_route(self, name):
+        # the exact kernel dimensions give the cocycle value and the
+        # determinant's degree; numpy's SVD rank of the same compressions
+        # is an independent oracle for the exact rank
         @seeded(12)
         @given(block_unitaries(name))
         def check(case):
             u, degree = case
-            assert odd_cocycle_pairing(name, u) == odd_pairing(name, u) == degree
+            kernels = odd_pairing(name, u)
+            assert odd_cocycle_pairing(name, u) == kernels.index == degree
+            m, m_star = build_representation(name, u)
+            width = shape(m)[1]
+            assert kernels == (width - svd_rank(m), width - svd_rank(m_star))
+
+        check()
+
+    @pytest.mark.parametrize("name", ODD_MODULES)
+    def test_determinant_degree_is_the_index(self, name):
+        # a third exact route: det of the unitary symbol is unimodular on
+        # the circle, so a monomial c z^m, and by Gohberg-Krein the index
+        # is -m for the shift; the co-shift convention here makes it +m
+        @seeded(12)
+        @given(block_unitaries(name))
+        def check(case):
+            u, _ = case
+            (m, c), = laurent_det(fredholm._symbol(name, u)).items()
+            assert c * c.conjugate() == GR_ONE
+            assert odd_pairing(name, u).index == m
 
         check()
 
@@ -200,28 +258,6 @@ class TestCocyclePairing:
             odd_cocycle_pairing("z1", U.scale(HALF))
 
 
-@pytest.fixture
-def svd_dtypes(monkeypatch):
-    """The dtype of every matrix numpy.linalg.svd receives; each kernel
-    dimension is also checked against a complex SVD of the same matrix."""
-    dtypes = []
-    svd, kernel_dim = np.linalg.svd, fredholm._kernel_dim
-
-    def recording(m, *args, **kwargs):
-        dtypes.append(m.dtype)
-        return svd(m, *args, **kwargs)
-
-    def checked(m):
-        dim = kernel_dim(m)
-        sv = svd(m.astype(complex), compute_uv=False)
-        assert dim == m.shape[1] - np.count_nonzero(sv > fredholm.KERNEL_TOL)
-        return dim
-
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    monkeypatch.setattr(fredholm, "_kernel_dim", checked)
-    return dtypes
-
-
 IMAG = GaussianRational(0, 1)
 
 
@@ -233,24 +269,24 @@ def rotation(c):
     return fredholm._block_product([[U, ZERO], [ZERO, ONE]], r)
 
 
-class TestRealSvd:
-    def test_criteria_compressions_are_real(self, svd_dtypes):
-        # criterion 1's seven odd entries and criterion 2's one, each on
-        # three windows with two compressions
-        assert acc.criterion_1_pairing_tables()["passed"]
-        assert acc.criterion_2_index_theorem()["passed"]
-        assert svd_dtypes == [np.dtype(np.float64)] * 48
-
-    @pytest.mark.parametrize("name, u, want, dtype", [
-        ("z1", U.scale(IMAG), 1, np.complex128),
-        ("z1prime", [[V.scale(IMAG), ZERO], [ZERO, ONE]], 1, np.complex128),
-        ("z1", rotation(GaussianRational("4/5")), 1, np.float64),
-        ("z1", rotation(GaussianRational(0, "4/5")), 1, np.complex128),
-        ("z1prime", rotation(GaussianRational(0, "4/5")), 0, np.complex128),
+class TestComplexCoefficients:
+    @pytest.mark.parametrize("name, u, want", [
+        ("z1", U.scale(IMAG), (1, 0)),
+        ("z1prime", [[V.scale(IMAG), ZERO], [ZERO, ONE]], (1, 0)),
+        ("z1", rotation(GaussianRational("4/5")), (1, 0)),
+        ("z1", rotation(GaussianRational(0, "4/5")), (1, 0)),
+        ("z1prime", rotation(GaussianRational(0, "4/5")), (0, 0)),
     ], ids=["iU", "diag(iV,1)", "rotation", "imaginary-rotation", "rotation-z1prime"])
-    def test_svd_route_matches_the_cocycle(self, svd_dtypes, name, u, want, dtype):
-        assert odd_pairing(name, u) == odd_cocycle_pairing(name, u) == want
-        assert svd_dtypes == [np.dtype(dtype)] * 6
+    def test_exact_route_matches_the_cocycle(self, name, u, want):
+        assert odd_pairing(name, u) == want
+        assert odd_pairing(name, u).index == odd_cocycle_pairing(name, u)
+
+    def test_rank_over_the_gaussian_rationals(self):
+        # [[1, i], [i, -1]] has rank 1 over Q(i), though its real and
+        # imaginary parts each have rank 2 over Q
+        i, one = GaussianRational(0, 1), GR_ONE
+        assert fredholm._rank([[one, i], [i, -one]]) == 1
+        assert fredholm._rank([[one, i], [i, one]]) == 2
 
 
 def rank_one(v):
@@ -360,46 +396,45 @@ def torus_elements(module):
 
 
 class TestSymbolMatchesEntrywiseAssembly:
-    """The compressions written by diagonal from one symbol, adjoint read
-    off it, equal the entry-by-entry Laurent assembly of pi(x) and of the
-    ring star pi(x*)."""
+    """The compressions written by block from one symbol, adjoint read off
+    it, equal the entry-by-entry Laurent assembly of pi(x) and of the ring
+    star pi(x*) on the window of the band."""
 
     @staticmethod
-    def entrywise(name, x, truncation):
+    def entrywise(name, x):
         gen = SHIFT_AXIS[name]
         blocks = [[x]] if isinstance(x, AlgebraElement) else [list(r) for r in x]
         star_blocks = [[row[i].star() for row in blocks] for i in range(len(blocks))]
 
         def laurent(e):
-            # coefficients summed exactly per shift power, then rounded
+            # coefficients summed per shift power
             out = {}
             for key, c in e.terms.items():
-                out[key[gen]] = out.get(key[gen], GaussianRational()) + c
-            return {k: c.to_complex() for k, c in out.items()}
+                out[key[gen]] = out.get(key[gen], GR_ZERO) + c
+            return out
 
         symbols = [[laurent(e) for e in row] for row in blocks]
         star_symbols = [[laurent(e) for e in row] for row in star_blocks]
         band = max((abs(k) for row in symbols + star_symbols for s in row for k in s),
                    default=0)
-        rows, cols = truncation + 1 + band + 2, truncation + 1
+        k = len(blocks)
 
-        def matrix(symbol):
-            m = np.zeros((rows, cols), dtype=complex)
-            for k, c in symbol.items():
-                for j in range(max(0, k), min(cols, rows + k)):
-                    m[j - k, j] += c
+        def matrix(symbols):
+            # row i k + a, column j k + c: site i of component a, site j of c
+            m = [[GR_ZERO] * (band * k) for _ in range(2 * band * k)]
+            for a, row in enumerate(symbols):
+                for c, symbol in enumerate(row):
+                    for s, coeff in symbol.items():
+                        for j in range(max(0, s), min(band, 2 * band + s)):
+                            m[(j - s) * k + a][j * k + c] += coeff
             return m
 
-        return (np.block([[matrix(s) for s in row] for row in symbols]),
-                np.block([[matrix(s) for s in row] for row in star_symbols]))
+        return matrix(symbols), matrix(star_symbols)
 
     @pytest.mark.parametrize("name", ODD_MODULES)
     def test_torus_elements(self, name):
         for x in torus_elements(name):
-            m, m_star = build_representation(name, x, 17)
-            entries, star_entries = self.entrywise(name, x, 17)
-            assert np.array_equal(m, entries)
-            assert np.array_equal(m_star, star_entries)
+            assert build_representation(name, x) == self.entrywise(name, x)
 
     @pytest.mark.parametrize("name", ODD_MODULES)
     def test_block_unitaries(self, name):
@@ -412,10 +447,7 @@ class TestSymbolMatchesEntrywiseAssembly:
             [[ZERO, U, ZERO], [ZERO, ZERO, W], [t.star(), ZERO, ZERO]],
         ]
         for u in units:
-            m, m_star = build_representation(name, u, 20)
-            entries, star_entries = self.entrywise(name, u, 20)
-            assert np.array_equal(m, entries)
-            assert np.array_equal(m_star, star_entries)
+            assert build_representation(name, u) == self.entrywise(name, u)
 
 
 class TestModuleAlgebra:
@@ -423,9 +455,9 @@ class TestModuleAlgebra:
     def test_w1prime_rejects_a_v_exponent(self, x):
         # W acts by the shift and U, V by 1: VU = WUV would force W = 1
         with pytest.raises(ValueError, match=r"module w1prime represents only C\*\(U, W\)"):
-            build_representation("w1prime", x, 32)
+            build_representation("w1prime", x)
         with pytest.raises(ValueError, match="w1prime"):
-            odd_windows("w1prime", x)
+            odd_pairing("w1prime", x)
 
     def test_w1prime_names_the_term(self):
         with pytest.raises(ValueError, match=r"the term U\^1 V\^1 W\^0 has a V exponent"):

@@ -22,6 +22,15 @@ def test_every_imported_name_is_read(path):
     assert sorted(imported - read) == []
 
 
+def test_fredholm_imports_no_float_library():
+    # both odd pairings are exact: no import of numpy or scipy, at any depth
+    nodes = list(ast.walk(ast.parse((SOURCES[0].parent / "fredholm.py").read_text())))
+    modules = [alias.name for node in nodes if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.module]
+    assert {m.split(".")[0] for m in modules} & {"numpy", "scipy"} == set()
+
+
 def test_cli_prints_only_where_a_whole_document_is_ready():
     # `_emit` prints a document only once all of it has rendered, and
     # `cmd_report` its own table; `_split_timings` and `run` write stderr

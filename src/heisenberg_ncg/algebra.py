@@ -16,7 +16,8 @@ A coefficient (``GaussianRational``) is three integers (a, b, d) meaning
 elements writes each operand over one common denominator, sums the term
 products as integer pairs per output key, and reduces each output
 coefficient once; the commutator does the same in one pass over the term
-pairs.
+pairs.  Both refuse, with ``UnsupportedInput``, two multi-term operands
+that would take more than ``MAX_TERM_PRODUCTS`` term products.
 """
 
 from __future__ import annotations
@@ -39,6 +40,23 @@ Rationalish = Union[int, Fraction, str]
 # is the digit limit Python already puts on integer strings.
 MAX_DECIMAL_EXPONENT = 4300
 _DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+
+# Most term products one ring product may take: x*y and [x, y] take |x| |y|,
+# a block product the sum of theirs; up to ~8 us each in-process, so < 1 s.
+MAX_TERM_PRODUCTS = 100_000
+
+
+class UnsupportedInput(ValueError):
+    """An input refused before any work: outside a function's domain, or
+    past a work bound such as MAX_TERM_PRODUCTS."""
+
+
+def check_term_products(count: int) -> None:
+    """Refuse, with UnsupportedInput, a product of ``count`` term products
+    over MAX_TERM_PRODUCTS."""
+    if count > MAX_TERM_PRODUCTS:
+        raise UnsupportedInput(f"the product would take {count} term products, "
+                               f"over the limit of {MAX_TERM_PRODUCTS}")
 
 
 def _is_exact(x) -> bool:
@@ -340,6 +358,7 @@ class AlgebraElement:
                 (p1 + p2, q1 + q2, r1 + r2 + q1 * p2): c2 if unit else c1 * c2
                 for (p2, q2, r2), c2 in b.items()
             })
+        check_term_products(len(a) * len(b))
         # Integer numerators over one denominator per operand: each term
         # product is integer work, and each output is reduced once.
         d1, nums1 = _numerators(a)
@@ -365,8 +384,10 @@ class AlgebraElement:
 
         Both products share each coefficient product; their keys differ only
         in the W exponent (q1*p2 against q2*p1), and pairs where those agree
-        cancel.
+        cancel.  Bounded as ``*`` is: a one-term operand is not counted.
         """
+        if len(self._terms) > 1 and len(other._terms) > 1:
+            check_term_products(len(self._terms) * len(other._terms))
         d1, nums1 = _numerators(self._terms)
         d2, nums2 = _numerators(other._terms)
         sums: dict[Key, tuple[int, int]] = {}

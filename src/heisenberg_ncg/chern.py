@@ -42,6 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import UnsupportedInput
+
 # Global orientation calibration: raw plaquette sums and raw graded traces
 # for the mass = +1 field both evaluate to +1 with the conventions in this
 # file, so both signs are +1.  They must only ever be changed together.
@@ -75,12 +77,13 @@ class ProjectorField:
 
 
 def bott_projector(grid: int = 64, mass: float = 1.0) -> ProjectorField:
-    """Lower-band spectral projector of the two-band torus family."""
+    """Lower-band spectral projector of the two-band torus family; a grid or
+    mass out of range raises UnsupportedInput."""
     if grid < MIN_GRID:
-        raise ValueError(f"grid must be at least {MIN_GRID}")
+        raise UnsupportedInput(f"grid must be at least {MIN_GRID}")
     if not (-2.0 < mass < 2.0) or mass == 0:
-        raise ValueError("mass must lie in (-2, 0) or (0, 2); the family is "
-                         "gapless at -2, 0 and 2")
+        raise UnsupportedInput("mass must lie in (-2, 0) or (0, 2); the family "
+                               "is gapless at -2, 0 and 2")
     k = 2 * np.pi * np.arange(grid) / grid
     k1, k2 = np.meshgrid(k, k, indexing="ij")
     hx, hy = np.sin(k1), np.sin(k2)
@@ -246,11 +249,11 @@ def certificate_windows(kernel_radius: int, truncation: int) -> tuple[int, int]:
     least = max(16, K + 8) keeps a margin of 8 around the kernel radius K.
     Requiring truncation > least also keeps the second run distinct from
     the first, whose check on truncation it is; otherwise this raises
-    ValueError naming the smallest admissible truncation.
+    UnsupportedInput naming the smallest admissible truncation.
     """
     least = max(16, kernel_radius + 8)
     if truncation <= least:
-        raise ValueError(
+        raise UnsupportedInput(
             f"truncation {truncation} must be at least {least + 1} for the "
             f"kernel radius {kernel_radius}, with a distinct second "
             "certificate run")

@@ -7,7 +7,11 @@ handler reads; ``--json``/``--table`` are shared by all, and ``--seed`` (or
 option a command does not read is a usage error.  Every command prints a
 single JSON document (default) or a readable table, always echoing the
 resolved configuration.  Exit codes: 0 success, 1 verification failure,
-2 usage error (including malformed JSON).
+2 usage error.  ``run`` maps exceptions to them in one place: a
+``UsageError`` (malformed JSON included) or the library's
+``UnsupportedInput`` (an input past a bound such as
+``algebra.MAX_TERM_PRODUCTS``) exits 2, and a ``VerificationFailure``,
+``ValueError`` or ``ArithmeticError`` exits 1, each with one line on stderr.
 
 Only the commands that compute floats ('alg eval', 'chern', 'report all')
 load numpy or scipy: ``acceptance``, ``chern`` and ``fredholm`` are
@@ -32,6 +36,7 @@ from .algebra import (
     AlgebraElement,
     GroupElement,
     RationalAngle,
+    UnsupportedInput,
     element_from_dict,
     element_to_dict,
     eval_at_angle,
@@ -48,10 +53,6 @@ MAX_EVAL_DIMENSION = 256
 # largest k for an `index` unitary of k x k blocks: its unitarity check
 # takes k^3 exact ring products (0.6 s for identity blocks at k = 40)
 MAX_INDEX_BLOCKS = 28
-# most term products in one command's exact ring work: `alg mul` takes
-# |x| |y|, and `index`'s unitarity check u u* the sum over block columns of
-# the column's term count squared; up to ~8 us each in-process, so < 1 s
-MAX_TERM_PRODUCTS = 100_000
 # Caps that keep one command near 1 GB of measured peak RSS:
 # ~250 G^2 B for `chern --grid` G, ~5.7 kB per point of the (<= 3N)^2
 # `--dirac` grid (473 MB for `chern --grid 64 --dirac --truncation 128`).
@@ -103,9 +104,7 @@ def _parse(text_or_path: str, build, what: str):
 
 def _matrix_from_dict(data):
     """Either a single element or {"blocks": [[element, ...], ...]}, a
-    nonempty square matrix of elements, small enough for the exact
-    unitarity check: at most MAX_INDEX_BLOCKS blocks a side and
-    MAX_TERM_PRODUCTS term products in u u*."""
+    nonempty square matrix of at most MAX_INDEX_BLOCKS elements a side."""
     if isinstance(data, dict) and "blocks" in data:
         blocks = data["blocks"]
         if (
@@ -118,16 +117,8 @@ def _matrix_from_dict(data):
         if len(blocks) > MAX_INDEX_BLOCKS:
             raise UsageError(f"a {len(blocks)}x{len(blocks)} block unitary exceeds the "
                              f"{MAX_INDEX_BLOCKS}x{MAX_INDEX_BLOCKS} block limit")
-        u = [[element_from_dict(b) for b in row] for row in blocks]
-        columns = zip(*u)
-    else:
-        u = element_from_dict(data)
-        columns = [[u]]
-    products = sum(sum(len(e.terms) for e in col) ** 2 for col in columns)
-    if products > MAX_TERM_PRODUCTS:
-        raise UsageError(f"the unitarity check u u* = 1 would take {products} term products, "
-                         f"over the limit of {MAX_TERM_PRODUCTS}")
-    return u
+        return [[element_from_dict(b) for b in row] for row in blocks]
+    return element_from_dict(data)
 
 
 def _element(text_or_path: str) -> AlgebraElement:
@@ -174,15 +165,6 @@ def _resolve_seed(args, default: int) -> int:
 
 
 # ---- output plumbing ----
-
-
-def _element_result(x: AlgebraElement) -> dict:
-    """``element_to_dict(x)``; a valid input whose result has a coefficient
-    too long to write out is a verification failure."""
-    try:
-        return element_to_dict(x)
-    except ValueError as e:
-        raise VerificationFailure(str(e)) from None
 
 
 def _emit(args, command: str, config: dict, result: dict) -> None:
@@ -234,16 +216,11 @@ def _table_lines(obj, indent: int = 0):
 
 
 def cmd_alg_mul(args):
-    x, y = _element(args.x), _element(args.y)
-    products = len(x.terms) * len(y.terms)
-    if products > MAX_TERM_PRODUCTS:
-        raise UsageError(f"x*y would take {products} term products, "
-                         f"over the limit of {MAX_TERM_PRODUCTS}")
-    return {}, _element_result(x * y), EXIT_OK
+    return {}, element_to_dict(_element(args.x) * _element(args.y)), EXIT_OK
 
 
 def cmd_alg_star(args):
-    return {}, _element_result(_element(args.x).star()), EXIT_OK
+    return {}, element_to_dict(_element(args.x).star()), EXIT_OK
 
 
 def cmd_alg_central(args):
@@ -254,11 +231,7 @@ def cmd_alg_eval(args):
     theta = _angle(args.theta)
     if theta.t > MAX_EVAL_DIMENSION:
         raise UsageError(f"eval dimension {theta.t} exceeds {MAX_EVAL_DIMENSION}")
-    x = _element(args.x)
-    try:
-        m = eval_at_angle(x, theta)
-    except OverflowError as e:
-        raise VerificationFailure(str(e)) from None
+    m = eval_at_angle(_element(args.x), theta)
     return (
         {"theta": f"{theta.s}/{theta.t}"},
         {"dimension": theta.t, "matrix": matrix_to_jsonable(m)},
@@ -276,20 +249,11 @@ def cmd_deriv_check(args):
 
 
 def cmd_deriv_decompose(args):
-    d = _derivation(args.d)
-    try:
-        return {}, dv.decomposition_to_dict(dv.decompose(d)), EXIT_OK
-    except (ValueError, ArithmeticError) as e:
-        raise VerificationFailure(str(e)) from None
+    return {}, dv.decomposition_to_dict(dv.decompose(_derivation(args.d))), EXIT_OK
 
 
 def cmd_deriv_apply(args):
-    d, y = _derivation(args.d), _element(args.y)
-    # apply runs decompose, so it fails the same two ways
-    try:
-        return {}, element_to_dict(dv.apply(d, y)), EXIT_OK
-    except (ValueError, ArithmeticError) as e:
-        raise VerificationFailure(str(e)) from None
+    return {}, element_to_dict(dv.apply(_derivation(args.d), _element(args.y))), EXIT_OK
 
 
 def cmd_group_classify(args):
@@ -300,11 +264,7 @@ def cmd_group_classify(args):
 
 
 def cmd_group_cohomology(args):
-    try:
-        prof = gs.group_cohomology(args.type)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    return {"type": args.type}, asdict(prof), EXIT_OK
+    return {"type": args.type}, asdict(gs.group_cohomology(args.type)), EXIT_OK
 
 
 def cmd_group_hc_dim(args):
@@ -338,13 +298,7 @@ def cmd_pairing_verify(args):
 def cmd_index(args):
     from . import fredholm as fr
 
-    u = _matrix_element(args.unitary)
-    try:
-        idx = fr.odd_cocycle_pairing(args.module, u)
-    except fr.OutsideModuleError as e:
-        raise UsageError(str(e)) from None
-    except (ValueError, ArithmeticError) as e:
-        raise VerificationFailure(str(e)) from None
+    idx = fr.odd_cocycle_pairing(args.module, _matrix_element(args.unitary))
     return {"module": args.module}, {"index": idx}, EXIT_OK
 
 
@@ -361,21 +315,15 @@ def cmd_chern(args):
     if truncation > MAX_DIRAC_TRUNCATION:
         raise UsageError(f"--truncation must be at most {MAX_DIRAC_TRUNCATION} with --dirac")
     config = {"grid": args.grid, "mass": args.mass}
-    try:
-        # raises ValueError only for a grid or mass out of range, before any work
-        field = ch.bott_projector(args.grid, args.mass)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    field = ch.bott_projector(args.grid, args.mass)
     result = {}
-    try:
-        if args.dirac:
-            config["truncation"] = truncation
+    if args.dirac:
+        config["truncation"] = truncation
+        try:
             result["dirac"] = ch.dirac_even_pairing(field, truncation)
-        result["lattice_chern"] = ch.lattice_chern(field)
-    except ValueError as e:  # only certificate_windows, before any engine work
-        raise UsageError(f"--{e}") from None
-    except ArithmeticError as e:
-        raise VerificationFailure(str(e)) from None
+        except UnsupportedInput as e:  # certificate_windows, given the option's --
+            raise UsageError(f"--{e}") from None
+    result["lattice_chern"] = ch.lattice_chern(field)
     if args.dirac:
         result["agree"] = result["dirac"]["value"] == result["lattice_chern"]
         if not result["agree"]:
@@ -522,10 +470,10 @@ def run(argv=None) -> int:
         config, result, code = args.handler(args)
         _emit(args, args.command, config, result)
         return code
-    except UsageError as e:
+    except (UsageError, UnsupportedInput) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except VerificationFailure as e:
+    except (VerificationFailure, ValueError, ArithmeticError) as e:
         print(f"verification failure: {e}", file=sys.stderr)
         return EXIT_VERIFICATION
 

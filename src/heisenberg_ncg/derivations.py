@@ -138,7 +138,9 @@ def apply(d: Derivation, y: AlgebraElement) -> AlgebraElement:
 
     Since z1 and z2 are central, d(y) = z1*d1(y) + z2*d2(y) + (y*x - x*y).
     Raises what ``decompose`` raises: ValueError for an inconsistent
-    derivation, ArithmeticError if no finitely supported x splits d.
+    derivation, ArithmeticError if no finitely supported x splits d; and
+    UnsupportedInput, before the product's work, if y times x, z1 or z2
+    would take over ``algebra.MAX_TERM_PRODUCTS`` term products.
     """
     parts = decompose(d)
     return parts.z1 * _weighted(y, 0) + parts.z2 * _weighted(y, 1) + y.commutator(parts.x)

@@ -39,7 +39,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
-from .algebra import GR_ZERO, AlgebraElement, GaussianRational
+from .algebra import (
+    GR_ZERO,
+    AlgebraElement,
+    GaussianRational,
+    UnsupportedInput,
+    check_term_products,
+)
 
 # Largest b k, the dimension of the window span[0, b) (x) C^k.  Elimination
 # there grows like (b k)^3 times the cost of coefficients whose digits grow
@@ -79,6 +85,10 @@ def _star_blocks(blocks: list[list[AlgebraElement]]) -> list[list[AlgebraElement
 def _block_product(
     a: list[list[AlgebraElement]], b: list[list[AlgebraElement]]
 ) -> list[list[AlgebraElement]]:
+    """a b, refused before any ring product past MAX_TERM_PRODUCTS: column t
+    of a times row t of b, summed over t (sum_t c_t^2 for u u*)."""
+    check_term_products(sum(sum(len(row[t].terms) for row in a)
+                            * sum(len(e.terms) for e in b[t]) for t in range(len(b))))
     return [
         [sum((row[t] * b[t][j] for t in range(len(b))), AlgebraElement.zero())
          for j in range(len(b[0]))]
@@ -86,7 +96,7 @@ def _block_product(
     ]
 
 
-class OutsideModuleError(ValueError):
+class OutsideModuleError(UnsupportedInput):
     """An element outside the algebra that an odd module represents."""
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .algebra import GroupElement
+from .algebra import GroupElement, UnsupportedInput
 
 if TYPE_CHECKING:
     import numpy as np
@@ -130,11 +130,19 @@ _ZXZL = re.compile(r"^ZxZl\((\d+)\)$")
 _CEXT = re.compile(r"^CentralExtension\((\d+)\)$")
 
 
+def _torsion(m: re.Match) -> int:
+    try:
+        return int(m.group(1))
+    except ValueError as e:  # more digits than int() converts
+        raise UnsupportedInput(str(e)) from None
+
+
 def group_cohomology(t: str) -> CohomologyProfile:
     """Complex-coefficient group cohomology profile of a supported type.
 
     Supported descriptors: "Z", "Z2", "ZxZl(l)", "CentralExtension(m)", "H3".
-    Trailing zeros are truncated from the profile.
+    Trailing zeros are truncated from the profile.  Any other descriptor
+    raises UnsupportedInput.
     """
     if t == "Z":
         return CohomologyProfile((1, 1))
@@ -144,19 +152,19 @@ def group_cohomology(t: str) -> CohomologyProfile:
         return CohomologyProfile((1, 2, 2, 1))
     m = _ZXZL.match(t)
     if m:
-        if int(m.group(1)) < 1:
-            raise ValueError("ZxZl torsion must be >= 1")
+        if _torsion(m) < 1:
+            raise UnsupportedInput("ZxZl torsion must be >= 1")
         # The torsion factor is invisible over the complex numbers, so the
         # profile agrees with that of Z for every l >= 1.
         return CohomologyProfile((1, 1))
     m = _CEXT.match(t)
     if m:
-        if int(m.group(1)) < 2:
-            raise ValueError("central extension torsion must be >= 2")
+        if _torsion(m) < 2:
+            raise UnsupportedInput("central extension torsion must be >= 2")
         # Rank-2 central extension of Z^2 by Z with torsion quotient: the
         # spectral sequence collapses and the dimensions match those of Z^2.
         return CohomologyProfile((1, 2, 1))
-    raise ValueError(f"unsupported group descriptor: {t!r}")
+    raise UnsupportedInput(f"unsupported group descriptor: {t!r}")
 
 
 H3_PROFILE = group_cohomology("H3")

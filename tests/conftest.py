@@ -11,6 +11,11 @@ from heisenberg_ncg import acceptance as acc
 SEED = int(os.environ.get("HNC_SEED", acc.DEFAULT_SEED))
 
 
+def no_work(*args, **kwargs):
+    """A stand-in for a step that a refused input must never reach."""
+    raise AssertionError("the input must be refused before any work")
+
+
 def seeded(max_examples: int = 100):
     """Hypothesis settings for a property test, under the seed rule above."""
     def decorate(test):

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import seeded
+from conftest import no_work, seeded
 from hypothesis import given
 from hypothesis import strategies as st
 
+from heisenberg_ncg import algebra
 from heisenberg_ncg.algebra import (
+    MAX_TERM_PRODUCTS,
     ONE,
     U,
     V,
@@ -16,6 +18,7 @@ from heisenberg_ncg.algebra import (
     GaussianRational,
     GroupElement,
     RationalAngle,
+    UnsupportedInput,
     apply_automorphism,
     conjugate,
     element_from_dict,
@@ -156,6 +159,26 @@ class TestRingArithmetic:
     def test_quotient_kills_center(self):
         x = U * W + U
         assert quotient_to_torus(x) == U.scale(2)
+
+
+class TestTermProductBound:
+    def test_two_multi_term_operands_past_the_bound(self, monkeypatch):
+        # 317^2 = 100489 term products, refused before the numerators of
+        # either operand are formed
+        x = AlgebraElement({(i, 0, -i): 1 for i in range(317)})
+        monkeypatch.setattr(algebra, "_numerators", no_work)
+        message = "would take 100489 term products, over the limit of 100000"
+        with pytest.raises(UnsupportedInput, match=message):
+            x * x
+        with pytest.raises(UnsupportedInput, match=message):
+            x.commutator(x)
+
+    def test_one_term_operand_is_not_bounded(self):
+        # sum_{r < n} V W^r: U V W^r - V W^r U = U V W^r - U V W^(r+1) telescopes
+        n = MAX_TERM_PRODUCTS + 1
+        x = AlgebraElement({(0, 1, r): 1 for r in range(n)})
+        assert len((x * U).terms) == len((U * x).terms) == n
+        assert U.commutator(x) == AlgebraElement({(1, 1, 0): 1, (1, 1, n): -1})
 
 
 class TestEvaluation:

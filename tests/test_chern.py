@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import heisenberg_ncg
+from heisenberg_ncg.algebra import UnsupportedInput
 from heisenberg_ncg.chern import (
     _DiracEngine,
     bott_projector,
@@ -62,11 +63,11 @@ class TestProjectorFields:
 
     def test_invalid_mass_rejected(self):
         for mass in (0.0, 2.0, -2.0, 3.0, -2.5):
-            with pytest.raises(ValueError):
+            with pytest.raises(UnsupportedInput):
                 bott_projector(16, mass)
 
     def test_small_grid_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedInput):
             bott_projector(4, 1.0)
 
     def test_non_projector_rejected(self):
@@ -221,7 +222,7 @@ class TestDiracPairing:
         assert max(res["certificates"]["residuals"]) < 0.1
 
     def test_small_truncation_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnsupportedInput):
             dirac_even_pairing(bott_projector(64, 1.0), truncation=12)
 
     def test_truncation_without_distinct_second_run_rejected(self):
@@ -229,7 +230,7 @@ class TestDiracPairing:
         # is 32, where the smaller certificate run would repeat the first
         field = bott_projector(64, 1.0)
         assert fourier_coefficients(field)[1] == 24
-        with pytest.raises(ValueError, match="distinct second certificate run"):
+        with pytest.raises(UnsupportedInput, match="distinct second certificate run"):
             dirac_even_pairing(field, truncation=32)
 
     def test_odd_commutator_count_rejected(self):

@@ -1,4 +1,3 @@
-import contextlib
 import io
 import json
 import os
@@ -7,17 +6,18 @@ import subprocess
 import sys
 import time
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from conftest import seeded
+from conftest import no_work, seeded
 from hypothesis import given
 from hypothesis import strategies as st
 
 import heisenberg_ncg
 from heisenberg_ncg import acceptance as acc
 from heisenberg_ncg import chern as ch
-from heisenberg_ncg import cli, fredholm
+from heisenberg_ncg import algebra, cli, fredholm
 from heisenberg_ncg.algebra import (
     MAX_DECIMAL_EXPONENT,
     U,
@@ -52,26 +52,24 @@ def monomial_json(**coefficient) -> str:
     return json.dumps({"terms": [{"p": 1, "q": 0, "r": 0, **coefficient}]})
 
 
-def no_work(*args, **kwargs):
-    raise AssertionError("a usage error must be raised before any work")
-
-
 def identity_blocks(k: int) -> str:
     one, zero = '{"terms":[{"p":0,"q":0,"r":0,"re":"1"}]}', "{}"
     rows = ("[" + ",".join(one if i == j else zero for j in range(k)) + "]" for i in range(k))
     return '{"blocks":[' + ",".join(rows) + "]}"
 
 
-def powers_of_u(n: int) -> str:
-    """1 + U + ... + U^(n-1), n terms: not unitary for n > 1."""
+def powers_of_u(n: int, shear: int = 0) -> str:
+    """U^i W^(-shear i) for i < n, not unitary for n > 1; with shear 1, a
+    product of two has 2n - 1 terms, not n^2."""
     return '{"terms":[%s]}' % ",".join(
-        '{"p":%d,"q":0,"r":0,"re":"1"}' % i for i in range(n))
+        '{"p":%d,"q":0,"r":%d,"re":"1"}' % (i, -shear * i) for i in range(n))
 
 
-def sheared_powers(n: int) -> str:
-    """U^i W^-i for i < n: a product of two has 2n - 1 terms, not n^2."""
-    return '{"terms":[%s]}' % ",".join(
-        '{"p":%d,"q":0,"r":%d,"re":"1"}' % (i, -i) for i in range(n))
+def inner_by_w_powers(n: int) -> str:
+    """README's six-term d = [., x] for x = sum_{r=0}^{n} U^2 V W^r."""
+    dU = AlgebraElement({(3, 1, 0): 1, (3, 1, n + 1): -1})
+    dV = AlgebraElement({(2, 2, 0): -1, (2, 2, 1): -1, (2, 2, n + 1): 1, (2, 2, n + 2): 1})
+    return json.dumps(derivation_to_dict(Derivation(dU, dV)))
 
 
 def run_captured(capsys, argv):
@@ -156,13 +154,13 @@ class TestAlgebra:
 
     def test_mul_term_product_cap(self, capsys, monkeypatch):
         # |x| |y| term products: 316^2 = 99856 is within the limit, 317^2 past it
-        code, out, err = run_captured(capsys, ["alg", "mul", *[sheared_powers(316)] * 2])
+        code, out, err = run_captured(capsys, ["alg", "mul", *[powers_of_u(316, shear=1)] * 2])
         assert code == 0 and err == ""
         assert len(json.loads(out)["result"]["terms"]) == 631
-        monkeypatch.setattr(AlgebraElement, "__mul__", no_work)
-        code, out, err = run_captured(capsys, ["alg", "mul", *[sheared_powers(317)] * 2])
+        monkeypatch.setattr(algebra, "_numerators", no_work)
+        code, out, err = run_captured(capsys, ["alg", "mul", *[powers_of_u(317, shear=1)] * 2])
         assert code == 2 and out == ""
-        assert err == ("usage error: x*y would take 100489 term products, "
+        assert err == ("usage error: the product would take 100489 term products, "
                        "over the limit of 100000\n")
 
     @pytest.mark.parametrize("table", [[], ["--table"]])
@@ -241,16 +239,29 @@ class TestDeriv:
                     "cells (p, q) of x with infinite support: [(0, 1)])") in err
 
     def test_inner_part_cap_exits_one(self, capsys):
-        # six terms whose inner part sum_{r=0}^{n} U^2 V W^r is over the cap
-        n = 10**9
-        dU = AlgebraElement({(3, 1, 0): 1, (3, 1, n + 1): -1})
-        dV = AlgebraElement({(2, 2, 0): -1, (2, 2, 1): -1, (2, 2, n + 1): 1, (2, 2, n + 2): 1})
-        d = json.dumps(derivation_to_dict(Derivation(dU, dV)))
+        # six terms whose inner part of 10^9 + 1 terms is over the cap
+        d = inner_by_w_powers(10**9)
         assert len(d) < 400
         for argv in (["deriv", "decompose", d], ["deriv", "apply", d, V_JSON]):
             code, out, err = run_captured(capsys, argv)
             assert code == 1 and out == ""
             assert f"the inner part has more than {MAX_INNER_TERMS} terms" in err
+
+    def test_apply_term_product_cap(self, capsys):
+        # [y, x] takes |y| |x| term products: 50 * 2000 is the limit, and
+        # README's x of 20001 terms is ten times past it, refused in far
+        # less than the 4 s that its million term products take
+        code, out, err = run_captured(
+            capsys, ["deriv", "apply", inner_by_w_powers(1999), powers_of_u(50)])
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["result"]["terms"]) == 2450  # 2i terms per U^i
+        t0 = time.perf_counter()
+        code, out, err = run_captured(
+            capsys, ["deriv", "apply", inner_by_w_powers(20000), powers_of_u(50)])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert err == ("usage error: the product would take 1000050 term products, "
+                       "over the limit of 100000\n")
 
     def test_apply(self, capsys):
         dj = json.dumps(derivation_to_dict(inner_derivation(U)))
@@ -382,12 +393,12 @@ class TestVerificationCommands:
         code, out, err = run_captured(capsys, argv + [at])
         assert code == 1 and out == ""
         assert err == "verification failure: input is not unitary in the group ring\n"
-        monkeypatch.setattr(fredholm, "odd_cocycle_pairing", no_work)
+        monkeypatch.setattr(AlgebraElement, "__mul__", no_work)
         past = '{"blocks":[[%s,{}],[{},%s]]}' % (powers_of_u(301), powers_of_u(100))
         for u, products in [(past, 100601), (powers_of_u(317), 100489)]:
             code, out, err = run_captured(capsys, argv + [u])
             assert code == 2 and out == ""
-            assert err == (f"usage error: the unitarity check u u* = 1 would take {products} "
+            assert err == (f"usage error: the product would take {products} "
                            "term products, over the limit of 100000\n")
 
     def test_index_over_the_digit_limit_exits_one(self, capsys):
@@ -770,7 +781,7 @@ class TestColdImports:
         assert result["code"] == 0 and "numpy" in result["loaded"]
 
 
-# ---- `hnc index` on drawn input ----
+# ---- every command on drawn input ----
 
 # Exponent and coefficient texts: small values, and values at and just past
 # the 4300-digit bounds of integer strings and decimal exponents.
@@ -810,6 +821,8 @@ def diagonal(entries):
                        for i, e in enumerate(entries)])
 
 
+# w1prime draws terms with a V exponent; the blocks reach 28 and 29, and the
+# term products of the unitarity check its limit and past it.
 UNITARIES = st.one_of(
     ELEMENTS,
     st.lists(ELEMENTS, min_size=1, max_size=3).map(diagonal),
@@ -821,42 +834,10 @@ UNITARIES = st.one_of(
         '{"blocks":{"a":1}}', '{"blocks":null}',
         identity_blocks(28), identity_blocks(29),
         # 100000 term products in u u*, then 100601
-        diagonal([powers_of_u(300), powers_of_u(100)]),
-        diagonal([powers_of_u(301), powers_of_u(100)]),
+        *(diagonal([powers_of_u(n), powers_of_u(100)]) for n in (300, 301)),
     ]),
 )
 MODULES = st.sampled_from(["z1", "z1prime", "w1", "w1prime", "del0_w0"])
-
-
-def run_quietly(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-class TestIndexOnDrawnInput:
-    def test_every_input_ends_in_one_exit_and_repeats(self):
-        # w1prime draws terms with a V exponent; the blocks reach 28 and 29,
-        # and the term products of the unitarity check its limit and past it
-        @seeded(150)
-        @given(MODULES, UNITARIES)
-        def check(module, unitary):
-            argv = ["index", "--module", module, "--unitary", unitary]
-            code, out, err = run_quietly(argv)
-            assert code in (0, 1, 2)
-            if code == 0:
-                assert err == "" and set(json.loads(out)["result"]) == {"index"}
-            else:
-                assert out == "" and err.count("\n") == 1
-                assert err.startswith(("usage error: ", "verification failure: "))
-            assert run_quietly(argv) == (code, out, err)
-
-        check()
-
-
-# ---- the other exact commands on drawn input ----
-
 # Exponents at the digit bound half the time, so that the sum or product of
 # two of them (a product's exponent, a W exponent after a commutation, a
 # centralizer invariant) often passes it.
@@ -873,38 +854,6 @@ GROUP_ELEMENTS = st.one_of(
     WIDE_KEYS.map(lambda key: "[%s]" % ",".join(key)),
     st.sampled_from(["[1,2]", "[true,false,1]", "[1.5,0,0]", '"U"', "{nope"]),
 )
-EXACT_ARGV = st.one_of(
-    st.tuples(EXACT_ELEMENTS, EXACT_ELEMENTS).map(lambda xy: ["alg", "mul", *xy]),
-    EXACT_ELEMENTS.map(lambda x: ["alg", "star", x]),
-    EXACT_ELEMENTS.map(lambda x: ["alg", "central", x]),
-    DERIVATIONS.map(lambda d: ["deriv", "check", d]),
-    DERIVATIONS.map(lambda d: ["deriv", "decompose", d]),
-    st.tuples(DERIVATIONS, EXACT_ELEMENTS).map(lambda dy: ["deriv", "apply", *dy]),
-    GROUP_ELEMENTS.map(lambda g: ["group", "classify", "--element", g]),
-)
-
-
-class TestExactCommandsOnDrawnInput:
-    def test_every_input_ends_in_one_exit_and_repeats(self):
-        @seeded(300)
-        @given(EXACT_ARGV, st.sampled_from([[], ["--table"]]))
-        def check(argv, table):
-            code, out, err = run_quietly(argv + table)
-            assert code in (0, 1, 2)
-            # `deriv check` exits 1 with a document: the violations it found
-            if code == 0 or (argv[:2] == ["deriv", "check"] and code == 1 and not err):
-                assert err == "" and out.startswith(("{", "# "))
-            else:
-                assert out == "" and err.count("\n") == 1
-                assert err.startswith(("usage error: ", "verification failure: "))
-            assert run_quietly(argv + table) == (code, out, err)
-
-        check()
-
-
-# ---- alg eval, group cohomology, group hc-dim, sequence and the alg mul
-# bound on drawn input ----
-
 # Coefficients at, past and below the float64 range; two terms at one key
 # sum past it.
 FLOAT_COEFFICIENTS = st.tuples(st.sampled_from(['"1e308"', '"1e400"', '"1e-400"', "1"]),
@@ -921,32 +870,75 @@ GROUP_TYPES = st.sampled_from([
     "garbage", "", "ZxZl(-1)",
 ])
 DEGREES = st.sampled_from(["0", "3", "-1", "-7", str(10**30), NINES, "1" + NINES, "x"])
-OTHER_ARGV = st.one_of(
-    st.tuples(EVAL_ELEMENTS, ANGLES).map(lambda xt: ["alg", "eval", xt[0], f"--theta={xt[1]}"]),
-    GROUP_TYPES.map(lambda t: ["group", "cohomology", f"--type={t}"]),
-    DEGREES.map(lambda n: ["group", "hc-dim", f"--n={n}"]),
-    st.sampled_from([["sequence", which, *check] for which in ("ktheory", "khomology")
-                     for check in ([], ["--check"])]),
-    st.sampled_from([316, 317]).map(lambda n: ["alg", "mul", *[sheared_powers(n)] * 2]),
+MASSES = st.sampled_from(["1", "-1.5", "0.5", "1e-300", "0", "2", "-2", "3", "nan", "-inf"])
+# `--grid` up to 16, where `--dirac`'s Fourier tail never certifies, and 64
+# only where `--truncation` (20 or 129) exits 2 before any engine work
+CHERN_OPTIONS = st.one_of(
+    st.tuples(st.sampled_from(["0", "7", "8", "12", "16"]),
+              st.sampled_from([[], ["--dirac"], ["--truncation", "40"]])),
+    st.tuples(st.sampled_from(["16", "64"]),
+              st.sampled_from([["--dirac", "--truncation", t] for t in ("20", "129")])),
 )
+INDEX = st.tuples(MODULES, UNITARIES).map(
+    lambda mu: (["index"], ["--module", mu[0], "--unitary", mu[1]]))
+# (command, arguments): the output format goes before or after the
+# arguments.  `index`, with the widest inputs, is drawn three times as often.
+COMMANDS = st.sampled_from([
+    INDEX, INDEX, INDEX,
+    st.tuples(EXACT_ELEMENTS, EXACT_ELEMENTS).map(lambda xy: (["alg", "mul"], list(xy))),
+    EXACT_ELEMENTS.map(lambda x: (["alg", "star"], [x])),
+    EXACT_ELEMENTS.map(lambda x: (["alg", "central"], [x])),
+    st.tuples(EVAL_ELEMENTS, ANGLES).map(
+        lambda xt: (["alg", "eval"], [xt[0], f"--theta={xt[1]}"])),
+    DERIVATIONS.map(lambda d: (["deriv", "check"], [d])),
+    DERIVATIONS.map(lambda d: (["deriv", "decompose"], [d])),
+    st.tuples(DERIVATIONS, EXACT_ELEMENTS).map(lambda dy: (["deriv", "apply"], list(dy))),
+    GROUP_ELEMENTS.map(lambda g: (["group", "classify"], ["--element", g])),
+    GROUP_TYPES.map(lambda t: (["group", "cohomology"], [f"--type={t}"])),
+    DEGREES.map(lambda n: (["group", "hc-dim"], [f"--n={n}"])),
+    st.sampled_from([(["sequence", which], check) for which in ("ktheory", "khomology")
+                     for check in ([], ["--check"])]),
+    st.tuples(CHERN_OPTIONS, MASSES).map(
+        lambda gom: (["chern"], ["--grid", gom[0][0], f"--mass={gom[1]}", *gom[0][1]])),
+    st.just((["pairing", "verify"], [])),
+    # the term-product bound of the ring: at it, and past it
+    st.sampled_from([
+        (["alg", "mul"], [powers_of_u(n, shear=1)] * 2) for n in (316, 317)] + [
+        (["deriv", "apply"], [inner_by_w_powers(1999), powers_of_u(m)]) for m in (50, 51)]),
+]).flatmap(lambda command: command)
 
 
 def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-class TestOtherCommandsOnDrawnInput:
+def run_strictly(argv):
+    """``run`` with output captured and warnings as errors; the line of run
+    times that `pairing verify` writes first on stderr is checked and dropped."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
+    err = err.getvalue()
+    if argv[:2] == ["pairing", "verify"]:
+        timings, _, err = err.partition("\n")
+        assert set(json.loads(timings)) == {"elapsed_s"}
+    return code, out.getvalue(), err
+
+
+class TestEveryCommandOnDrawnInput:
     def test_every_input_ends_in_one_exit_and_repeats(self):
-        @seeded(120)
-        @given(OTHER_ARGV, st.sampled_from([[], ["--table"]]))
-        def check(argv, table):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code, out, err = run_quietly(argv + table)
+        @seeded(700)
+        @given(COMMANDS, st.sampled_from([[], ["--json"], ["--table"]]), st.booleans())
+        def check(command, fmt, fmt_first):
+            words, args = command
+            argv = words + (fmt + args if fmt_first else args + fmt)
+            code, out, err = run_strictly(argv)
             assert code in (0, 1, 2)
-            if code == 0:
+            # `deriv check` exits 1 with a document: the violations it found
+            if code == 0 or (words == ["deriv", "check"] and code == 1 and not err):
                 assert err == ""
-                if table:
+                if fmt == ["--table"]:
                     assert out.startswith("# ")
                     assert not {"inf", "-inf", "nan"} & {
                         line.rpartition(": ")[2] for line in out.splitlines()}
@@ -955,6 +947,6 @@ class TestOtherCommandsOnDrawnInput:
             else:
                 assert out == "" and err.count("\n") == 1
                 assert err.startswith(("usage error: ", "verification failure: "))
-            assert run_quietly(argv + table) == (code, out, err)
+            assert run_strictly(argv) == (code, out, err)
 
         check()

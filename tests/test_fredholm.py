@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import seeded
+from conftest import no_work, seeded
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,6 +14,7 @@ from heisenberg_ncg.algebra import (
     W,
     AlgebraElement,
     GaussianRational,
+    UnsupportedInput,
 )
 from heisenberg_ncg.fredholm import (
     OutsideModuleError,
@@ -251,6 +252,19 @@ class TestCocyclePairing:
         # U V + U is neither unitary nor in C*(U, W): the module speaks first
         with pytest.raises(OutsideModuleError, match="w1prime"):
             odd_cocycle_pairing("w1prime", U * V + U)
+
+    def test_block_product_bound_before_any_ring_product(self, monkeypatch):
+        # column t of a times row t of b: 317^2 term products for x x*, and
+        # 301^2 + 100^2 for a a* with 301 and 100 terms in a's columns
+        x, y = (AlgebraElement({(i, 0, 0): 1 for i in range(n)}) for n in (317, 100))
+        monkeypatch.setattr(AlgebraElement, "__mul__", no_work)
+        with pytest.raises(UnsupportedInput, match="100489 term products"):
+            fredholm._block_product([[x]], [[x.star()]])
+        a = [[AlgebraElement({(i, 0, 0): 1 for i in range(300)}), ZERO], [U, y]]
+        with pytest.raises(UnsupportedInput, match="100601 term products"):
+            fredholm._block_product(a, fredholm._star_blocks(a))
+        with pytest.raises(UnsupportedInput, match="100489 term products"):
+            odd_cocycle_pairing("z1", x)
 
     def test_non_integer_sum_raises(self, monkeypatch):
         monkeypatch.setattr(fredholm, "_check_unitary", lambda u: None)

@@ -44,6 +44,21 @@ def test_cli_prints_only_where_a_whole_document_is_ready():
     assert printers == {"_emit", "_split_timings", "cmd_report", "run"}
 
 
+def test_cli_catches_only_in_its_plumbing():
+    # `run` maps exceptions to exit codes; elsewhere cli.py catches only
+    # what it parses or prints, and `cmd_chern` puts `--` before the
+    # certificate's truncation message
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text())
+    catchers = {
+        getattr(top, "name", None)  # None for a try outside any function
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Try)
+    }
+    assert catchers == {"_is_file", "_load_json", "_parse", "_angle", "_resolve_seed",
+                        "_emit", "cmd_group_hc_dim", "cmd_chern", "run", "main"}
+
+
 # Public names that only tests call today, kept for the K-theory and pairing
 # work that ROADMAP items 1 and 5 plan for them.
 UNREAD_BY_PLAN = {"apply_automorphism", "quotient_to_torus", "canonical_derivation"}

@@ -18,6 +18,11 @@ products as integer pairs per output key, and reduces each output
 coefficient once; the commutator does the same in one pass over the term
 pairs.  Both refuse, with ``UnsupportedInput``, two multi-term operands
 that would take more than ``MAX_TERM_PRODUCTS`` term products.
+
+A sum copies the larger operand and adds coefficients only at the keys
+both share, dropping a zero where it arises; x - y is x + (-y).  Ring
+results hold nonzero canonical coefficients, so they are wrapped without
+the coercion of ``AlgebraElement(...)``.
 """
 
 from __future__ import annotations
@@ -97,9 +102,9 @@ class GaussianRational:
         re, im = _frac(re), _frac(im)
         d = lcm(re.denominator, im.denominator)
         # Both parts are in lowest terms, so gcd(a, b, d) is already 1.
-        _set(self, "_a", re.numerator * (d // re.denominator))
-        _set(self, "_b", im.numerator * (d // im.denominator))
-        _set(self, "_d", d)
+        _set_a(self, re.numerator * (d // re.denominator))
+        _set_b(self, im.numerator * (d // im.denominator))
+        _set_d(self, d)
 
     @property
     def re(self) -> Fraction:
@@ -159,15 +164,18 @@ class GaussianRational:
         return f"{self.re}{'+' if self._b >= 0 else ''}{self.im}i"
 
 
-_set = object.__setattr__
+# The slot descriptors set a field without __setattr__'s lookup by name.
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
 
 
 def _raw(a: int, b: int, d: int) -> GaussianRational:
     """Wrap fields that are already canonical."""
     x = object.__new__(GaussianRational)
-    _set(x, "_a", a)
-    _set(x, "_b", b)
-    _set(x, "_d", d)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_d(x, d)
     return x
 
 
@@ -314,19 +322,25 @@ class AlgebraElement:
     # ---- ring operations ----
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, GR_ZERO) + c
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for key, c in small.items():
+            s = out.get(key)
+            if s is None:
+                out[key] = c
+            elif (s := s + c).is_zero():
+                del out[key]
+            else:
+                out[key] = s
         return AlgebraElement._of_clean(out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, GR_ZERO) - c
-        return AlgebraElement._of_clean(out)
+        return self + -other
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement({k: -c for k, c in self._terms.items()})
+        return AlgebraElement._of_clean({k: -c for k, c in self._terms.items()})
 
     def scale(self, c: CoeffLike) -> "AlgebraElement":
         cc = _coerce_coeff(c)
@@ -334,16 +348,16 @@ class AlgebraElement:
 
     @staticmethod
     def _of_clean(terms: dict[Key, GaussianRational]) -> "AlgebraElement":
-        """Wrap a dict with int-triple keys, dropping zero coefficients; unlike
-        ``__init__`` it rebuilds no key, so ring operations allocate less."""
+        """Wrap, without a copy, a fresh dict with int-triple keys and nonzero
+        canonical coefficients; unlike ``__init__`` it coerces nothing."""
         x = object.__new__(AlgebraElement)
-        object.__setattr__(
-            x, "_terms", {k: c for k, c in terms.items() if not c.is_zero()})
+        object.__setattr__(x, "_terms", terms)
         return x
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         a, b = self._terms, other._terms
-        # A one-term operand maps keys one to one: nothing accumulates.
+        # A one-term operand maps keys one to one: nothing accumulates, and
+        # in the field Q(i) no product of nonzero coefficients is zero.
         if len(b) == 1:
             ((p2, q2, r2), c2), = b.items()
             unit = c2 == GR_ONE
@@ -374,10 +388,9 @@ class AlgebraElement:
         return _from_sums(sums, d1 * d2)
 
     def star(self) -> "AlgebraElement":
-        out = {}
-        for (p, q, r), c in self._terms.items():
-            out[(-p, -q, p * q - r)] = c.conjugate()
-        return AlgebraElement(out)
+        return AlgebraElement._of_clean({
+            (-p, -q, p * q - r): c.conjugate() for (p, q, r), c in self._terms.items()
+        })
 
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
         """self*other - other*self in one pass over the term pairs.
@@ -429,8 +442,10 @@ def _numerators(terms: dict[Key, GaussianRational]):
 
 
 def _from_sums(sums: dict[Key, tuple[int, int]], d: int) -> AlgebraElement:
-    """The element with coefficient (a + b*i)/d at each key of ``sums``."""
-    return AlgebraElement._of_clean({k: _reduced(a, b, d) for k, (a, b) in sums.items()})
+    """The element with coefficient (a + b*i)/d at each key of ``sums``
+    whose sum is nonzero."""
+    return AlgebraElement._of_clean(
+        {k: _reduced(a, b, d) for k, (a, b) in sums.items() if a or b})
 
 
 U = AlgebraElement.monomial(1, 0, 0)

@@ -52,6 +52,7 @@ from .algebra import (
     U,
     V,
     W,
+    _reduced,
     element_from_dict,
     element_to_dict,
     is_central,
@@ -127,9 +128,9 @@ def check_consistency(d: Derivation) -> ConsistencyReport:
 
 def _weighted(y: AlgebraElement, axis: int) -> AlgebraElement:
     """d1(y) (axis 0) or d2(y) (axis 1): U^p V^q W^r scaled by p or by q."""
-    return AlgebraElement({
-        k: GaussianRational(c.re * k[axis], c.im * k[axis])
-        for k, c in y.terms.items()
+    return AlgebraElement._of_clean({
+        k: _reduced(c._a * k[axis], c._b * k[axis], c._d)
+        for k, c in y.terms.items() if k[axis]
     })
 
 

@@ -86,11 +86,13 @@ def _block_product(
     a: list[list[AlgebraElement]], b: list[list[AlgebraElement]]
 ) -> list[list[AlgebraElement]]:
     """a b, refused before any ring product past MAX_TERM_PRODUCTS: column t
-    of a times row t of b, summed over t (sum_t c_t^2 for u u*)."""
+    of a times row t of b, summed over t (sum_t c_t^2 for u u*).  Only pairs
+    of nonzero entries are multiplied."""
     check_term_products(sum(sum(len(row[t].terms) for row in a)
                             * sum(len(e.terms) for e in b[t]) for t in range(len(b))))
     return [
-        [sum((row[t] * b[t][j] for t in range(len(b))), AlgebraElement.zero())
+        [sum((row[t] * b[t][j] for t in range(len(b))
+              if not row[t].is_zero() and not b[t][j].is_zero()), AlgebraElement.zero())
          for j in range(len(b[0]))]
         for row in a
     ]

@@ -181,6 +181,42 @@ class TestTermProductBound:
         assert U.commutator(x) == AlgebraElement({(1, 1, 0): 1, (1, 1, n): -1})
 
 
+class TestSumWork:
+    """A sum or difference combines coefficients only at the keys both
+    operands share; a key found in one operand keeps its coefficient
+    (negated on the right of -)."""
+
+    x = AlgebraElement({(p, 0, 0): GaussianRational(p, 1) for p in range(1, 9)})
+    y = AlgebraElement({(0, q, 0): GaussianRational(1, q) for q in range(1, 4)})
+
+    def test_disjoint_supports_combine_no_coefficient(self, monkeypatch):
+        x, y = self.x, self.y
+        want_sum = {**x.terms, **y.terms}
+        want_difference = {**x.terms, **{k: -c for k, c in y.terms.items()}}
+        monkeypatch.setattr(GaussianRational, "__add__", no_work)
+        monkeypatch.setattr(GaussianRational, "__sub__", no_work)
+        assert (x + y).terms == (y + x).terms == want_sum
+        assert (x - y).terms == want_difference
+        assert (y - x).terms == {k: -c for k, c in want_difference.items()}
+
+    def test_shared_keys_combine_once_each(self, monkeypatch):
+        # two shared keys: the first cancels in the sum, the second in the
+        # difference
+        x = self.x
+        y = self.y + AlgebraElement({(1, 0, 0): GaussianRational(-1, -1),
+                                     (2, 0, 0): GaussianRational(2, 1)})
+        want = {"+": x + y, "-": x - y}
+        calls = []
+        for op in ("__add__", "__sub__"):
+            combine = getattr(GaussianRational, op)
+            monkeypatch.setattr(GaussianRational, op, lambda a, b, combine=combine:
+                                calls.append(1) or combine(a, b))
+        assert x + y == y + x == want["+"] and len(calls) == 4
+        calls.clear()
+        assert x - y == want["-"] and len(calls) == 2
+        assert len(want["+"].terms) == len(want["-"].terms) == 8 + 3 - 1
+
+
 class TestEvaluation:
     @pytest.mark.parametrize("s,t", [(0, 1), (1, 2), (1, 3), (2, 5)])
     def test_star_homomorphism(self, s, t):

@@ -462,7 +462,11 @@ class TestVerificationCommands:
     ])
     def test_chern_out_of_range_option_exits_two(self, capsys, monkeypatch,
                                                   argv, message):
-        monkeypatch.setattr(ch, "bott_projector", no_work)
+        # bott_projector refuses a grid below MIN_GRID before any work, and
+        # is reached with no other of these inputs
+        build = ch.bott_projector
+        monkeypatch.setattr(ch, "bott_projector", lambda grid, mass: (
+            build(grid, mass) if grid < ch.MIN_GRID else no_work()))
         code, out, err = run_captured(capsys, argv)
         assert code == 2 and out == ""
         assert message in err

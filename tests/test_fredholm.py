@@ -266,6 +266,17 @@ class TestCocyclePairing:
         with pytest.raises(UnsupportedInput, match="100489 term products"):
             odd_cocycle_pairing("z1", x)
 
+    def test_block_product_multiplies_only_nonzero_pairs(self, monkeypatch):
+        # u u* of the k x k identity has k nonzero pairs, not k^3
+        k = 28
+        u = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
+        products = []
+        mul = AlgebraElement.__mul__
+        monkeypatch.setattr(AlgebraElement, "__mul__",
+                            lambda x, y: products.append(1) or mul(x, y))
+        assert fredholm._block_product(u, fredholm._star_blocks(u)) == u
+        assert len(products) == k
+
     def test_non_integer_sum_raises(self, monkeypatch):
         monkeypatch.setattr(fredholm, "_check_unitary", lambda u: None)
         with pytest.raises(ArithmeticError, match="1/4"):

@@ -1,7 +1,8 @@
 """Property suites for the coefficient type and the ring built on it.
 
 ``GaussianRational`` is checked against a reference of ``Fraction`` pairs,
-and ``AlgebraElement`` against the ring axioms, the star and the JSON form.
+and ``AlgebraElement`` against the same reference, the ring axioms, the star
+and the JSON form.
 Every suite runs under the seed rule of ``conftest.seeded``: ``HNC_SEED``
 when it is set, else the package default, so a failure replays with the
 same examples.
@@ -21,6 +22,7 @@ from heisenberg_ncg.algebra import (
     element_from_dict,
     element_to_dict,
 )
+from heisenberg_ncg.derivations import apply, canonical_derivation
 
 PROPERTY = seeded(60)
 
@@ -40,6 +42,25 @@ elements = st.dictionaries(keys, coefficients, max_size=6).map(AlgebraElement)
 one_term = st.builds(AlgebraElement.monomial, exponents, exponents, exponents,
                      coefficients)
 operands = st.one_of(elements, one_term)
+
+
+@st.composite
+def overlapping(draw):
+    """Two operands whose shared keys hold cancelling, equal or unrelated
+    coefficients, next to keys found in one operand only."""
+    x = draw(operands)
+    y = draw(operands).terms
+    for key, c in x.terms.items():
+        how = draw(st.sampled_from(["cancel", "equal", "other", "absent"]))
+        if how == "cancel":
+            y[key] = GaussianRational(-c.re, -c.im)
+        elif how == "equal":
+            y[key] = c
+        elif how == "other":
+            y[key] = draw(coefficients)
+        else:
+            y.pop(key, None)
+    return x, AlgebraElement(y)
 
 
 def fields(x: GaussianRational) -> tuple[int, int, int]:
@@ -116,6 +137,55 @@ def fraction_pair_product(x: AlgebraElement, y: AlgebraElement) -> dict:
 def test_product_matches_fraction_pairs(x, y):
     got = {k: (c.re, c.im) for k, c in (x * y).terms.items()}
     assert got == fraction_pair_product(x, y)
+
+
+def fraction_pairs(x: AlgebraElement) -> dict:
+    return {k: (c.re, c.im) for k, c in x.terms.items()}
+
+
+def fraction_pair_sum(x: AlgebraElement, y: AlgebraElement, sign: int) -> dict:
+    """x + sign*y term by term on Fraction pairs, zeros dropped."""
+    out = fraction_pairs(x)
+    for key, (re, im) in fraction_pairs(y).items():
+        a, b = out.get(key, (0, 0))
+        out[key] = (a + sign * re, b + sign * im)
+    return {k: v for k, v in out.items() if v != (0, 0)}
+
+
+@PROPERTY
+@given(xy=overlapping(), c=st.tuples(small_fractions, small_fractions))
+def test_linear_operations_match_fraction_pairs(xy, c):
+    x, y = xy
+    assert fraction_pairs(x + y) == fraction_pair_sum(x, y, 1)
+    assert fraction_pairs(y + x) == fraction_pair_sum(y, x, 1)
+    assert fraction_pairs(x - y) == fraction_pair_sum(x, y, -1)
+    terms = fraction_pairs(x)
+    assert fraction_pairs(-x) == {k: (-a, -b) for k, (a, b) in terms.items()}
+    assert fraction_pairs(x.star()) == {
+        (-p, -q, p * q - r): (a, -b) for (p, q, r), (a, b) in terms.items()}
+    re, im = c
+    scaled = {k: (a * re - b * im, a * im + b * re) for k, (a, b) in terms.items()}
+    assert fraction_pairs(x.scale(GaussianRational(re, im))) == {
+        k: v for k, v in scaled.items() if v != (0, 0)}
+    # d1 and d2 scale U^p V^q W^r by p and by q
+    for which in (1, 2):
+        assert fraction_pairs(apply(canonical_derivation(which), x)) == {
+            k: (a * k[which - 1], b * k[which - 1])
+            for k, (a, b) in terms.items() if k[which - 1]}
+
+
+@PROPERTY
+@given(xy=overlapping(), c=st.tuples(small_fractions, small_fractions))
+def test_ring_results_store_only_canonical_nonzero_coefficients(xy, c):
+    x, y = xy
+    results = [x + y, x - y, -x, x.star(), x.scale(GaussianRational(*c)),
+               apply(canonical_derivation(1), x), apply(canonical_derivation(2), x),
+               x * y, x.commutator(y), x + (-x), x - x]
+    for z in results:
+        for key, coeff in z.terms.items():
+            a, b, d = fields(coeff)
+            assert (a or b) and d > 0 and gcd(a, b, d) == 1, (key, coeff)
+    assert results[-2] == results[-1] == AlgebraElement.zero()
 
 
 @PROPERTY

@@ -47,7 +47,7 @@ def test_cli_prints_only_where_a_whole_document_is_ready():
 def test_cli_catches_only_in_its_plumbing():
     # `run` maps exceptions to exit codes; elsewhere cli.py catches only
     # what it parses or prints, and `cmd_chern` puts `--` before the
-    # certificate's truncation message
+    # projector's grid and mass messages and the certificate's truncation one
     tree = ast.parse((SOURCES[0].parent / "cli.py").read_text())
     catchers = {
         getattr(top, "name", None)  # None for a try outside any function

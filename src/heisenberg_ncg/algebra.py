@@ -501,15 +501,6 @@ def eval_at_angle(x: AlgebraElement, theta: RationalAngle) -> np.ndarray:
     return out
 
 
-def quotient_to_torus(x: AlgebraElement) -> AlgebraElement:
-    """Push x through the quotient map W -> 1: sum coefficients over r."""
-    out: dict[Key, GaussianRational] = {}
-    for (p, q, r), c in x.terms.items():
-        key = (p, q, 0)
-        out[key] = out.get(key, GR_ZERO) + c
-    return AlgebraElement(out)
-
-
 # ---- serialization ----
 
 

@@ -50,10 +50,6 @@ EXIT_USAGE = 2
 
 # largest t for `alg eval --theta s/t`: its output is a dense t x t matrix
 MAX_EVAL_DIMENSION = 256
-# largest k for an `index` unitary of k x k blocks: its unitarity check
-# takes a ring product per pair of nonzero entries, k^3 for dense blocks
-# (0.24 s for one-term blocks at k = 40)
-MAX_INDEX_BLOCKS = 28
 # Caps that keep one command near 1 GB of measured peak RSS:
 # ~250 G^2 B for `chern --grid` G, ~5.7 kB per point of the (<= 3N)^2
 # `--dirac` grid (473 MB for `chern --grid 64 --dirac --truncation 128`).
@@ -105,7 +101,7 @@ def _parse(text_or_path: str, build, what: str):
 
 def _matrix_from_dict(data):
     """Either a single element or {"blocks": [[element, ...], ...]}, a
-    nonempty square matrix of at most MAX_INDEX_BLOCKS elements a side."""
+    nonempty square matrix of elements."""
     if isinstance(data, dict) and "blocks" in data:
         blocks = data["blocks"]
         if (
@@ -115,9 +111,6 @@ def _matrix_from_dict(data):
                        for row in blocks)
         ):
             raise ValueError("blocks must be a nonempty square list of lists")
-        if len(blocks) > MAX_INDEX_BLOCKS:
-            raise UsageError(f"a {len(blocks)}x{len(blocks)} block unitary exceeds the "
-                             f"{MAX_INDEX_BLOCKS}x{MAX_INDEX_BLOCKS} block limit")
         return [[element_from_dict(b) for b in row] for row in blocks]
     return element_from_dict(data)
 
@@ -270,10 +263,13 @@ def cmd_group_cohomology(args):
 
 def cmd_group_hc_dim(args):
     # parsed here, not by argparse, so that a degree past the int-string
-    # digit limit is one usage-error line like the other rejected degrees
+    # digit limit is one usage-error line that names the limit
     try:
         n = None if args.n is None else int(args.n)
     except ValueError as e:
+        limit = sys.get_int_max_str_digits()
+        if len(args.n) > limit:  # else int() advises raising the limit
+            raise UsageError(f"--n must be an integer of at most {limit} digits") from None
         raise UsageError(f"--n must be an integer: {e}") from None
     if n is None or n < 0:
         raise UsageError("hc-dim requires a nonnegative --n")

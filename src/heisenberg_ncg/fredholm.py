@@ -2,12 +2,13 @@
 
 Odd modules live on l2(Z) with the symmetry F = sign(n).  Each acts on one
 generator by the shift S and sends the others to 1, a character chi onto
-C(T): a k x k block element x has the symbol pi(x) = sum_s B_s S^s, one
-exact k x k block per shift power s, and pi(x*) = sum_s B_s* S^(-s).  The
-pairing with a unitary u is the index of T_u = P u P, P the projection onto
-the half line n >= 0, computed exactly two ways: ``odd_cocycle_pairing``
-reads it as the cyclic 1-cocycle value sum_s s ||B_s||_F^2 (Connes 1985),
-and ``odd_pairing``, its K-homology cross-check, as dim ker T_u - dim ker T_u*.
+C(T): a k x k block element x has the symbol pi(x) = sum_s B_s S^s, kept
+as its nonzero exact entries (i, j, s) -> (B_s)_ij with no dense block per
+shift power s, and pi(x*) = sum_s B_s* S^(-s).  The pairing with a unitary
+u is the index of T_u = P u P, P the projection onto the half line n >= 0,
+computed exactly two ways: ``odd_cocycle_pairing`` reads it as the cyclic
+1-cocycle value sum_s s ||B_s||_F^2 (Connes 1985), and ``odd_pairing``, its
+K-homology cross-check, as dim ker T_u - dim ker T_u*.
 
 Both kernels lie in a finite window.  For the band b = max |s|, T_u* T_u =
 1 - X* X with X = (1 - P) u P, which vanishes on span[b, oo) (x) C^k.  So
@@ -87,25 +88,31 @@ def _block_product(
 ) -> list[list[AlgebraElement]]:
     """a b, refused before any ring product past MAX_TERM_PRODUCTS: column t
     of a times row t of b, summed over t (sum_t c_t^2 for u u*).  Only pairs
-    of nonzero entries are multiplied."""
+    of nonzero entries are visited, so past the k^2 zero tests the work is
+    bounded by the term products counted."""
     check_term_products(sum(sum(len(row[t].terms) for row in a)
                             * sum(len(e.terms) for e in b[t]) for t in range(len(b))))
-    return [
-        [sum((row[t] * b[t][j] for t in range(len(b))
-              if not row[t].is_zero() and not b[t][j].is_zero()), AlgebraElement.zero())
-         for j in range(len(b[0]))]
-        for row in a
-    ]
+    nonzero = [[(j, e) for j, e in enumerate(row) if not e.is_zero()] for row in b]
+    out = [[AlgebraElement.zero()] * len(b[0]) for _ in a]
+    for row, out_row in zip(a, out):
+        for x, pairs in zip(row, nonzero):
+            if not x.is_zero():
+                for j, y in pairs:
+                    out_row[j] += x * y
+    return out
 
 
 class OutsideModuleError(UnsupportedInput):
     """An element outside the algebra that an odd module represents."""
 
 
-def _symbol(name: str, x: MatrixElement) -> dict[int, list[list[GaussianRational]]]:
-    """Symbol of pi(x) on the odd module ``name``: shift power -> exact
-    k x k block.  The zero power is always present, so an empty symbol
-    still has its block size.
+Symbol = dict[tuple[int, int, int], GaussianRational]
+
+
+def _symbol(name: str, x: MatrixElement) -> tuple[int, Symbol]:
+    """Symbol of pi(x) on the odd module ``name``: the block size k and the
+    nonzero entries {(i, j, s): (B_s)_ij}, coefficients summed per shift
+    power s.
 
     A monomial U^p V^q W^r acts as the shift to the power of the module's
     shift exponent.  w1prime represents only C*(U, W): VU = WUV would force
@@ -115,8 +122,7 @@ def _symbol(name: str, x: MatrixElement) -> dict[int, list[list[GaussianRational
         raise ValueError(f"{name!r} is not an odd module")
     axis = "UVW".index(_ODD_SHIFT_GEN[name])
     blocks = _as_blocks(x)
-    k = len(blocks)
-    out = {0: [[GR_ZERO] * k for _ in range(k)]}
+    out: Symbol = {}
     for i, row in enumerate(blocks):
         for j, e in enumerate(row):
             for key, c in e.terms.items():
@@ -124,17 +130,16 @@ def _symbol(name: str, x: MatrixElement) -> dict[int, list[list[GaussianRational
                     raise OutsideModuleError(
                         "module w1prime represents only C*(U, W); the term "
                         "U^{} V^{} W^{} has a V exponent".format(*key))
-                out.setdefault(key[axis], [[GR_ZERO] * k for _ in range(k)])[i][j] += c
-    return out
+                at = (i, j, key[axis])
+                out[at] = out.get(at, GR_ZERO) + c
+    return len(blocks), {at: c for at, c in out.items() if not c.is_zero()}
 
 
-def _compress(symbol: dict, band: int) -> Matrix:
+def _compress(k: int, symbol: Symbol, band: int) -> Matrix:
     """sum_s B_s S^s compressed from domain [0, band) to range [0, 2 band),
     as rows: block (i, j) is B_(j - i), since S, the co-shift matrix
     e_n -> e_(n-1), has (S^s)[i, j] = 1 iff i = j - s."""
-    k = len(symbol[0])
-    zero = [[GR_ZERO] * k] * k
-    return [[symbol.get(j - i, zero)[a][c] for j in range(band) for c in range(k)]
+    return [[symbol.get((a, c, j - i), GR_ZERO) for j in range(band) for c in range(k)]
             for i in range(2 * band) for a in range(k)]
 
 
@@ -144,14 +149,13 @@ def build_representation(name: str, x: MatrixElement) -> tuple[Matrix, Matrix]:
     of the band b to [0, 2b).  The adjoint side compresses
     sum_s B_s* S^(-s), not the matrix adjoint of ``entries``.  Raises
     ValueError, naming the bound, if b k exceeds ``MAX_WINDOW``."""
-    symbol = _symbol(name, x)
-    k, band = len(symbol[0]), max(map(abs, symbol))
+    k, symbol = _symbol(name, x)
+    band = max((abs(s) for _, _, s in symbol), default=0)
     if band * k > MAX_WINDOW:
         raise ValueError(f"a {k}x{k} block unitary of band {band} has a kernel window of "
                          f"dimension {band * k}, over the limit of {MAX_WINDOW}")
-    adjoint = {-s: [[row[i].conjugate() for row in block] for i in range(k)]
-               for s, block in symbol.items()}
-    return _compress(symbol, band), _compress(adjoint, band)
+    adjoint = {(j, i, -s): c.conjugate() for (i, j, s), c in symbol.items()}
+    return _compress(k, symbol, band), _compress(k, adjoint, band)
 
 
 def _rank(m: Matrix) -> int:
@@ -213,10 +217,9 @@ def odd_cocycle_pairing(name: str, u: MatrixElement) -> int:
     the winding number sum_s s ||B_s||_F^2 of its symbol, an exact integer
     (else ArithmeticError).  An element outside the module's algebra raises
     OutsideModuleError before the unitarity check's ValueError."""
-    symbol = _symbol(name, u)
+    _, symbol = _symbol(name, u)
     _check_unitary(u)
-    total = sum((s * (c.re ** 2 + c.im ** 2)
-                 for s, block in symbol.items() for row in block for c in row),
+    total = sum((s * (c.re ** 2 + c.im ** 2) for (_, _, s), c in symbol.items()),
                 Fraction(0))
     if total.denominator != 1:
         raise ArithmeticError(f"winding number {total} of a unitary is not an integer")

@@ -126,15 +126,10 @@ def brute_force_centralizer(g: GroupElement, box: int) -> np.ndarray:
     return (gh.p == hg.p) & (gh.q == hg.q) & (gh.r == hg.r)
 
 
-_ZXZL = re.compile(r"^ZxZl\((\d+)\)$")
-_CEXT = re.compile(r"^CentralExtension\((\d+)\)$")
-
-
-def _torsion(m: re.Match) -> int:
-    try:
-        return int(m.group(1))
-    except ValueError as e:  # more digits than int() converts
-        raise UnsupportedInput(str(e)) from None
+# The torsion is read as an ASCII digit string, never through int(): only
+# whether it is 0 or 1 matters, whatever its length.
+_ZXZL = re.compile(r"^ZxZl\(([0-9]+)\)$")
+_CEXT = re.compile(r"^CentralExtension\(([0-9]+)\)$")
 
 
 def group_cohomology(t: str) -> CohomologyProfile:
@@ -152,14 +147,14 @@ def group_cohomology(t: str) -> CohomologyProfile:
         return CohomologyProfile((1, 2, 2, 1))
     m = _ZXZL.match(t)
     if m:
-        if _torsion(m) < 1:
+        if m.group(1).lstrip("0") == "":
             raise UnsupportedInput("ZxZl torsion must be >= 1")
         # The torsion factor is invisible over the complex numbers, so the
         # profile agrees with that of Z for every l >= 1.
         return CohomologyProfile((1, 1))
     m = _CEXT.match(t)
     if m:
-        if _torsion(m) < 2:
+        if m.group(1).lstrip("0") in ("", "1"):
             raise UnsupportedInput("central extension torsion must be >= 2")
         # Rank-2 central extension of Z^2 by Z with torsion quotient: the
         # spectral sequence collapses and the dimensions match those of Z^2.

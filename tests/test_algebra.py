@@ -25,7 +25,6 @@ from heisenberg_ncg.algebra import (
     element_to_dict,
     eval_at_angle,
     is_central,
-    quotient_to_torus,
     random_element,
 )
 
@@ -155,10 +154,6 @@ class TestRingArithmetic:
         assert m * x == double_loop_product(m, x)
         assert x * m == double_loop_product(x, m)
         assert m * m == double_loop_product(m, m)
-
-    def test_quotient_kills_center(self):
-        x = U * W + U
-        assert quotient_to_torus(x) == U.scale(2)
 
 
 class TestTermProductBound:

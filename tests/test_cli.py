@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -52,9 +53,20 @@ def monomial_json(**coefficient) -> str:
     return json.dumps({"terms": [{"p": 1, "q": 0, "r": 0, **coefficient}]})
 
 
-def identity_blocks(k: int) -> str:
+def identity_blocks(k: int, corner: str = '{"terms":[{"p":0,"q":0,"r":0,"re":"1"}]}') -> str:
+    """The k x k identity with ``corner`` at [0][0]: unitary when it is."""
     one, zero = '{"terms":[{"p":0,"q":0,"r":0,"re":"1"}]}', "{}"
-    rows = ("[" + ",".join(one if i == j else zero for j in range(k)) + "]" for i in range(k))
+    rows = ("[" + ",".join((corner if i == 0 else one) if i == j else zero
+                           for j in range(k)) + "]" for i in range(k))
+    return '{"blocks":[' + ",".join(rows) + "]}"
+
+
+def dense_blocks(k: int, n: int) -> str:
+    """k x k blocks, each a sum of n powers of U, the k^2 n powers distinct."""
+    def entry(base):
+        return '{"terms":[%s]}' % ",".join(
+            '{"p":%d,"q":0,"r":0,"re":"1"}' % (base + t) for t in range(n))
+    rows = ("[" + ",".join(entry((i * k + j) * n) for j in range(k)) + "]" for i in range(k))
     return '{"blocks":[' + ",".join(rows) + "]}"
 
 
@@ -290,12 +302,29 @@ class TestGroup:
         assert code == 0
         assert json.loads(out)["result"]["finite_rank"] == 3
 
+    def test_hc_dim_past_the_digit_limit_names_it(self, capsys):
+        code, out, err = run_captured(capsys, ["group", "hc-dim", "--n", "9" + NINES])
+        assert code == 2 and out == ""
+        assert err == ("usage error: --n must be an integer of at most "
+                       f"{sys.get_int_max_str_digits()} digits\n")
+
     def test_cohomology(self, capsys):
         code, out, _ = run_captured(
             capsys, ["group", "cohomology", "--type", "H3"]
         )
         assert code == 0
         assert json.loads(out)["result"]["dims"] == [1, 2, 2, 1]
+
+    def test_cohomology_torsion_past_the_digit_limit(self, capsys):
+        # the torsion is compared as a digit string, never converted
+        long = "1" + "0" * 4300
+        code, out, err = run_captured(capsys, ["group", "cohomology", "--type", f"ZxZl({long})"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"]["dims"] == [1, 1]
+        code, out, err = run_captured(
+            capsys, ["group", "cohomology", "--type", "CentralExtension(%s1)" % ("0" * 4300)])
+        assert code == 2 and out == ""
+        assert err == "usage error: central extension torsion must be >= 2\n"
 
     def test_cohomology_zero_torsion_is_usage_error(self, capsys):
         # Z x Z/0 would be Z^2, not the profile (1, 1) of every ZxZl(l >= 1)
@@ -373,17 +402,28 @@ class TestVerificationCommands:
         assert code == 2 and out == ""
         assert "malformed element" in err
 
-    def test_index_block_cap(self, capsys, monkeypatch):
-        # the k^3 unitarity check is refused above 28 x 28 blocks
-        code, out, _ = run_captured(
-            capsys, ["index", "--module", "z1", "--unitary", identity_blocks(28)])
-        assert code == 0
-        assert json.loads(out)["result"] == {"index": 0}
-        monkeypatch.setattr(fredholm, "odd_cocycle_pairing", no_work)
-        code, out, err = run_captured(
-            capsys, ["index", "--module", "z1", "--unitary", identity_blocks(29)])
+    def test_index_is_bounded_by_term_products_only(self, capsys):
+        # the unitarity check visits only nonzero pairs, so block unitaries
+        # of any size within the term-product bound answer
+        for k in (29, 300):
+            code, out, err = run_captured(
+                capsys, ["index", "--module", "z1", "--unitary", identity_blocks(k, U_JSON)])
+            assert code == 0 and err == ""
+            assert json.loads(out)["result"] == {"index": 1}
+        # 28 x 28 blocks of 10 distinct powers each: u u* would take
+        # 28 (28 * 10)^2 term products, refused from the symbol's 7840
+        # nonzero entries, with no k x k block built per shift power
+        dense = dense_blocks(28, 10)
+        tracemalloc.start()
+        try:
+            code, out, err = run_captured(capsys, ["index", "--module", "z1", "--unitary", dense])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 2 and out == ""
-        assert err == "usage error: a 29x29 block unitary exceeds the 28x28 block limit\n"
+        assert err == ("usage error: the product would take 2195200 term products, "
+                       "over the limit of 100000\n")
+        assert peak < 16 * 2**20
 
     def test_index_term_product_cap(self, capsys, monkeypatch):
         # u u* takes (terms in block column t)^2 term products per column t:
@@ -825,18 +865,19 @@ def diagonal(entries):
                        for i, e in enumerate(entries)])
 
 
-# w1prime draws terms with a V exponent; the blocks reach 28 and 29, and the
-# term products of the unitarity check its limit and past it.
+# w1prime draws terms with a V exponent; identities with a drawn corner
+# reach 64 blocks a side, and the term products of the unitarity check its
+# limit and past it.
 UNITARIES = st.one_of(
     ELEMENTS,
     st.lists(ELEMENTS, min_size=1, max_size=3).map(diagonal),
     st.integers(1, 3).flatmap(lambda k: st.lists(
         st.lists(ELEMENTS, min_size=k, max_size=k), min_size=k, max_size=k)).map(block_rows),
+    st.builds(identity_blocks, st.integers(1, 64), ELEMENTS),
     st.sampled_from([
         '{"blocks":[]}', '{"blocks":[[]]}', '{"blocks":[[{}],[{},{}]]}',  # empty, ragged
         '{"blocks":[[{},{}]]}', '{"blocks":5}', '{"blocks":[5]}', '{"blocks":[[5]]}',
         '{"blocks":{"a":1}}', '{"blocks":null}',
-        identity_blocks(28), identity_blocks(29),
         # 100000 term products in u u*, then 100601
         *(diagonal([powers_of_u(n), powers_of_u(100)]) for n in (300, 301)),
     ]),

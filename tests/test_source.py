@@ -59,9 +59,9 @@ def test_cli_catches_only_in_its_plumbing():
                         "_emit", "cmd_group_hc_dim", "cmd_chern", "run", "main"}
 
 
-# Public names that only tests call today, kept for the K-theory and pairing
-# work that ROADMAP items 1 and 5 plan for them.
-UNREAD_BY_PLAN = {"apply_automorphism", "quotient_to_torus", "canonical_derivation"}
+# Public names that only tests call today, kept for the work that ROADMAP
+# items 4 (canonical_derivation) and 6 (apply_automorphism) plan for them.
+UNREAD_BY_PLAN = {"apply_automorphism", "canonical_derivation"}
 
 
 def _defined(statement) -> list[str]:

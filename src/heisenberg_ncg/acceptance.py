@@ -293,11 +293,10 @@ def criterion_10_algebra_oracle(seed=DEFAULT_SEED) -> dict:
         for _ in range(10):
             a = random_element(rng, box=4, n_terms=3)
             b = random_element(rng, box=4, n_terms=3)
-            ma, mb = eval_at_angle(a, theta), eval_at_angle(b, theta)
-            err = max(
-                float(np.max(np.abs(eval_at_angle(a * b, theta) - ma @ mb))),
-                float(np.max(np.abs(eval_at_angle(a.star(), theta) - ma.conj().T))),
-            )
+            ma, mb, mab, ms = (np.array(eval_at_angle(x, theta))
+                               for x in (a, b, a * b, a.star()))
+            err = max(float(np.max(np.abs(mab - ma @ mb))),
+                      float(np.max(np.abs(ms - ma.conj().T))))
             worst = max(worst, err)
             if err > 1e-12:
                 hom_failures += 1

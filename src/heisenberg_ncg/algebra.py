@@ -11,22 +11,26 @@ the group ring: twisted Laurent polynomials in U, V, W.  All ring operations
 are exact; floating point appears only when an element is evaluated in a
 finite-dimensional representation.
 
-A coefficient (``GaussianRational``) is three integers (a, b, d) meaning
-(a + b*i)/d, kept canonical (d > 0, gcd(a, b, d) = 1).  A product of two
-elements writes each operand over one common denominator, sums the term
-products as integer pairs per output key, and reduces each output
-coefficient once; the commutator does the same in one pass over the term
-pairs.  Both refuse, with ``UnsupportedInput``, two multi-term operands
-that would take more than ``MAX_TERM_PRODUCTS`` term products.
+An element stores each coefficient as its canonical integer triple
+(a, b, d), meaning (a + b*i)/d with d > 0 and gcd(a, b, d) = 1, so equal
+elements have equal term dictionaries.  Every ring operation reads and
+writes these triples and reduces each output with one gcd; a
+``GaussianRational``, the same triple behind an immutable number type, is
+built only where a caller asks for a coefficient (``coeff``, ``terms``,
+``element_to_dict``, ``eval_at_angle``).  A product of two elements writes
+each operand over one common denominator, sums the term products as
+integer pairs per output key, and reduces each output coefficient once;
+the commutator does the same in one pass over the term pairs.  Both
+refuse, with ``UnsupportedInput``, two multi-term operands that would take
+more than ``MAX_TERM_PRODUCTS`` term products.
 
 A sum copies the larger operand and adds coefficients only at the keys
-both share, dropping a zero where it arises; x - y is x + (-y).  Ring
-results hold nonzero canonical coefficients, so they are wrapped without
-the coercion of ``AlgebraElement(...)``.
+both share, dropping a zero where it arises; x - y is x + (-y).
 """
 
 from __future__ import annotations
 
+import cmath
 import numbers
 import re
 import sys
@@ -85,110 +89,125 @@ def _frac(x: Rationalish) -> Fraction:
             return Fraction(x)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
+    if isinstance(x, numbers.Integral):  # a numpy integer wraps at 64 bits; int does not
+        return Fraction(int(x))
     return Fraction(x)
+
+
+# A coefficient as the integer triple (a, b, d), meaning (a + b*i)/d; it is
+# canonical when d > 0 and gcd(a, b, d) = 1, so zero is (0, 0, 1).  The sum
+# and product of canonical triples reduce their result inline by one gcd.
+Triple = tuple[int, int, int]
+ZERO_T: Triple = (0, 0, 1)
+ONE_T: Triple = (1, 0, 1)
+
+
+def _add(x: Triple, y: Triple) -> Triple:
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    if d1 == d2:
+        a, b, d = a1 + a2, b1 + b2, d1
+    else:
+        a, b, d = a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2
+    g = gcd(a, b, d)
+    return (a, b, d) if g == 1 else (a // g, b // g, d // g)
+
+
+def _mul(x: Triple, y: Triple) -> Triple:
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2
+    g = gcd(a, b, d)
+    return (a, b, d) if g == 1 else (a // g, b // g, d // g)
+
+
+def _neg(x: Triple) -> Triple:
+    a, b, d = x
+    return (-a, -b, d)
 
 
 class GaussianRational:
     """A complex number with exact rational real and imaginary parts.
 
-    Stored as three integers (a, b, d) meaning (a + b*i)/d, with d > 0 and
-    gcd(a, b, d) = 1.  The form is canonical, so equal values have equal
-    fields.  Instances are immutable.
+    Stored as its canonical triple (a, b, d), meaning (a + b*i)/d with
+    d > 0 and gcd(a, b, d) = 1, so equal values have equal triples.
+    Instances are immutable.
     """
 
-    __slots__ = ("_a", "_b", "_d")
+    __slots__ = ("_t",)
 
     def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
         re, im = _frac(re), _frac(im)
         d = lcm(re.denominator, im.denominator)
         # Both parts are in lowest terms, so gcd(a, b, d) is already 1.
-        _set_a(self, re.numerator * (d // re.denominator))
-        _set_b(self, im.numerator * (d // im.denominator))
-        _set_d(self, d)
+        _set_t(self, (re.numerator * (d // re.denominator),
+                      im.numerator * (d // im.denominator), d))
 
     @property
     def re(self) -> Fraction:
-        return Fraction(self._a, self._d)
+        a, _, d = self._t
+        return Fraction(a, d)
 
     @property
     def im(self) -> Fraction:
-        return Fraction(self._b, self._d)
+        _, b, d = self._t
+        return Fraction(b, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _reduced(self._a + other._a, self._b + other._b, d1)
-        return _reduced(self._a * d2 + other._a * d1,
-                        self._b * d2 + other._b * d1, d1 * d2)
+        return _raw(_add(self._t, other._t))
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        d1, d2 = self._d, other._d
-        if d1 == d2:
-            return _reduced(self._a - other._a, self._b - other._b, d1)
-        return _reduced(self._a * d2 - other._a * d1,
-                        self._b * d2 - other._b * d1, d1 * d2)
+        return _raw(_add(self._t, _neg(other._t)))
 
     def __neg__(self) -> "GaussianRational":
-        return _raw(-self._a, -self._b, self._d)
+        return _raw(_neg(self._t))
 
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
-        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
+        return _raw(_mul(self._t, other._t))
 
     def conjugate(self) -> "GaussianRational":
-        return _raw(self._a, -self._b, self._d)
+        a, b, d = self._t
+        return _raw((a, -b, d))
 
     def is_zero(self) -> bool:
-        return not self._a and not self._b
+        a, b, _ = self._t
+        return not a and not b
 
     def to_complex(self) -> complex:
         # int true division rounds exactly as Fraction.__float__ does
-        return complex(self._a / self._d, self._b / self._d)
+        a, b, d = self._t
+        return complex(a / d, b / d)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return (self._a == other._a and self._b == other._b
-                and self._d == other._d)
+        return self._t == other._t
 
     def __hash__(self):
-        return hash((self._a, self._b, self._d))
+        return hash(self._t)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self) -> str:
-        return f"{self.re}{'+' if self._b >= 0 else ''}{self.im}i"
+        return f"{self.re}{'+' if self._t[1] >= 0 else ''}{self.im}i"
 
 
-# The slot descriptors set a field without __setattr__'s lookup by name.
-_set_a = GaussianRational._a.__set__
-_set_b = GaussianRational._b.__set__
-_set_d = GaussianRational._d.__set__
+# The slot descriptor sets the field without __setattr__'s lookup by name.
+_set_t = GaussianRational._t.__set__
 
 
-def _raw(a: int, b: int, d: int) -> GaussianRational:
-    """Wrap fields that are already canonical."""
+def _raw(t: Triple) -> GaussianRational:
+    """Wrap a triple that is already canonical."""
     x = object.__new__(GaussianRational)
-    _set_a(x, a)
-    _set_b(x, b)
-    _set_d(x, d)
+    _set_t(x, t)
     return x
 
 
-def _reduced(a: int, b: int, d: int) -> GaussianRational:
-    """(a + b*i)/d for d > 0, brought to the canonical form."""
-    g = gcd(a, b, d)
-    if g != 1:
-        a, b, d = a // g, b // g, d // g
-    return _raw(a, b, d)
-
-
 GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(1)
 
 
 @dataclass(frozen=True)
@@ -253,40 +272,42 @@ class RationalAngle:
 
     @property
     def lam(self) -> complex:
-        import numpy as np
-
         # s mod t, in integers and with the sign of s: 2*pi*s/t in floats
         # loses the residue of a large s (and overflows past ~308 digits)
         s = self.s % self.t if self.s >= 0 else -(-self.s % self.t)
-        return np.exp(2j * np.pi * s / self.t)
+        return cmath.exp(2j * cmath.pi * s / self.t)
 
 
 Key = tuple[int, int, int]
-CoeffLike = Union[int, Fraction, GaussianRational]
+CoeffLike = Union[int, Fraction, str, GaussianRational]
 
 
-def _coerce_coeff(c: CoeffLike) -> GaussianRational:
-    return c if isinstance(c, GaussianRational) else GaussianRational(c)
+def _coerce(c: CoeffLike) -> Triple:
+    if isinstance(c, GaussianRational):
+        return c._t
+    f = _frac(c)
+    return (f.numerator, 0, f.denominator)
 
 
 class AlgebraElement:
     """A finitely supported element of the twisted group ring C[H3].
 
-    Stores a mapping from exponent triples to exact Gaussian-rational
-    coefficients.  Zero coefficients are never stored, so equality of the
-    term dictionaries is equality of elements.  Instances are immutable.
+    Stores a mapping from exponent triples to the canonical triples of
+    exact Gaussian-rational coefficients.  Zero coefficients are never
+    stored, so equality of the term dictionaries is equality of elements.
+    Instances are immutable.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Key, CoeffLike] | None = None):
-        clean: dict[Key, GaussianRational] = {}
+        clean: dict[Key, Triple] = {}
         if terms:
             for key, c in terms.items():
-                coeff = _coerce_coeff(c)
-                if not coeff.is_zero():
+                t = _coerce(c)
+                if t[0] or t[1]:
                     p, q, r = key
-                    clean[(int(p), int(q), int(r))] = coeff
+                    clean[(int(p), int(q), int(r))] = t
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):
@@ -294,10 +315,11 @@ class AlgebraElement:
 
     @property
     def terms(self) -> dict[Key, GaussianRational]:
-        return dict(self._terms)
+        return {k: _raw(t) for k, t in self._terms.items()}
 
     def coeff(self, p: int, q: int, r: int) -> GaussianRational:
-        return self._terms.get((p, q, r), GR_ZERO)
+        t = self._terms.get((p, q, r))
+        return GR_ZERO if t is None else _raw(t)
 
     def support(self) -> list[Key]:
         return sorted(self._terms)
@@ -330,26 +352,29 @@ class AlgebraElement:
             s = out.get(key)
             if s is None:
                 out[key] = c
-            elif (s := s + c).is_zero():
-                del out[key]
-            else:
+            elif (s := _add(s, c))[0] or s[1]:
                 out[key] = s
+            else:
+                del out[key]
         return AlgebraElement._of_clean(out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + -other
 
     def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement._of_clean({k: -c for k, c in self._terms.items()})
+        return AlgebraElement._of_clean(
+            {k: (-a, -b, d) for k, (a, b, d) in self._terms.items()})
 
     def scale(self, c: CoeffLike) -> "AlgebraElement":
-        cc = _coerce_coeff(c)
-        return AlgebraElement({k: v * cc for k, v in self._terms.items()})
+        t = _coerce(c)
+        if not t[0] and not t[1]:
+            return AlgebraElement()
+        return AlgebraElement._of_clean({k: _mul(v, t) for k, v in self._terms.items()})
 
     @staticmethod
-    def _of_clean(terms: dict[Key, GaussianRational]) -> "AlgebraElement":
+    def _of_clean(terms: dict[Key, Triple]) -> "AlgebraElement":
         """Wrap, without a copy, a fresh dict with int-triple keys and nonzero
-        canonical coefficients; unlike ``__init__`` it coerces nothing."""
+        canonical coefficient triples; unlike ``__init__`` it coerces nothing."""
         x = object.__new__(AlgebraElement)
         object.__setattr__(x, "_terms", terms)
         return x
@@ -360,16 +385,16 @@ class AlgebraElement:
         # in the field Q(i) no product of nonzero coefficients is zero.
         if len(b) == 1:
             ((p2, q2, r2), c2), = b.items()
-            unit = c2 == GR_ONE
+            unit = c2 == ONE_T
             return AlgebraElement._of_clean({
-                (p1 + p2, q1 + q2, r1 + r2 + q1 * p2): c1 if unit else c1 * c2
+                (p1 + p2, q1 + q2, r1 + r2 + q1 * p2): c1 if unit else _mul(c1, c2)
                 for (p1, q1, r1), c1 in a.items()
             })
         if len(a) == 1:
             ((p1, q1, r1), c1), = a.items()
-            unit = c1 == GR_ONE
+            unit = c1 == ONE_T
             return AlgebraElement._of_clean({
-                (p1 + p2, q1 + q2, r1 + r2 + q1 * p2): c2 if unit else c1 * c2
+                (p1 + p2, q1 + q2, r1 + r2 + q1 * p2): c2 if unit else _mul(c1, c2)
                 for (p2, q2, r2), c2 in b.items()
             })
         check_term_products(len(a) * len(b))
@@ -389,7 +414,7 @@ class AlgebraElement:
 
     def star(self) -> "AlgebraElement":
         return AlgebraElement._of_clean({
-            (-p, -q, p * q - r): c.conjugate() for (p, q, r), c in self._terms.items()
+            (-p, -q, p * q - r): (a, -b, d) for (p, q, r), (a, b, d) in self._terms.items()
         })
 
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -431,21 +456,25 @@ class AlgebraElement:
     def __repr__(self):
         if self.is_zero():
             return "AlgebraElement(0)"
-        parts = [f"({c}) U^{p} V^{q} W^{r}" for (p, q, r), c in sorted(self._terms.items())]
+        parts = [f"({c}) U^{p} V^{q} W^{r}" for (p, q, r), c in sorted(self.terms.items())]
         return "AlgebraElement(" + " + ".join(parts) + ")"
 
 
-def _numerators(terms: dict[Key, GaussianRational]):
+def _numerators(terms: dict[Key, Triple]):
     """(D, [(key, a', b')]) with every coefficient written as (a' + b'*i)/D."""
-    d = lcm(*[c._d for c in terms.values()])
-    return d, [(k, c._a * (d // c._d), c._b * (d // c._d)) for k, c in terms.items()]
+    d = lcm(*[t[2] for t in terms.values()])
+    return d, [(k, a * (d // e), b * (d // e)) for k, (a, b, e) in terms.items()]
 
 
 def _from_sums(sums: dict[Key, tuple[int, int]], d: int) -> AlgebraElement:
     """The element with coefficient (a + b*i)/d at each key of ``sums``
     whose sum is nonzero."""
-    return AlgebraElement._of_clean(
-        {k: _reduced(a, b, d) for k, (a, b) in sums.items() if a or b})
+    out = {}
+    for k, (a, b) in sums.items():
+        if a or b:
+            g = gcd(a, b, d)
+            out[k] = (a, b, d) if g == 1 else (a // g, b // g, d // g)
+    return AlgebraElement._of_clean(out)
 
 
 U = AlgebraElement.monomial(1, 0, 0)
@@ -470,13 +499,13 @@ def apply_automorphism(x: AlgebraElement, n: int = 1) -> AlgebraElement:
     alpha(U) = WU, alpha(V) = V, alpha(W) = W.  On a monomial the exponent
     of W shifts by n*p.
     """
-    return AlgebraElement(
-        {(p, q, r + n * p): c for (p, q, r), c in x.terms.items()}
-    )
+    return AlgebraElement._of_clean(
+        {(p, q, r + n * p): c for (p, q, r), c in x._terms.items()})
 
 
-def eval_at_angle(x: AlgebraElement, theta: RationalAngle) -> np.ndarray:
-    """Evaluate x in the t-dimensional clock-and-shift representation.
+def eval_at_angle(x: AlgebraElement, theta: RationalAngle) -> list[list[complex]]:
+    """Evaluate x in the t-dimensional clock-and-shift representation, as
+    t rows of t complex numbers.
 
     With lambda = exp(2*pi*i*s/t):  U acts as the cyclic shift
     e_j -> e_{j+1 mod t}, V as the clock diag(lambda^j) and W as lambda
@@ -484,20 +513,23 @@ def eval_at_angle(x: AlgebraElement, theta: RationalAngle) -> np.ndarray:
     which the defining relation becomes VU = lambda UV.  A coefficient or
     an entry past the float64 range is an OverflowError.
     """
-    import numpy as np
-
     t, lam = theta.t, theta.lam
-    j = np.arange(t)
-    out = np.zeros((t, t), dtype=complex)
-    try:
-        with np.errstate(over="raise"):
-            # U^p V^q W^r sends e_j to lambda^(r + q*j) e_{j+p}; lambda^t = 1.
-            for (p, q, r), c in x.terms.items():
-                p, q, r = p % t, q % t, r % t  # as Python ints: no int64 overflow
-                out[(j + p) % t, j] += c.to_complex() * lam ** ((r + q * j) % t)
-    except (OverflowError, FloatingPointError):
-        raise OverflowError("the matrix has an entry outside the float64 range "
-                            f"(magnitude up to {np.finfo(float).max:.6g})") from None
+    powers = [lam ** n for n in range(t)]
+    out = [[0j] * t for _ in range(t)]
+    too_large = OverflowError("the matrix has an entry outside the float64 range "
+                              f"(magnitude up to {sys.float_info.max:.6g})")
+    # U^p V^q W^r sends e_j to lambda^(r + q*j) e_{j+p}; lambda^t = 1.
+    for (p, q, r), c in x.terms.items():
+        try:
+            c = c.to_complex()
+        except OverflowError:
+            raise too_large from None
+        p, q, r = p % t, q % t, r % t
+        for j in range(t):
+            out[(j + p) % t][j] += c * powers[(r + q * j) % t]
+    # complex arithmetic overflows to inf (and inf - inf to nan) silently
+    if not all(map(cmath.isfinite, (v for row in out for v in row))):
+        raise too_large
     return out
 
 
@@ -545,9 +577,9 @@ def element_from_dict(data: Mapping) -> AlgebraElement:
     return AlgebraElement(terms)
 
 
-def matrix_to_jsonable(m: np.ndarray) -> list:
+def matrix_to_jsonable(m: list[list[complex]]) -> list:
     """Row-major list of {re, im} pairs for a complex matrix."""
-    return [[{"re": float(v.real), "im": float(v.imag)} for v in row] for row in m]
+    return [[{"re": v.real, "im": v.imag} for v in row] for row in m]
 
 
 def random_element(rng: np.random.Generator, box: int = 5, n_terms: int = 4) -> AlgebraElement:

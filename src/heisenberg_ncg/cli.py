@@ -13,11 +13,12 @@ resolved configuration.  Exit codes: 0 success, 1 verification failure,
 ``algebra.MAX_TERM_PRODUCTS``) exits 2, and a ``VerificationFailure``,
 ``ValueError`` or ``ArithmeticError`` exits 1, each with one line on stderr.
 
-Only the commands that compute floats ('alg eval', 'chern', 'report all')
+Only the commands that compute floats on arrays ('chern', 'report all')
 load numpy or scipy: ``acceptance``, ``chern`` and ``fredholm`` are
-imported inside the handlers that use them, and ``algebra`` and
-``acceptance`` import numpy only where they need it, so an exact command
-('index' and 'pairing verify' included) starts without either library.
+imported inside the handlers that use them, ``acceptance`` imports numpy
+only where it needs it, and ``algebra`` not at all, so an exact command
+('index' and 'pairing verify' included) and 'alg eval' start without
+either library.
 """
 
 from __future__ import annotations
@@ -85,8 +86,11 @@ def _load_json(text_or_path: str):
         raw = text_or_path
     try:
         return json.loads(raw)
-    except (ValueError, RecursionError) as e:  # also too many digits, too deep
+    except (json.JSONDecodeError, RecursionError) as e:  # also too deep
         raise UsageError(f"malformed JSON input: {e}") from None
+    except ValueError:  # only an integer past the int-string digit limit
+        raise UsageError("malformed JSON input: an integer has more digits than the "
+                         f"{sys.get_int_max_str_digits()}-digit limit") from None
 
 
 def _parse(text_or_path: str, build, what: str):

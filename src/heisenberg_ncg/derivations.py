@@ -42,17 +42,21 @@ from one decomposition, with no power-by-power Leibniz expansion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import TYPE_CHECKING, Literal
 
 from .algebra import (
-    GR_ZERO,
     AlgebraElement,
     GaussianRational,
     Key,
+    Triple,
     U,
     V,
     W,
-    _reduced,
+    ZERO_T,
+    _add,
+    _neg,
+    _raw,
     element_from_dict,
     element_to_dict,
     is_central,
@@ -110,28 +114,32 @@ def inner_derivation(x: AlgebraElement) -> Derivation:
 def check_consistency(d: Derivation) -> ConsistencyReport:
     """Verify the Leibniz identity on VU = WUV and the axis rules."""
     violations: list[Violation] = []
-    for (p, q, r) in sorted(d.dU.terms):
+    for (p, q, r) in sorted(d.dU._terms):
         if q == 0 and p != 1:
             violations.append(Violation("axis-a", (p, q, r)))
-    for (p, q, r) in sorted(d.dV.terms):
+    for (p, q, r) in sorted(d.dV._terms):
         if p == 0 and q != 1:
             violations.append(Violation("axis-b", (p, q, r)))
 
     # Every product has a monomial factor; see the module docstring for the
     # cell of each term.
     rel = d.dV * U + V * d.dU - W * (d.dU * V + U * d.dV)
-    for (p, q, r) in sorted(rel.terms):
+    for (p, q, r) in sorted(rel._terms):
         violations.append(Violation("relation", (p - 1, q - 1, r - q + 1)))
 
     return ConsistencyReport(not violations, tuple(violations))
 
 
 def _weighted(y: AlgebraElement, axis: int) -> AlgebraElement:
-    """d1(y) (axis 0) or d2(y) (axis 1): U^p V^q W^r scaled by p or by q."""
-    return AlgebraElement._of_clean({
-        k: _reduced(c._a * k[axis], c._b * k[axis], c._d)
-        for k, c in y.terms.items() if k[axis]
-    })
+    """d1(y) (axis 0) or d2(y) (axis 1): U^p V^q W^r scaled by p or by q.
+
+    (a*w + b*w*i)/d reduces by gcd(w, d) alone, since gcd(a, b, d) = 1."""
+    out: dict[Key, Triple] = {}
+    for k, (a, b, d) in y._terms.items():
+        if w := k[axis]:
+            g = gcd(w, d)
+            out[k] = (a * w, b * w, d) if g == 1 else (a * (w // g), b * (w // g), d // g)
+    return AlgebraElement._of_clean(out)
 
 
 def apply(d: Derivation, y: AlgebraElement) -> AlgebraElement:
@@ -149,16 +157,16 @@ def apply(d: Derivation, y: AlgebraElement) -> AlgebraElement:
 
 def _columns(
     x: AlgebraElement, dp: int, dq: int
-) -> dict[tuple[int, int], dict[int, GaussianRational]]:
+) -> dict[tuple[int, int], dict[int, Triple]]:
     """Every column of x in one pass, keyed by (p - dp, q - dq)."""
-    cols: dict[tuple[int, int], dict[int, GaussianRational]] = {}
-    for (p, q, r), c in x.terms.items():
+    cols: dict[tuple[int, int], dict[int, Triple]] = {}
+    for (p, q, r), c in x._terms.items():
         cols.setdefault((p - dp, q - dq), {})[r] = c
     return cols
 
 
-def _quotient(column: dict[int, GaussianRational], step: int, sign: int,
-              written: int = 0) -> dict[int, GaussianRational] | None:
+def _quotient(column: dict[int, Triple], step: int, sign: int,
+              written: int = 0) -> dict[int, Triple] | None:
     """sign * column / (1 - W^step) as {height: coefficient}; None if infinite.
 
     On each residue class of heights mod step, the quotient g (with
@@ -167,16 +175,16 @@ def _quotient(column: dict[int, GaussianRational], step: int, sign: int,
     iff every class sums to zero.  Raises ValueError before ``written`` plus
     its own terms would exceed MAX_INNER_TERMS.
     """
-    out: dict[int, GaussianRational] = {}
-    runs: dict[int, tuple[int, GaussianRational]] = {}  # class: (last entry, sum)
+    out: dict[int, Triple] = {}
+    runs: dict[int, tuple[int, Triple]] = {}  # class: (last entry, sum)
     for h in sorted(column, key=lambda h: h * step):
-        last, total = runs.get(h % step, (h, GR_ZERO))
-        if not total.is_zero():
+        last, total = runs.get(h % step, (h, ZERO_T))
+        if total != ZERO_T:
             if written + len(out) + (h - last) // step > MAX_INNER_TERMS:
                 raise ValueError(f"the inner part has more than {MAX_INNER_TERMS} terms")
             out.update(dict.fromkeys(range(last, h, step), total))
-        runs[h % step] = (h, total + column[h] if sign > 0 else total - column[h])
-    return out if all(total.is_zero() for _, total in runs.values()) else None
+        runs[h % step] = (h, _add(total, column[h] if sign > 0 else _neg(column[h])))
+    return out if all(total == ZERO_T for _, total in runs.values()) else None
 
 
 def inner_coefficient(
@@ -202,7 +210,7 @@ def inner_coefficient(
         raise ValueError("route must be 'a' or 'b'")
     if quotient is None:
         raise ArithmeticError(f"{route}-route quotient at cell {(p, q)} is infinite")
-    return quotient
+    return {r: _raw(t) for r, t in quotient.items()}
 
 
 def compose_from_parts(
@@ -234,10 +242,10 @@ def decompose(d: Derivation) -> DecompositionResult:
     # the cell (0, 0) holds z1 and z2 instead.
     a_cols = _columns(d.dU, 1, 0)
     b_cols = _columns(d.dV, 0, 1)
-    z1 = AlgebraElement({(0, 0, r): c for r, c in a_cols.pop((0, 0), {}).items()})
-    z2 = AlgebraElement({(0, 0, r): c for r, c in b_cols.pop((0, 0), {}).items()})
+    z1 = AlgebraElement._of_clean({(0, 0, r): c for r, c in a_cols.pop((0, 0), {}).items()})
+    z2 = AlgebraElement._of_clean({(0, 0, r): c for r, c in b_cols.pop((0, 0), {}).items()})
 
-    x_terms: dict[Key, GaussianRational] = {}
+    x_terms: dict[Key, Triple] = {}
     infinite = []
     for (p, q) in sorted(a_cols.keys() | b_cols.keys()):
         quotient = (_quotient(a_cols.get((p, q), {}), q, 1, len(x_terms)) if q
@@ -247,10 +255,10 @@ def decompose(d: Derivation) -> DecompositionResult:
         else:
             x_terms.update({(p, q, r): c for r, c in quotient.items()})
 
-    x = AlgebraElement(x_terms)
+    x = AlgebraElement._of_clean(x_terms)
     rebuilt = compose_from_parts(z1, z2, x)
     if rebuilt.dU != d.dU or rebuilt.dV != d.dV:
-        cells = len((rebuilt.dU - d.dU).terms) + len((rebuilt.dV - d.dV).terms)
+        cells = len((rebuilt.dU - d.dU)._terms) + len((rebuilt.dV - d.dV)._terms)
         raise ArithmeticError(
             "d is not z1*d1 + z2*d2 + [., x] for any finitely supported x "
             f"(cells where the reconstruction differs from d: {cells}; "

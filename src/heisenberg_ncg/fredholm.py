@@ -90,8 +90,8 @@ def _block_product(
     of a times row t of b, summed over t (sum_t c_t^2 for u u*).  Only pairs
     of nonzero entries are visited, so past the k^2 zero tests the work is
     bounded by the term products counted."""
-    check_term_products(sum(sum(len(row[t].terms) for row in a)
-                            * sum(len(e.terms) for e in b[t]) for t in range(len(b))))
+    check_term_products(sum(sum(len(row[t]._terms) for row in a)
+                            * sum(len(e._terms) for e in b[t]) for t in range(len(b))))
     nonzero = [[(j, e) for j, e in enumerate(row) if not e.is_zero()] for row in b]
     out = [[AlgebraElement.zero()] * len(b[0]) for _ in a]
     for row, out_row in zip(a, out):

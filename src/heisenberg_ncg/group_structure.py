@@ -128,8 +128,8 @@ def brute_force_centralizer(g: GroupElement, box: int) -> np.ndarray:
 
 # The torsion is read as an ASCII digit string, never through int(): only
 # whether it is 0 or 1 matters, whatever its length.
-_ZXZL = re.compile(r"^ZxZl\(([0-9]+)\)$")
-_CEXT = re.compile(r"^CentralExtension\(([0-9]+)\)$")
+_ZXZL = re.compile(r"ZxZl\(([0-9]+)\)")
+_CEXT = re.compile(r"CentralExtension\(([0-9]+)\)")
 
 
 def group_cohomology(t: str) -> CohomologyProfile:
@@ -145,14 +145,14 @@ def group_cohomology(t: str) -> CohomologyProfile:
         return CohomologyProfile((1, 2, 1))
     if t == "H3":
         return CohomologyProfile((1, 2, 2, 1))
-    m = _ZXZL.match(t)
+    m = _ZXZL.fullmatch(t)
     if m:
         if m.group(1).lstrip("0") == "":
             raise UnsupportedInput("ZxZl torsion must be >= 1")
         # The torsion factor is invisible over the complex numbers, so the
         # profile agrees with that of Z for every l >= 1.
         return CohomologyProfile((1, 1))
-    m = _CEXT.match(t)
+    m = _CEXT.fullmatch(t)
     if m:
         if m.group(1).lstrip("0") in ("", "1"):
             raise UnsupportedInput("central extension torsion must be >= 2")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import seed, settings
 
 from heisenberg_ncg import acceptance as acc
+from heisenberg_ncg.algebra import AlgebraElement
 
 # Every hypothesis suite draws its examples from HNC_SEED when it is set,
 # else from the package default, and keeps no example database, so a failure
@@ -14,6 +15,42 @@ SEED = int(os.environ.get("HNC_SEED", acc.DEFAULT_SEED))
 def no_work(*args, **kwargs):
     """A stand-in for a step that a refused input must never reach."""
     raise AssertionError("the input must be refused before any work")
+
+
+class Tracked(int):
+    """An integer that appends to ``log`` the labels of the tracked
+    operands of each sum, difference, product or floor division it takes
+    part in; its negation keeps the label and is not logged."""
+
+    def __new__(cls, value: int, label, log: list):
+        x = super().__new__(cls, value)
+        x.label, x.log = label, log
+        return x
+
+    def __neg__(self):
+        return Tracked(-int(self), self.label, self.log)
+
+
+def _logged(name: str):
+    op = getattr(int, name)
+
+    def logged(self, other):
+        self.log.append(frozenset(x.label for x in (self, other) if isinstance(x, Tracked)))
+        return op(int(self), int(other))
+    return logged
+
+
+for _name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__floordiv__", "__rfloordiv__"):
+    setattr(Tracked, _name, _logged(_name))
+
+
+def tracked(x, name: str, log: list):
+    """x with each coefficient triple made of Tracked integers labelled
+    (name, key), so ``log`` shows which coefficients took part in the
+    arithmetic of a ring operation."""
+    return AlgebraElement._of_clean({
+        k: tuple(Tracked(v, (name, k), log) for v in t) for k, t in x._terms.items()})
 
 
 def seeded(max_examples: int = 100):

@@ -1,13 +1,14 @@
 import json
+import operator
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import no_work, seeded
+from conftest import no_work, seeded, tracked
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heisenberg_ncg import algebra
+from heisenberg_ncg import algebra, derivations
 from heisenberg_ncg.algebra import (
     MAX_TERM_PRODUCTS,
     ONE,
@@ -27,6 +28,7 @@ from heisenberg_ncg.algebra import (
     is_central,
     random_element,
 )
+from heisenberg_ncg.derivations import apply, random_consistent_derivation
 
 ints = st.integers(-8, 8)
 triples = st.tuples(ints, ints, ints)
@@ -157,16 +159,17 @@ class TestRingArithmetic:
 
 
 class TestTermProductBound:
-    def test_two_multi_term_operands_past_the_bound(self, monkeypatch):
-        # 317^2 = 100489 term products, refused before the numerators of
-        # either operand are formed
-        x = AlgebraElement({(i, 0, -i): 1 for i in range(317)})
-        monkeypatch.setattr(algebra, "_numerators", no_work)
+    def test_two_multi_term_operands_past_the_bound(self):
+        # 317^2 = 100489 term products, refused before any coefficient of
+        # either operand takes part in arithmetic
+        log = []
+        x = tracked(AlgebraElement({(i, 0, -i): 1 for i in range(317)}), "x", log)
         message = "would take 100489 term products, over the limit of 100000"
         with pytest.raises(UnsupportedInput, match=message):
             x * x
         with pytest.raises(UnsupportedInput, match=message):
             x.commutator(x)
+        assert log == []
 
     def test_one_term_operand_is_not_bounded(self):
         # sum_{r < n} V W^r: U V W^r - V W^r U = U V W^r - U V W^(r+1) telescopes
@@ -184,32 +187,52 @@ class TestSumWork:
     x = AlgebraElement({(p, 0, 0): GaussianRational(p, 1) for p in range(1, 9)})
     y = AlgebraElement({(0, q, 0): GaussianRational(1, q) for q in range(1, 4)})
 
-    def test_disjoint_supports_combine_no_coefficient(self, monkeypatch):
-        x, y = self.x, self.y
-        want_sum = {**x.terms, **y.terms}
-        want_difference = {**x.terms, **{k: -c for k, c in y.terms.items()}}
-        monkeypatch.setattr(GaussianRational, "__add__", no_work)
-        monkeypatch.setattr(GaussianRational, "__sub__", no_work)
+    def test_disjoint_supports_combine_no_coefficient(self):
+        log = []
+        x, y = tracked(self.x, "x", log), tracked(self.y, "y", log)
+        want_sum = {**self.x.terms, **self.y.terms}
+        want_difference = {**self.x.terms, **(-self.y).terms}
         assert (x + y).terms == (y + x).terms == want_sum
         assert (x - y).terms == want_difference
-        assert (y - x).terms == {k: -c for k, c in want_difference.items()}
+        assert (y - x).terms == (-(self.x - self.y)).terms
+        assert log == []
 
-    def test_shared_keys_combine_once_each(self, monkeypatch):
+    def test_shared_keys_combine_once_each(self):
         # two shared keys: the first cancels in the sum, the second in the
-        # difference
-        x = self.x
-        y = self.y + AlgebraElement({(1, 0, 0): GaussianRational(-1, -1),
-                                     (2, 0, 0): GaussianRational(2, 1)})
-        want = {"+": x + y, "-": x - y}
-        calls = []
-        for op in ("__add__", "__sub__"):
-            combine = getattr(GaussianRational, op)
-            monkeypatch.setattr(GaussianRational, op, lambda a, b, combine=combine:
-                                calls.append(1) or combine(a, b))
-        assert x + y == y + x == want["+"] and len(calls) == 4
-        calls.clear()
-        assert x - y == want["-"] and len(calls) == 2
-        assert len(want["+"].terms) == len(want["-"].terms) == 8 + 3 - 1
+        # difference.  Each logged operation pairs the coefficients of x and
+        # y at one shared key, and the whole sum does the work of the two
+        # one-key sums.
+        shared = {(1, 0, 0): GaussianRational(-1, -1), (2, 0, 0): GaussianRational(2, 1)}
+        y = self.y + AlgebraElement(shared)
+        for op, want in ((operator.add, self.x + y), (operator.sub, self.x - y)):
+            log = []
+            got = op(tracked(self.x, "x", log), tracked(y, "y", log))
+            assert got == want
+            alone = []
+            for k in shared:
+                op(tracked(AlgebraElement({k: self.x.coeff(*k)}), "x", alone),
+                   tracked(AlgebraElement({k: y.coeff(*k)}), "y", alone))
+            assert sorted(map(sorted, log)) == sorted(map(sorted, alone))
+            assert {frozenset({("x", k), ("y", k)}) for k in shared} == set(log)
+        assert len((self.x + y).terms) == len((self.x - y).terms) == 8 + 3 - 1
+
+    def test_ring_operations_build_no_gaussian_rational(self, monkeypatch):
+        # coefficients stay integer triples through the ring and apply;
+        # a GaussianRational is built only where a caller reads one
+        x = random_element(np.random.default_rng(5), box=4, n_terms=6)
+        y = random_element(np.random.default_rng(6), box=4, n_terms=6)
+        d = random_consistent_derivation(np.random.default_rng(7), box=4)
+        assert len(x.support()) > 1 and len(y.support()) > 1
+        monkeypatch.setattr(GaussianRational, "__init__", no_work)
+        for module in (algebra, derivations):
+            monkeypatch.setattr(module, "_raw", no_work)
+        for op in (operator.mul, AlgebraElement.commutator, operator.add, operator.sub):
+            op(x, y)
+        apply(d, y)
+
+
+def evaluated(x: AlgebraElement, theta: RationalAngle) -> np.ndarray:
+    return np.array(eval_at_angle(x, theta))
 
 
 class TestEvaluation:
@@ -220,14 +243,14 @@ class TestEvaluation:
         for _ in range(10):
             a = random_element(rng, box=4, n_terms=3)
             b = random_element(rng, box=4, n_terms=3)
-            ma, mb = eval_at_angle(a, theta), eval_at_angle(b, theta)
-            assert np.max(np.abs(eval_at_angle(a * b, theta) - ma @ mb)) <= 1e-12
-            assert np.max(np.abs(eval_at_angle(a.star(), theta) - ma.conj().T)) <= 1e-12
+            ma, mb = evaluated(a, theta), evaluated(b, theta)
+            assert np.max(np.abs(evaluated(a * b, theta) - ma @ mb)) <= 1e-12
+            assert np.max(np.abs(evaluated(a.star(), theta) - ma.conj().T)) <= 1e-12
 
     @pytest.mark.parametrize("s,t", [(1, 3), (2, 5), (3, 7)])
     def test_defining_relation_in_representation(self, s, t):
         theta = RationalAngle.of(s, t)
-        mu, mv = eval_at_angle(U, theta), eval_at_angle(V, theta)
+        mu, mv = evaluated(U, theta), evaluated(V, theta)
         assert np.max(np.abs(mv @ mu - theta.lam * mu @ mv)) <= 1e-12
 
     @pytest.mark.parametrize("s,t", [(0, 1), (1, 2), (2, 5), (5, 7)])
@@ -243,11 +266,11 @@ class TestEvaluation:
             mat = (np.linalg.matrix_power(shift, p)
                    @ np.linalg.matrix_power(clock, q))
             want += c.to_complex() * lam**r * mat
-        assert np.max(np.abs(eval_at_angle(x, theta) - want)) <= 1e-12
+        assert np.max(np.abs(evaluated(x, theta) - want)) <= 1e-12
 
     def test_central_generator_is_scalar(self):
         theta = RationalAngle.of(1, 4)
-        mw = eval_at_angle(W, theta)
+        mw = evaluated(W, theta)
         assert np.max(np.abs(mw - theta.lam * np.eye(4))) <= 1e-12
 
 
@@ -309,3 +332,7 @@ class TestSerialization:
     def test_library_accepts_numpy_integer_coefficients(self):
         assert AlgebraElement({(0, 0, 0): np.int64(3)}) == ONE.scale(3)
         assert GaussianRational(np.int32(1), "1/2") == GaussianRational(1, Fraction(1, 2))
+        # taken as unbounded ints: a product past 64 bits does not wrap
+        big = np.int64(2**62)
+        assert ONE.scale(big).scale(big) == ONE.scale(2**124)
+        assert GaussianRational(big) * GaussianRational(big) == GaussianRational(2**124)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from heisenberg_ncg import fredholm
 from heisenberg_ncg.algebra import (
-    GR_ONE,
     GR_ZERO,
     ONE,
     U,
@@ -23,6 +22,8 @@ from heisenberg_ncg.fredholm import (
     odd_cocycle_pairing,
     odd_pairing,
 )
+
+GR_ONE = GaussianRational(1)
 
 ZERO = AlgebraElement.zero()
 

@@ -147,6 +147,12 @@ class TestCohomology:
             with pytest.raises(UnsupportedInput):
                 group_cohomology(t)
 
+    @pytest.mark.parametrize("t", ["H3\n", "ZxZl(5)\n", "CentralExtension(5)\n"])
+    def test_trailing_newline_rejected(self, t):
+        # every descriptor must match the whole string
+        with pytest.raises(UnsupportedInput, match="unsupported group descriptor"):
+            group_cohomology(t)
+
     def test_zero_torsion_rejected(self):
         # l = 0 would be Z x Z = Z^2, whose profile is (1, 2, 1), not (1, 1)
         for zero in ("0", "0" * 4301):

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 from heisenberg_ncg.algebra import (
     AlgebraElement,
     GaussianRational,
+    apply_automorphism,
     element_from_dict,
     element_to_dict,
 )
-from heisenberg_ncg.derivations import apply, canonical_derivation
+from heisenberg_ncg.derivations import apply, canonical_derivation, decompose, inner_derivation
 
 PROPERTY = seeded(60)
 
@@ -64,7 +65,7 @@ def overlapping(draw):
 
 
 def fields(x: GaussianRational) -> tuple[int, int, int]:
-    return x._a, x._b, x._d
+    return x._t
 
 
 # ---- GaussianRational against Fraction pairs ----
@@ -180,11 +181,13 @@ def test_ring_results_store_only_canonical_nonzero_coefficients(xy, c):
     x, y = xy
     results = [x + y, x - y, -x, x.star(), x.scale(GaussianRational(*c)),
                apply(canonical_derivation(1), x), apply(canonical_derivation(2), x),
-               x * y, x.commutator(y), x + (-x), x - x]
+               apply_automorphism(x, 2), decompose(inner_derivation(y)).x,
+               AlgebraElement(y.terms), x * y, x.commutator(y), x + (-x), x - x]
     for z in results:
-        for key, coeff in z.terms.items():
-            a, b, d = fields(coeff)
-            assert (a or b) and d > 0 and gcd(a, b, d) == 1, (key, coeff)
+        # the stored triples themselves, as every ring operation reads them
+        for key, (a, b, d) in z._terms.items():
+            assert (a or b) and d > 0 and gcd(a, b, d) == 1, (key, (a, b, d))
+            assert all(type(v) is int for v in (a, b, d)), (key, (a, b, d))
     assert results[-2] == results[-1] == AlgebraElement.zero()
 
 

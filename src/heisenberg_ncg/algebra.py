@@ -34,10 +34,9 @@ import cmath
 import numbers
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Mapping, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,6 +48,8 @@ Rationalish = Union[int, Fraction, str]
 # is the digit limit Python already puts on integer strings.
 MAX_DECIMAL_EXPONENT = 4300
 _DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
+# A run of digits, which int() reads as one integer string.
+_DIGITS = re.compile(r"[\d_]+")
 
 # Most term products one ring product may take: x*y and [x, y] take |x| |y|,
 # a block product the sum of theirs; up to ~8 us each in-process, so < 1 s.
@@ -82,6 +83,12 @@ def _frac(x: Rationalish) -> Fraction:
         raise TypeError(f"a coefficient must be an integer, a Fraction or a "
                         f"string such as \"1/2\", got {x!r}")
     if isinstance(x, str):
+        limit = sys.get_int_max_str_digits()  # 0: no limit
+        if 0 < limit < len(x) and any(len(run) - run.count("_") > limit
+                                      for run in _DIGITS.findall(x)):
+            # else int() would advise raising the limit
+            raise ValueError(f"an integer in a coefficient string has more digits "
+                             f"than the {limit}-digit limit")
         exponent = _DECIMAL_EXPONENT.search(x)
         if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
             raise ValueError(f"decimal exponent of {x!r} exceeds {MAX_DECIMAL_EXPONENT}")
@@ -210,13 +217,35 @@ def _raw(t: Triple) -> GaussianRational:
 GR_ZERO = GaussianRational()
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    """Exponent triple (p, q, r) for the normal-form word U^p V^q W^r."""
+    """Exponent triple (p, q, r) for the normal-form word U^p V^q W^r.
 
+    Instances are immutable; equal triples are equal and hash alike.
+    """
+
+    __slots__ = ("p", "q", "r")
     p: int
     q: int
     r: int
+
+    def __init__(self, p: int, q: int, r: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupElement is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroupElement):
+            return NotImplemented
+        return self.as_tuple() == other.as_tuple()
+
+    def __hash__(self):
+        return hash(self.as_tuple())
+
+    def __repr__(self) -> str:
+        return f"GroupElement(p={self.p!r}, q={self.q!r}, r={self.r!r})"
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(
@@ -243,22 +272,16 @@ def conjugate(h: GroupElement, g: GroupElement) -> GroupElement:
     return h * g * h.inverse()
 
 
-@dataclass(frozen=True)
-class RationalAngle:
-    """A reduced fraction s/t representing the angle theta = s/t of a root
-    of unity lambda = exp(2*pi*i*s/t)."""
+class RationalAngle(NamedTuple):
+    """A reduced fraction s/t, t >= 1, representing the angle theta = s/t of
+    a root of unity lambda = exp(2*pi*i*s/t); build one with ``of``."""
 
     s: int
     t: int
 
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("denominator must be a positive integer")
-        if gcd(self.s, self.t) != 1 and not (self.s == 0 and self.t == 1):
-            raise ValueError("angle fraction must be in lowest terms")
-
     @staticmethod
     def of(s: int, t: int) -> "RationalAngle":
+        """s/t in lowest terms with t > 0; 0 is 0/1."""
         if t == 0:
             raise ValueError("denominator must be nonzero")
         if t < 0:

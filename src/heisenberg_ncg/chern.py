@@ -38,8 +38,6 @@ with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import UnsupportedInput
@@ -55,16 +53,18 @@ MIN_GRID = 8
 CONVERGENCE_TOL = 0.1
 
 
-@dataclass(frozen=True)
 class ProjectorField:
-    """G x G samples of a rank-1 Hermitian 2x2 projector over the torus."""
+    """G x G samples of a rank-1 Hermitian 2x2 projector over the torus.
 
+    Instances are immutable.
+    """
+
+    __slots__ = ("grid", "samples")
     grid: int
     samples: np.ndarray  # shape (G, G, 2, 2)
 
-    def __post_init__(self):
-        g = self.grid
-        s = self.samples
+    def __init__(self, grid: int, samples: np.ndarray):
+        g, s = grid, samples
         if s.shape != (g, g, 2, 2):
             raise ValueError("sample array shape mismatch")
         herm = np.max(np.abs(s - s.conj().transpose(0, 1, 3, 2)))
@@ -74,6 +74,22 @@ class ProjectorField:
         tr = np.einsum("ijaa->ij", s).real
         if np.max(np.abs(tr - 1.0)) > 1e-8:
             raise ValueError("projector field must have constant rank 1")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "samples", samples)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ProjectorField is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProjectorField):
+            return NotImplemented
+        return (self.grid, self.samples) == (other.grid, other.samples)
+
+    def __hash__(self):
+        return hash((self.grid, self.samples))
+
+    def __repr__(self) -> str:
+        return f"ProjectorField(grid={self.grid!r}, samples={self.samples!r})"
 
 
 def bott_projector(grid: int = 64, mass: float = 1.0) -> ProjectorField:

@@ -13,12 +13,14 @@ resolved configuration.  Exit codes: 0 success, 1 verification failure,
 ``algebra.MAX_TERM_PRODUCTS``) exits 2, and a ``VerificationFailure``,
 ``ValueError`` or ``ArithmeticError`` exits 1, each with one line on stderr.
 
-Only the commands that compute floats on arrays ('chern', 'report all')
-load numpy or scipy: ``acceptance``, ``chern`` and ``fredholm`` are
-imported inside the handlers that use them, ``acceptance`` imports numpy
-only where it needs it, and ``algebra`` not at all, so an exact command
-('index' and 'pairing verify' included) and 'alg eval' start without
-either library.
+Each command imports only the package modules it runs: ``algebra`` is
+imported here, and every other module inside the handlers that use it.
+The package uses no ``dataclasses``, whose own imports and generated
+methods would cost every command at start.  So only the commands that
+compute floats on arrays ('chern', 'report all') load numpy or scipy:
+``acceptance`` imports numpy only where it needs it, and ``algebra`` not
+at all, so an exact command ('index' and 'pairing verify' included) and
+'alg eval' start without either library.
 """
 
 from __future__ import annotations
@@ -27,12 +29,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
-from . import derivations as dv
-from . import group_structure as gs
-from . import kk
 from .algebra import (
     AlgebraElement,
     GroupElement,
@@ -127,8 +125,10 @@ def _matrix_element(text_or_path: str):
     return _parse(text_or_path, _matrix_from_dict, "element")
 
 
-def _derivation(text_or_path: str) -> dv.Derivation:
-    return _parse(text_or_path, dv.derivation_from_dict, "derivation")
+def _derivation(text_or_path: str):
+    from .derivations import derivation_from_dict
+
+    return _parse(text_or_path, derivation_from_dict, "derivation")
 
 
 def _group_element(text: str) -> GroupElement:
@@ -238,6 +238,8 @@ def cmd_alg_eval(args):
 
 
 def cmd_deriv_check(args):
+    from . import derivations as dv
+
     rep = dv.check_consistency(_derivation(args.d))
     result = {
         "consistent": rep.passed,
@@ -247,25 +249,35 @@ def cmd_deriv_check(args):
 
 
 def cmd_deriv_decompose(args):
+    from . import derivations as dv
+
     return {}, dv.decomposition_to_dict(dv.decompose(_derivation(args.d))), EXIT_OK
 
 
 def cmd_deriv_apply(args):
+    from . import derivations as dv
+
     return {}, element_to_dict(dv.apply(_derivation(args.d), _element(args.y))), EXIT_OK
 
 
 def cmd_group_classify(args):
+    from . import group_structure as gs
+
     g = _group_element(args.element)
-    result = asdict(gs.classify_element(g))
+    result = gs.classify_element(g)._asdict()
     result["conjugacy_representative"] = list(gs.conjugacy_representative(g).as_tuple())
     return {"element": list(g.as_tuple())}, result, EXIT_OK
 
 
 def cmd_group_cohomology(args):
-    return {"type": args.type}, asdict(gs.group_cohomology(args.type)), EXIT_OK
+    from . import group_structure as gs
+
+    return {"type": args.type}, gs.group_cohomology(args.type)._asdict(), EXIT_OK
 
 
 def cmd_group_hc_dim(args):
+    from . import group_structure as gs
+
     # parsed here, not by argparse, so that a degree past the int-string
     # digit limit is one usage-error line that names the limit
     try:
@@ -277,14 +289,16 @@ def cmd_group_hc_dim(args):
         raise UsageError(f"--n must be an integer: {e}") from None
     if n is None or n < 0:
         raise UsageError("hc-dim requires a nonnegative --n")
-    return {"n": n}, asdict(gs.cyclic_cohomology_dim(n)), EXIT_OK
+    return {"n": n}, gs.cyclic_cohomology_dim(n)._asdict(), EXIT_OK
 
 
 def cmd_pairing_table(args):
+    from . import kk
+
     even, odd = kk.pairing_tables()
     even_t2, odd_t2 = kk.torus_pairing_tables()
     tables = {"even": even, "odd": odd, "torus_even": even_t2, "torus_odd": odd_t2}
-    return {}, {name: asdict(t) for name, t in tables.items()}, EXIT_OK
+    return {}, {name: t.to_dict() for name, t in tables.items()}, EXIT_OK
 
 
 def cmd_pairing_verify(args):
@@ -333,6 +347,8 @@ def cmd_chern(args):
 
 
 def cmd_sequence(args):
+    from . import kk
+
     builder = (
         kk.pv_ktheory_sequence if args.action == "ktheory" else kk.khomology_sequence
     )
@@ -341,7 +357,7 @@ def cmd_sequence(args):
     code = EXIT_OK
     if args.check:
         reports = kk.check_exactness(maps)
-        result["nodes"] = [asdict(r) for r in reports]
+        result["nodes"] = [r._asdict() for r in reports]
         result["exact"] = all(r.exact for r in reports)
         if not result["exact"]:
             code = EXIT_VERIFICATION

@@ -41,9 +41,8 @@ from one decomposition, with no power-by-power Leibniz expansion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Literal, NamedTuple
 
 from .algebra import (
     AlgebraElement,
@@ -70,28 +69,24 @@ if TYPE_CHECKING:
 MAX_INNER_TERMS = 10**6
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """A derivation given by its generator images; d(W) = 0 always."""
 
     dU: AlgebraElement
     dV: AlgebraElement
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: Literal["axis-a", "axis-b", "relation"]
     cell: Key
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     passed: bool
     violations: tuple[Violation, ...] = ()
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     z1: AlgebraElement
     z2: AlgebraElement
     x: AlgebraElement

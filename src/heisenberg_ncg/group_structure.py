@@ -17,9 +17,8 @@ classes contribute a product factor in degrees <= 2 only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import GroupElement, UnsupportedInput
 
@@ -31,8 +30,7 @@ if TYPE_CHECKING:
 _MAX_BRUTE_FORCE_COORDINATE = 2**31
 
 
-@dataclass(frozen=True)
-class CentralizerReport:
+class CentralizerReport(NamedTuple):
     case: str  # Case1 | Case2 | Case3 | Case4a | Case4b | Identity
     k: int
     p_prime: int
@@ -42,13 +40,11 @@ class CentralizerReport:
     ng_type: str  # Z | ZxZl(l) | Z2 | CentralExtension(m) | H3
 
 
-@dataclass(frozen=True)
-class CohomologyProfile:
+class CohomologyProfile(NamedTuple):
     dims: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CyclicDimReport:
+class CyclicDimReport(NamedTuple):
     degree: int
     finite_rank: int
     countable_factor: bool

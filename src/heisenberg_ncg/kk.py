@@ -19,8 +19,8 @@ is computed from an operator here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import prod
+from typing import NamedTuple
 
 from .integer_lattices import (
     Matrix,
@@ -33,8 +33,33 @@ from .integer_lattices import (
 )
 
 
-@dataclass(frozen=True)
-class AbelianGroupPresentation:
+class _Record:
+    """An immutable __slots__ record: equality and hashing read the fields
+    that ``_compared`` returns, so that ``provenance`` is left out."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class AbelianGroupPresentation(NamedTuple):
     name: str
     generator_labels: tuple[str, ...]
 
@@ -43,22 +68,32 @@ class AbelianGroupPresentation:
         return len(self.generator_labels)
 
 
-@dataclass(frozen=True)
-class IntegerMap:
+class IntegerMap(_Record):
+    """A homomorphism of presented groups, as an integer matrix.
+
+    Instances are immutable; equality and hashing ignore ``provenance``.
+    """
+
+    __slots__ = ("name", "source", "target", "matrix", "provenance")
     name: str
     source: AbelianGroupPresentation
     target: AbelianGroupPresentation
     matrix: Matrix  # columns indexed by source generators
-    provenance: dict = field(default_factory=dict, compare=False)
+    provenance: dict
 
-    def __post_init__(self):
-        m = as_int_matrix(self.matrix)
-        if shape(m) != (self.target.rank, self.source.rank):
+    def __init__(self, name: str, source: AbelianGroupPresentation,
+                 target: AbelianGroupPresentation, matrix, provenance: dict | None = None):
+        m = as_int_matrix(matrix)
+        if shape(m) != (target.rank, source.rank):
             raise ValueError(
-                f"{self.name}: matrix shape {shape(m)} does not match "
-                f"{self.target.rank}x{self.source.rank}"
+                f"{name}: matrix shape {shape(m)} does not match "
+                f"{target.rank}x{source.rank}"
             )
-        object.__setattr__(self, "matrix", m)
+        self._set(name=name, source=source, target=target, matrix=m,
+                  provenance={} if provenance is None else provenance)
+
+    def _compared(self) -> tuple:
+        return (self.name, self.source, self.target, self.matrix)
 
     def mutated(self, row: int, col: int, delta: int = 1) -> "IntegerMap":
         m = [list(r) for r in self.matrix]
@@ -75,18 +110,36 @@ class IntegerMap:
         }
 
 
-@dataclass(frozen=True)
-class PairingTable:
+class PairingTable(_Record):
+    """Integer pairings of K-theory rows with K-homology columns.
+
+    Instances are immutable; equality and hashing ignore ``provenance``.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "provenance")
     rows: tuple[str, ...]  # K-theory labels
     cols: tuple[str, ...]  # K-homology labels
     entries: Matrix
-    provenance: dict = field(default_factory=dict, compare=False)
+    provenance: dict
 
-    def __post_init__(self):
-        m = as_int_matrix(self.entries)
-        if shape(m) != (len(self.rows), len(self.cols)):
+    def __init__(self, rows: tuple[str, ...], cols: tuple[str, ...], entries,
+                 provenance: dict | None = None):
+        m = as_int_matrix(entries)
+        if shape(m) != (len(rows), len(cols)):
             raise ValueError("pairing table shape mismatch")
-        object.__setattr__(self, "entries", m)
+        self._set(rows=rows, cols=cols, entries=m,
+                  provenance={} if provenance is None else provenance)
+
+    def _compared(self) -> tuple:
+        return (self.rows, self.cols, self.entries)
+
+    def to_dict(self) -> dict:
+        return {
+            "rows": list(self.rows),
+            "cols": list(self.cols),
+            "entries": [list(row) for row in self.entries],
+            "provenance": self.provenance,
+        }
 
     def entry(self, row: str, col: str) -> int:
         return self.entries[self.rows.index(row)][self.cols.index(col)]
@@ -196,8 +249,7 @@ def khomology_sequence() -> list[IntegerMap]:
     ]
 
 
-@dataclass(frozen=True)
-class NodeReport:
+class NodeReport(NamedTuple):
     node: str
     incoming: str
     outgoing: str

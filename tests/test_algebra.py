@@ -102,6 +102,14 @@ class TestGroupLaw:
         assert (c.p, c.q) == (g.p, g.q)
         assert c.r == g.r + h.q * g.p - h.p * g.q
 
+    def test_elements_are_immutable_values(self):
+        g = GroupElement(1, 2, 3)
+        with pytest.raises(AttributeError):
+            g.p = 5
+        assert g == GroupElement(1, 2, 3) and hash(g) == hash(GroupElement(1, 2, 3))
+        assert g != GroupElement(1, 2, 4) and g != (1, 2, 3)
+        assert repr(g) == "GroupElement(p=1, q=2, r=3)"
+
 
 class TestRingArithmetic:
     def test_defining_relation(self):
@@ -267,6 +275,16 @@ class TestEvaluation:
                    @ np.linalg.matrix_power(clock, q))
             want += c.to_complex() * lam**r * mat
         assert np.max(np.abs(evaluated(x, theta) - want)) <= 1e-12
+
+    def test_angle_is_an_immutable_reduced_fraction(self):
+        half = RationalAngle.of(2, 4)
+        assert half == RationalAngle.of(1, 2) == RationalAngle.of(-1, -2)
+        assert (half.s, half.t) == (1, 2)
+        assert RationalAngle.of(0, -7) == RationalAngle.of(0, 1)
+        with pytest.raises(AttributeError):
+            half.t = 3
+        with pytest.raises(ValueError, match="nonzero"):
+            RationalAngle.of(1, 0)
 
     def test_central_generator_is_scalar(self):
         theta = RationalAngle.of(1, 4)

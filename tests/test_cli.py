@@ -618,6 +618,18 @@ class TestPlumbing:
             assert err == ("usage error: malformed JSON input: an integer has more digits "
                            "than the 4300-digit limit\n")
 
+    @pytest.mark.parametrize("coefficient", [
+        "1" * 4301, "1/" + "1" * 4301, "1e" + "1" * 4301, "1e-" + "0" * 4300 + "1",
+        "1_" * 4300 + "1",
+    ], ids=["integer", "denominator", "exponent", "padded-exponent", "underscored"])
+    def test_coefficient_string_over_the_digit_limit_exits_two(self, capsys, coefficient):
+        # the same one line as a JSON integer gets, not int()'s advice to
+        # raise the limit
+        code, out, err = run_captured(capsys, ["alg", "star", monomial_json(re=coefficient)])
+        assert code == 2 and out == ""
+        assert err == ("usage error: malformed element: an integer in a coefficient string "
+                       "has more digits than the 4300-digit limit\n")
+
     @pytest.mark.parametrize("coefficient", ["1e999999999", "1e-99999999"])
     def test_huge_decimal_exponent_exits_two_quickly(self, capsys, coefficient):
         # Fraction would expand 10**|e| in full; the child's timeout catches
@@ -788,13 +800,16 @@ class TestPlumbing:
 
 DERIVATION_JSON = json.dumps(derivation_to_dict(inner_derivation(U)))
 # Runs one command through `cli.run` in a fresh interpreter and reports, on
-# the last line of stderr, its exit code and which float libraries it loaded.
+# the last line of stderr, its exit code, which float libraries it loaded,
+# whether it loaded `dataclasses`, and the package modules it loaded.
 IMPORT_PROBE = """
 import json, sys
 from heisenberg_ncg.cli import run
 code = run(json.loads(sys.argv[1]))
 loaded = [m for m in ("numpy", "scipy") if m in sys.modules]
-print(json.dumps({"code": code, "loaded": loaded}), file=sys.stderr)
+package = sorted(m.partition(".")[2] for m in sys.modules if m.startswith("heisenberg_ncg."))
+print(json.dumps({"code": code, "loaded": loaded, "dataclasses": "dataclasses" in sys.modules,
+                  "package": package}), file=sys.stderr)
 """
 
 
@@ -804,30 +819,58 @@ def probe_imports(argv: list[str]) -> dict:
     return json.loads(proc.stderr.splitlines()[-1])
 
 
-class TestColdImports:
-    """Exact commands start without numpy or scipy: only modules that compute
-    floats import them."""
+PROBED_COMMANDS = [
+    ["alg", "mul", U_JSON, V_JSON],
+    ["alg", "star", U_JSON],
+    ["alg", "central", U_JSON],
+    ["deriv", "check", DERIVATION_JSON],
+    ["deriv", "decompose", DERIVATION_JSON],
+    ["deriv", "apply", DERIVATION_JSON, V_JSON],
+    ["group", "classify", "--element", "[2,4,1]"],
+    ["group", "cohomology", "--type", "H3"],
+    ["group", "hc-dim", "--n", "3"],
+    ["sequence", "ktheory", "--check"],
+    ["sequence", "khomology", "--check"],
+    ["pairing", "table"],
+    ["pairing", "verify"],
+    ["index", "--module", "z1prime", "--unitary", V_JSON],
+    # floats from complex arithmetic in plain Python
+    ["alg", "eval", U_JSON, "--theta", "1/3"],
+]
+# Package modules that commands must not load, by the command's first
+# words; 'pairing verify' and 'chern' load what their checks run.
+NOT_RUN = {
+    "alg": {"derivations", "group_structure", "kk", "fredholm"},
+    "sequence": {"derivations", "group_structure"},
+    "pairing table": {"derivations", "group_structure"},
+    "group": {"kk"},
+    "deriv": {"kk"},
+    "index": {"derivations", "group_structure", "kk"},
+}
 
-    @pytest.mark.parametrize("argv", [
-        ["alg", "mul", U_JSON, V_JSON],
-        ["alg", "star", U_JSON],
-        ["alg", "central", U_JSON],
-        ["deriv", "check", DERIVATION_JSON],
-        ["deriv", "decompose", DERIVATION_JSON],
-        ["deriv", "apply", DERIVATION_JSON, V_JSON],
-        ["group", "classify", "--element", "[2,4,1]"],
-        ["group", "cohomology", "--type", "H3"],
-        ["group", "hc-dim", "--n", "3"],
-        ["sequence", "ktheory", "--check"],
-        ["sequence", "khomology", "--check"],
-        ["pairing", "table"],
-        ["pairing", "verify"],
-        ["index", "--module", "z1prime", "--unitary", V_JSON],
-        # floats from complex arithmetic in plain Python
-        ["alg", "eval", U_JSON, "--theta", "1/3"],
-    ], ids=lambda argv: "-".join(argv[:2]))
+
+def command_id(argv: list[str]) -> str:
+    return "-".join(argv[:2])
+
+
+class TestColdImports:
+    """Each command loads only the package modules it runs and no
+    `dataclasses`; exact commands start without numpy or scipy, which only
+    modules that compute floats import."""
+
+    @pytest.mark.parametrize("argv", PROBED_COMMANDS, ids=command_id)
     def test_exact_command_loads_no_float_library(self, argv):
-        assert probe_imports(argv) == {"code": 0, "loaded": []}
+        result = probe_imports(argv)
+        assert (result["code"], result["loaded"]) == (0, [])
+
+    @pytest.mark.parametrize("argv", PROBED_COMMANDS + [["chern", "--grid", "8"]], ids=command_id)
+    def test_command_loads_only_the_modules_it_runs(self, argv):
+        result = probe_imports(argv)
+        assert result["code"] == 0 and not result["dataclasses"]
+        words = " ".join(argv[:2])
+        not_run = [mods for prefix, mods in NOT_RUN.items() if words.startswith(prefix)]
+        assert set(result["package"]) & set().union(*not_run) == set()
+        assert "algebra" in result["package"]  # the probe sees the package
 
     def test_chern_loads_numpy(self):
         # the same probe sees numpy where a command needs it

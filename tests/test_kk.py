@@ -1,6 +1,7 @@
 import pytest
 
 from heisenberg_ncg.kk import (
+    IntegerMap,
     PairingTable,
     check_duality,
     check_exactness,
@@ -58,6 +59,15 @@ class TestMutations:
         assert failed, f"mutating {seq[index].name} left the sequence exact"
         assert set(failed) <= set(predicted_failure_node(seq, index))
 
+    def test_maps_are_immutable_and_compare_without_provenance(self):
+        m = pv_ktheory_sequence()[0]
+        with pytest.raises(AttributeError):
+            m.matrix = ((1, 0), (0, 1))
+        bare = IntegerMap(m.name, m.source, m.target, m.matrix)
+        assert bare.provenance == {} != m.provenance
+        assert bare == m and hash(bare) == hash(m)
+        assert m.mutated(0, 0) != m
+
     def test_mutated_preserves_original(self):
         seq = pv_ktheory_sequence()
         m = seq[1].mutated(0, 0, 1)
@@ -101,6 +111,15 @@ class TestPairingTables:
 
     def test_faithfulness(self):
         assert check_faithfulness()["passed"]
+
+    def test_tables_are_immutable_and_compare_without_provenance(self):
+        even, _ = pairing_tables()
+        with pytest.raises(AttributeError):
+            even.entries = ((0,),)
+        same = PairingTable(even.rows, even.cols, even.entries)
+        assert same.provenance == {} != even.provenance
+        assert same == even and hash(same) == hash(even)
+        assert PairingTable(even.rows, even.cols, [[1, 0, 0], [1, 1, 0], [1, 0, 2]]) != even
 
 
 class TestDuality:

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,13 +23,39 @@ def test_every_imported_name_is_read(path):
     assert sorted(imported - read) == []
 
 
+def _imported(nodes) -> set[str]:
+    """Modules that these statements import; one of this package as '.name'."""
+    modules = set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "." if node.level else ""
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            modules.update(prefix + name for name in names)
+    return modules
+
+
 def test_fredholm_imports_no_float_library():
     # both odd pairings are exact: no import of numpy or scipy, at any depth
-    nodes = list(ast.walk(ast.parse((SOURCES[0].parent / "fredholm.py").read_text())))
-    modules = [alias.name for node in nodes if isinstance(node, ast.Import)
-               for alias in node.names]
-    modules += [node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.module]
-    assert {m.split(".")[0] for m in modules} & {"numpy", "scipy"} == set()
+    tree = ast.parse((SOURCES[0].parent / "fredholm.py").read_text())
+    assert {m.split(".")[0] for m in _imported(ast.walk(tree))} & {"numpy", "scipy"} == set()
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples or __slots__ classes: `dataclasses` pulls in
+    # inspect, ast and dis, and execs generated methods, at every start
+    users = [path.name for path in SOURCES
+             if "dataclasses" in _imported(ast.walk(ast.parse(path.read_text())))]
+    assert users == []
+
+
+def test_cli_imports_at_top_level_only_the_standard_library_and_algebra():
+    # every other package module is imported by the handlers that run it
+    top = _imported(ast.parse((SOURCES[0].parent / "cli.py").read_text()).body)
+    assert {m for m in top if m.startswith(".")} == {".algebra"}
+    assert sorted(m for m in top if not m.startswith(".")
+                  and m.split(".")[0] not in sys.stdlib_module_names) == []
 
 
 def test_cli_prints_only_where_a_whole_document_is_ready():

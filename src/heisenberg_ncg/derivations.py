@@ -160,6 +160,11 @@ def _columns(
     return cols
 
 
+def _column(x: AlgebraElement, p: int, q: int) -> dict[int, Triple]:
+    """The column of x at (p, q), as {r: coefficient}."""
+    return {r: c for (a, b, r), c in x._terms.items() if a == p and b == q}
+
+
 def _quotient(column: dict[int, Triple], step: int, sign: int,
               written: int = 0) -> dict[int, Triple] | None:
     """sign * column / (1 - W^step) as {height: coefficient}; None if infinite.
@@ -196,11 +201,11 @@ def inner_coefficient(
     if route == "a":
         if q == 0:
             raise ValueError("a-route requires q != 0")
-        quotient = _quotient(_columns(d.dU, 1, 0).get((p, q), {}), q, 1)
+        quotient = _quotient(_column(d.dU, p + 1, q), q, 1)
     elif route == "b":
         if p == 0:
             raise ValueError("b-route requires p != 0")
-        quotient = _quotient(_columns(d.dV, 0, 1).get((p, q), {}), p, -1)
+        quotient = _quotient(_column(d.dV, p, q + 1), p, -1)
     else:
         raise ValueError("route must be 'a' or 'b'")
     if quotient is None:
@@ -285,22 +290,22 @@ def decomposition_to_dict(res: DecompositionResult) -> dict:
 def random_derivation_parts(
     rng: np.random.Generator, box: int = 5, n_terms: int = 3
 ) -> DecompositionResult:
-    """Random (z1, z2, x) parts, in the normal form ``decompose`` returns."""
+    """Random (z1, z2, x) parts, in the normal form ``decompose`` returns.
+
+    The draw order is part of the seed contract: the two heights in
+    [-box, box] and then the two coefficients in [-4, 4] of z1, the same
+    for z2, then x by ``random_element``.  Two equal heights keep the
+    second coefficient.
+    """
     def central() -> AlgebraElement:
-        return AlgebraElement(
-            {(0, 0, int(r)): int(c) for r, c in zip(
-                rng.integers(-box, box + 1, size=2),
-                rng.integers(-4, 5, size=2),
-            )}
-        )
+        r1, r2, c1, c2 = rng.integers([-box, -box, -4, -4], [box + 1, box + 1, 5, 5]).tolist()
+        return AlgebraElement({(0, 0, r1): c1, (0, 0, r2): c2})
 
     z1 = central()
     z2 = central()
     x = random_element(rng, box=box, n_terms=n_terms)
     # Normalize: the W-axis part of x acts trivially in commutators anyway.
-    x = AlgebraElement(
-        {k: c for k, c in x.terms.items() if (k[0], k[1]) != (0, 0)}
-    )
+    x = AlgebraElement._of_clean({k: c for k, c in x._terms.items() if k[0] or k[1]})
     return DecompositionResult(z1=z1, z2=z2, x=x)
 
 

@@ -1,15 +1,36 @@
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import seed, settings
 
 from heisenberg_ncg import acceptance as acc
-from heisenberg_ncg.algebra import AlgebraElement
+from heisenberg_ncg.algebra import AlgebraElement, GaussianRational
 
 # Every hypothesis suite draws its examples from HNC_SEED when it is set,
 # else from the package default, and keeps no example database, so a failure
 # replays from the seed alone.
 SEED = int(os.environ.get("HNC_SEED", acc.DEFAULT_SEED))
+
+
+def per_draw_element(rng, box: int, n_terms: int) -> AlgebraElement:
+    """``algebra.random_element`` with one rng call for each key and for each
+    numerator and denominator: the reference for its seed contract."""
+    terms = {}
+    for _ in range(n_terms):
+        key = tuple(int(v) for v in rng.integers(-box, box + 1, size=3))
+        num_re = int(rng.integers(-6, 7))
+        num_im = int(rng.integers(-6, 7))
+        den = int(rng.integers(1, 4))
+        terms[key] = terms.get(key, GaussianRational()) + GaussianRational(
+            Fraction(num_re, den), Fraction(num_im, den))
+    return AlgebraElement(terms)
+
+
+def same_terms(x: AlgebraElement, y: AlgebraElement) -> bool:
+    """Equal elements whose terms also come in the same order, which fixes
+    the order of float sums such as ``eval_at_angle``'s."""
+    return list(x.terms.items()) == list(y.terms.items())
 
 
 def no_work(*args, **kwargs):

@@ -13,6 +13,7 @@ from heisenberg_ncg import acceptance as acc
 from heisenberg_ncg import derivations as dv
 from heisenberg_ncg import fredholm as fr
 from heisenberg_ncg import group_structure as gs
+from heisenberg_ncg.algebra import GroupElement
 
 
 @pytest.mark.parametrize("number", range(1, 11))
@@ -87,6 +88,18 @@ def test_criterion_6_catches_a_brute_force_that_drops_an_element(monkeypatch):
     result = acc.criterion_6_centralizers()
     assert not result["passed"]
     assert len(result["details"]["mismatches"]) == 50
+
+
+def test_criterion_10_catches_a_wrong_group_law(monkeypatch):
+    # a W exponent of r1 + r2 + q2*p1 in place of q1*p2: the batched matrix
+    # model does not go through GroupElement, so the products disagree with it
+    def wrong(g, h):
+        return GroupElement(g.p + h.p, g.q + h.q, g.r + h.r + h.q * g.p)
+
+    monkeypatch.setattr(GroupElement, "__mul__", wrong)
+    result = acc.criterion_10_algebra_oracle()
+    assert not result["passed"]
+    assert result["details"]["product_failures"] == 976
 
 
 def test_criterion_4_visits_every_cell_where_a_route_is_nonzero(monkeypatch):

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import no_work, seeded, tracked
-from hypothesis import given
+from conftest import no_work, per_draw_element, same_terms, seeded, tracked
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heisenberg_ncg import algebra, derivations
@@ -39,6 +39,10 @@ gaussians = st.builds(GaussianRational, fractions, fractions)
 elements = st.dictionaries(st.tuples(small, small, small), gaussians, max_size=4).map(
     AlgebraElement
 )
+axis_elements = st.dictionaries(st.tuples(st.just(0), st.just(0), small), gaussians,
+                                max_size=4).map(AlgebraElement)
+drawn = st.builds(lambda seed, box, n: random_element(np.random.default_rng(seed), box, n),
+                  st.integers(0, 2**32), st.sampled_from([0, 1, 3]), st.sampled_from([1, 3, 6]))
 monomials = st.builds(
     AlgebraElement.monomial, small, small, small,
     st.one_of(st.just(GaussianRational(1)),
@@ -121,6 +125,12 @@ class TestRingArithmetic:
         assert W * V == V * W
         assert is_central(W) and is_central(ONE)
         assert not is_central(U) and not is_central(V)
+
+    @seeded()
+    @given(st.one_of(elements, axis_elements, monomials, drawn))
+    @example(AlgebraElement.zero())
+    def test_central_is_commuting_with_both_generators(self, x):
+        assert is_central(x) == (x.commutator(U).is_zero() and x.commutator(V).is_zero())
 
     def test_star_involution_on_generators(self):
         assert U.star() * U == ONE
@@ -237,6 +247,29 @@ class TestSumWork:
         for op in (operator.mul, AlgebraElement.commutator, operator.add, operator.sub):
             op(x, y)
         apply(d, y)
+
+
+class TestRandomElement:
+    @pytest.mark.parametrize("box", [0, 1, 3, 4, 5, 9])
+    @pytest.mark.parametrize("n_terms", [1, 3, 4, 6, 20])
+    def test_one_draw_matches_the_per_draw_order(self, box, n_terms):
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert same_terms(random_element(rng, box, n_terms),
+                              per_draw_element(ref, box, n_terms))
+            assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+    # (box, n_terms, seed, key): two draws at the key, whose coefficients
+    # add up in the first case and cancel in the second
+    @pytest.mark.parametrize("box,n_terms,seed,key,kept", [
+        (3, 4, 30, (1, 1, -2), True),
+        (1, 6, 614, (-1, 1, 0), False),
+    ])
+    def test_terms_at_one_key_add_up(self, box, n_terms, seed, key, kept):
+        x = random_element(np.random.default_rng(seed), box, n_terms)
+        assert same_terms(x, per_draw_element(np.random.default_rng(seed), box, n_terms))
+        assert (key in x.support()) == kept
+        assert len(x.support()) == n_terms - (1 if kept else 2)
 
 
 def evaluated(x: AlgebraElement, theta: RationalAngle) -> np.ndarray:

@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import seeded
+from conftest import per_draw_element, same_terms, seeded
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -18,6 +18,7 @@ from heisenberg_ncg.algebra import (
 )
 from heisenberg_ncg.derivations import (
     ConsistencyReport,
+    DecompositionResult,
     Derivation,
     Violation,
     apply,
@@ -143,15 +144,36 @@ def stretched(n):
     return Derivation(dU, dV)
 
 
-def random_central(rng, n=2):
-    return AlgebraElement(
-        {(0, 0, int(r)): int(c) for r, c in zip(rng.integers(-5, 6, n), rng.integers(-4, 5, n))}
-    )
+def random_central(rng, n=2, box=5):
+    return AlgebraElement({(0, 0, int(r)): int(c) for r, c in zip(
+        rng.integers(-box, box + 1, n), rng.integers(-4, 5, n))})
 
 
 def random_inner_part(rng, box=5, n_terms=4):
     x = random_element(rng, box=box, n_terms=n_terms)
     return AlgebraElement({k: c for k, c in x.terms.items() if (k[0], k[1]) != (0, 0)})
+
+
+def per_draw_parts(rng, box, n_terms):
+    """``random_derivation_parts`` with one rng call for the heights and one
+    for the coefficients of each central part: the reference for its seed
+    contract."""
+    z1, z2 = random_central(rng, box=box), random_central(rng, box=box)
+    x = per_draw_element(rng, box, n_terms)
+    return DecompositionResult(
+        z1, z2, AlgebraElement({k: c for k, c in x.terms.items() if k[0] or k[1]}))
+
+
+@pytest.mark.parametrize("box", [0, 1, 3, 4, 5, 9])
+@pytest.mark.parametrize("n_terms", [1, 3, 4, 6, 20])
+def test_random_parts_match_the_per_draw_order(box, n_terms):
+    # box 0 draws equal heights, where the second coefficient is kept
+    for seed in range(20):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = dv.random_derivation_parts(rng, box, n_terms)
+        want = per_draw_parts(ref, box, n_terms)
+        assert all(map(same_terms, got, want))
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
 
 class TestLeibnizAndConsistency:

@@ -1,9 +1,13 @@
 """End-to-end verification suite.
 
-Ten numbered criteria, each a pure function returning a result dict with a
-``passed`` flag and enough detail to diagnose a failure.  ``run_all``
-executes all of them and is what the command-line ``report all`` and the
-acceptance test suite call.
+Ten numbered criteria, each a function of its seed alone (if it takes one)
+returning a result dict with a ``passed`` flag and enough detail to
+diagnose a failure; equal seeds give equal results.  ``run_criterion``
+runs one of them and is the only code here that reads the clock or catches
+a criterion's failure: it returns the result and, beside it, the seconds
+the criterion took.  ``run_all`` runs all ten through it and is what the
+command-line ``report all`` and the acceptance test suite call; its report
+holds no timing, so the same seed gives the same report.
 """
 
 from __future__ import annotations
@@ -49,14 +53,8 @@ CENTRALIZER_BOX = 6
 PRODUCTS = 1000
 
 
-def _result(number: int, name: str, passed: bool, t0: float, **details) -> dict:
-    return {
-        "criterion": number,
-        "name": name,
-        "passed": bool(passed),
-        "elapsed_s": round(time.perf_counter() - t0, 3),
-        "details": details,
-    }
+def _result(number: int, name: str, passed: bool, **details) -> dict:
+    return {"criterion": number, "name": name, "passed": bool(passed), "details": details}
 
 
 def _odd_check(entry: str, name: str, u, want: int) -> dict:
@@ -68,7 +66,6 @@ def _odd_check(entry: str, name: str, u, want: int) -> dict:
 
 def criterion_1_pairing_tables() -> dict:
     """Recompute every pairing-table entry that has a numeric route."""
-    t0 = time.perf_counter()
     Z = AlgebraElement.zero()
     ktheory_even = {"[1]": ONE, "[P_a]": [[ONE, Z], [Z, Z]]}
     even, odd = kk.pairing_tables()
@@ -103,15 +100,14 @@ def criterion_1_pairing_tables() -> dict:
 
     passed = all(c["got"] == c["want"] == c.get("dim_ker", c["got"]) - c.get("dim_ker_star", 0)
                  for c in checks)
-    return _result(1, "pairing table recomputation", passed, t0, checks=checks)
+    return _result(1, "pairing table recomputation", passed, checks=checks)
 
 
 def criterion_2_index_theorem() -> dict:
     """The half-line compression of the implementing unitary has index 1."""
-    t0 = time.perf_counter()
     idx = fr.odd_cocycle_pairing("z1prime", V)
     kernels = fr.odd_pairing("z1prime", V)
-    return _result(2, "Toeplitz index instance", idx == kernels.index == 1, t0, index=idx,
+    return _result(2, "Toeplitz index instance", idx == kernels.index == 1, index=idx,
                    **kernels._asdict())
 
 
@@ -119,12 +115,11 @@ def criterion_3_dirac_bott() -> dict:
     """Lattice Chern number +1 and agreement with the Dirac trace route."""
     from . import chern as ch
 
-    t0 = time.perf_counter()
     fields = {g: ch.bott_projector(g, 1.0) for g in GRIDS}
     cherns = {g: ch.lattice_chern(f) for g, f in fields.items()}
     dirac = ch.dirac_even_pairing(fields[max(GRIDS)], truncation=DIRAC_TRUNCATION)
     passed = all(v == 1 for v in cherns.values()) and dirac["value"] == 1
-    return _result(3, "Dirac/Bott pairing cross-oracle", passed, t0,
+    return _result(3, "Dirac/Bott pairing cross-oracle", passed,
                    lattice_chern=cherns, dirac=dirac)
 
 
@@ -132,7 +127,6 @@ def criterion_4_decomposition(seed=DEFAULT_SEED) -> dict:
     """Exact decomposition round-trips and two-route cell agreement."""
     import numpy as np
 
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     failures = []
     for i in range(ROUNDTRIPS):
@@ -153,7 +147,7 @@ def criterion_4_decomposition(seed=DEFAULT_SEED) -> dict:
                             != dv.inner_coefficient(d, p, q, "b")):
                 route_failures += 1
     passed = not failures and route_failures == 0
-    return _result(4, "derivation decomposition round-trip", passed, t0,
+    return _result(4, "derivation decomposition round-trip", passed,
                    roundtrip_failures=failures, route_mismatch_cells=route_failures)
 
 
@@ -162,7 +156,6 @@ def criterion_5_central_generator(seed=DEFAULT_SEED) -> dict:
     are detected."""
     import numpy as np
 
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 1)
     w_failures = 0
     for _ in range(W_DERIVATIONS):
@@ -183,7 +176,7 @@ def criterion_5_central_generator(seed=DEFAULT_SEED) -> dict:
         if not dv.check_consistency(bad).passed:
             detected += 1
     passed = w_failures == 0 and detected == injected
-    return _result(5, "central generator annihilated", passed, t0,
+    return _result(5, "central generator annihilated", passed,
                    w_failures=w_failures, injected=injected, detected=detected)
 
 
@@ -191,7 +184,6 @@ def criterion_6_centralizers(seed=DEFAULT_SEED) -> dict:
     """Closed-form centralizer membership equals brute-force enumeration."""
     import numpy as np
 
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 2)
     elements = [
         GroupElement(2, 4, 1),   # generic interior case
@@ -214,12 +206,11 @@ def criterion_6_centralizers(seed=DEFAULT_SEED) -> dict:
                               gs.centralizer_membership(g, points)):
             mismatches.append(g.as_tuple())
     passed = not mismatches and {"Case1", "Case2", "Case3", "Case4a", "Case4b"} <= cases
-    return _result(6, "centralizer classification vs brute force", passed, t0,
+    return _result(6, "centralizer classification vs brute force", passed,
                    mismatches=mismatches, cases=sorted(cases))
 
 
 def criterion_7_cohomology() -> dict:
-    t0 = time.perf_counter()
     profile = gs.group_cohomology("H3").dims
     ranks = [gs.cyclic_cohomology_dim(n).finite_rank for n in range(8)]
     countable = [gs.cyclic_cohomology_dim(n).countable_factor for n in range(8)]
@@ -230,13 +221,12 @@ def criterion_7_cohomology() -> dict:
         and countable == [True, True, True, False, False, False, False, False]
         and periodic == (3, 3)
     )
-    return _result(7, "cohomology profiles", passed, t0,
+    return _result(7, "cohomology profiles", passed,
                    h3_profile=list(profile), cyclic_ranks=ranks,
                    periodic=list(periodic))
 
 
 def criterion_8_exactness() -> dict:
-    t0 = time.perf_counter()
     node_failures = []
     for builder in (kk.pv_ktheory_sequence, kk.khomology_sequence):
         for rep in kk.check_exactness(builder()):
@@ -256,23 +246,21 @@ def criterion_8_exactness() -> dict:
                  "predicted": predicted, "ok": ok}
             )
     passed = not node_failures and all(m["ok"] for m in mutation_results)
-    return _result(8, "six-term exactness and mutations", passed, t0,
+    return _result(8, "six-term exactness and mutations", passed,
                    node_failures=node_failures, mutations=mutation_results)
 
 
 def criterion_9_duality() -> dict:
-    t0 = time.perf_counter()
     dual = kk.check_duality()
     faith = kk.check_faithfulness()
     passed = dual["passed"] and faith["passed"]
-    return _result(9, "boundary-map duality and faithfulness", passed, t0,
+    return _result(9, "boundary-map duality and faithfulness", passed,
                    duality=dual, faithfulness=faith)
 
 
 def criterion_10_algebra_oracle(seed=DEFAULT_SEED) -> dict:
     import numpy as np
 
-    t0 = time.perf_counter()
     rng = np.random.default_rng(seed + 3)
 
     def matrices_of(g):
@@ -308,7 +296,7 @@ def criterion_10_algebra_oracle(seed=DEFAULT_SEED) -> dict:
             if err > 1e-12:
                 hom_failures += 1
     passed = product_failures == 0 and hom_failures == 0
-    return _result(10, "algebra oracle equivalence", passed, t0,
+    return _result(10, "algebra oracle equivalence", passed,
                    product_failures=product_failures,
                    hom_failures=hom_failures, worst_error=worst)
 
@@ -327,21 +315,27 @@ ALL_CRITERIA = (
 )
 
 
-def run_all(seed: int = DEFAULT_SEED) -> dict:
-    """Run every criterion; one that raises is reported as failed, with the
-    error in its details, and the others still run."""
-    results = []
+def run_criterion(fn, seed: int = DEFAULT_SEED) -> tuple[dict, float]:
+    """(result, seconds) of one criterion, ``seed`` passed only to a
+    criterion that takes one.  One that raises is reported as failed, with
+    the error in its details."""
+    takes_seed = "seed" in fn.__code__.co_varnames[: fn.__code__.co_argcount]
+    t0 = time.perf_counter()
+    try:
+        result = fn(seed=seed) if takes_seed else fn()
+    except Exception as e:  # a fault in one criterion must not hide the rest
+        result = _result(int(fn.__name__.split("_")[1]), fn.__name__, False,
+                         error=f"{type(e).__name__}: {e}")
+    return result, round(time.perf_counter() - t0, 3)
+
+
+def run_all(seed: int = DEFAULT_SEED) -> tuple[dict, dict[str, float]]:
+    """(report, elapsed): every criterion's result under one ``passed``
+    flag, and the seconds each took, keyed ``criterion_N``."""
+    results, elapsed = [], {}
     for fn in ALL_CRITERIA:
-        takes_seed = "seed" in fn.__code__.co_varnames[: fn.__code__.co_argcount]
-        t0 = time.perf_counter()
-        try:
-            results.append(fn(seed=seed) if takes_seed else fn())
-        except Exception as e:  # a fault in one criterion must not hide the rest
-            number = int(fn.__name__.split("_")[1])
-            results.append(_result(number, fn.__name__, False, t0,
-                                   error=f"{type(e).__name__}: {e}"))
-    return {
-        "passed": all(r["passed"] for r in results),
-        "seed": seed,
-        "results": results,
-    }
+        result, seconds = run_criterion(fn, seed)
+        results.append(result)
+        elapsed[f"criterion_{result['criterion']}"] = seconds
+    return {"passed": all(r["passed"] for r in results), "seed": seed,
+            "results": results}, elapsed

@@ -267,11 +267,6 @@ class GroupElement:
         return (self.p, self.q, self.r)
 
 
-def conjugate(h: GroupElement, g: GroupElement) -> GroupElement:
-    """h g h^{-1}."""
-    return h * g * h.inverse()
-
-
 class RationalAngle(NamedTuple):
     """A reduced fraction s/t, t >= 1, representing the angle theta = s/t of
     a root of unity lambda = exp(2*pi*i*s/t); build one with ``of``."""

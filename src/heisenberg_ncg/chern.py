@@ -56,7 +56,7 @@ CONVERGENCE_TOL = 0.1
 class ProjectorField:
     """G x G samples of a rank-1 Hermitian 2x2 projector over the torus.
 
-    Instances are immutable.
+    Instances are immutable, and equal and hash by identity.
     """
 
     __slots__ = ("grid", "samples")
@@ -79,14 +79,6 @@ class ProjectorField:
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjectorField is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ProjectorField):
-            return NotImplemented
-        return (self.grid, self.samples) == (other.grid, other.samples)
-
-    def __hash__(self):
-        return hash((self.grid, self.samples))
 
     def __repr__(self) -> str:
         return f"ProjectorField(grid={self.grid!r}, samples={self.samples!r})"

@@ -2,14 +2,17 @@
 
 Every command ('alg mul', 'deriv apply', 'index', ...) has its own leaf
 parser that declares its inputs as positionals and only the options its
-handler reads; ``--json``/``--table`` are shared by all, and ``--seed`` (or
-``HNC_SEED``) belongs to ``report all``, the only randomized command.  An
-option a command does not read is a usage error.  Every command prints a
-single JSON document (default) or a readable table, always echoing the
-resolved configuration.  Exit codes: 0 success, 1 verification failure,
-2 usage error.  ``run`` maps exceptions to them in one place: a
-``UsageError`` (malformed JSON included) or the library's
-``UnsupportedInput`` (an input past a bound such as
+handler reads; ``--json``/``--table`` are shared by all, and ``--seed``
+belongs to ``report all``, the only randomized command; this module reads
+no environment variable.  An option a command does not read is a usage
+error.  Every command prints a single JSON document (default) or a
+readable table, always echoing the resolved configuration.  The commands
+that run acceptance criteria ('pairing verify', 'report all') get each
+criterion's seconds beside its result and write them as one JSON line on
+stderr, so the document is the same bytes on every run.  Exit codes: 0
+success, 1 verification failure, 2 usage error.  ``run`` maps exceptions
+to them in one place: a ``UsageError`` (malformed JSON included) or the
+library's ``UnsupportedInput`` (an input past a bound such as
 ``algebra.MAX_TERM_PRODUCTS``) exits 2, and a ``VerificationFailure``,
 ``ValueError`` or ``ArithmeticError`` exits 1, each with one line on stderr.
 
@@ -151,17 +154,6 @@ def _angle(text: str) -> RationalAngle:
         raise UsageError(f"angle must be of the form s/t: {e}") from None
 
 
-def _resolve_seed(args, default: int) -> int:
-    """HNC_SEED, else ``--seed``, else ``default``."""
-    env = os.environ.get("HNC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError("HNC_SEED must be an integer") from None
-    return default if args.seed is None else args.seed
-
-
 # ---- output plumbing ----
 
 
@@ -182,12 +174,9 @@ def _emit(args, command: str, config: dict, result: dict) -> None:
     print(text)
 
 
-def _split_timings(results: list[dict]) -> dict[str, float]:
-    """Move ``elapsed_s`` out of criterion results and onto stderr, so that
-    the document on stdout is the same bytes on every run."""
-    timings = {f"criterion_{r['criterion']}": r.pop("elapsed_s") for r in results}
-    print(json.dumps({"elapsed_s": timings}, sort_keys=True), file=sys.stderr)
-    return timings
+def _print_timings(elapsed: dict[str, float]) -> None:
+    """The seconds each criterion took, as one JSON line on stderr."""
+    print(json.dumps({"elapsed_s": elapsed}, sort_keys=True), file=sys.stderr)
 
 
 def _table_lines(obj, indent: int = 0):
@@ -304,8 +293,8 @@ def cmd_pairing_table(args):
 def cmd_pairing_verify(args):
     from . import acceptance as acc
 
-    rep = acc.criterion_1_pairing_tables()
-    _split_timings([rep])
+    rep, seconds = acc.run_criterion(acc.criterion_1_pairing_tables)
+    _print_timings({"criterion_1": seconds})
     code = EXIT_OK if rep["passed"] else EXIT_VERIFICATION
     return {}, rep, code
 
@@ -368,17 +357,15 @@ def cmd_report(args):
     """Prints its own output: the table has one line per criterion."""
     from . import acceptance as acc
 
-    seed = _resolve_seed(args, acc.DEFAULT_SEED)
-    report = acc.run_all(seed=seed)
-    timings = _split_timings(report["results"])
+    seed = acc.DEFAULT_SEED if args.seed is None else args.seed
+    report, elapsed = acc.run_all(seed=seed)
+    _print_timings(elapsed)
     if args.table:
         print(f"# report all  config: " + json.dumps({"seed": seed}, sort_keys=True))
-        for r, secs in zip(report["results"], timings.values()):
+        for r in report["results"]:
+            n = r["criterion"]
             status = "PASS" if r["passed"] else "FAIL"
-            print(
-                f"[{status}] criterion {r['criterion']:>2}: "
-                f"{r['name']} ({secs}s)"
-            )
+            print(f"[{status}] criterion {n:>2}: {r['name']} ({elapsed[f'criterion_{n}']}s)")
         print("overall:", "PASS" if report["passed"] else "FAIL")
     else:
         _emit(args, "report all", {"seed": seed}, report)
@@ -471,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
              ).add_argument("--check", action="store_true", help="verify exactness")
 
     leaf("report all", cmd_report, "all ten criteria").add_argument(
-        "--seed", type=int, default=None, help="HNC_SEED overrides it")
+        "--seed", type=int, default=None, help="seed of the randomized criteria")
     return parser
 
 

@@ -73,9 +73,16 @@ Matrix = list[list[GaussianRational]]
 
 
 def _as_blocks(x: MatrixElement) -> list[list[AlgebraElement]]:
+    """x as a k x k list of rows; any other shape raises UnsupportedInput
+    naming it (a non-square u with u u* = 1 is no unitary)."""
     if isinstance(x, AlgebraElement):
         return [[x]]
-    return [list(row) for row in x]
+    blocks = [list(row) for row in x]
+    lengths = [len(row) for row in blocks]
+    if not blocks or lengths != [len(blocks)] * len(blocks):
+        raise UnsupportedInput("a block matrix must be a nonempty square list of rows; "
+                               f"this one has rows of lengths {lengths}")
+    return blocks
 
 
 def _star_blocks(blocks: list[list[AlgebraElement]]) -> list[list[AlgebraElement]]:

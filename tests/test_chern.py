@@ -76,6 +76,13 @@ class TestProjectorFields:
         with pytest.raises(ValueError):
             ProjectorField(8, bad)
 
+    def test_fields_compare_and_hash_by_identity(self):
+        a, b = bott_projector(8, 1.0), bott_projector(8, 1.0)
+        assert a == a and a != b and a != "field"
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+        with pytest.raises(AttributeError, match="immutable"):
+            a.grid = 16
+
     def test_fourier_tail_certificate(self):
         field = bott_projector(64, 1.0)
         coeffs, K = fourier_coefficients(field)

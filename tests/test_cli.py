@@ -367,6 +367,18 @@ class TestVerificationCommands:
         odd = [c for c in checks if "dim_ker" in c]
         assert len(odd) == 7 and all(c["dim_ker"] - c["dim_ker_star"] == c["got"] for c in odd)
 
+    def test_pairing_verify_reports_a_raising_criterion_as_failed(self, capsys, monkeypatch):
+        def criterion_1_raises():
+            raise ArithmeticError("singular window")
+
+        monkeypatch.setattr(acc, "criterion_1_pairing_tables", criterion_1_raises)
+        code, out, err = run_captured(capsys, ["pairing", "verify"])
+        assert code == 1
+        res = json.loads(out)["result"]
+        assert not res["passed"]
+        assert res["details"] == {"error": "ArithmeticError: singular window"}
+        assert set(json.loads(err)["elapsed_s"]) == {"criterion_1"}
+
     def test_index(self, capsys):
         code, out, _ = run_captured(
             capsys, ["index", "--module", "z1prime", "--unitary", V_JSON])
@@ -466,7 +478,7 @@ class TestVerificationCommands:
 
     def test_report_exits_one_when_a_criterion_raises(self, capsys, monkeypatch):
         def criterion_1_ok():
-            return acc._result(1, "ok", True, 0.0)
+            return acc._result(1, "ok", True)
 
         def criterion_2_raises(seed=0):
             raise ArithmeticError("no convergence")
@@ -478,6 +490,24 @@ class TestVerificationCommands:
         assert [r["passed"] for r in results] == [True, False]
         assert results[1]["details"] == {"error": "ArithmeticError: no convergence"}
         assert set(json.loads(err)["elapsed_s"]) == {"criterion_1", "criterion_2"}
+
+    def test_report_table(self, capsys, monkeypatch):
+        def criterion_1_ok(seed=0):
+            return acc._result(1, "ok", seed == 7)
+
+        def criterion_2_raises():
+            raise ArithmeticError("no convergence")
+
+        monkeypatch.setattr(acc, "ALL_CRITERIA", (criterion_1_ok, criterion_2_raises))
+        code, out, err = run_captured(capsys, ["report", "all", "--seed", "7", "--table"])
+        elapsed = json.loads(err)["elapsed_s"]
+        assert code == 1
+        assert out.splitlines() == [
+            '# report all  config: {"seed": 7}',
+            f"[PASS] criterion  1: ok ({elapsed['criterion_1']}s)",
+            f"[FAIL] criterion  2: criterion_2_raises ({elapsed['criterion_2']}s)",
+            "overall: FAIL",
+        ]
 
     def test_chern(self, capsys):
         code, out, _ = run_captured(capsys, ["chern", "--grid", "16"])
@@ -757,14 +787,20 @@ class TestPlumbing:
 
         def criterion_1_seeded(seed=0):
             seen.append(seed)
-            return acc._result(1, "seeded", True, 0.0)
+            return acc._result(1, "seeded", True)
 
+        # HNC_SEED seeds only the test suites: `--seed` is the report's one
+        # seed input, and the default stands without it
         monkeypatch.setattr(acc, "ALL_CRITERIA", (criterion_1_seeded,))
         monkeypatch.setenv("HNC_SEED", "123")
         code, out, _ = run_captured(capsys, ["report", "all", "--seed", "7"])
-        assert code == 0 and seen == [123]
+        assert code == 0 and seen == [7]
         doc = json.loads(out)
-        assert doc["config"]["seed"] == doc["result"]["seed"] == 123
+        assert doc["config"]["seed"] == doc["result"]["seed"] == 7
+        monkeypatch.setenv("HNC_SEED", "abc")
+        code, out, _ = run_captured(capsys, ["report", "all"])
+        assert code == 0 and seen == [7, acc.DEFAULT_SEED]
+        assert json.loads(out)["config"]["seed"] == acc.DEFAULT_SEED
 
     def test_seed_is_read_only_by_report(self, capsys, monkeypatch):
         without = run_captured(capsys, ["alg", "star", U_JSON])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import no_work, seeded
@@ -493,3 +495,20 @@ class TestModuleAlgebra:
     def test_w1prime_names_the_term(self):
         with pytest.raises(ValueError, match=r"the term U\^1 V\^1 W\^0 has a V exponent"):
             odd_pairing("w1prime", U * V)
+
+
+@pytest.mark.parametrize("pairing", [odd_pairing, odd_cocycle_pairing, even_pairing_trace],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("x, lengths", [
+    ([[ZERO, U]], "rows of lengths [2]"),
+    ([[U, ZERO]], "rows of lengths [2]"),
+    ([[U], [ZERO]], "rows of lengths [1, 1]"),
+    ([], "rows of lengths []"),
+], ids=["co-isometry", "row", "column", "empty"])
+def test_non_square_block_matrix_rejected_before_ring_work(monkeypatch, pairing, x, lengths):
+    # [[0, U]] has u u* = 1 but is no unitary: both odd routes refuse it
+    # rather than disagree on it
+    monkeypatch.setattr(AlgebraElement, "__mul__", no_work)
+    monkeypatch.setattr(AlgebraElement, "star", no_work)
+    with pytest.raises(UnsupportedInput, match=re.escape(lengths)):
+        pairing("z0" if pairing is even_pairing_trace else "z1", x)

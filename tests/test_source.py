@@ -60,7 +60,7 @@ def test_cli_imports_at_top_level_only_the_standard_library_and_algebra():
 
 def test_cli_prints_only_where_a_whole_document_is_ready():
     # `_emit` prints a document only once all of it has rendered, and
-    # `cmd_report` its own table; `_split_timings` and `run` write stderr
+    # `cmd_report` its own table; `_print_timings` and `run` write stderr
     tree = ast.parse((SOURCES[0].parent / "cli.py").read_text())
     printers = {
         getattr(top, "name", None)  # None for a print outside any function
@@ -68,7 +68,7 @@ def test_cli_prints_only_where_a_whole_document_is_ready():
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
     }
-    assert printers == {"_emit", "_split_timings", "cmd_report", "run"}
+    assert printers == {"_emit", "_print_timings", "cmd_report", "run"}
 
 
 def test_cli_catches_only_in_its_plumbing():
@@ -82,8 +82,25 @@ def test_cli_catches_only_in_its_plumbing():
         for node in ast.walk(top)
         if isinstance(node, ast.Try)
     }
-    assert catchers == {"_is_file", "_load_json", "_parse", "_angle", "_resolve_seed",
-                        "_emit", "cmd_group_hc_dim", "cmd_chern", "run", "main"}
+    assert catchers == {"_is_file", "_load_json", "_parse", "_angle", "_emit",
+                        "cmd_group_hc_dim", "cmd_chern", "run", "main"}
+
+
+CLOCKS = {"perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns", "time", "time_ns"}
+
+
+def test_only_the_acceptance_runner_reads_a_clock():
+    # results are deterministic; the seconds a criterion took travel beside
+    # its result, read twice by `acceptance.run_criterion` and nowhere else
+    readers = sorted(
+        f"{path.stem}.{getattr(top, 'name', None)}"
+        for path in SOURCES
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in CLOCKS and getattr(node.func.value, "id", None) == "time"
+    )
+    assert readers == ["acceptance.run_criterion"] * 2
 
 
 # Public names that only tests call today, kept for the work that ROADMAP

@@ -167,11 +167,10 @@ def criterion_5_central_generator(seed=DEFAULT_SEED) -> dict:
     injected = 0
     for _ in range(10):
         d = dv.random_consistent_derivation(rng, box=3)
-        # Perturb one dU coefficient off the a-axis rule or the relation.
-        terms = d.dU.terms
+        # Add a dU term at q = 0, p in {2, 3, 4}, where the a-axis rule
+        # leaves a consistent d none.
         key = (int(rng.integers(2, 5)), 0, int(rng.integers(-3, 4)))
-        terms[key] = terms.get(key) or GaussianRational(1)
-        bad = dv.Derivation(AlgebraElement(terms), d.dV)
+        bad = dv.Derivation(AlgebraElement({**d.dU.terms, key: GaussianRational(1)}), d.dV)
         injected += 1
         if not dv.check_consistency(bad).passed:
             detected += 1

@@ -54,6 +54,8 @@ _DIGITS = re.compile(r"[\d_]+")
 # Most term products one ring product may take: x*y and [x, y] take |x| |y|,
 # a block product the sum of theirs; up to ~8 us each in-process, so < 1 s.
 MAX_TERM_PRODUCTS = 100_000
+# Largest t of ``eval_at_angle``: its result is a dense t x t matrix.
+MAX_EVAL_DIMENSION = 256
 
 
 class UnsupportedInput(ValueError):
@@ -530,9 +532,12 @@ def eval_at_angle(x: AlgebraElement, theta: RationalAngle) -> list[list[complex]
     With lambda = exp(2*pi*i*s/t):  U acts as the cyclic shift
     e_j -> e_{j+1 mod t}, V as the clock diag(lambda^j) and W as lambda
     times the identity.  This is a unital *-homomorphism onto a quotient in
-    which the defining relation becomes VU = lambda UV.  A coefficient or
-    an entry past the float64 range is an OverflowError.
+    which the defining relation becomes VU = lambda UV.  A t over
+    MAX_EVAL_DIMENSION raises UnsupportedInput before any allocation, and a
+    coefficient or an entry past the float64 range is an OverflowError.
     """
+    if theta.t > MAX_EVAL_DIMENSION:
+        raise UnsupportedInput(f"eval dimension {theta.t} exceeds {MAX_EVAL_DIMENSION}")
     t, lam = theta.t, theta.lam
     powers = [lam ** n for n in range(t)]
     out = [[0j] * t for _ in range(t)]

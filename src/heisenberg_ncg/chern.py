@@ -47,8 +47,12 @@ from .algebra import UnsupportedInput
 # file, so both signs are +1.  They must only ever be changed together.
 ORIENTATION_SIGN = 1
 DIRAC_SIGN = 1
-# smallest sample grid of a Bott field
+# Smallest and largest sample grid of a Bott field.  Peak RSS is ~250 G^2 B
+# for `hnc chern --grid G`, so about 1 GB at the largest.
 MIN_GRID = 8
+MAX_GRID = 2048
+# Largest Dirac truncation N: ~5.7 kB per point of its (<= 3N)^2 FFT grid.
+MAX_TRUNCATION = 128
 # The Dirac certificate's runs must agree within this of a common integer.
 CONVERGENCE_TOL = 0.1
 
@@ -87,8 +91,8 @@ class ProjectorField:
 def bott_projector(grid: int = 64, mass: float = 1.0) -> ProjectorField:
     """Lower-band spectral projector of the two-band torus family; a grid or
     mass out of range raises UnsupportedInput."""
-    if grid < MIN_GRID:
-        raise UnsupportedInput(f"grid must be at least {MIN_GRID}")
+    if not MIN_GRID <= grid <= MAX_GRID:
+        raise UnsupportedInput(f"grid must be at least {MIN_GRID} and at most {MAX_GRID}")
     if not (-2.0 < mass < 2.0) or mass == 0:
         raise UnsupportedInput("mass must lie in (-2, 0) or (0, 2); the family "
                                "is gapless at -2, 0 and 2")
@@ -281,9 +285,13 @@ def dirac_even_pairing(
     on the second truncation of ``certificate_windows``; requires all runs
     to agree within ``CONVERGENCE_TOL`` of a common integer, and returns
     that integer with the convergence certificate.  Raises ValueError for
-    arguments out of range (before any engine work) and ArithmeticError
-    for an uncertified Fourier tail or runs that do not converge.
+    arguments out of range and UnsupportedInput for a truncation over
+    MAX_TRUNCATION or refused by ``certificate_windows`` (before any engine
+    work), and ArithmeticError for an uncertified Fourier tail or runs that
+    do not converge.
     """
+    if truncation > MAX_TRUNCATION:
+        raise UnsupportedInput(f"truncation {truncation} must be at most {MAX_TRUNCATION}")
     if n_commutators < 2 or n_commutators % 2 != 0:
         raise ValueError("n_commutators must be a positive even integer")
     if probe_spacing < 1:  # an empty comb would read every trace as 0

@@ -10,11 +10,13 @@ readable table, always echoing the resolved configuration.  The commands
 that run acceptance criteria ('pairing verify', 'report all') get each
 criterion's seconds beside its result and write them as one JSON line on
 stderr, so the document is the same bytes on every run.  Exit codes: 0
-success, 1 verification failure, 2 usage error.  ``run`` maps exceptions
-to them in one place: a ``UsageError`` (malformed JSON included) or the
-library's ``UnsupportedInput`` (an input past a bound such as
-``algebra.MAX_TERM_PRODUCTS``) exits 2, and a ``VerificationFailure``,
-``ValueError`` or ``ArithmeticError`` exits 1, each with one line on stderr.
+success, 1 verification failure, 2 usage error.  This module only parses,
+calls the library and maps exceptions: each work bound and range or shape
+rule is held by the library function it guards (``chern.MAX_GRID``, say),
+which raises ``UnsupportedInput``.  ``run`` maps exceptions to exit codes in
+one place: a ``UsageError`` (malformed JSON included) or an
+``UnsupportedInput`` exits 2, and a ``VerificationFailure``, ``ValueError``
+or ``ArithmeticError`` exits 1, each with one line on stderr.
 
 Each command imports only the package modules it runs: ``algebra`` is
 imported here, and every other module inside the handlers that use it.
@@ -50,14 +52,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 
-# largest t for `alg eval --theta s/t`: its output is a dense t x t matrix
-MAX_EVAL_DIMENSION = 256
-# Caps that keep one command near 1 GB of measured peak RSS:
-# ~250 G^2 B for `chern --grid` G, ~5.7 kB per point of the (<= 3N)^2
-# `--dirac` grid (473 MB for `chern --grid 64 --dirac --truncation 128`).
-MAX_GRID = 2048
-MAX_DIRAC_TRUNCATION = 128
-
 
 class UsageError(Exception):
     pass
@@ -78,16 +72,16 @@ def _is_file(text: str) -> bool:
 
 
 def _load_json(text_or_path: str):
-    """Inline JSON, a file path, or '-' for stdin."""
-    if text_or_path == "-":
-        raw = sys.stdin.read()
-    elif _is_file(text_or_path):
-        raw = Path(text_or_path).read_text()
-    else:
-        raw = text_or_path
+    """Inline JSON, a file path, or '-' for stdin; a file or stdin is UTF-8."""
     try:
+        if text_or_path == "-":
+            raw = sys.stdin.buffer.read().decode()
+        elif _is_file(text_or_path):
+            raw = Path(text_or_path).read_bytes().decode()
+        else:
+            raw = text_or_path
         return json.loads(raw)
-    except (json.JSONDecodeError, RecursionError) as e:  # also too deep
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:  # also too deep
         raise UsageError(f"malformed JSON input: {e}") from None
     except ValueError:  # only an integer past the int-string digit limit
         raise UsageError("malformed JSON input: an integer has more digits than the "
@@ -105,18 +99,10 @@ def _parse(text_or_path: str, build, what: str):
 
 
 def _matrix_from_dict(data):
-    """Either a single element or {"blocks": [[element, ...], ...]}, a
-    nonempty square matrix of elements."""
+    """Either a single element or {"blocks": [[element, ...], ...]}, whose
+    shape ``fredholm`` checks."""
     if isinstance(data, dict) and "blocks" in data:
-        blocks = data["blocks"]
-        if (
-            not isinstance(blocks, list)
-            or not blocks
-            or not all(isinstance(row, list) and len(row) == len(blocks)
-                       for row in blocks)
-        ):
-            raise ValueError("blocks must be a nonempty square list of lists")
-        return [[element_from_dict(b) for b in row] for row in blocks]
+        return [[element_from_dict(b) for b in row] for row in data["blocks"]]
     return element_from_dict(data)
 
 
@@ -146,11 +132,23 @@ def _group_element(text: str) -> GroupElement:
     return GroupElement(*data)
 
 
+def _integer(text: str, what: str) -> int:
+    """int(text), parsed here and not by argparse so that a string past the
+    int-string digit limit is one usage-error line that names the limit."""
+    try:
+        return int(text)
+    except ValueError as e:
+        limit = sys.get_int_max_str_digits()
+        if len(text) > limit:  # else int() advises raising the limit
+            raise UsageError(f"{what} must be an integer of at most {limit} digits") from None
+        raise UsageError(f"{what} must be an integer: {e}") from None
+
+
 def _angle(text: str) -> RationalAngle:
     try:
         s, t = text.split("/")
-        return RationalAngle.of(int(s), int(t))
-    except (ValueError, ZeroDivisionError) as e:
+        return RationalAngle.of(_integer(s, "--theta's s"), _integer(t, "--theta's t"))
+    except ValueError as e:
         raise UsageError(f"angle must be of the form s/t: {e}") from None
 
 
@@ -216,8 +214,6 @@ def cmd_alg_central(args):
 
 def cmd_alg_eval(args):
     theta = _angle(args.theta)
-    if theta.t > MAX_EVAL_DIMENSION:
-        raise UsageError(f"eval dimension {theta.t} exceeds {MAX_EVAL_DIMENSION}")
     m = eval_at_angle(_element(args.x), theta)
     return (
         {"theta": f"{theta.s}/{theta.t}"},
@@ -267,17 +263,7 @@ def cmd_group_cohomology(args):
 def cmd_group_hc_dim(args):
     from . import group_structure as gs
 
-    # parsed here, not by argparse, so that a degree past the int-string
-    # digit limit is one usage-error line that names the limit
-    try:
-        n = None if args.n is None else int(args.n)
-    except ValueError as e:
-        limit = sys.get_int_max_str_digits()
-        if len(args.n) > limit:  # else int() advises raising the limit
-            raise UsageError(f"--n must be an integer of at most {limit} digits") from None
-        raise UsageError(f"--n must be an integer: {e}") from None
-    if n is None or n < 0:
-        raise UsageError("hc-dim requires a nonnegative --n")
+    n = _integer(args.n, "--n")
     return {"n": n}, gs.cyclic_cohomology_dim(n)._asdict(), EXIT_OK
 
 
@@ -309,17 +295,13 @@ def cmd_index(args):
 def cmd_chern(args):
     from . import chern as ch
 
-    if args.grid > MAX_GRID:
-        raise UsageError(f"--grid must be at most {MAX_GRID}")
     if not args.dirac and args.truncation is not None:
         raise UsageError("unrecognized arguments: --truncation is read only with --dirac")
     truncation = 64 if args.truncation is None else args.truncation
-    if truncation > MAX_DIRAC_TRUNCATION:
-        raise UsageError(f"--truncation must be at most {MAX_DIRAC_TRUNCATION} with --dirac")
     config = {"grid": args.grid, "mass": args.mass}
     result = {}
-    # bott_projector's range errors and certificate_windows' name an option
-    # without its --
+    # the range errors of bott_projector and dirac_even_pairing name an
+    # option without its --
     try:
         field = ch.bott_projector(args.grid, args.mass)
         if args.dirac:
@@ -435,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf("group cohomology", cmd_group_cohomology, "group cohomology profile"
          ).add_argument("--type", default="H3", help="group descriptor")
     leaf("group hc-dim", cmd_group_hc_dim, "cyclic cohomology dimension"
-         ).add_argument("--n", help="cyclic degree")
+         ).add_argument("--n", required=True, help="cyclic degree")
 
     leaf("pairing table", cmd_pairing_table, "both tables with provenance")
     leaf("pairing verify", cmd_pairing_verify, "recompute the numeric entries")

@@ -168,9 +168,10 @@ def cyclic_cohomology_dim(n: int) -> CyclicDimReport:
     over j >= 0, giving finite ranks 1, 2, 3, 3, 3, ...  The countably many
     infinite-order classes contribute a product of lines exactly in degrees
     n <= 2, since their quotient groups have cohomological dimension <= 2.
+    A negative n raises UnsupportedInput.
     """
     if n < 0:
-        raise ValueError("degree must be nonnegative")
+        raise UnsupportedInput("degree must be nonnegative")
     # the degrees n - 2j that carry group cohomology: k <= n, n - k even
     rank = sum(dim for k, dim in enumerate(H3_PROFILE.dims)
                if k <= n and (n - k) % 2 == 0)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from heisenberg_ncg import algebra, derivations
 from heisenberg_ncg.algebra import (
+    MAX_EVAL_DIMENSION,
     MAX_TERM_PRODUCTS,
     ONE,
     U,
@@ -276,6 +277,13 @@ def evaluated(x: AlgebraElement, theta: RationalAngle) -> np.ndarray:
 
 
 class TestEvaluation:
+    def test_dimension_past_the_bound_refused_before_any_allocation(self, monkeypatch):
+        assert len(eval_at_angle(U, RationalAngle.of(1, MAX_EVAL_DIMENSION))) == 256
+        # reading the root of unity is the evaluation's first step
+        monkeypatch.setattr(RationalAngle, "lam", property(no_work))
+        with pytest.raises(UnsupportedInput, match="eval dimension 257 exceeds 256"):
+            eval_at_angle(U, RationalAngle.of(1, 257))
+
     @pytest.mark.parametrize("s,t", [(0, 1), (1, 2), (1, 3), (2, 5)])
     def test_star_homomorphism(self, s, t):
         theta = RationalAngle.of(s, t)

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import no_work
 
 import heisenberg_ncg
+from heisenberg_ncg import chern
 from heisenberg_ncg.algebra import UnsupportedInput
 from heisenberg_ncg.chern import (
     _DiracEngine,
@@ -69,6 +71,11 @@ class TestProjectorFields:
     def test_small_grid_rejected(self):
         with pytest.raises(UnsupportedInput):
             bott_projector(4, 1.0)
+
+    def test_large_grid_rejected_before_sampling(self, monkeypatch):
+        monkeypatch.setattr(np, "meshgrid", no_work)
+        with pytest.raises(UnsupportedInput, match="grid must be at least 8 and at most 2048"):
+            bott_projector(2049, 1.0)
 
     def test_non_projector_rejected(self):
         bad = np.zeros((8, 8, 2, 2), dtype=complex)
@@ -231,6 +238,14 @@ class TestDiracPairing:
     def test_small_truncation_rejected(self):
         with pytest.raises(UnsupportedInput):
             dirac_even_pairing(bott_projector(64, 1.0), truncation=12)
+
+    def test_large_truncation_rejected_before_the_fourier_pass(self, monkeypatch):
+        # on a grid too coarse, the pass would raise ArithmeticError first
+        field = bott_projector(64, 1.0)
+        monkeypatch.setattr(chern, "fourier_coefficients", no_work)
+        monkeypatch.setattr(chern, "_DiracEngine", no_work)
+        with pytest.raises(UnsupportedInput, match="truncation 129 must be at most 128"):
+            dirac_even_pairing(field, truncation=129)
 
     def test_truncation_without_distinct_second_run_rejected(self):
         # default tail: kernel radius 24, so the smallest allowed truncation

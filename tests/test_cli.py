@@ -24,6 +24,7 @@ from heisenberg_ncg.algebra import (
     U,
     V,
     AlgebraElement,
+    RationalAngle,
     element_from_dict,
     element_to_dict,
 )
@@ -131,14 +132,19 @@ class TestAlgebra:
         assert after == before
 
     def test_eval_dimension_cap(self, capsys, monkeypatch):
-        def no_allocation(*_):
-            raise AssertionError("eval_at_angle ran past the dimension cap")
-
-        monkeypatch.setattr(cli, "eval_at_angle", no_allocation)
+        # eval_at_angle reads the root of unity first once it has checked t
+        monkeypatch.setattr(RationalAngle, "lam", property(no_work))
         code, out, err = run_captured(
             capsys, ["alg", "eval", U_JSON, "--theta", "1/100000"])
         assert code == 2 and out == ""
-        assert "exceeds" in err
+        assert err == "usage error: eval dimension 100000 exceeds 256\n"
+
+    @pytest.mark.parametrize("theta, part", [(f"1{NINES}/3", "s"), (f"1/1{NINES}", "t")])
+    def test_eval_angle_past_the_digit_limit_names_it(self, capsys, theta, part):
+        code, out, err = run_captured(capsys, ["alg", "eval", U_JSON, "--theta", theta])
+        assert code == 2 and out == ""
+        assert err == (f"usage error: --theta's {part} must be an integer of at most "
+                       f"{sys.get_int_max_str_digits()} digits\n")
 
     @pytest.mark.parametrize("axis", ["p", "q", "r"])
     def test_eval_huge_exponent_reduces_mod_t(self, capsys, axis):
@@ -306,6 +312,15 @@ class TestGroup:
         assert code == 0
         assert json.loads(out)["result"]["finite_rank"] == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: --n"),
+        (["--n", "-1"], "usage error: degree must be nonnegative"),
+    ], ids=["missing", "negative"])
+    def test_hc_dim_without_a_nonnegative_degree_exits_two(self, capsys, argv, message):
+        code, out, err = run_captured(capsys, ["group", "hc-dim", *argv])
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_hc_dim_past_the_digit_limit_names_it(self, capsys):
         code, out, err = run_captured(capsys, ["group", "hc-dim", "--n", "9" + NINES])
         assert code == 2 and out == ""
@@ -405,18 +420,27 @@ class TestVerificationCommands:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("blocks", [
-        [],
-        [[]],
-        [[element_to_dict(U)], [element_to_dict(U), element_to_dict(V)]],
+    @pytest.mark.parametrize("blocks, lengths", [
+        ([], "[]"),
+        ([[]], "[0]"),
+        ([[element_to_dict(U)], [element_to_dict(U), element_to_dict(V)]], "[1, 2]"),
     ], ids=["empty", "empty-row", "ragged"])
-    def test_index_malformed_blocks_exit_two(self, capsys, blocks):
+    def test_index_malformed_blocks_exit_two(self, capsys, blocks, lengths):
+        # the shape is fredholm's rule: the CLI only unwraps the blocks
         code, out, err = run_captured(
             capsys,
             ["index", "--module", "z1", "--unitary", json.dumps({"blocks": blocks})],
         )
         assert code == 2 and out == ""
-        assert "malformed element" in err
+        assert err == ("usage error: a block matrix must be a nonempty square list of rows; "
+                       f"this one has rows of lengths {lengths}\n")
+
+    @pytest.mark.parametrize("blocks", ["5", "[5]", "[[5]]", '{"a":1}', "null"])
+    def test_index_blocks_that_are_not_rows_of_elements_exit_two(self, capsys, blocks):
+        code, out, err = run_captured(
+            capsys, ["index", "--module", "z1", "--unitary", '{"blocks":%s}' % blocks])
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: malformed element: ")
 
     def test_index_is_bounded_by_term_products_only(self, capsys):
         # the unitarity check visits only nonzero pairs, so block unitaries
@@ -530,17 +554,19 @@ class TestVerificationCommands:
          "--n-commutators 4"),
         (["chern", "--grid", "16", "--n-commutators", "4"],
          "--n-commutators 4"),
-        (["chern", "--grid", "2049"], "--grid must be at most 2048"),
+        (["chern", "--grid", "2049"], "--grid must be at least 8 and at most 2048"),
         (["chern", "--grid", "16", "--dirac", "--truncation", "129"],
-         "--truncation must be at most 128 with --dirac"),
+         "--truncation 129 must be at most 128"),
     ])
     def test_chern_out_of_range_option_exits_two(self, capsys, monkeypatch,
                                                   argv, message):
-        # bott_projector refuses a grid below MIN_GRID before any work, and
-        # is reached with no other of these inputs
-        build = ch.bott_projector
-        monkeypatch.setattr(ch, "bott_projector", lambda grid, mass: (
-            build(grid, mass) if grid < ch.MIN_GRID else no_work()))
+        # bott_projector refuses a grid out of range before it samples the
+        # field, and dirac_even_pairing a truncation over its cap before the
+        # Fourier pass: only the grid-16 field is sampled
+        meshgrid = ch.np.meshgrid
+        monkeypatch.setattr(ch.np, "meshgrid", lambda k1, k2, **kw: (
+            meshgrid(k1, k2, **kw) if len(k1) == 16 else no_work()))
+        monkeypatch.setattr(ch, "fourier_coefficients", no_work)
         code, out, err = run_captured(capsys, argv)
         assert code == 2 and out == ""
         assert message in err
@@ -607,6 +633,21 @@ class TestPlumbing:
         code, _, err = run_captured(capsys, ["alg", "star", "{nope"])
         assert code == 2
         assert "malformed" in err
+
+    def test_non_utf8_file_exits_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_captured(capsys, ["alg", "star", str(bad)])
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: malformed JSON input: 'utf-8' codec can't decode")
+
+    def test_non_utf8_stdin_exits_two(self, capsys, monkeypatch):
+        # the same bytes and the same line as from a file, whatever the
+        # locale's encoding of sys.stdin
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}")))
+        code, out, err = run_captured(capsys, ["alg", "star", "-"])
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: malformed JSON input: 'utf-8' codec can't decode")
 
     def test_unknown_subcommand_exits_two(self, capsys):
         assert run(["bogus"]) == 2
@@ -997,7 +1038,8 @@ EVAL_ELEMENTS = st.one_of(
     st.lists(st.builds(term_json, KEYS, FLOAT_COEFFICIENTS), min_size=1, max_size=3).map(
         lambda terms: '{"terms":[%s]}' % ",".join(terms)),
 )
-ANGLES = st.sampled_from(["0/1", "-1/3", "1/256", "1/257", "1/0", f"{10**20 + 1}/3"])
+ANGLES = st.sampled_from(["0/1", "-1/3", "1/256", "1/257", "1/0", f"{10**20 + 1}/3",
+                         f"1{NINES}/3", f"1/1{NINES}"])
 GROUP_TYPES = st.sampled_from([
     "H3", "Z", "Z2", "ZxZl(5)", "CentralExtension(3)", f"ZxZl({NINES})",
     "ZxZl(0)", "CentralExtension(1)", f"ZxZl(1{NINES})", f"CentralExtension(1{NINES})",
@@ -1083,6 +1125,9 @@ def check_every_input(commands, max_examples):
         else:
             assert out == "" and err.count("\n") == 1
             assert err.startswith(("usage error: ", "verification failure: "))
+        # a string past the int-string digit limit is refused naming the
+        # limit, not with the interpreter's advice to raise it
+        assert "set_int_max_str_digits" not in err
         assert run_strictly(argv) == (code, out, err)
 
     check()

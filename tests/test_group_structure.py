@@ -2,10 +2,11 @@ import time
 
 import numpy as np
 import pytest
-from conftest import seeded
+from conftest import no_work, seeded
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from heisenberg_ncg import group_structure
 from heisenberg_ncg.algebra import GroupElement, UnsupportedInput
 from heisenberg_ncg.group_structure import (
     brute_force_centralizer,
@@ -163,6 +164,14 @@ class TestCohomology:
     def test_cyclic_ranks(self):
         ranks = [cyclic_cohomology_dim(n).finite_rank for n in range(8)]
         assert ranks == [1, 2, 3, 3, 3, 3, 3, 3]
+
+    def test_negative_degree_rejected_before_the_ranks_are_read(self, monkeypatch):
+        class Unread:
+            dims = property(no_work)
+
+        monkeypatch.setattr(group_structure, "H3_PROFILE", Unread())
+        with pytest.raises(UnsupportedInput, match="degree must be nonnegative"):
+            cyclic_cohomology_dim(-1)
 
     def test_countable_factor_only_in_low_degrees(self):
         flags = [cyclic_cohomology_dim(n).countable_factor for n in range(6)]

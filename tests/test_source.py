@@ -74,7 +74,7 @@ def test_cli_prints_only_where_a_whole_document_is_ready():
 def test_cli_catches_only_in_its_plumbing():
     # `run` maps exceptions to exit codes; elsewhere cli.py catches only
     # what it parses or prints, and `cmd_chern` puts `--` before the
-    # projector's grid and mass messages and the certificate's truncation one
+    # projector's grid and mass messages and the pairing's truncation ones
     tree = ast.parse((SOURCES[0].parent / "cli.py").read_text())
     catchers = {
         getattr(top, "name", None)  # None for a try outside any function
@@ -82,8 +82,14 @@ def test_cli_catches_only_in_its_plumbing():
         for node in ast.walk(top)
         if isinstance(node, ast.Try)
     }
-    assert catchers == {"_is_file", "_load_json", "_parse", "_angle", "_emit",
-                        "cmd_group_hc_dim", "cmd_chern", "run", "main"}
+    assert catchers == {"_is_file", "_load_json", "_parse", "_integer", "_angle", "_emit",
+                        "cmd_chern", "run", "main"}
+
+
+def test_cli_defines_no_bound():
+    # every work bound lives in the library function it guards
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text())
+    assert [name for s in tree.body for name in _defined(s) if name.startswith("MAX_")] == []
 
 
 CLOCKS = {"perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns", "time", "time_ns"}

@@ -27,6 +27,7 @@ from .algebra import (
     AlgebraElement,
     GroupElement,
     RationalAngle,
+    UnsupportedInput,
     eval_at_angle,
     random_element,
 )
@@ -317,7 +318,10 @@ ALL_CRITERIA = (
 def run_criterion(fn, seed: int = DEFAULT_SEED) -> tuple[dict, float]:
     """(result, seconds) of one criterion, ``seed`` passed only to a
     criterion that takes one.  One that raises is reported as failed, with
-    the error in its details."""
+    the error in its details; a negative seed, which numpy's generators
+    refuse, raises UnsupportedInput before any criterion runs."""
+    if seed < 0:
+        raise UnsupportedInput(f"seed must be nonnegative, got {seed}")
     takes_seed = "seed" in fn.__code__.co_varnames[: fn.__code__.co_argcount]
     t0 = time.perf_counter()
     try:

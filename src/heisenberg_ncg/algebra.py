@@ -26,6 +26,10 @@ more than ``MAX_TERM_PRODUCTS`` term products.
 
 A sum copies the larger operand and adds coefficients only at the keys
 both share, dropping a zero where it arises; x - y is x + (-y).
+
+Exponents are integers and coefficients exact: a float or a bool in either
+place is a TypeError.  An integer past Python's int-string digit limit, read
+or written, raises Python's own ValueError.
 """
 
 from __future__ import annotations
@@ -48,8 +52,6 @@ Rationalish = Union[int, Fraction, str]
 # is the digit limit Python already puts on integer strings.
 MAX_DECIMAL_EXPONENT = 4300
 _DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
-# A run of digits, which int() reads as one integer string.
-_DIGITS = re.compile(r"[\d_]+")
 
 # Most term products one ring product may take: x*y and [x, y] take |x| |y|,
 # a block product the sum of theirs; up to ~8 us each in-process, so < 1 s.
@@ -76,6 +78,11 @@ def _is_exact(x) -> bool:
     return not isinstance(x, bool) and isinstance(x, (numbers.Rational, str))
 
 
+def _is_integer(v) -> bool:
+    # bool is an int subclass, and int() would truncate 1.7 or parse "1".
+    return not isinstance(v, bool) and isinstance(v, numbers.Integral)
+
+
 def _frac(x: Rationalish) -> Fraction:
     """x as a Fraction; a string that is not a rational number in range
     (including a zero denominator) is a ValueError."""
@@ -85,12 +92,6 @@ def _frac(x: Rationalish) -> Fraction:
         raise TypeError(f"a coefficient must be an integer, a Fraction or a "
                         f"string such as \"1/2\", got {x!r}")
     if isinstance(x, str):
-        limit = sys.get_int_max_str_digits()  # 0: no limit
-        if 0 < limit < len(x) and any(len(run) - run.count("_") > limit
-                                      for run in _DIGITS.findall(x)):
-            # else int() would advise raising the limit
-            raise ValueError(f"an integer in a coefficient string has more digits "
-                             f"than the {limit}-digit limit")
         exponent = _DECIMAL_EXPONENT.search(x)
         if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
             raise ValueError(f"decimal exponent of {x!r} exceeds {MAX_DECIMAL_EXPONENT}")
@@ -324,10 +325,15 @@ class AlgebraElement:
         clean: dict[Key, Triple] = {}
         if terms:
             for key, c in terms.items():
+                p, q, r = key
+                # an int passes at once: the Integral check is an ABC lookup
+                if type(p) is not int or type(q) is not int or type(r) is not int:
+                    if not (_is_integer(p) and _is_integer(q) and _is_integer(r)):
+                        raise TypeError(f"exponents must be integers, got {key!r}")
+                    p, q, r = int(p), int(q), int(r)
                 t = _coerce(c)
                 if t[0] or t[1]:
-                    p, q, r = key
-                    clean[(int(p), int(q), int(r))] = t
+                    clean[(p, q, r)] = t
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):
@@ -561,24 +567,14 @@ def eval_at_angle(x: AlgebraElement, theta: RationalAngle) -> list[list[complex]
 # ---- serialization ----
 
 
-def _term_record(key: Key, c: GaussianRational) -> dict:
-    p, q, r = key
-    try:
-        return {"p": p, "q": q, "r": r, "re": str(c.re), "im": str(c.im)}
-    except ValueError:  # an integer over the int-string digit limit
-        raise ValueError(f"the coefficient of U^{p} V^{q} W^{r} has more digits than "
-                         f"the {sys.get_int_max_str_digits()}-digit limit of integer "
-                         "string conversion") from None
-
-
 def element_to_dict(x: AlgebraElement) -> dict:
-    return {"terms": [_term_record(k, x.coeff(*k)) for k in x.support()]}
+    return {"terms": [{"p": p, "q": q, "r": r, "re": str(c.re), "im": str(c.im)}
+                      for (p, q, r), c in sorted(x.terms.items())]}
 
 
 def _exponent(rec: Mapping, name: str) -> int:
     v = rec[name]
-    # bool is an int subclass, and int() would truncate 1.7 or parse "1".
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+    if not _is_integer(v):
         raise ValueError(f"exponent {name} must be an integer, got {v!r}")
     return int(v)
 

@@ -13,10 +13,10 @@ stderr, so the document is the same bytes on every run.  Exit codes: 0
 success, 1 verification failure, 2 usage error.  This module only parses,
 calls the library and maps exceptions: each work bound and range or shape
 rule is held by the library function it guards (``chern.MAX_GRID``, say),
-which raises ``UnsupportedInput``.  ``run`` maps exceptions to exit codes in
-one place: a ``UsageError`` (malformed JSON included) or an
-``UnsupportedInput`` exits 2, and a ``VerificationFailure``, ``ValueError``
-or ``ArithmeticError`` exits 1, each with one line on stderr.
+which raises ``UnsupportedInput``.  Only ``run`` turns an exception into a
+line on stderr: a ``UsageError`` or an ``UnsupportedInput`` exits 2, and a
+``ValueError`` or ``ArithmeticError`` exits 1, in the exception's words, less
+CPython's advice to raise its int-string digit limit.
 
 Each command imports only the package modules it runs: ``algebra`` is
 imported here, and every other module inside the handlers that use it.
@@ -57,8 +57,9 @@ class UsageError(Exception):
     pass
 
 
-class VerificationFailure(Exception):
-    pass
+# CPython's advice on its int-string digit limit, which names a call that
+# an hnc user cannot make; ``run`` drops it from every line it prints.
+_INT_LIMIT_ADVICE = "; use sys.set_int_max_str_digits() to increase the limit"
 
 
 # ---- input plumbing ----
@@ -81,11 +82,8 @@ def _load_json(text_or_path: str):
         else:
             raw = text_or_path
         return json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:  # also too deep
+    except (ValueError, RecursionError) as e:  # also bad UTF-8, too many digits, too deep
         raise UsageError(f"malformed JSON input: {e}") from None
-    except ValueError:  # only an integer past the int-string digit limit
-        raise UsageError("malformed JSON input: an integer has more digits than the "
-                         f"{sys.get_int_max_str_digits()}-digit limit") from None
 
 
 def _parse(text_or_path: str, build, what: str):
@@ -120,6 +118,12 @@ def _derivation(text_or_path: str):
     return _parse(text_or_path, derivation_from_dict, "derivation")
 
 
+def _stdin_once(*texts: str) -> None:
+    """Refuse a second '-': the first reads all of stdin."""
+    if texts.count("-") > 1:
+        raise UsageError("only one argument may read stdin ('-')")
+
+
 def _group_element(text: str) -> GroupElement:
     data = _load_json(text)
     # bool is a subclass of int, but true/false are not exponents
@@ -133,14 +137,11 @@ def _group_element(text: str) -> GroupElement:
 
 
 def _integer(text: str, what: str) -> int:
-    """int(text), parsed here and not by argparse so that a string past the
-    int-string digit limit is one usage-error line that names the limit."""
+    """int(text), parsed here and not by argparse so that the usage line
+    names the option and quotes int()'s error, the digit limit included."""
     try:
         return int(text)
     except ValueError as e:
-        limit = sys.get_int_max_str_digits()
-        if len(text) > limit:  # else int() advises raising the limit
-            raise UsageError(f"{what} must be an integer of at most {limit} digits") from None
         raise UsageError(f"{what} must be an integer: {e}") from None
 
 
@@ -157,18 +158,14 @@ def _angle(text: str) -> RationalAngle:
 
 def _emit(args, command: str, config: dict, result: dict) -> None:
     """Render the whole document, then print it, so that a result that
-    cannot be written prints nothing on stdout."""
-    try:
-        if args.table:
-            text = "\n".join([f"# {command}  config: " + json.dumps(config, sort_keys=True),
-                              *_table_lines(result)])
-        else:
-            text = json.dumps({"command": command, "config": config, "result": result},
-                              sort_keys=True, separators=(",", ":"))
-    except ValueError:  # only an integer past the int-string digit limit
-        raise VerificationFailure(f"the result has an integer with more digits than the "
-                                  f"{sys.get_int_max_str_digits()}-digit limit of integer "
-                                  "string conversion") from None
+    cannot be written (an integer past the int-string digit limit raises
+    ValueError) prints nothing on stdout."""
+    if args.table:
+        text = "\n".join([f"# {command}  config: " + json.dumps(config, sort_keys=True),
+                          *_table_lines(result)])
+    else:
+        text = json.dumps({"command": command, "config": config, "result": result},
+                          sort_keys=True, separators=(",", ":"))
     print(text)
 
 
@@ -201,6 +198,7 @@ def _table_lines(obj, indent: int = 0):
 
 
 def cmd_alg_mul(args):
+    _stdin_once(args.x, args.y)
     return {}, element_to_dict(_element(args.x) * _element(args.y)), EXIT_OK
 
 
@@ -242,6 +240,7 @@ def cmd_deriv_decompose(args):
 def cmd_deriv_apply(args):
     from . import derivations as dv
 
+    _stdin_once(args.d, args.y)
     return {}, element_to_dict(dv.apply(_derivation(args.d), _element(args.y))), EXIT_OK
 
 
@@ -300,15 +299,10 @@ def cmd_chern(args):
     truncation = 64 if args.truncation is None else args.truncation
     config = {"grid": args.grid, "mass": args.mass}
     result = {}
-    # the range errors of bott_projector and dirac_even_pairing name an
-    # option without its --
-    try:
-        field = ch.bott_projector(args.grid, args.mass)
-        if args.dirac:
-            config["truncation"] = truncation
-            result["dirac"] = ch.dirac_even_pairing(field, truncation)
-    except UnsupportedInput as e:
-        raise UsageError(f"--{e}") from None
+    field = ch.bott_projector(args.grid, args.mass)
+    if args.dirac:
+        config["truncation"] = truncation
+        result["dirac"] = ch.dirac_even_pairing(field, truncation)
     result["lattice_chern"] = ch.lattice_chern(field)
     if args.dirac:
         result["agree"] = result["dirac"]["value"] == result["lattice_chern"]
@@ -457,11 +451,15 @@ def run(argv=None) -> int:
         _emit(args, args.command, config, result)
         return code
     except (UsageError, UnsupportedInput) as e:
-        print(f"usage error: {e}", file=sys.stderr)
+        print(f"usage error: {_line(e)}", file=sys.stderr)
         return EXIT_USAGE
-    except (VerificationFailure, ValueError, ArithmeticError) as e:
-        print(f"verification failure: {e}", file=sys.stderr)
+    except (ValueError, ArithmeticError) as e:
+        print(f"verification failure: {_line(e)}", file=sys.stderr)
         return EXIT_VERIFICATION
+
+
+def _line(e: Exception) -> str:
+    return str(e).replace(_INT_LIMIT_ADVICE, "")
 
 
 def main() -> None:

@@ -109,17 +109,17 @@ def inner_derivation(x: AlgebraElement) -> Derivation:
 def check_consistency(d: Derivation) -> ConsistencyReport:
     """Verify the Leibniz identity on VU = WUV and the axis rules."""
     violations: list[Violation] = []
-    for (p, q, r) in sorted(d.dU._terms):
+    for (p, q, r) in d.dU.support():
         if q == 0 and p != 1:
             violations.append(Violation("axis-a", (p, q, r)))
-    for (p, q, r) in sorted(d.dV._terms):
+    for (p, q, r) in d.dV.support():
         if p == 0 and q != 1:
             violations.append(Violation("axis-b", (p, q, r)))
 
     # Every product has a monomial factor; see the module docstring for the
     # cell of each term.
     rel = d.dV * U + V * d.dU - W * (d.dU * V + U * d.dV)
-    for (p, q, r) in sorted(rel._terms):
+    for (p, q, r) in rel.support():
         violations.append(Violation("relation", (p - 1, q - 1, r - q + 1)))
 
     return ConsistencyReport(not violations, tuple(violations))
@@ -258,7 +258,7 @@ def decompose(d: Derivation) -> DecompositionResult:
     x = AlgebraElement._of_clean(x_terms)
     rebuilt = compose_from_parts(z1, z2, x)
     if rebuilt.dU != d.dU or rebuilt.dV != d.dV:
-        cells = len((rebuilt.dU - d.dU)._terms) + len((rebuilt.dV - d.dV)._terms)
+        cells = len((rebuilt.dU - d.dU).support()) + len((rebuilt.dV - d.dV).support())
         raise ArithmeticError(
             "d is not z1*d1 + z2*d2 + [., x] for any finitely supported x "
             f"(cells where the reconstruction differs from d: {cells}; "

@@ -9,12 +9,13 @@ import json
 
 import numpy as np
 import pytest
+from conftest import no_work
 
 from heisenberg_ncg import acceptance as acc
 from heisenberg_ncg import derivations as dv
 from heisenberg_ncg import fredholm as fr
 from heisenberg_ncg import group_structure as gs
-from heisenberg_ncg.algebra import GroupElement
+from heisenberg_ncg.algebra import GroupElement, UnsupportedInput
 
 
 @pytest.mark.parametrize("number", range(1, 11))
@@ -65,6 +66,13 @@ def test_raising_criterion_fails_alone(monkeypatch):
     assert set(elapsed) == {"criterion_1", "criterion_2"}
     assert min(elapsed.values()) >= 0
     assert second["passed"]
+
+
+def test_negative_seed_is_refused_before_the_criterion():
+    # numpy's generators refuse a negative seed; a criterion that met one
+    # would be reported as failed, after every other criterion had run
+    with pytest.raises(UnsupportedInput, match="seed must be nonnegative, got -1"):
+        acc.run_criterion(no_work, seed=-1)
 
 
 @pytest.mark.parametrize("route, perturb", [

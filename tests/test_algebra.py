@@ -394,3 +394,22 @@ class TestSerialization:
         big = np.int64(2**62)
         assert ONE.scale(big).scale(big) == ONE.scale(2**124)
         assert GaussianRational(big) * GaussianRational(big) == GaussianRational(2**124)
+
+    @pytest.mark.parametrize("key", [
+        (1.5, 0, 0), (0, 0.9, 0), (np.float64(2.7), True, 0), (0, 0, False), (0, "1", 0),
+        (2.0, 0, 0),
+    ])
+    @pytest.mark.parametrize("build", [
+        lambda key: AlgebraElement({key: 1}),
+        lambda key: AlgebraElement({key: 0}),
+        lambda key: AlgebraElement.monomial(*key),
+    ], ids=["element", "zero", "monomial"])
+    def test_library_rejects_non_integer_exponents(self, build, key):
+        # int() would truncate 1.5 to U and 0.9 to 1, and a bool is an int
+        with pytest.raises(TypeError, match="exponents must be integers"):
+            build(key)
+
+    def test_library_accepts_numpy_integer_exponents(self):
+        x = AlgebraElement({(np.int64(2), np.int32(0), 0): 1})
+        assert x == AlgebraElement.monomial(2, 0, 0)
+        assert all(type(e) is int for key in x.support() for e in key)

@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from conftest import no_work, seeded, tracked
@@ -38,11 +39,8 @@ from heisenberg_ncg.derivations import (
 
 U_JSON = json.dumps(element_to_dict(U))
 V_JSON = json.dumps(element_to_dict(V))
+DERIVATION_JSON = json.dumps(derivation_to_dict(inner_derivation(U)))
 NINES = "9" * 4300  # the longest integer string Python converts
-# what a valid input exits 1 with when its result holds a longer integer
-OVER_THE_DIGIT_LIMIT = (f"verification failure: the result has an integer with more digits "
-                        f"than the {sys.get_int_max_str_digits()}-digit limit of integer "
-                        "string conversion\n")
 
 
 def package_env() -> dict:
@@ -89,6 +87,20 @@ def run_captured(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def digit_limit_line(capsys, argv, exit_code: int) -> str:
+    """The stderr line of ``argv``, which meets Python's 4300-digit
+    int-string limit in an input (exit 2) or in its result (exit 1): nothing
+    on stdout, and one line in Python's words without its advice to raise
+    the limit."""
+    code, out, err = run_captured(capsys, argv)
+    assert code == exit_code and out == ""
+    prefix = "usage error: " if exit_code == 2 else "verification failure: "
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert "Exceeds the limit (4300 digits) for integer string conversion" in err
+    assert "set_int_max_str_digits" not in err
+    return err
 
 
 class TestAlgebra:
@@ -141,10 +153,8 @@ class TestAlgebra:
 
     @pytest.mark.parametrize("theta, part", [(f"1{NINES}/3", "s"), (f"1/1{NINES}", "t")])
     def test_eval_angle_past_the_digit_limit_names_it(self, capsys, theta, part):
-        code, out, err = run_captured(capsys, ["alg", "eval", U_JSON, "--theta", theta])
-        assert code == 2 and out == ""
-        assert err == (f"usage error: --theta's {part} must be an integer of at most "
-                       f"{sys.get_int_max_str_digits()} digits\n")
+        err = digit_limit_line(capsys, ["alg", "eval", U_JSON, "--theta", theta], 2)
+        assert err.startswith(f"usage error: --theta's {part} must be an integer: ")
 
     @pytest.mark.parametrize("axis", ["p", "q", "r"])
     def test_eval_huge_exponent_reduces_mod_t(self, capsys, axis):
@@ -322,10 +332,10 @@ class TestGroup:
         assert message in err
 
     def test_hc_dim_past_the_digit_limit_names_it(self, capsys):
-        code, out, err = run_captured(capsys, ["group", "hc-dim", "--n", "9" + NINES])
-        assert code == 2 and out == ""
-        assert err == ("usage error: --n must be an integer of at most "
-                       f"{sys.get_int_max_str_digits()} digits\n")
+        argv = ["group", "hc-dim", "--n", "9" + NINES]
+        assert digit_limit_line(capsys, argv, 2) == (
+            "usage error: --n must be an integer: Exceeds the limit (4300 digits) "
+            "for integer string conversion: value has 4301 digits\n")
 
     def test_cohomology(self, capsys):
         code, out, _ = run_captured(
@@ -489,9 +499,7 @@ class TestVerificationCommands:
         code, out, _ = run_captured(capsys, argv + [u])
         assert code == 0 and out.endswith('{"index":%s}}\n' % ("9" * 4300))
         blocks = '{"blocks":[[%s,{}],[{},%s]]}' % (u, u)
-        code, out, err = run_captured(capsys, argv + [blocks])
-        assert code == 1 and out == ""
-        assert err == OVER_THE_DIGIT_LIMIT
+        digit_limit_line(capsys, argv + [blocks], 1)
 
     def test_wide_band_unitary_at_the_defaults(self, capsys):
         # the exact pairing needs no window: U^40 pairs to 40 as U does to 1
@@ -514,6 +522,12 @@ class TestVerificationCommands:
         assert [r["passed"] for r in results] == [True, False]
         assert results[1]["details"] == {"error": "ArithmeticError: no convergence"}
         assert set(json.loads(err)["elapsed_s"]) == {"criterion_1", "criterion_2"}
+
+    def test_report_negative_seed_exits_two_before_any_criterion(self, capsys, monkeypatch):
+        monkeypatch.setattr(acc, "ALL_CRITERIA", (no_work, no_work))
+        code, out, err = run_captured(capsys, ["report", "all", "--seed", "-1"])
+        assert code == 2 and out == ""
+        assert err == "usage error: seed must be nonnegative, got -1\n"
 
     def test_report_table(self, capsys, monkeypatch):
         def criterion_1_ok(seed=0):
@@ -546,17 +560,17 @@ class TestVerificationCommands:
         assert json.loads(out)["result"]["lattice_chern"] == -1
 
     @pytest.mark.parametrize("argv, message", [
-        (["chern", "--grid", "0"], "--grid must be at least 8"),
-        (["chern", "--grid", "7", "--dirac"], "--grid must be at least 8"),
+        (["chern", "--grid", "0"], "usage error: grid must be at least 8"),
+        (["chern", "--grid", "7", "--dirac"], "usage error: grid must be at least 8"),
         # the Dirac pairing's commutator count is fixed at 4: the option is
         # gone, with or without --dirac, and argparse rejects it
         (["chern", "--grid", "16", "--dirac", "--n-commutators", "4"],
          "--n-commutators 4"),
         (["chern", "--grid", "16", "--n-commutators", "4"],
          "--n-commutators 4"),
-        (["chern", "--grid", "2049"], "--grid must be at least 8 and at most 2048"),
+        (["chern", "--grid", "2049"], "usage error: grid must be at least 8 and at most 2048"),
         (["chern", "--grid", "16", "--dirac", "--truncation", "129"],
-         "--truncation 129 must be at most 128"),
+         "usage error: truncation 129 must be at most 128"),
     ])
     def test_chern_out_of_range_option_exits_two(self, capsys, monkeypatch,
                                                   argv, message):
@@ -581,7 +595,7 @@ class TestVerificationCommands:
         code, out, err = run_captured(
             capsys, ["chern", "--dirac", "--truncation", truncation])
         assert code == 2 and out == ""
-        assert f"--truncation {truncation} must be at least 33" in err
+        assert err.startswith(f"usage error: truncation {truncation} must be at least 33")
 
     def test_chern_dirac_computes_the_coefficients_once(self, capsys, monkeypatch):
         # the engine's stand-in makes every certificate run read exactly 1
@@ -649,6 +663,21 @@ class TestPlumbing:
         assert code == 2 and out == ""
         assert err.startswith("usage error: malformed JSON input: 'utf-8' codec can't decode")
 
+    @pytest.mark.parametrize("command, first", [
+        (["alg", "mul"], U_JSON), (["deriv", "apply"], DERIVATION_JSON),
+    ], ids=["alg-mul", "deriv-apply"])
+    def test_two_stdin_arguments_exit_two_before_reading(self, capsys, monkeypatch,
+                                                         command, first):
+        # the first '-' would read all of stdin, and the second nothing
+        monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=SimpleNamespace(read=no_work)))
+        code, out, err = run_captured(capsys, command + ["-", "-"])
+        assert code == 2 and out == ""
+        assert err == "usage error: only one argument may read stdin ('-')\n"
+        # one '-' reads it
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(first.encode())))
+        piped = run_captured(capsys, command + ["-", V_JSON])
+        assert piped[0] == 0 and piped == run_captured(capsys, command + [first, V_JSON])
+
     def test_unknown_subcommand_exits_two(self, capsys):
         assert run(["bogus"]) == 2
 
@@ -680,26 +709,19 @@ class TestPlumbing:
         assert err == "usage error: malformed element: zero denominator in '1/0'\n"
 
     def test_integer_over_the_digit_limit_exits_two(self, capsys):
-        # one line that names the limit, not the interpreter's advice to
-        # raise it
         for digits in (4301, 5000):
-            code, out, err = run_captured(capsys, [
-                "alg", "star", '{"terms":[{"p":1,"q":0,"r":0,"re":' + "9" * digits + "}]}"])
-            assert code == 2 and out == ""
-            assert err == ("usage error: malformed JSON input: an integer has more digits "
-                           "than the 4300-digit limit\n")
+            argv = ["alg", "star", '{"terms":[{"p":1,"q":0,"r":0,"re":%s}]}' % ("9" * digits)]
+            assert digit_limit_line(capsys, argv, 2) == (
+                "usage error: malformed JSON input: Exceeds the limit (4300 digits) "
+                f"for integer string conversion: value has {digits} digits\n")
 
     @pytest.mark.parametrize("coefficient", [
         "1" * 4301, "1/" + "1" * 4301, "1e" + "1" * 4301, "1e-" + "0" * 4300 + "1",
         "1_" * 4300 + "1",
     ], ids=["integer", "denominator", "exponent", "padded-exponent", "underscored"])
     def test_coefficient_string_over_the_digit_limit_exits_two(self, capsys, coefficient):
-        # the same one line as a JSON integer gets, not int()'s advice to
-        # raise the limit
-        code, out, err = run_captured(capsys, ["alg", "star", monomial_json(re=coefficient)])
-        assert code == 2 and out == ""
-        assert err == ("usage error: malformed element: an integer in a coefficient string "
-                       "has more digits than the 4300-digit limit\n")
+        err = digit_limit_line(capsys, ["alg", "star", monomial_json(re=coefficient)], 2)
+        assert err.startswith("usage error: malformed element: ")
 
     @pytest.mark.parametrize("coefficient", ["1e999999999", "1e-99999999"])
     def test_huge_decimal_exponent_exits_two_quickly(self, capsys, coefficient):
@@ -732,11 +754,7 @@ class TestPlumbing:
     def test_result_over_the_digit_limit_exits_one(self, capsys, argv):
         # the inputs are valid; their result has a 4301- or 4401-digit
         # numerator, which no JSON string of this output may hold
-        code, out, err = run_captured(capsys, argv)
-        assert code == 1 and out == ""
-        assert err.startswith("verification failure: the coefficient of U^")
-        assert err.endswith(f"more digits than the {sys.get_int_max_str_digits()}-digit "
-                            "limit of integer string conversion\n")
+        digit_limit_line(capsys, argv, 1)
 
     @pytest.mark.parametrize("table", [[], ["--table"]], ids=["json", "table"])
     @pytest.mark.parametrize("argv", [
@@ -749,9 +767,9 @@ class TestPlumbing:
     def test_integer_in_a_result_over_the_digit_limit_exits_one(self, capsys, argv, table):
         # valid inputs whose result holds a 4301- to 8600-digit integer
         # other than a coefficient: an exponent or a centralizer invariant
-        code, out, err = run_captured(capsys, argv + table)
-        assert code == 1 and out == ""
-        assert err == OVER_THE_DIGIT_LIMIT
+        assert digit_limit_line(capsys, argv + table, 1) == (
+            "verification failure: Exceeds the limit (4300 digits) for integer "
+            "string conversion\n")
 
     @pytest.mark.parametrize("argv", [
         ["alg", "mul", "DEEP", U_JSON],
@@ -875,7 +893,6 @@ class TestPlumbing:
         assert proc.returncode == 1
 
 
-DERIVATION_JSON = json.dumps(derivation_to_dict(inner_derivation(U)))
 # Runs one command through `cli.run` in a fresh interpreter and reports, on
 # the last line of stderr, its exit code, which float libraries it loaded,
 # whether it loaded `dataclasses`, and the package modules it loaded.

@@ -78,11 +78,6 @@ def _is_exact(x) -> bool:
     return not isinstance(x, bool) and isinstance(x, (numbers.Rational, str))
 
 
-def _is_integer(v) -> bool:
-    # bool is an int subclass, and int() would truncate 1.7 or parse "1".
-    return not isinstance(v, bool) and isinstance(v, numbers.Integral)
-
-
 def _frac(x: Rationalish) -> Fraction:
     """x as a Fraction; a string that is not a rational number in range
     (including a zero denominator) is a ValueError."""
@@ -220,10 +215,36 @@ def _raw(t: Triple) -> GaussianRational:
 GR_ZERO = GaussianRational()
 
 
+Key = tuple[int, int, int]
+
+
+def _exponents(key) -> Key:
+    """key as three ints, a numpy integer made an int; any other exponent
+    is a TypeError."""
+    p, q, r = key
+    # an int passes at once: the Integral check is an ABC lookup
+    if type(p) is int and type(q) is int and type(r) is int:
+        return p, q, r
+    # bool is an int subclass, and int() would truncate 1.7 or parse "1".
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in key):
+        raise TypeError(f"exponents must be integers, got {key!r}")
+    return int(p), int(q), int(r)
+
+
+def group_product(g, h):
+    """The group law (p1 + p2, q1 + q2, r1 + r2 + q1 * p2) on exponent
+    triples whose fields are ints, or int arrays of one shape taken
+    elementwise."""
+    p1, q1, r1 = g
+    p2, q2, r2 = h
+    return p1 + p2, q1 + q2, r1 + r2 + q1 * p2
+
+
 class GroupElement:
     """Exponent triple (p, q, r) for the normal-form word U^p V^q W^r.
 
-    Instances are immutable; equal triples are equal and hash alike.
+    The exponents are ints, under the rule of ``_exponents``.  Instances
+    are immutable; equal triples are equal and hash alike.
     """
 
     __slots__ = ("p", "q", "r")
@@ -232,9 +253,8 @@ class GroupElement:
     r: int
 
     def __init__(self, p: int, q: int, r: int):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
+        for name, v in zip(self.__slots__, _exponents((p, q, r))):
+            object.__setattr__(self, name, v)
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
@@ -251,11 +271,7 @@ class GroupElement:
         return f"GroupElement(p={self.p!r}, q={self.q!r}, r={self.r!r})"
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(
-            self.p + other.p,
-            self.q + other.q,
-            self.r + other.r + self.q * other.p,
-        )
+        return GroupElement(*group_product(self.as_tuple(), other.as_tuple()))
 
     def inverse(self) -> "GroupElement":
         return GroupElement(-self.p, -self.q, self.p * self.q - self.r)
@@ -299,7 +315,6 @@ class RationalAngle(NamedTuple):
         return cmath.exp(2j * cmath.pi * s / self.t)
 
 
-Key = tuple[int, int, int]
 CoeffLike = Union[int, Fraction, str, GaussianRational]
 
 
@@ -325,15 +340,10 @@ class AlgebraElement:
         clean: dict[Key, Triple] = {}
         if terms:
             for key, c in terms.items():
-                p, q, r = key
-                # an int passes at once: the Integral check is an ABC lookup
-                if type(p) is not int or type(q) is not int or type(r) is not int:
-                    if not (_is_integer(p) and _is_integer(q) and _is_integer(r)):
-                        raise TypeError(f"exponents must be integers, got {key!r}")
-                    p, q, r = int(p), int(q), int(r)
+                key = _exponents(key)
                 t = _coerce(c)
                 if t[0] or t[1]:
-                    clean[(p, q, r)] = t
+                    clean[key] = t
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):
@@ -572,13 +582,6 @@ def element_to_dict(x: AlgebraElement) -> dict:
                       for (p, q, r), c in sorted(x.terms.items())]}
 
 
-def _exponent(rec: Mapping, name: str) -> int:
-    v = rec[name]
-    if not _is_integer(v):
-        raise ValueError(f"exponent {name} must be an integer, got {v!r}")
-    return int(v)
-
-
 def _coefficient(rec: Mapping, name: str) -> Fraction:
     v = rec.get(name, 0)
     if not _is_exact(v):
@@ -592,7 +595,7 @@ def element_from_dict(data: Mapping) -> AlgebraElement:
         raise TypeError(f"an element is a JSON object, got {data!r}")
     terms: dict[Key, GaussianRational] = {}
     for rec in data.get("terms", []):
-        key = (_exponent(rec, "p"), _exponent(rec, "q"), _exponent(rec, "r"))
+        key = _exponents((rec["p"], rec["q"], rec["r"]))
         coeff = GaussianRational(_coefficient(rec, "re"), _coefficient(rec, "im"))
         terms[key] = terms.get(key, GR_ZERO) + coeff
     return AlgebraElement(terms)

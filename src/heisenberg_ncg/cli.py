@@ -124,15 +124,10 @@ def _stdin_once(*texts: str) -> None:
         raise UsageError("only one argument may read stdin ('-')")
 
 
-def _group_element(text: str) -> GroupElement:
-    data = _load_json(text)
-    # bool is a subclass of int, but true/false are not exponents
-    if (
-        not isinstance(data, (list, tuple))
-        or len(data) != 3
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in data)
-    ):
-        raise UsageError("group element must be a JSON triple [p, q, r]")
+def _group_from_list(data) -> GroupElement:
+    """A JSON list of three exponents, which ``GroupElement`` checks."""
+    if not isinstance(data, list) or len(data) != 3:
+        raise TypeError("expected a JSON triple [p, q, r]")
     return GroupElement(*data)
 
 
@@ -247,7 +242,7 @@ def cmd_deriv_apply(args):
 def cmd_group_classify(args):
     from . import group_structure as gs
 
-    g = _group_element(args.element)
+    g = _parse(args.element, _group_from_list, "group element")
     result = gs.classify_element(g)._asdict()
     result["conjugacy_representative"] = list(gs.conjugacy_representative(g).as_tuple())
     return {"element": list(g.as_tuple())}, result, EXIT_OK
@@ -417,8 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf("pairing verify", cmd_pairing_verify, "recompute the numeric entries")
 
     p = leaf("index", cmd_index, "index pairing of an odd module")
-    p.add_argument("--module", required=True,
-                   choices=["z1", "z1prime", "w1", "w1prime", "del0_w0"])
+    p.add_argument("--module", required=True, help="odd module, such as z1")
     p.add_argument("--unitary", required=True,
                    help="element JSON, {'blocks': ...}, file path, or -")
 

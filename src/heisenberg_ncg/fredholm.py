@@ -123,10 +123,11 @@ def _symbol(name: str, x: MatrixElement) -> tuple[int, Symbol]:
 
     A monomial U^p V^q W^r acts as the shift to the power of the module's
     shift exponent.  w1prime represents only C*(U, W): VU = WUV would force
-    W = 1, so a term with a V exponent is rejected there.
+    W = 1, so a term with a V exponent is rejected there.  Any other name
+    than an odd module's raises UnsupportedInput.
     """
     if name not in _ODD_SHIFT_GEN:
-        raise ValueError(f"{name!r} is not an odd module")
+        raise UnsupportedInput(f"{name!r} is not an odd module")
     axis = "UVW".index(_ODD_SHIFT_GEN[name])
     blocks = _as_blocks(x)
     out: Symbol = {}
@@ -242,8 +243,11 @@ def even_pairing_trace(name: str, p: MatrixElement) -> int:
     *-homomorphism, so psi(p) is a Gaussian-rational projection whose
     trace, the sum of the diagonal blocks' coefficients, is exact.  The
     graded modules (dirac_T2, del1_w1) accept only projections with scalar
-    blocks, which commute with F, so the pairing vanishes.
+    blocks, which commute with F, so the pairing vanishes.  Any other name
+    raises UnsupportedInput before any work.
     """
+    if name not in _EVEN_SCALAR | _EVEN_GRADED:
+        raise UnsupportedInput(f"{name!r} is not an even module")
     blocks = _as_blocks(p)
 
     # exact projection check (p = p* = p^2) in the group ring
@@ -255,15 +259,12 @@ def even_pairing_trace(name: str, p: MatrixElement) -> int:
                     GaussianRational())
         return int(trace.re)
 
-    if name in _EVEN_GRADED:
-        # A projection whose blocks are scalars (support at the origin) is
-        # constant across the lattice and commutes with the diagonal phase
-        # operator.
-        if any(e.support() not in ([], [(0, 0, 0)]) for row in blocks for e in row):
-            raise ValueError(
-                "graded-module trace route only covers projections with scalar "
-                "blocks; a nonconstant projection in the group ring has no route "
-                "here (chern.dirac_even_pairing takes a sampled projector field)")
-        return 0
-
-    raise ValueError(f"{name!r} is not an even module")
+    # A graded module: a projection whose blocks are scalars (support at the
+    # origin) is constant across the lattice and commutes with the diagonal
+    # phase operator.
+    if any(e.support() not in ([], [(0, 0, 0)]) for row in blocks for e in row):
+        raise ValueError(
+            "graded-module trace route only covers projections with scalar "
+            "blocks; a nonconstant projection in the group ring has no route "
+            "here (chern.dirac_even_pairing takes a sampled projector field)")
+    return 0

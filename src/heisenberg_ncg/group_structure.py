@@ -20,13 +20,13 @@ import re
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import GroupElement, UnsupportedInput
+from .algebra import GroupElement, UnsupportedInput, group_product
 
 if TYPE_CHECKING:
     import numpy as np
 
-# Coordinates of g below this bound keep g.q * h.p, for h in a box of at
-# most 12, far inside int64.
+# Coordinates of g below this bound keep q1 * p2 of the group law, for the
+# other factor in a box of at most 12, far inside int64.
 _MAX_BRUTE_FORCE_COORDINATE = 2**31
 
 
@@ -79,13 +79,15 @@ def classify_element(g: GroupElement) -> CentralizerReport:
     return CentralizerReport("Case1", k, p_prime, q_prime, s_k, l, _ng_label(l))
 
 
-def centralizer_membership(g: GroupElement, h: GroupElement) -> bool | np.ndarray:
-    """Closed-form membership predicate for the centralizer of g.
+def centralizer_membership(g: GroupElement, h) -> bool | np.ndarray:
+    """Closed-form membership predicate for the centralizer of g, at the
+    exponent triple h.
 
     For central g both sides are 0.  Works elementwise when h's fields are
     arrays, as for ``box_points``.
     """
-    return g.q * h.p == h.q * g.p
+    p, q, _ = h
+    return g.q * p == q * g.p
 
 
 def conjugacy_representative(g: GroupElement) -> GroupElement:
@@ -97,29 +99,29 @@ def conjugacy_representative(g: GroupElement) -> GroupElement:
     return GroupElement(g.p, g.q, g.r % k)
 
 
-def box_points(box: int) -> GroupElement:
-    """Every (p, q, r) in [-box, box]^3 as one GroupElement whose fields are
-    int64 arrays, in lexicographic (p, q, r) order."""
+def box_points(box: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (p, q, r) in [-box, box]^3 as three int64 arrays p, q and r,
+    in lexicographic (p, q, r) order."""
     import numpy as np
 
     span = np.arange(-box, box + 1, dtype=np.int64)
     p, q, r = np.meshgrid(span, span, span, indexing="ij")
-    return GroupElement(p.ravel(), q.ravel(), r.ravel())
+    return p.ravel(), q.ravel(), r.ravel()
 
 
 def brute_force_centralizer(g: GroupElement, box: int) -> np.ndarray:
     """Boolean mask over ``box_points(box)``: True where h commutes with g.
 
     The group law is evaluated once on the whole box: g*h and h*g are
-    GroupElements with array fields, compared field by field.
+    triples of arrays, compared field by field.
     """
     if box > 12:
         raise ValueError("box larger than 12 is not supported")
     if any(abs(c) >= _MAX_BRUTE_FORCE_COORDINATE for c in g.as_tuple()):
         raise ValueError("coordinates of g must be below 2**31 in absolute value")
     h = box_points(box)
-    gh, hg = g * h, h * g
-    return (gh.p == hg.p) & (gh.q == hg.q) & (gh.r == hg.r)
+    gh, hg = group_product(g.as_tuple(), h), group_product(h, g.as_tuple())
+    return (gh[0] == hg[0]) & (gh[1] == hg[1]) & (gh[2] == hg[2])
 
 
 # The torsion is read as an ASCII digit string, never through int(): only

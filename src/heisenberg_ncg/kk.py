@@ -95,9 +95,10 @@ class IntegerMap(_Record):
     def _compared(self) -> tuple:
         return (self.name, self.source, self.target, self.matrix)
 
-    def mutated(self, row: int, col: int, delta: int = 1) -> "IntegerMap":
+    def mutated(self, row: int, col: int) -> "IntegerMap":
+        """This map with entry (row, col) raised by one."""
         m = [list(r) for r in self.matrix]
-        m[row][col] += delta
+        m[row][col] += 1
         return IntegerMap(self.name + "*", self.source, self.target, m, dict(self.provenance))
 
     def to_dict(self) -> dict:

@@ -351,7 +351,7 @@ class TestSerialization:
     ])
     def test_non_integer_exponents_rejected(self, bad):
         rec = {"p": 1, "q": 0, "r": 0, "re": "1", "im": "0", **bad}
-        with pytest.raises(ValueError, match="must be an integer"):
+        with pytest.raises(TypeError, match="exponents must be integers"):
             element_from_dict({"terms": [rec]})
 
     def test_numpy_integer_exponents_accepted(self):
@@ -403,7 +403,8 @@ class TestSerialization:
         lambda key: AlgebraElement({key: 1}),
         lambda key: AlgebraElement({key: 0}),
         lambda key: AlgebraElement.monomial(*key),
-    ], ids=["element", "zero", "monomial"])
+        lambda key: GroupElement(*key),
+    ], ids=["element", "zero", "monomial", "group"])
     def test_library_rejects_non_integer_exponents(self, build, key):
         # int() would truncate 1.5 to U and 0.9 to 1, and a bool is an int
         with pytest.raises(TypeError, match="exponents must be integers"):
@@ -413,3 +414,6 @@ class TestSerialization:
         x = AlgebraElement({(np.int64(2), np.int32(0), 0): 1})
         assert x == AlgebraElement.monomial(2, 0, 0)
         assert all(type(e) is int for key in x.support() for e in key)
+        g = GroupElement(np.int64(2), np.int32(0), np.uint8(1))
+        assert g == GroupElement(2, 0, 1)
+        assert all(type(e) is int for e in g.as_tuple())

@@ -369,7 +369,23 @@ class TestGroup:
         code, out, err = run_captured(
             capsys, ["group", "classify", "--element", "[true,false,1]"])
         assert code == 2 and out == ""
-        assert "group element must be a JSON triple" in err
+        assert err == ("usage error: malformed group element: exponents must be "
+                       "integers, got (True, False, 1)\n")
+
+    @pytest.mark.parametrize("element, message", [
+        ("[1.5,0,0]", "exponents must be integers, got (1.5, 0, 0)"),
+        ("[true,false,1]", "exponents must be integers, got (True, False, 1)"),
+        ('{"p":1,"q":2,"r":3}', "expected a JSON triple [p, q, r]"),
+        ('"abc"', "expected a JSON triple [p, q, r]"),
+        ("[1,2]", "expected a JSON triple [p, q, r]"),
+        ("5", "expected a JSON triple [p, q, r]"),
+        ("null", "expected a JSON triple [p, q, r]"),
+    ])
+    def test_malformed_element_exits_two(self, capsys, element, message):
+        # the JSON shape is checked here, the integer rule by GroupElement
+        code, out, err = run_captured(capsys, ["group", "classify", "--element", element])
+        assert code == 2 and out == ""
+        assert err == f"usage error: malformed group element: {message}\n"
 
 
 class TestVerificationCommands:
@@ -422,6 +438,15 @@ class TestVerificationCommands:
         assert code == 2 and out == ""
         assert err == ("usage error: module w1prime represents only C*(U, W); "
                        "the term U^1 V^1 W^0 has a V exponent\n")
+
+    def test_index_unknown_module_exits_two(self, capsys, monkeypatch):
+        # the library holds the module names, and refuses another one before
+        # the unitarity check
+        monkeypatch.setattr(fredholm, "_check_unitary", no_work)
+        code, out, err = run_captured(
+            capsys, ["index", "--module", "foo", "--unitary", U_JSON])
+        assert code == 2 and out == ""
+        assert err == "usage error: 'foo' is not an odd module\n"
 
     def test_index_rejects_non_unitary(self, capsys):
         bad = json.dumps(element_to_dict(U + V))

@@ -62,7 +62,7 @@ class TestHalfLineIndex:
 
     @pytest.mark.parametrize("name", ["z0", "dirac_T2", "bogus"])
     def test_non_odd_module_rejected(self, name):
-        with pytest.raises(ValueError, match="is not an odd module"):
+        with pytest.raises(UnsupportedInput, match="is not an odd module"):
             build_representation(name, U)
 
 
@@ -407,7 +407,7 @@ class TestEvenTracePairings:
             even_pairing_trace("z0", U)
 
     def test_unknown_module_rejected(self):
-        with pytest.raises(ValueError, match="is not an even module"):
+        with pytest.raises(UnsupportedInput, match="is not an even module"):
             even_pairing_trace("z1", ONE)
 
 

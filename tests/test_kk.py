@@ -54,7 +54,7 @@ class TestMutations:
     @pytest.mark.parametrize("index", range(6))
     def test_mutation_breaks_at_predicted_node(self, builder, index):
         seq = builder()
-        seq[index] = seq[index].mutated(0, 0, 1)
+        seq[index] = seq[index].mutated(0, 0)
         failed = [r.node for r in check_exactness(seq) if not r.exact]
         assert failed, f"mutating {seq[index].name} left the sequence exact"
         assert set(failed) <= set(predicted_failure_node(seq, index))
@@ -70,7 +70,7 @@ class TestMutations:
 
     def test_mutated_preserves_original(self):
         seq = pv_ktheory_sequence()
-        m = seq[1].mutated(0, 0, 1)
+        m = seq[1].mutated(0, 0)
         assert m.matrix[0][0] == seq[1].matrix[0][0] + 1
         assert seq[1].matrix[0][0] == 1
 

@@ -4,7 +4,13 @@ import ast
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from conftest import seeded
+from hypothesis import given
+from hypothesis import strategies as st
+
+from heisenberg_ncg.algebra import GroupElement, group_product
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "heisenberg_ncg").glob("*.py"))
 
@@ -93,6 +99,32 @@ def test_only_the_cli_words_the_int_string_limit():
     mentions = [(path.name, line.split(" = ")[0]) for path in SOURCES
                 for line in path.read_text().splitlines() if "set_int_max_str_digits" in line]
     assert mentions == [("cli.py", "_INT_LIMIT_ADVICE")]
+
+
+def test_cli_holds_no_integer_rule():
+    # exponents are checked by `algebra._exponents`, through `GroupElement`
+    # and `element_from_dict`; the cli checks only the JSON shape
+    tree = ast.parse((SOURCES[0].parent / "cli.py").read_text())
+    classes = {name.id for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+               for name in ast.walk(node.args[1]) if isinstance(name, ast.Name)}
+    assert classes & {"int", "bool"} == set()
+
+
+# Exponents whose products stay far inside int64.
+EXPONENT_PAIRS = st.lists(st.lists(st.integers(-2**20, 2**20), min_size=6, max_size=6),
+                          min_size=1, max_size=20)
+
+
+@seeded()
+@given(EXPONENT_PAIRS)
+def test_group_product_on_arrays_is_the_group_element_product(pairs):
+    # one group law: a batch of int64 triples gives, pair by pair, the
+    # product of two GroupElements, whose fields are ints
+    g, h = np.array(pairs, dtype=np.int64).reshape(-1, 2, 3).transpose(1, 2, 0)
+    products = [GroupElement(*a[:3]) * GroupElement(*a[3:]) for a in pairs]
+    assert all(type(e) is int for x in products for e in x.as_tuple())
+    assert np.stack(group_product(g, h), axis=-1).tolist() == [list(x.as_tuple()) for x in products]
 
 
 def test_cli_defines_no_bound():

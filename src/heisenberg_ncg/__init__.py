@@ -1,7 +1,7 @@
 """Exact and numerical invariants of the rotation-algebra bundle over the
 circle generated by the discrete Heisenberg group.
 
-Subpackages:
+Modules:
 
 * ``algebra``: exact twisted group-ring arithmetic and finite-dimensional
   evaluations.
@@ -11,8 +11,11 @@ Subpackages:
 * ``fredholm``: index and trace pairings of the finitely summable modules.
 * ``chern``: projector fields over the torus, lattice Chern numbers and the
   Dirac-type graded trace pairing.
+* ``integer_lattices``: integer matrices, Smith diagonalization and
+  exactness of integer maps.
 * ``kk``: integer six-term sequences, pairing tables, duality checks.
 * ``acceptance``: the end-to-end verification suite.
+* ``cli``: the ``hnc`` command line.
 """
 
 __version__ = "0.1.0"

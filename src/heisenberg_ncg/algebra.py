@@ -591,10 +591,22 @@ def _coefficient(rec: Mapping, name: str) -> Fraction:
 
 
 def element_from_dict(data: Mapping) -> AlgebraElement:
+    """The element {"terms": [{"p": .., "q": .., "r": .., "re": .., "im": ..},
+    ...]}; input of another shape is a TypeError or ValueError that names
+    what is missing or expected."""
     if not isinstance(data, Mapping):
         raise TypeError(f"an element is a JSON object, got {data!r}")
+    records = data.get("terms", [])
+    if not isinstance(records, (list, tuple)):
+        raise TypeError(f"an element's terms are a JSON list, got {records!r}")
     terms: dict[Key, GaussianRational] = {}
-    for rec in data.get("terms", []):
+    for rec in records:
+        if not isinstance(rec, Mapping):
+            raise TypeError(f"a term is a JSON object with p, q and r, got {rec!r}")
+        missing = [k for k in ("p", "q", "r") if k not in rec]
+        if missing:
+            raise ValueError(f"a term is a JSON object with p, q and r; "
+                             f"{rec!r} has no {' or '.join(missing)}")
         key = _exponents((rec["p"], rec["q"], rec["r"]))
         coeff = GaussianRational(_coefficient(rec, "re"), _coefficient(rec, "im"))
         terms[key] = terms.get(key, GR_ZERO) + coeff

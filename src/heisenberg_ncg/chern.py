@@ -272,6 +272,13 @@ def certificate_windows(kernel_radius: int, truncation: int) -> tuple[int, int]:
     return truncation, max(truncation - 8, least)
 
 
+def check_truncation(truncation: int) -> None:
+    """Refuse a Dirac truncation over MAX_TRUNCATION with UnsupportedInput,
+    which needs no field: a caller can check before it samples one."""
+    if truncation > MAX_TRUNCATION:
+        raise UnsupportedInput(f"truncation {truncation} must be at most {MAX_TRUNCATION}")
+
+
 def dirac_even_pairing(
     field: ProjectorField,
     truncation: int = 48,
@@ -285,13 +292,12 @@ def dirac_even_pairing(
     on the second truncation of ``certificate_windows``; requires all runs
     to agree within ``CONVERGENCE_TOL`` of a common integer, and returns
     that integer with the convergence certificate.  Raises ValueError for
-    arguments out of range and UnsupportedInput for a truncation over
-    MAX_TRUNCATION or refused by ``certificate_windows`` (before any engine
+    arguments out of range and UnsupportedInput for a truncation refused by
+    ``check_truncation`` or ``certificate_windows`` (before any engine
     work), and ArithmeticError for an uncertified Fourier tail or runs that
     do not converge.
     """
-    if truncation > MAX_TRUNCATION:
-        raise UnsupportedInput(f"truncation {truncation} must be at most {MAX_TRUNCATION}")
+    check_truncation(truncation)
     if n_commutators < 2 or n_commutators % 2 != 0:
         raise ValueError("n_commutators must be a positive even integer")
     if probe_spacing < 1:  # an empty comb would read every trace as 0

@@ -181,7 +181,8 @@ def _table_lines(obj, indent: int = 0):
                 yield f"{pad}{k}: {v}"
     elif isinstance(obj, (list, tuple)):
         for v in obj:
-            if isinstance(v, (dict, list, tuple)):
+            if isinstance(v, (dict, list, tuple)):  # a bare "-" opens each item
+                yield f"{pad}-"
                 yield from _table_lines(v, indent + 1)
             else:
                 yield f"{pad}- {v}"
@@ -264,10 +265,7 @@ def cmd_group_hc_dim(args):
 def cmd_pairing_table(args):
     from . import kk
 
-    even, odd = kk.pairing_tables()
-    even_t2, odd_t2 = kk.torus_pairing_tables()
-    tables = {"even": even, "odd": odd, "torus_even": even_t2, "torus_odd": odd_t2}
-    return {}, {name: t.to_dict() for name, t in tables.items()}, EXIT_OK
+    return {}, {name: t.to_dict() for name, t in kk.pairing_tables().items()}, EXIT_OK
 
 
 def cmd_pairing_verify(args):
@@ -293,10 +291,12 @@ def cmd_chern(args):
         raise UsageError("unrecognized arguments: --truncation is read only with --dirac")
     truncation = 64 if args.truncation is None else args.truncation
     config = {"grid": args.grid, "mass": args.mass}
-    result = {}
-    field = ch.bott_projector(args.grid, args.mass)
-    if args.dirac:
+    if args.dirac:  # checked before the field is sampled
         config["truncation"] = truncation
+        ch.check_truncation(truncation)
+    field = ch.bott_projector(args.grid, args.mass)
+    result = {}
+    if args.dirac:
         result["dirac"] = ch.dirac_even_pairing(field, truncation)
     result["lattice_chern"] = ch.lattice_chern(field)
     if args.dirac:
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     leaf("group hc-dim", cmd_group_hc_dim, "cyclic cohomology dimension"
          ).add_argument("--n", required=True, help="cyclic degree")
 
-    leaf("pairing table", cmd_pairing_table, "both tables with provenance")
+    leaf("pairing table", cmd_pairing_table, "the four tables with provenance")
     leaf("pairing verify", cmd_pairing_verify, "recompute the numeric entries")
 
     p = leaf("index", cmd_index, "index pairing of an odd module")

@@ -274,9 +274,15 @@ def derivation_to_dict(d: Derivation) -> dict:
 
 
 def derivation_from_dict(data) -> Derivation:
-    return Derivation(
-        element_from_dict(data["dU"]), element_from_dict(data["dV"])
-    )
+    """The derivation {"dU": element, "dV": element}; input of another
+    shape is a TypeError or ValueError that names what is missing."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a derivation is a JSON object with dU and dV, got {data!r}")
+    missing = [k for k in ("dU", "dV") if k not in data]
+    if missing:
+        raise ValueError(f"a derivation is a JSON object with dU and dV; "
+                         f"{data!r} has no {' or '.join(missing)}")
+    return Derivation(element_from_dict(data["dU"]), element_from_dict(data["dV"]))
 
 
 def decomposition_to_dict(res: DecompositionResult) -> dict:

@@ -33,32 +33,6 @@ from .integer_lattices import (
 )
 
 
-class _Record:
-    """An immutable __slots__ record: equality and hashing read the fields
-    that ``_compared`` returns, so that ``provenance`` is left out."""
-
-    __slots__ = ()
-
-    def _set(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
 class AbelianGroupPresentation(NamedTuple):
     name: str
     generator_labels: tuple[str, ...]
@@ -68,38 +42,24 @@ class AbelianGroupPresentation(NamedTuple):
         return len(self.generator_labels)
 
 
-class IntegerMap(_Record):
-    """A homomorphism of presented groups, as an integer matrix.
+# Where a stated entry comes from: (label, note) pairs, printed as a dict.
+Provenance = tuple[tuple[str, str], ...]
 
-    Instances are immutable; equality and hashing ignore ``provenance``.
-    """
 
-    __slots__ = ("name", "source", "target", "matrix", "provenance")
+class IntegerMap(NamedTuple):
+    """A homomorphism of presented groups, as an integer matrix."""
+
     name: str
     source: AbelianGroupPresentation
     target: AbelianGroupPresentation
     matrix: Matrix  # columns indexed by source generators
-    provenance: dict
-
-    def __init__(self, name: str, source: AbelianGroupPresentation,
-                 target: AbelianGroupPresentation, matrix, provenance: dict | None = None):
-        m = as_int_matrix(matrix)
-        if shape(m) != (target.rank, source.rank):
-            raise ValueError(
-                f"{name}: matrix shape {shape(m)} does not match "
-                f"{target.rank}x{source.rank}"
-            )
-        self._set(name=name, source=source, target=target, matrix=m,
-                  provenance={} if provenance is None else provenance)
-
-    def _compared(self) -> tuple:
-        return (self.name, self.source, self.target, self.matrix)
+    provenance: Provenance = ()
 
     def mutated(self, row: int, col: int) -> "IntegerMap":
         """This map with entry (row, col) raised by one."""
         m = [list(r) for r in self.matrix]
         m[row][col] += 1
-        return IntegerMap(self.name + "*", self.source, self.target, m, dict(self.provenance))
+        return self._replace(name=self.name + "*", matrix=as_int_matrix(m))
 
     def to_dict(self) -> dict:
         return {
@@ -107,39 +67,24 @@ class IntegerMap(_Record):
             "source": list(self.source.generator_labels),
             "target": list(self.target.generator_labels),
             "matrix": [list(row) for row in self.matrix],
-            "provenance": self.provenance,
+            "provenance": dict(self.provenance),
         }
 
 
-class PairingTable(_Record):
-    """Integer pairings of K-theory rows with K-homology columns.
+class PairingTable(NamedTuple):
+    """Integer pairings of K-theory rows with K-homology columns."""
 
-    Instances are immutable; equality and hashing ignore ``provenance``.
-    """
-
-    __slots__ = ("rows", "cols", "entries", "provenance")
     rows: tuple[str, ...]  # K-theory labels
     cols: tuple[str, ...]  # K-homology labels
     entries: Matrix
-    provenance: dict
-
-    def __init__(self, rows: tuple[str, ...], cols: tuple[str, ...], entries,
-                 provenance: dict | None = None):
-        m = as_int_matrix(entries)
-        if shape(m) != (len(rows), len(cols)):
-            raise ValueError("pairing table shape mismatch")
-        self._set(rows=rows, cols=cols, entries=m,
-                  provenance={} if provenance is None else provenance)
-
-    def _compared(self) -> tuple:
-        return (self.rows, self.cols, self.entries)
+    provenance: Provenance = ()
 
     def to_dict(self) -> dict:
         return {
             "rows": list(self.rows),
             "cols": list(self.cols),
             "entries": [list(row) for row in self.entries],
-            "provenance": self.provenance,
+            "provenance": dict(self.provenance),
         }
 
     def entry(self, row: str, col: str) -> int:
@@ -152,6 +97,26 @@ class PairingTable(_Record):
             raise ValueError("determinant of a non-square table")
         _, d, _ = smith_diagonalize(self.entries)
         return abs(prod(d[i][i] for i in range(len(d))))
+
+
+def _stated(name: str, rows, rows_of: AbelianGroupPresentation,
+            cols_of: AbelianGroupPresentation) -> Matrix:
+    """A stated matrix with one row per generator of ``rows_of`` and one
+    column per generator of ``cols_of``; any other shape is a ValueError
+    naming it, since ``matmul`` zips rows and would silently truncate."""
+    m = as_int_matrix(rows)
+    if shape(m) != (rows_of.rank, cols_of.rank):
+        raise ValueError(
+            f"{name}: matrix shape {shape(m)} does not match "
+            f"{rows_of.rank}x{cols_of.rank}"
+        )
+    return m
+
+
+def _map(name: str, source: AbelianGroupPresentation, target: AbelianGroupPresentation,
+         rows, provenance: dict | None = None) -> IntegerMap:
+    return IntegerMap(name, source, target, _stated(name, rows, target, source),
+                      tuple((provenance or {}).items()))
 
 
 K0_T2 = AbelianGroupPresentation("K0(T2)", ("[1]", "[P_a]"))
@@ -169,36 +134,16 @@ def pv_ktheory_sequence() -> list[IntegerMap]:
     """The six maps of the K-theory hexagon, in cyclic order starting at
     (id - alpha_*) on K0 of the torus."""
     return [
-        IntegerMap(
-            "id-alpha_* (K0)",
-            K0_T2,
-            K0_T2,
-            [[0, 0], [0, 0]],
-            {"note": "alpha fixes [1] and the Bott class"},
-        ),
-        IntegerMap("i_* (K0)", K0_T2, K0_H3, [[1, 0], [0, 1], [0, 0]]),
-        IntegerMap(
-            "delta_0",
-            K0_H3,
-            K1_T2,
-            [[0, 0, 0], [0, 0, 1]],
-            {"note": "delta_0[P_b] = [W], other generators map to 0"},
-        ),
-        IntegerMap(
-            "id-alpha_* (K1)",
-            K1_T2,
-            K1_T2,
-            [[0, 0], [1, 0]],
-            {"note": "[U] maps to [W]"},
-        ),
-        IntegerMap("i_* (K1)", K1_T2, K1_H3, [[1, 0], [0, 0], [0, 0]]),
-        IntegerMap(
-            "delta_1",
-            K1_H3,
-            K0_T2,
-            [[0, 1, 0], [0, 0, 1]],
-            {"note": "delta_1[V] = [1], delta_1[V_a] = [P_a]"},
-        ),
+        _map("id-alpha_* (K0)", K0_T2, K0_T2, [[0, 0], [0, 0]],
+             {"note": "alpha fixes [1] and the Bott class"}),
+        _map("i_* (K0)", K0_T2, K0_H3, [[1, 0], [0, 1], [0, 0]]),
+        _map("delta_0", K0_H3, K1_T2, [[0, 0, 0], [0, 0, 1]],
+             {"note": "delta_0[P_b] = [W], other generators map to 0"}),
+        _map("id-alpha_* (K1)", K1_T2, K1_T2, [[0, 0], [1, 0]],
+             {"note": "[U] maps to [W]"}),
+        _map("i_* (K1)", K1_T2, K1_H3, [[1, 0], [0, 0], [0, 0]]),
+        _map("delta_1", K1_H3, K0_T2, [[0, 1, 0], [0, 0, 1]],
+             {"note": "delta_1[V] = [1], delta_1[V_a] = [P_a]"}),
     ]
 
 
@@ -206,47 +151,17 @@ def khomology_sequence() -> list[IntegerMap]:
     """The six maps of the K-homology hexagon, in cyclic order starting at
     restriction on the even groups."""
     return [
-        IntegerMap(
-            "i^* (even)",
-            KH0_H3,
-            KH0_T2,
-            [[1, 0, 0], [0, 1, 0]],
-            {
-                "d1(w1')": "exactness-derived: restriction kills boundary classes",
-            },
-        ),
-        IntegerMap("id-alpha^* (even)", KH0_T2, KH0_T2, [[0, 0], [0, 0]]),
-        IntegerMap(
-            "d_0",
-            KH0_T2,
-            KH1_H3,
-            [[0, 0], [1, 0], [0, 1]],
-            {"note": "d_0(w0) = z1'"},
-        ),
-        IntegerMap(
-            "i^* (odd)",
-            KH1_H3,
-            KH1_T2,
-            [[1, 0, 0], [0, 0, 0]],
-            {
-                "z1'": "degenerate restriction",
-                "d0(Dirac)": "exactness-derived",
-            },
-        ),
-        IntegerMap(
-            "id-alpha^* (odd)",
-            KH1_T2,
-            KH1_T2,
-            [[0, -1], [0, 0]],
-            {"note": "w1' maps to -w1"},
-        ),
-        IntegerMap(
-            "d_1",
-            KH1_T2,
-            KH0_H3,
-            [[0, 0], [0, 0], [0, 1]],
-            {"note": "d_1(w1) pairs to zero with all of K0; stored as 0"},
-        ),
+        _map("i^* (even)", KH0_H3, KH0_T2, [[1, 0, 0], [0, 1, 0]],
+             {"d1(w1')": "exactness-derived: restriction kills boundary classes"}),
+        _map("id-alpha^* (even)", KH0_T2, KH0_T2, [[0, 0], [0, 0]]),
+        _map("d_0", KH0_T2, KH1_H3, [[0, 0], [1, 0], [0, 1]],
+             {"note": "d_0(w0) = z1'"}),
+        _map("i^* (odd)", KH1_H3, KH1_T2, [[1, 0, 0], [0, 0, 0]],
+             {"z1'": "degenerate restriction", "d0(Dirac)": "exactness-derived"}),
+        _map("id-alpha^* (odd)", KH1_T2, KH1_T2, [[0, -1], [0, 0]],
+             {"note": "w1' maps to -w1"}),
+        _map("d_1", KH1_T2, KH0_H3, [[0, 0], [0, 0], [0, 1]],
+             {"note": "d_1(w1) pairs to zero with all of K0; stored as 0"}),
     ]
 
 
@@ -280,43 +195,28 @@ def check_exactness(maps: list[IntegerMap]) -> list[NodeReport]:
     return reports
 
 
-def pairing_tables() -> tuple[PairingTable, PairingTable]:
-    even = PairingTable(
-        rows=("[1]", "[P_a]", "[P_b]"),
-        cols=("z0", "Dirac'", "d1(w1')"),
-        entries=[[1, 0, 0], [1, 1, 0], [1, 0, 1]],
-        provenance={
+def pairing_tables() -> dict[str, PairingTable]:
+    """The four pairing tables, under the names ``pairing table`` prints:
+    rows are the K-theory generators and columns the K-homology ones."""
+    stated = {
+        "even": (K0_H3, KH0_H3, [[1, 0, 0], [1, 1, 0], [1, 0, 1]], {
             "z0": "computed: scalar trace route",
             "Dirac'": "stated, no numeric route; re-derived via duality",
             "d1(w1')": "stated, no numeric route; re-derived via duality",
-        },
-    )
-    odd = PairingTable(
-        rows=("[U]", "[V]", "[V_a]"),
-        cols=("z1", "z1'", "d0(Dirac)"),
-        entries=[[1, 0, 0], [0, 1, 0], [0, 1, 1]],
-        provenance={
+        }),
+        "odd": (K1_H3, KH1_H3, [[1, 0, 0], [0, 1, 0], [0, 1, 1]], {
             "z1": "computed: Toeplitz index route",
             "z1'": "computed: Toeplitz index route",
             "d0(Dirac)": "stated, no numeric route; re-derived via duality",
-        },
-    )
-    return even, odd
-
-
-def torus_pairing_tables() -> tuple[PairingTable, PairingTable]:
-    """Base pairings over the torus: even rows [1], [P_a]; odd rows [U], [W]."""
-    even = PairingTable(
-        rows=("[1]", "[P_a]"),
-        cols=("w0", "Dirac"),
-        entries=[[1, 0], [1, 1]],
-    )
-    odd = PairingTable(
-        rows=("[U]", "[W]"),
-        cols=("w1", "w1'"),
-        entries=[[1, 0], [0, 1]],
-    )
-    return even, odd
+        }),
+        "torus_even": (K0_T2, KH0_T2, [[1, 0], [1, 1]], {}),
+        "torus_odd": (K1_T2, KH1_T2, [[1, 0], [0, 1]], {}),
+    }
+    return {
+        name: PairingTable(k.generator_labels, kh.generator_labels,
+                           _stated(name, rows, k, kh), tuple(provenance.items()))
+        for name, (k, kh, rows, provenance) in stated.items()
+    }
 
 
 def check_duality() -> dict:
@@ -327,61 +227,32 @@ def check_duality() -> dict:
     torus even classes w and K1(H3) generators q.  Identity 2: the even
     counterpart <d_1(w), q> = <w, delta_0(q)>.
     """
-    even, odd = pairing_tables()
-    even_t2, odd_t2 = torus_pairing_tables()
-    kth = {m.name: m for m in pv_ktheory_sequence()}
-    kh = {m.name: m for m in khomology_sequence()}
-
-    # Coordinates of d_0(w0), d_0(Dirac) in the odd H3 basis; likewise d_1.
-    d0 = kh["d_0"].matrix  # 3x2, cols w0, Dirac
-    d1 = kh["d_1"].matrix  # 3x2, cols w1, w1'
-    delta1 = kth["delta_1"].matrix  # 2x3, cols [U],[V],[V_a]
-    delta0 = kth["delta_0"].matrix  # 2x3, cols [1],[P_a],[P_b]
-
-    lhs_odd = matmul(odd.entries, d0)                     # <q, d_0(w)> for q in K1(H3)
-    rhs_odd = matmul(transpose(delta1), even_t2.entries)  # <delta_1(q), w>
-    lhs_even = matmul(even.entries, d1)                   # <q, d_1(w)> for q in K0(H3)
-    rhs_even = matmul(transpose(delta0), odd_t2.entries)  # <delta_0(q), w>
-
+    tables = pairing_tables()
+    maps = {m.name: m.matrix for m in (*pv_ktheory_sequence(), *khomology_sequence())}
     instances = []
-    for i, q in enumerate(odd.rows):
-        for j, w in enumerate(even_t2.cols):
-            instances.append(
-                {
-                    "check": f"<d_0({w}), {q}> = <{w}, delta_1({q})>",
-                    "lhs": lhs_odd[i][j],
-                    "rhs": rhs_odd[i][j],
-                    "ok": lhs_odd[i][j] == rhs_odd[i][j],
-                }
-            )
-    for i, q in enumerate(even.rows):
-        for j, w in enumerate(odd_t2.cols):
-            instances.append(
-                {
-                    "check": f"<d_1({w}), {q}> = <{w}, delta_0({q})>",
-                    "lhs": lhs_even[i][j],
-                    "rhs": rhs_even[i][j],
-                    "ok": lhs_even[i][j] == rhs_even[i][j],
-                }
-            )
+    for h3, t2, d, delta in (("odd", "torus_even", "d_0", "delta_1"),
+                             ("even", "torus_odd", "d_1", "delta_0")):
+        qs, ws = tables[h3], tables[t2]
+        lhs = matmul(qs.entries, maps[d])                # <q, d(w)> for q in K(H3)
+        rhs = matmul(transpose(maps[delta]), ws.entries)  # <delta(q), w>
+        for i, q in enumerate(qs.rows):
+            for j, w in enumerate(ws.cols):
+                instances.append(
+                    {
+                        "check": f"<{d}({w}), {q}> = <{w}, {delta}({q})>",
+                        "lhs": lhs[i][j],
+                        "rhs": rhs[i][j],
+                        "ok": lhs[i][j] == rhs[i][j],
+                    }
+                )
     return {"passed": all(r["ok"] for r in instances), "instances": instances}
 
 
 def check_faithfulness() -> dict:
-    even, odd = pairing_tables()
-    de, do = even.abs_determinant(), odd.abs_determinant()
+    tables = pairing_tables()
+    de, do = tables["even"].abs_determinant(), tables["odd"].abs_determinant()
     return {
         "even_determinant": de,
         "odd_determinant": do,
         "passed": de == 1 and do == 1,
     }
-
-
-def predicted_failure_node(maps: list[IntegerMap], index: int) -> list[str]:
-    """Nodes adjacent to the mutated map where exactness can break.
-
-    A mutation of maps[index] can only affect exactness at its source node
-    (where it is the outgoing map) and at its target node (where it is the
-    incoming map).
-    """
-    return [maps[index].source.name, maps[index].target.name]

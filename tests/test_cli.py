@@ -600,11 +600,9 @@ class TestVerificationCommands:
     def test_chern_out_of_range_option_exits_two(self, capsys, monkeypatch,
                                                   argv, message):
         # bott_projector refuses a grid out of range before it samples the
-        # field, and dirac_even_pairing a truncation over its cap before the
-        # Fourier pass: only the grid-16 field is sampled
-        meshgrid = ch.np.meshgrid
-        monkeypatch.setattr(ch.np, "meshgrid", lambda k1, k2, **kw: (
-            meshgrid(k1, k2, **kw) if len(k1) == 16 else no_work()))
+        # field, and check_truncation a truncation over its cap before
+        # bott_projector is called: no field is sampled
+        monkeypatch.setattr(ch.np, "meshgrid", no_work)
         monkeypatch.setattr(ch, "fourier_coefficients", no_work)
         code, out, err = run_captured(capsys, argv)
         assert code == 2 and out == ""
@@ -818,6 +816,26 @@ class TestPlumbing:
         assert code == 2 and out == ""
         assert f"malformed {what}" in err
 
+    @pytest.mark.parametrize("argv, line", [
+        (["alg", "star", '{"terms":[{"p":1}]}'], "malformed element: a term is a JSON "
+         "object with p, q and r; {'p': 1} has no q or r"),
+        (["alg", "star", '{"terms":[5]}'],
+         "malformed element: a term is a JSON object with p, q and r, got 5"),
+        (["alg", "star", '{"terms":5}'],
+         "malformed element: an element's terms are a JSON list, got 5"),
+        (["deriv", "check", '{"dU":{"terms":[]}}'], "malformed derivation: a derivation "
+         "is a JSON object with dU and dV; {'dU': {'terms': []}} has no dV"),
+        (["deriv", "check", "[]"],
+         "malformed derivation: a derivation is a JSON object with dU and dV, got []"),
+    ])
+    def test_malformed_term_or_derivation_is_worded_in_the_input_terms(self, capsys,
+                                                                        argv, line):
+        # the line names the missing key or the expected shape, not a
+        # KeyError's key or a TypeError about subscripting
+        code, out, err = run_captured(capsys, argv)
+        assert code == 2 and out == ""
+        assert err == f"usage error: {line}\n"
+
     @pytest.mark.parametrize("argv", [
         ["alg", "mul", U_JSON, V_JSON, "--truncation", "5"],
         ["alg", "star", U_JSON, "--theta", "1/3"],
@@ -900,6 +918,20 @@ class TestPlumbing:
         # a tuple in a result prints as a list does
         code, out, _ = run_captured(capsys, ["group", "cohomology", "--type", "H3", "--table"])
         assert code == 0 and out.endswith("dims:\n  - 1\n  - 2\n  - 2\n  - 1\n")
+
+    def test_table_mode_keeps_list_structure(self, capsys):
+        # each list item that is a list or an object opens with its own "-":
+        # delta_0 prints as 2 rows of 3, not as six bare entries
+        code, out, _ = run_captured(capsys, ["sequence", "ktheory", "--table"])
+        assert code == 0
+        lines = out.splitlines()
+        maps = [i for i, line in enumerate(lines) if line == "  -"]
+        assert len(maps) == 6
+        start = lines.index("    name: delta_0")
+        matrix = lines[lines.index("    matrix:", max(i for i in maps if i < start)):start]
+        assert matrix == ["    matrix:",
+                          "      -", "        - 0", "        - 0", "        - 0",
+                          "      -", "        - 0", "        - 0", "        - 1"]
 
     def test_broken_pipe_exits_quietly(self):
         # the reader is gone before the command writes anything

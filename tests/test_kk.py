@@ -1,16 +1,23 @@
 import pytest
 
 from heisenberg_ncg.kk import (
+    K0_H3,
+    K0_T2,
+    K1_H3,
+    K1_T2,
+    KH0_H3,
+    KH0_T2,
+    KH1_H3,
+    KH1_T2,
     IntegerMap,
     PairingTable,
+    _map,
     check_duality,
     check_exactness,
     check_faithfulness,
     khomology_sequence,
     pairing_tables,
-    predicted_failure_node,
     pv_ktheory_sequence,
-    torus_pairing_tables,
 )
 
 
@@ -57,16 +64,24 @@ class TestMutations:
         seq[index] = seq[index].mutated(0, 0)
         failed = [r.node for r in check_exactness(seq) if not r.exact]
         assert failed, f"mutating {seq[index].name} left the sequence exact"
-        assert set(failed) <= set(predicted_failure_node(seq, index))
+        # only the mutated map's source and target can lose exactness
+        assert set(failed) <= {seq[index].source.name, seq[index].target.name}
 
-    def test_maps_are_immutable_and_compare_without_provenance(self):
+    def test_maps_are_immutable_and_compare_with_provenance(self):
         m = pv_ktheory_sequence()[0]
         with pytest.raises(AttributeError):
             m.matrix = ((1, 0), (0, 1))
+        same = IntegerMap(*m)
+        assert same == m and hash(same) == hash(m)
         bare = IntegerMap(m.name, m.source, m.target, m.matrix)
-        assert bare.provenance == {} != m.provenance
-        assert bare == m and hash(bare) == hash(m)
+        assert bare.provenance == () != m.provenance
+        assert bare != m
         assert m.mutated(0, 0) != m
+
+    def test_builder_refuses_a_mis_shaped_matrix(self):
+        # matmul zips rows, so a short matrix would be silently truncated
+        with pytest.raises(ValueError, match=r"^short: matrix shape \(1, 2\) does not match 3x2$"):
+            _map("short", K0_T2, K0_H3, [[1, 0]])
 
     def test_mutated_preserves_original(self):
         seq = pv_ktheory_sequence()
@@ -77,25 +92,36 @@ class TestMutations:
 
 class TestPairingTables:
     def test_frozen_values(self):
-        even, odd = pairing_tables()
+        tables = pairing_tables()
+        even, odd = tables["even"], tables["odd"]
         assert [list(row) for row in even.entries] == [[1, 0, 0], [1, 1, 0], [1, 0, 1]]
         assert [list(row) for row in odd.entries] == [[1, 0, 0], [0, 1, 0], [0, 1, 1]]
         assert even.rows == ("[1]", "[P_a]", "[P_b]")
         assert odd.rows == ("[U]", "[V]", "[V_a]")
 
     def test_torus_values(self):
-        even, odd = torus_pairing_tables()
-        assert [list(row) for row in even.entries] == [[1, 0], [1, 1]]
-        assert [list(row) for row in odd.entries] == [[1, 0], [0, 1]]
+        tables = pairing_tables()
+        assert [list(row) for row in tables["torus_even"].entries] == [[1, 0], [1, 1]]
+        assert [list(row) for row in tables["torus_odd"].entries] == [[1, 0], [0, 1]]
+
+    def test_rows_and_columns_are_the_presentations_labels(self):
+        presentations = {"even": (K0_H3, KH0_H3), "odd": (K1_H3, KH1_H3),
+                         "torus_even": (K0_T2, KH0_T2), "torus_odd": (K1_T2, KH1_T2)}
+        tables = pairing_tables()
+        assert tables.keys() == presentations.keys()
+        for name, (ktheory, khomology) in presentations.items():
+            assert tables[name].rows == ktheory.generator_labels
+            assert tables[name].cols == khomology.generator_labels
 
     def test_entry_lookup(self):
-        even, odd = pairing_tables()
+        tables = pairing_tables()
+        even, odd = tables["even"], tables["odd"]
         assert even.entry("[P_a]", "Dirac'") == 1
         assert odd.entry("[V_a]", "d0(Dirac)") == 1
         assert odd.entry("[U]", "z1'") == 0
 
     def test_unimodular(self):
-        for table in (*pairing_tables(), *torus_pairing_tables()):
+        for table in pairing_tables().values():
             assert table.abs_determinant() == 1
 
     @pytest.mark.parametrize("entries,det", [
@@ -112,14 +138,16 @@ class TestPairingTables:
     def test_faithfulness(self):
         assert check_faithfulness()["passed"]
 
-    def test_tables_are_immutable_and_compare_without_provenance(self):
-        even, _ = pairing_tables()
+    def test_tables_are_immutable_and_compare_with_provenance(self):
+        even = pairing_tables()["even"]
         with pytest.raises(AttributeError):
             even.entries = ((0,),)
-        same = PairingTable(even.rows, even.cols, even.entries)
-        assert same.provenance == {} != even.provenance
+        same = PairingTable(*even)
         assert same == even and hash(same) == hash(even)
-        assert PairingTable(even.rows, even.cols, [[1, 0, 0], [1, 1, 0], [1, 0, 2]]) != even
+        bare = PairingTable(even.rows, even.cols, even.entries)
+        assert bare.provenance == () != even.provenance
+        assert bare != even
+        assert even._replace(entries=((1, 0, 0), (1, 1, 0), (1, 0, 2))) != even
 
 
 class TestDuality:

@@ -203,11 +203,18 @@ def _read(statement) -> set[str]:
     return names
 
 
+# Public methods that only the ring-axiom tests call (test_algebra.py, test_properties.py).
+UNREAD_METHODS = {"AlgebraElement.coeff", "AlgebraElement.scale", "GroupElement.inverse"}
+
+
 def test_every_public_name_has_a_reader():
-    # a reader is any module-level statement of src/ or bench/ other than
-    # the one that defines the name
+    # a reader of a module-level name is any module-level statement of src/
+    # or bench/ other than the one that defines it; a reader of a public
+    # method, any statement other than its own definition that reads it as
+    # an attribute, a statement of a class body counting on its own
     bench = sorted((SOURCES[0].parents[2] / "bench").glob("*.py"))
-    statements = [(path, s) for path in SOURCES + bench for s in ast.parse(path.read_text()).body]
+    trees = [(path, ast.parse(path.read_text())) for path in SOURCES + bench]
+    statements = [(path, s) for path, tree in trees for s in tree.body]
     reads = [_read(s) for _, s in statements]
     unread = sorted(
         f"{path.name}: {name}"
@@ -217,3 +224,16 @@ def test_every_public_name_has_a_reader():
         and not any(name in r for j, r in enumerate(reads) if j != i)
     )
     assert unread == []
+
+    units = [(path, s.name if isinstance(s, ast.ClassDef) else None, u)
+             for path, s in statements for u in (s.body if isinstance(s, ast.ClassDef) else [s])]
+    attributes = [{node.attr for node in ast.walk(u) if isinstance(node, ast.Attribute)}
+                  for _, _, u in units]
+    unread_methods = sorted(
+        f"{owner}.{u.name}"
+        for i, (path, owner, u) in enumerate(units)
+        if path in SOURCES and owner and isinstance(u, ast.FunctionDef)
+        and not u.name.startswith("_")
+        and not any(u.name in a for j, a in enumerate(attributes) if j != i)
+    )
+    assert unread_methods == sorted(UNREAD_METHODS)

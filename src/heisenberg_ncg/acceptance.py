@@ -34,12 +34,17 @@ from .algebra import (
 )
 
 DEFAULT_SEED = 20230823
-# Criterion 1's odd K-theory representatives.
-KTHEORY_ODD = {
-    "[U]": U,
-    "[V]": V,
-    "[V_a]": [[V, AlgebraElement.zero()], [AlgebraElement.zero(), ONE]],
-}
+# Criterion 1 walks kk's pairing tables through two maps: a representative
+# of each K-theory generator, under kk's row labels (the one for [P_b] is a
+# placeholder, [P_a]'s projection, which reaches z0 through the same scalar
+# image; ROADMAP item 8 replaces it) ...
+_Z = AlgebraElement.zero()
+_DIAG_1_0 = [[ONE, _Z], [_Z, _Z]]
+KTHEORY_REPRESENTATIVES = {"[1]": ONE, "[P_a]": _DIAG_1_0, "[P_b]": _DIAG_1_0,
+                           "[U]": U, "[V]": V, "[V_a]": [[V, _Z], [_Z, ONE]]}
+# ... and the fredholm module that is a K-homology column's numeric route,
+# under kk's column labels; a column without one is stated, not checked.
+KHOMOLOGY_ROUTES = {"z1": "z1", "z1'": "z1prime", "z0": "z0"}
 # Criterion 3: the lattice Chern grids and the Dirac pairing's truncation.
 GRIDS = (16, 32, 64)
 DIRAC_TRUNCATION = 48
@@ -66,41 +71,27 @@ def _odd_check(entry: str, name: str, u, want: int) -> dict:
             **fr.odd_pairing(name, u)._asdict(), "want": want}
 
 
+def _even_check(entry: str, name: str, p, want: int) -> dict:
+    return {"entry": entry, "got": fr.even_pairing_trace(name, p), "want": want}
+
+
 def criterion_1_pairing_tables() -> dict:
     """Recompute every pairing-table entry that has a numeric route."""
-    Z = AlgebraElement.zero()
-    ktheory_even = {"[1]": ONE, "[P_a]": [[ONE, Z], [Z, Z]]}
-    tables = kk.pairing_tables()
-    even, odd = tables["even"], tables["odd"]
-
-    checks = []
-    for col in ("z1", "z1'"):
-        spec = "z1" if col == "z1" else "z1prime"
-        for row, u in KTHEORY_ODD.items():
-            checks.append(_odd_check(f"<{col}, {row}>", spec, u, odd.entry(row, col)))
-    for row, p in ktheory_even.items():
-        got = fr.even_pairing_trace("z0", p)
-        want = even.entry(row, "z0")
-        checks.append({"entry": f"<z0, {row}>", "got": got, "want": want})
-    # the third even generator reaches z0 through the same scalar image
-    got = fr.even_pairing_trace("z0", [[ONE, Z], [Z, Z]])
-    checks.append({"entry": "<z0, [P_b]>", "got": got, "want": even.entry("[P_b]", "z0")})
-
+    tables, reps = kk.pairing_tables(), KTHEORY_REPRESENTATIVES
+    checks = [
+        check(f"<{col}, {row}>", KHOMOLOGY_ROUTES[col], reps[row], table.entry(row, col))
+        for table, check in ((tables["odd"], _odd_check), (tables["even"], _even_check))
+        for col in table.cols if col in KHOMOLOGY_ROUTES
+        for row in table.rows
+    ]
     # the boundary image of the first odd torus module pairs to zero with
     # all three even generators: trace route for [1] and [P_a], index route
     # <w1, [W]> = 0 for [P_b] (boundary-map adjointness).
-    checks.append(
-        {"entry": "<d1(w1), [1]>", "got": fr.even_pairing_trace("del1_w1", ONE), "want": 0}
-    )
-    checks.append(
-        {
-            "entry": "<d1(w1), [P_a]>",
-            "got": fr.even_pairing_trace("del1_w1", [[ONE, Z], [Z, Z]]),
-            "want": 0,
-        }
-    )
-    checks.append(_odd_check("<d1(w1), [P_b]> via <w1, [W]>", "w1", W, 0))
-
+    checks += [
+        _even_check("<d1(w1), [1]>", "del1_w1", reps["[1]"], 0),
+        _even_check("<d1(w1), [P_a]>", "del1_w1", reps["[P_a]"], 0),
+        _odd_check("<d1(w1), [P_b]> via <w1, [W]>", "w1", W, 0),
+    ]
     passed = all(c["got"] == c["want"] == c.get("dim_ker", c["got"]) - c.get("dim_ker_star", 0)
                  for c in checks)
     return _result(1, "pairing table recomputation", passed, checks=checks)
@@ -229,14 +220,9 @@ def criterion_7_cohomology() -> dict:
 
 
 def criterion_8_exactness() -> dict:
-    node_failures = []
+    node_failures, mutation_results = [], []
     for builder in (kk.pv_ktheory_sequence, kk.khomology_sequence):
-        for rep in kk.check_exactness(builder()):
-            if not rep.exact:
-                node_failures.append(rep.node)
-
-    mutation_results = []
-    for builder in (kk.pv_ktheory_sequence, kk.khomology_sequence):
+        node_failures += [r.node for r in kk.check_exactness(builder()) if not r.exact]
         for i in range(6):
             seq = builder()
             seq[i] = seq[i].mutated(0, 0)

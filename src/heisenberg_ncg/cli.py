@@ -100,7 +100,10 @@ def _matrix_from_dict(data):
     """Either a single element or {"blocks": [[element, ...], ...]}, whose
     shape ``fredholm`` checks."""
     if isinstance(data, dict) and "blocks" in data:
-        return [[element_from_dict(b) for b in row] for row in data["blocks"]]
+        blocks = data["blocks"]
+        if not (isinstance(blocks, list) and all(isinstance(row, list) for row in blocks)):
+            raise TypeError(f"blocks are a JSON list of rows of elements, got {blocks!r}")
+        return [[element_from_dict(b) for b in row] for row in blocks]
     return element_from_dict(data)
 
 

@@ -160,11 +160,6 @@ def _columns(
     return cols
 
 
-def _column(x: AlgebraElement, p: int, q: int) -> dict[int, Triple]:
-    """The column of x at (p, q), as {r: coefficient}."""
-    return {r: c for (a, b, r), c in x._terms.items() if a == p and b == q}
-
-
 def _quotient(column: dict[int, Triple], step: int, sign: int,
               written: int = 0) -> dict[int, Triple] | None:
     """sign * column / (1 - W^step) as {height: coefficient}; None if infinite.
@@ -201,11 +196,11 @@ def inner_coefficient(
     if route == "a":
         if q == 0:
             raise ValueError("a-route requires q != 0")
-        quotient = _quotient(_column(d.dU, p + 1, q), q, 1)
+        quotient = _quotient(_columns(d.dU, 1, 0).get((p, q), {}), q, 1)
     elif route == "b":
         if p == 0:
             raise ValueError("b-route requires p != 0")
-        quotient = _quotient(_column(d.dV, p, q + 1), p, -1)
+        quotient = _quotient(_columns(d.dV, 0, 1).get((p, q), {}), p, -1)
     else:
         raise ValueError("route must be 'a' or 'b'")
     if quotient is None:

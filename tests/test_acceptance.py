@@ -15,6 +15,7 @@ from heisenberg_ncg import acceptance as acc
 from heisenberg_ncg import derivations as dv
 from heisenberg_ncg import fredholm as fr
 from heisenberg_ncg import group_structure as gs
+from heisenberg_ncg import kk
 from heisenberg_ncg.algebra import UnsupportedInput
 
 
@@ -88,6 +89,20 @@ def test_odd_criteria_fail_when_the_routes_disagree(monkeypatch, route, perturb)
     assert not first["passed"] and not second["passed"]
     odd = [c for c in first["details"]["checks"] if "dim_ker" in c]
     assert len(odd) == 7 and all(c["got"] != c["dim_ker"] - c["dim_ker_star"] for c in odd)
+
+
+def test_criterion_1_checks_exactly_the_computed_columns():
+    # kk's provenance labels a column "computed:" exactly when criterion 1
+    # checks it, on every row of its table, against the table's entry
+    tables = kk.pairing_tables()
+    computed = {(name, col) for name, table in tables.items()
+                for col, note in table.provenance if note.startswith("computed:")}
+    want = {f"<{col}, {row}>": tables[name].entry(row, col)
+            for name, col in computed for row in tables[name].rows}
+    checks = [c for c in acc.criterion_1_pairing_tables()["details"]["checks"]
+              if not c["entry"].startswith("<d1(w1)")]
+    assert {c["entry"]: c["want"] for c in checks} == want and len(checks) == len(want)
+    assert {col for _, col in computed} == set(acc.KHOMOLOGY_ROUTES)
 
 
 def test_criterion_6_catches_a_wrong_closed_form(monkeypatch):

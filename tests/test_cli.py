@@ -836,6 +836,18 @@ class TestPlumbing:
         assert code == 2 and out == ""
         assert err == f"usage error: {line}\n"
 
+    @pytest.mark.parametrize("blocks, got", [
+        ("5", "5"), ("[5]", "[5]"), ('"ab"', "'ab'"), ('{"a":1}', "{'a': 1}"),
+    ])
+    def test_blocks_that_are_not_a_list_of_lists_are_worded_in_the_input_terms(
+            self, capsys, blocks, got):
+        # a string or an object would be iterated as characters or keys
+        code, out, err = run_captured(
+            capsys, ["index", "--module", "z1", "--unitary", f'{{"blocks":{blocks}}}'])
+        assert code == 2 and out == ""
+        assert err == ("usage error: malformed element: blocks are a JSON list of rows "
+                       f"of elements, got {got}\n")
+
     @pytest.mark.parametrize("argv", [
         ["alg", "mul", U_JSON, V_JSON, "--truncation", "5"],
         ["alg", "star", U_JSON, "--theta", "1/3"],

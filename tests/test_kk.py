@@ -1,5 +1,8 @@
 import pytest
 
+from heisenberg_ncg.acceptance import KTHEORY_REPRESENTATIVES
+from heisenberg_ncg.algebra import W
+from heisenberg_ncg.fredholm import even_pairing_trace, odd_cocycle_pairing, odd_pairing
 from heisenberg_ncg.kk import (
     K0_H3,
     K0_T2,
@@ -103,6 +106,21 @@ class TestPairingTables:
         tables = pairing_tables()
         assert [list(row) for row in tables["torus_even"].entries] == [[1, 0], [1, 1]]
         assert [list(row) for row in tables["torus_odd"].entries] == [[1, 0], [0, 1]]
+
+    def test_torus_tables_agree_with_the_existing_routes(self):
+        # i_* sends the torus generators [1], [P_a] and [U] to the H3
+        # generators of the same names, so criterion 1's representatives
+        # serve; [W] is W
+        reps = {**KTHEORY_REPRESENTATIVES, "[W]": W}
+        tables = pairing_tables()
+        odd = tables["torus_odd"]
+        for col, module in (("w1", "w1"), ("w1'", "w1prime")):
+            for row in odd.rows:
+                assert odd_cocycle_pairing(module, reps[row]) == odd.entry(row, col)
+                assert odd_pairing(module, reps[row]).index == odd.entry(row, col)
+        even = tables["torus_even"]
+        for row in even.rows:
+            assert even_pairing_trace("w0", reps[row]) == even.entry(row, "w0")
 
     def test_rows_and_columns_are_the_presentations_labels(self):
         presentations = {"even": (K0_H3, KH0_H3), "odd": (K1_H3, KH1_H3),

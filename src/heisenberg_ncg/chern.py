@@ -27,9 +27,12 @@ which is gapped away from mass in {-2, 0, 2} and has unit Chern class for
   coefficients.  P is applied via zero-padded FFT convolution: its symbol
   is built by one 2-D FFT of the coefficient blocks, the 2x2 symbol
   multiply is done in place, and the transforms are pruned 1-D FFTs that
-  skip the padding rows.  Each power of D costs one application of P to
-  the stacked batch [u, F0* u]; one pass of n+2 powers yields the traces
-  at n and n+1.
+  skip the padding rows, in place in one preallocated zero-padded buffer.
+  Each power of D costs one application of P to the stacked batch
+  [u, F0* u].  D is Hermitian, so the top order is read as the quadratic
+  form <u, D u>, which by Parseval needs the forward transform only: one
+  pass of n+1 powers and one forward transform yields the traces at n and
+  n+1.
 
 Orientation: the global sign convention is calibrated once so that the
 mass = +1 field has lattice Chern number +1 and the Dirac pairing agrees
@@ -51,7 +54,8 @@ DIRAC_SIGN = 1
 # for `hnc chern --grid G`, so about 1 GB at the largest.
 MIN_GRID = 8
 MAX_GRID = 2048
-# Largest Dirac truncation N: ~5.7 kB per point of its (<= 3N)^2 FFT grid.
+# Largest Dirac truncation N: ~2.1 kB resident per point of its (<= 3N)^2
+# FFT grid, measured as `hnc chern --dirac` peak RSS.
 MAX_TRUNCATION = 128
 # The Dirac certificate's runs must agree within this of a common integer.
 CONVERGENCE_TOL = 0.1
@@ -153,18 +157,25 @@ def lattice_chern(field: ProjectorField) -> int:
     return ORIENTATION_SIGN * int(nearest)
 
 
-# Probes per batch; each power of D applies P to a stacked batch of twice
-# as many.  One pairing at truncation 48 peaked at 141 MB resident, and
-# `hnc chern --grid 64 --dirac --truncation 128` at 473 MB.
-_PROBE_CHUNK = 16
+# Probes per batch.  Each step of D transforms the stacked batch of twice
+# as many in a (8, 2, L, L) complex buffer: 1 MB at truncation 24 with the
+# benchmark's tail (L = 63), inside the 2 MB per-core L2 cache of the
+# 2-vCPU Xeon it was tuned on.  A sweep of 2 to 16 found 2 to 6 fastest at
+# truncation 24, and no size faster beyond the noise at 48 and 64.  One
+# pairing at truncation 48 peaks at 75 MB resident, and
+# `hnc chern --grid 64 --dirac --truncation 128` at 172 MB.
+_PROBE_CHUNK = 4
 
 
 class _DiracEngine:
     """Truncated-window evaluator for the graded torus trace formula.
 
-    A batch of vectors on the window is an array of shape (B, 2, w, w):
+    A batch of vectors on the window is an array of shape (b, 2, w, w):
     batch, orbital, then the lattice coordinates m, n in [-N, N].  The
     coefficients are the centred block array of ``fourier_coefficients``.
+    The transforms run in place in one zero-padded (2b, 2, L, L) buffer,
+    kept for the engine's life and grown only for a larger batch; only the
+    last inverse transform writes a new array.
     """
 
     def __init__(self, coeffs: np.ndarray, truncation: int):
@@ -189,21 +200,43 @@ class _DiracEngine:
         z = m[:, None] + 1j * m[None, :]
         mag = np.abs(z)
         self.f0 = np.where(z == 0, 1.0 + 0j, z / np.where(mag == 0, 1.0, mag))
+        self._buffer = np.empty((0, 2, L, L), dtype=complex)
 
-    def apply_p(self, v: np.ndarray) -> np.ndarray:
-        """P v by zero-padded FFT convolution, for v of shape (B, 2, w, w).
+    def _forward(self, u: np.ndarray) -> np.ndarray:
+        """The 2-D DFT of the zero-padded stacked batch [u, F0* u], for u
+        of shape (b, 2, w, w): shape (2b, 2, L, L), in the engine's buffer.
 
-        The transforms are pruned: the forward pass pads the w live rows
-        along the last axis before transforming the other, and the inverse
-        pass crops to w rows before its second transform.  The 1-D
-        transforms are ``fft2``/``ifft2`` calls with a one-element ``axes``,
-        so every FFT of the engine passes the one entry point that the
-        benchmark's kernel trace wraps (``bench/spans.py``).
+        The batch is written straight into the window block of the buffer,
+        whose padding is zeroed.  The transform is pruned: the last axis is
+        transformed on the w live rows only, then the other axis on all L.
+        Both run in place.  They are ``fft2`` calls with a one-element
+        ``axes``, so every FFT of the engine passes the one entry point that
+        the benchmark's kernel trace wraps (``bench/spans.py``).
         """
         import scipy.fft as sfft
-        L, w = self.L, self.w
-        h = sfft.fft2(v, s=(L,), axes=(-1,))
-        h = sfft.fft2(h, s=(L,), axes=(-2,))
+        L, w, b = self.L, self.w, len(u)
+        if len(self._buffer) < 2 * b:
+            self._buffer = np.empty((2 * b, 2, L, L), dtype=complex)
+        h = self._buffer[: 2 * b]
+        h[:, :, w:] = 0
+        h[:, :, :w, w:] = 0
+        h[:b, :, :w, :w] = u
+        np.multiply(self.f0.conj(), u, out=h[b:, :, :w, :w])
+        # scipy writes the transform of an aligned complex array into that
+        # array under overwrite_x, so this one lands in the buffer's rows
+        sfft.fft2(h[:, :, :w], axes=(-1,), overwrite_x=True)
+        return sfft.fft2(h, axes=(-2,), overwrite_x=True)
+
+    def apply_p(self, u: np.ndarray) -> np.ndarray:
+        """P [u, F0* u] by zero-padded FFT convolution, for u of shape
+        (b, 2, w, w): shape (2b, 2, w, w).
+
+        The 2x2 symbol multiply runs in place on ``_forward``'s transform,
+        and the inverse pass crops to w rows before its second transform.
+        """
+        import scipy.fft as sfft
+        w = self.w
+        h = self._forward(u)
         s = self.symbol
         h0, h1 = h[:, 0], h[:, 1]
         t = h1 * s[0, 1]
@@ -214,15 +247,36 @@ class _DiracEngine:
         h = sfft.ifft2(h, axes=(-2,), overwrite_x=True)[:, :, :w]
         return sfft.ifft2(h, axes=(-1,))[..., :w]
 
+    def quadratic_form(self, u: np.ndarray) -> float:
+        """The sum over the batch u of <u, D u>, from ``_forward`` alone.
+
+        <u, D u> = <u, P u> - <F0* u, P F0* u>, and by Parseval each term
+        is sum_k X(k)* S(k) X(k) / L^2, for X the transform of the padded
+        vector and S the symbol: no inverse transform is needed.
+        """
+        b = len(u)
+        x = self._forward(u)
+        xc = x.conj()
+
+        def gram(a: int, c: int) -> np.ndarray:
+            # conj(X_a) X_c summed over the rows of u minus those of F0* u
+            g = xc[:, a] * x[:, c]
+            return g[:b].sum(0) - g[b:].sum(0)
+
+        s, n01 = self.symbol, gram(0, 1)
+        form = (s[0, 0] * gram(0, 0) + s[1, 1] * gram(1, 1)
+                + s[0, 1] * n01 + s[1, 0] * n01.conj())
+        return float(form.real.sum()) / self.L**2
+
     def _probe_chunks(self, spacing: int):
-        """Comb probes, one per (sublattice offset, orbital), in batches."""
+        """Comb probes, one per (sublattice offset, orbital), in batches.
+
+        Offsets from the window size w on hold no window point, so a
+        spacing over w runs the w^2 nonzero combs only.
+        """
         w = self.w
-        combs = [
-            (sx, sy, orb)
-            for sx in range(spacing)
-            for sy in range(spacing)
-            for orb in range(2)
-        ]
+        offsets = range(min(spacing, w))
+        combs = [(sx, sy, orb) for sx in offsets for sy in offsets for orb in range(2)]
         for lo in range(0, len(combs), _PROBE_CHUNK):
             part = combs[lo : lo + _PROBE_CHUNK]
             probes = np.zeros((len(part), 2, w, w), dtype=complex)
@@ -232,25 +286,29 @@ class _DiracEngine:
 
     def graded_traces(self, orders, spacing: int) -> list[float]:
         """Tr(D^(2n+1)) with D = P - F0 P F0* over the window by comb
-        probing, for each n in ``orders``, from one pass of max(orders) + 1
-        steps of D.
+        probing, for each n in ``orders``, from one pass of max(orders)
+        steps of D and one quadratic form.
 
-        Each step is one ``apply_p`` on the stacked batch [u, F0* u].  D is
-        Hermitian, so each probe's diagonal entry <v, D^(2n+1) v> is read as
-        <D^n v, D^(n+1) v>: only the current power and the next are held.
+        Each step is one ``apply_p``.  D is Hermitian, so each probe's
+        diagonal entry <v, D^(2n+1) v> is read as <D^n v, D^(n+1) v>: below
+        the top order from the step that makes D^(n+1) v, and at the top
+        order as the ``quadratic_form`` of D^n v, which needs no inverse
+        transform.  Only the current power and the next are held.
         """
-        f, fc = self.f0, self.f0.conj()
+        f = self.f0
+        top = max(orders)
         totals = dict.fromkeys(orders, 0.0)
         for probes in self._probe_chunks(spacing):
             b, u = len(probes), probes
-            for n in range(max(orders) + 1):
-                pu = self.apply_p(np.concatenate((u, fc * u)))
+            for n in range(top):
+                pu = self.apply_p(u)
                 du = pu[:b] - f * pu[b:]
                 if n in totals:
                     # an elementwise sum, not np.vdot: the BLAS dot product
                     # runs threaded and doubles CPU time for no wall time
                     totals[n] += float((u.conj() * du).sum().real)
                 u = du
+            totals[top] += self.quadratic_form(u)
         return [totals[n] for n in orders]
 
 
@@ -330,9 +388,9 @@ def dirac_even_pairing(
         "certificates": {
             "kernel_radius": K,
             # every run's aliasing depends on the comb: one probe per
-            # sublattice offset and orbital
+            # sublattice offset inside the first run's window, and orbital
             "probe_spacing": probe_spacing,
-            "probes": 2 * probe_spacing**2,
+            "probes": 2 * min(probe_spacing, 2 * truncation + 1) ** 2,
             "runs": runs,
             "residuals": residuals,
         },

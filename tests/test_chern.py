@@ -201,21 +201,45 @@ class TestDiracPairing:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_one_pass_applies_p_once_per_power(self, monkeypatch, n):
-        # orders (n, n + 1) read D^k v up to k = n + 2: n + 2 applications
-        # of P, each on one stacked batch, per probe batch
+        # orders (n, n + 1) read D^k v up to k = n + 1: n + 1 applications
+        # of P, each on one stacked batch, then one forward-only quadratic
+        # form, per probe batch
         coeffs, K = fourier_coefficients(bott_projector(64, 1.0), tail=1e-5)
         engine = _DiracEngine(coeffs, 22)
-        apply_p = engine.apply_p
         calls = []
+        for name in ("apply_p", "quadratic_form"):
+            def counting(u, name=name, method=getattr(engine, name)):
+                calls.append((name, len(u)))
+                return method(u)
 
-        def counting(v):
-            calls.append(len(v))
-            return apply_p(v)
-
-        monkeypatch.setattr(engine, "apply_p", counting)
+            monkeypatch.setattr(engine, name, counting)
         engine.graded_traces((n, n + 1), spacing=6)
-        batches = list(engine._probe_chunks(6))
-        assert calls == [2 * len(b) for b in batches for _ in range(n + 2)]
+        batches = [len(b) for b in engine._probe_chunks(6)]
+        assert calls == [call for b in batches
+                         for call in [("apply_p", b)] * (n + 1) + [("quadratic_form", b)]]
+
+    @pytest.mark.parametrize("truncation, b", [(10, 3), (22, 5)])
+    def test_quadratic_form_is_the_inner_product_through_apply_p(self, truncation, b):
+        # <u, D u> = <u, P u> - <F0* u, P F0* u> on seeded random unit
+        # vectors; a larger batch first leaves the buffer dirty for the next
+        coeffs, K = fourier_coefficients(bott_projector(64, 1.0), tail=1e-5)
+        engine = _DiracEngine(coeffs, truncation)
+        rng = np.random.default_rng(truncation)
+        w = engine.w
+        for size in (b + 2, b):
+            u = rng.normal(size=(size, 2, w, w)) + 1j * rng.normal(size=(size, 2, w, w))
+            u /= np.linalg.norm(u)
+            pu = engine.apply_p(u)
+            want = float((u.conj() * (pu[:size] - engine.f0 * pu[size:])).sum().real)
+            assert abs(engine.quadratic_form(u) - want) < 1e-12
+
+    def test_spacing_over_the_window_runs_only_the_nonzero_combs(self):
+        coeffs, K = fourier_coefficients(bott_projector(64, 1.0), tail=1e-3)
+        engine = _DiracEngine(coeffs, 4)
+        w = engine.w
+        assert sum(len(b) for b in engine._probe_chunks(w + 5)) == 2 * w**2
+        assert engine.graded_traces((1, 2), spacing=w + 5) == engine.graded_traces(
+            (1, 2), spacing=w)
 
     def test_constant_field_pairs_to_zero(self):
         # a constant field commutes with the phase operator, so D vanishes
@@ -234,6 +258,23 @@ class TestDiracPairing:
         assert len(runs) == 3
         assert len({r["truncation"] for r in runs}) == 2
         assert max(res["certificates"]["residuals"]) < 0.1
+
+    @pytest.mark.parametrize("spacing, probes", [(12, 288), (35, 2450), (40, 2450)])
+    def test_probe_count_is_the_combs_run_at_the_first_truncation(
+            self, monkeypatch, spacing, probes):
+        # the window at truncation 17 is 35 wide; the stand-in reads every
+        # run as exactly 1
+        class Engine:
+            def __init__(self, coeffs, truncation):
+                pass
+
+            def graded_traces(self, orders, spacing):
+                return [1.0] * len(orders)
+
+        monkeypatch.setattr(chern, "_DiracEngine", Engine)
+        res = dirac_even_pairing(constant_field(16), truncation=17, probe_spacing=spacing)
+        assert res["certificates"]["probes"] == probes
+        assert res["certificates"]["probe_spacing"] == spacing
 
     def test_small_truncation_rejected(self):
         with pytest.raises(UnsupportedInput):

@@ -111,6 +111,22 @@ def test_cli_holds_no_integer_rule():
     assert classes & {"int", "bool"} == set()
 
 
+def test_the_dirac_engine_transforms_only_through_the_traced_entry_points():
+    # bench/spans.py counts `chern.fft` by wrapping scipy.fft's fft2 and
+    # ifft2; the probe path's transforms are 1-D, so they name one axis
+    tree = ast.parse((SOURCES[0].parent / "chern.py").read_text())
+    engine = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "_DiracEngine")
+    calls = [(method.name, node) for method in engine.body if isinstance(method, ast.FunctionDef)
+             for node in ast.walk(method) if isinstance(node, ast.Call)
+             and "fft" in getattr(node.func, "attr", getattr(node.func, "id", ""))]
+    assert {ast.unparse(node.func) for _, node in calls} == {"sfft.fft2", "sfft.ifft2"}
+    for name, node in calls:
+        if name != "__init__":  # which builds the symbol by one 2-D transform
+            (axes,) = [k.value for k in node.keywords if k.arg == "axes"]
+            assert isinstance(axes, ast.Tuple) and len(axes.elts) == 1
+
+
 # Exponents whose products stay far inside int64.
 EXPONENT_PAIRS = st.lists(st.lists(st.integers(-2**20, 2**20), min_size=6, max_size=6),
                           min_size=1, max_size=20)

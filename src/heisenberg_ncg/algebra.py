@@ -20,9 +20,11 @@ built only where a caller asks for a coefficient (``coeff``, ``terms``,
 ``element_to_dict``, ``eval_at_angle``).  A product of two elements writes
 each operand over one common denominator, sums the term products as
 integer pairs per output key, and reduces each output coefficient once;
-the commutator does the same in one pass over the term pairs.  Both
-refuse, with ``UnsupportedInput``, two multi-term operands that would take
-more than ``MAX_TERM_PRODUCTS`` term products.
+the commutator does the same in one pass over the term pairs.  A one-term
+operand maps keys one to one instead: the product takes no pass over pairs,
+and the commutator sums two such products.  Both refuse, with
+``UnsupportedInput``, two multi-term operands that would take more than
+``MAX_TERM_PRODUCTS`` term products.
 
 A sum copies the larger operand and adds coefficients only at the keys
 both share, dropping a zero where it arises; x - y is x + (-y).
@@ -40,7 +42,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
 
 if TYPE_CHECKING:
     import numpy as np
@@ -319,6 +321,8 @@ CoeffLike = Union[int, Fraction, str, GaussianRational]
 
 
 def _coerce(c: CoeffLike) -> Triple:
+    if type(c) is int:  # canonical as it stands; a bool or numpy integer takes _frac's rule
+        return (c, 0, 1)
     if isinstance(c, GaussianRational):
         return c._t
     f = _frac(c)
@@ -454,14 +458,18 @@ class AlgebraElement:
         })
 
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
-        """self*other - other*self in one pass over the term pairs.
+        """self*other - other*self.
 
-        Both products share each coefficient product; their keys differ only
-        in the W exponent (q1*p2 against q2*p1), and pairs where those agree
-        cancel.  Bounded as ``*`` is: a one-term operand is not counted.
+        With a one-term operand both products take ``*``'s one-to-one key
+        map, and one sum combines them.  Otherwise it is one pass over the
+        term pairs: both products share each coefficient product, their keys
+        differ only in the W exponent (q1*p2 against q2*p1), and pairs where
+        those agree cancel.  Bounded as ``*`` is: a one-term operand is not
+        counted.
         """
-        if len(self._terms) > 1 and len(other._terms) > 1:
-            check_term_products(len(self._terms) * len(other._terms))
+        if len(self._terms) == 1 or len(other._terms) == 1:
+            return self * other - other * self
+        check_term_products(len(self._terms) * len(other._terms))
         d1, nums1 = _numerators(self._terms)
         d2, nums2 = _numerators(other._terms)
         sums: dict[Key, tuple[int, int]] = {}
@@ -618,23 +626,36 @@ def matrix_to_jsonable(m: list[list[complex]]) -> list:
     return [[{"re": v.real, "im": v.imag} for v in row] for row in m]
 
 
-def random_element(rng: np.random.Generator, box: int = 5, n_terms: int = 4) -> AlgebraElement:
-    """A random finitely supported element with small rational coefficients:
-    numerators in [-6, 6], denominators in [1, 3].
+def random_term_bounds(box: int) -> tuple[list[int], list[int]]:
+    """The bounds, low inclusive and high exclusive, of the six integers
+    (p, q, r, a, b, d) that ``random_element`` draws per term: p, q, r in
+    [-box, box], numerators a, b in [-6, 6] and denominator d in [1, 3]."""
+    return [-box] * 3 + [-6, -6, 1], [box + 1] * 3 + [7, 7, 4]
 
-    The draw order is part of the seed contract, since ``report all --seed
-    S`` reruns the same inputs only while it holds: per term p, q, r in
-    [-box, box], then the real numerator, the imaginary numerator and the
-    denominator.  All are taken in one bounded draw, which numpy makes
-    value by value exactly as it makes one scalar draw after another.
-    Terms at one key add up; a key whose sum is zero is left out.
-    """
-    lo = [-box] * 3 + [-6, -6, 1]
-    hi = [box + 1] * 3 + [7, 7, 4]
+
+def element_from_rows(rows: Iterable[Sequence[int]]) -> AlgebraElement:
+    """The sum of (a + b*i)/d U^p V^q W^r over rows (p, q, r, a, b, d) of
+    ints with d > 0, in row order: terms at one key add up, and a key whose
+    sum is zero is left out."""
     terms: dict[Key, Triple] = {}
-    for p, q, r, a, b, d in rng.integers(lo, hi, size=(n_terms, 6)).tolist():
+    for p, q, r, a, b, d in rows:
         g = gcd(a, b, d)
         t = (a, b, d) if g == 1 else (a // g, b // g, d // g)
         s = terms.get((p, q, r))
         terms[(p, q, r)] = t if s is None else _add(s, t)
     return AlgebraElement._of_clean({k: t for k, t in terms.items() if t[0] or t[1]})
+
+
+def random_element(rng: np.random.Generator, box: int = 5, n_terms: int = 4) -> AlgebraElement:
+    """A random finitely supported element with small rational coefficients,
+    each term drawn within ``random_term_bounds(box)``.
+
+    The draw order is part of the seed contract, since ``report all --seed
+    S`` reruns the same inputs only while it holds: per term p, q, r, then
+    the real numerator, the imaginary numerator and the denominator.  All
+    are taken in one bounded draw, which numpy makes value by value exactly
+    as it makes one scalar draw after another, and read by
+    ``element_from_rows``.
+    """
+    lo, hi = random_term_bounds(box)
+    return element_from_rows(rng.integers(lo, hi, size=(n_terms, 6)).tolist())

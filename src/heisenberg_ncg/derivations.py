@@ -7,13 +7,17 @@ the image of the central generator W is forced to vanish.  Writing
 
 the Leibniz rule applied to the relation VU = WUV is the ring identity
 
-    d(V) U + V d(U) = W (d(U) V + U d(V)),
+    d(V) U + V d(U) = W (d(U) V + U d(V)).
 
-checked exactly in the ring.  The coefficient of the difference of its
-sides at U^p V^q W^r is the relation at the cell (p-1, q-1, r-q+1), where
-a violation is reported:
+The coefficient of the difference of its sides at U^p V^q W^r is the
+relation at the cell (p-1, q-1, r-q+1), where a violation is reported:
 
     (b_{p,q+1,r-1} - b_{p,q+1,r+q-1}) + (a_{p+1,q,r-p+q-1} - a_{p+1,q,r+q-1}) = 0.
+
+It is evaluated column by column, with no ring product: with A the column
+of d(U) at (p+1, q) and B that of d(V) at (p, q+1), as Laurent polynomials
+in W, the relation on the cells (p, q, *) is (W^p - 1) A + (W^q - 1) B = 0,
+read at height r from the coefficient of W^(r+q-1).
 
 The axis conditions a_{p,0,r} = 0 for p != 1 and b_{0,q,r} = 0 for q != 1
 follow from it plus finite support, but are reported separately.
@@ -41,7 +45,7 @@ from one decomposition, with no power-by-power Leibniz expansion.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Literal, NamedTuple
 
 from .algebra import (
@@ -51,15 +55,15 @@ from .algebra import (
     Triple,
     U,
     V,
-    W,
     ZERO_T,
     _add,
     _neg,
     _raw,
     element_from_dict,
+    element_from_rows,
     element_to_dict,
     is_central,
-    random_element,
+    random_term_bounds,
 )
 
 if TYPE_CHECKING:
@@ -107,21 +111,35 @@ def inner_derivation(x: AlgebraElement) -> Derivation:
 
 
 def check_consistency(d: Derivation) -> ConsistencyReport:
-    """Verify the Leibniz identity on VU = WUV and the axis rules."""
-    violations: list[Violation] = []
-    for (p, q, r) in d.dU.support():
-        if q == 0 and p != 1:
-            violations.append(Violation("axis-a", (p, q, r)))
-    for (p, q, r) in d.dV.support():
-        if p == 0 and q != 1:
-            violations.append(Violation("axis-b", (p, q, r)))
+    """Verify the Leibniz identity on VU = WUV and the axis rules.
 
-    # Every product has a monomial factor; see the module docstring for the
-    # cell of each term.
-    rel = d.dV * U + V * d.dU - W * (d.dU * V + U * d.dV)
-    for (p, q, r) in rel.support():
-        violations.append(Violation("relation", (p - 1, q - 1, r - q + 1)))
+    The relation is evaluated on the columns of d(U) and d(V) (see the
+    module docstring): one pass per side adds each coefficient, as an
+    integer numerator over one common denominator, into the two cells it
+    enters, and the cells left nonzero are the violations, in order.
+    """
+    violations = [Violation("axis-a", k) for k in d.dU.support() if k[1] == 0 and k[0] != 1]
+    violations += [Violation("axis-b", k) for k in d.dV.support() if k[0] == 0 and k[1] != 1]
 
+    a_cols, b_cols = _columns(d.dU, 1, 0), _columns(d.dV, 0, 1)
+    den = lcm(*[e for cols in (a_cols, b_cols) for col in cols.values()
+                for _, _, e in col.values()])
+    sums: dict[Key, tuple[int, int]] = {}
+    get = sums.get
+    # A_h enters W^(h+p) with + and W^h with -, B_h W^(h+q) with + and W^h
+    # with -; the coefficient of W^k is the cell at height k + 1 - q.
+    for cols, axis in ((a_cols, 0), (b_cols, 1)):
+        for (p, q), col in cols.items():
+            if step := (p, q)[axis]:
+                for h, (a, b, e) in col.items():
+                    a, b = a * (den // e), b * (den // e)
+                    key = (p, q, h + step + 1 - q)
+                    s = get(key)
+                    sums[key] = (a, b) if s is None else (s[0] + a, s[1] + b)
+                    key = (p, q, h + 1 - q)
+                    s = get(key)
+                    sums[key] = (-a, -b) if s is None else (s[0] - a, s[1] - b)
+    violations += [Violation("relation", k) for k in sorted(sums) if sums[k] != (0, 0)]
     return ConsistencyReport(not violations, tuple(violations))
 
 
@@ -295,18 +313,20 @@ def random_derivation_parts(
 
     The draw order is part of the seed contract: the two heights in
     [-box, box] and then the two coefficients in [-4, 4] of z1, the same
-    for z2, then x by ``random_element``.  Two equal heights keep the
-    second coefficient.
+    for z2, then the rows of x in ``random_element``'s order.  All are taken
+    in one bounded draw, which numpy makes value by value exactly as it
+    makes the draws one after another, and the rows are read by
+    ``element_from_rows``.  Two equal heights keep the second coefficient;
+    x drops its W-axis terms.
     """
-    def central() -> AlgebraElement:
-        r1, r2, c1, c2 = rng.integers([-box, -box, -4, -4], [box + 1, box + 1, 5, 5]).tolist()
-        return AlgebraElement({(0, 0, r1): c1, (0, 0, r2): c2})
-
-    z1 = central()
-    z2 = central()
-    x = random_element(rng, box=box, n_terms=n_terms)
+    lo, hi = random_term_bounds(box)
+    draw = rng.integers([-box, -box, -4, -4] * 2 + lo * n_terms,
+                        [box + 1, box + 1, 5, 5] * 2 + hi * n_terms).tolist()
+    z1, z2 = (AlgebraElement({(0, 0, r1): c1, (0, 0, r2): c2})
+              for r1, r2, c1, c2 in (draw[:4], draw[4:8]))
+    rows = (draw[i:i + 6] for i in range(8, len(draw), 6))
     # Normalize: the W-axis part of x acts trivially in commutators anyway.
-    x = AlgebraElement._of_clean({k: c for k, c in x._terms.items() if k[0] or k[1]})
+    x = element_from_rows(row for row in rows if row[0] or row[1])
     return DecompositionResult(z1=z1, z2=z2, x=x)
 
 

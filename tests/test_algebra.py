@@ -1,5 +1,6 @@
 import json
 import operator
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -174,6 +175,8 @@ class TestRingArithmetic:
         assert m * x == double_loop_product(m, x)
         assert x * m == double_loop_product(x, m)
         assert m * m == double_loop_product(m, m)
+        assert m.commutator(x) == double_loop_product(m, x) - double_loop_product(x, m)
+        assert x.commutator(m) == double_loop_product(x, m) - double_loop_product(m, x)
 
 
 class TestTermProductBound:
@@ -386,6 +389,23 @@ class TestSerialization:
         # is an int; none of them is silently made exact
         with pytest.raises(TypeError, match="coefficient"):
             build(bad)
+
+    @pytest.mark.parametrize("c", [
+        0, 1, -7, 2**100, np.int64(3), np.int8(-2), np.uint16(5), Fraction(6, 4),
+        "3/6", "-2", "1e-3", True, False, 0.5, 2.0, "x", None,
+    ])
+    def test_coefficient_coercion_is_the_exact_rule(self, c):
+        # a plain int is taken as it is; everything else, a bool included,
+        # keeps _frac's rule and its error
+        try:
+            f = algebra._frac(c)
+        except (TypeError, ValueError) as e:
+            with pytest.raises(type(e), match=re.escape(str(e))):
+                algebra._coerce(c)
+            return
+        t = algebra._coerce(c)
+        assert t == (f.numerator, 0, f.denominator)
+        assert all(type(v) is int for v in t)
 
     def test_library_accepts_numpy_integer_coefficients(self):
         assert AlgebraElement({(0, 0, 0): np.int64(3)}) == ONE.scale(3)

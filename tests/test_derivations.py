@@ -2,7 +2,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import per_draw_element, same_terms, seeded
+from conftest import no_work, per_draw_element, same_terms, seeded
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -165,7 +165,7 @@ def per_draw_parts(rng, box, n_terms):
 
 
 @pytest.mark.parametrize("box", [0, 1, 3, 4, 5, 9])
-@pytest.mark.parametrize("n_terms", [1, 3, 4, 6, 20])
+@pytest.mark.parametrize("n_terms", [0, 1, 3, 4, 6, 20])
 def test_random_parts_match_the_per_draw_order(box, n_terms):
     # box 0 draws equal heights, where the second coefficient is kept
     for seed in range(20):
@@ -174,6 +174,40 @@ def test_random_parts_match_the_per_draw_order(box, n_terms):
         want = per_draw_parts(ref, box, n_terms)
         assert all(map(same_terms, got, want))
         assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+
+
+def three_draw_parts(rng, box, n_terms):
+    """``random_derivation_parts`` as three draws: the four values of z1,
+    those of z2, then ``random_element``.  Returns the parts and the two
+    central draws [r1, r2, c1, c2]."""
+    centrals = [rng.integers([-box, -box, -4, -4], [box + 1, box + 1, 5, 5]).tolist()
+                for _ in range(2)]
+    z1, z2 = (AlgebraElement({(0, 0, r1): c1, (0, 0, r2): c2}) for r1, r2, c1, c2 in centrals)
+    x = random_element(rng, box=box, n_terms=n_terms)
+    x = AlgebraElement({k: c for k, c in x.terms.items() if k[0] or k[1]})
+    return DecompositionResult(z1, z2, x), centrals
+
+
+@pytest.mark.parametrize("box", [0, 1, 3, 5])
+@pytest.mark.parametrize("n_terms", [0, 1, 4, 20])
+def test_one_draw_matches_three_draws(box, n_terms):
+    seen = set()
+    for seed in range(60):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = dv.random_derivation_parts(rng, box, n_terms)
+        want, centrals = three_draw_parts(ref, box, n_terms)
+        assert all(map(same_terms, got, want))
+        assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+        for z, (r1, r2, c1, c2) in zip(got[:2], centrals):
+            if r1 == r2:  # the second coefficient is kept, even a zero one
+                seen.add("equal heights")
+                assert z.support() == ([(0, 0, r1)] if c2 else [])
+                assert z.coeff(0, 0, r1) == GaussianRational(c2)
+            elif 0 in (c1, c2):  # a zero coefficient is dropped
+                seen.add("zero coefficient")
+                assert len(z.support()) == (c1 != 0) + (c2 != 0)
+    # at box 0 both heights are always 0
+    assert seen == {"equal heights"} | ({"zero coefficient"} if box else set())
 
 
 class TestLeibnizAndConsistency:
@@ -248,6 +282,17 @@ class TestLeibnizAndConsistency:
     @given(st.one_of(derivations, perturbed, arbitrary))
     def test_matches_coefficient_relation(self, d):
         assert check_consistency(d) == coefficient_consistency(d)
+
+    def test_takes_no_ring_product(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        good = random_consistent_derivation(rng, box=4, n_terms=6)
+        bad = Derivation(good.dU + AlgebraElement.monomial(2, 3, 1), good.dV + V * V)
+        want = coefficient_consistency(bad)
+        assert not want.passed
+        assert {v.kind for v in want.violations} == {"axis-b", "relation"}
+        monkeypatch.setattr(AlgebraElement, "__mul__", no_work)
+        assert check_consistency(good) == ConsistencyReport(True)
+        assert check_consistency(bad) == want
 
 
 class TestApplyProperties:

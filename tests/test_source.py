@@ -155,7 +155,7 @@ def test_cli_defines_no_bound():
 # the list may only shrink, on purpose.
 PRIVATE_RING_ATTRIBUTES = {"_terms", "_of_clean"}
 PRIVATE_RING_READS = {
-    "derivations.py": {"_add": 1, "_neg": 1, "_raw": 1, "_terms": 3, "_of_clean": 5},
+    "derivations.py": {"_add": 1, "_neg": 1, "_raw": 1, "_terms": 2, "_of_clean": 4},
     "fredholm.py": {"_terms": 2},
 }
 

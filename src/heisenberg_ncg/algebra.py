@@ -22,7 +22,8 @@ each operand over one common denominator, sums the term products as
 integer pairs per output key, and reduces each output coefficient once;
 the commutator does the same in one pass over the term pairs.  A one-term
 operand maps keys one to one instead: the product takes no pass over pairs,
-and the commutator sums two such products.  Both refuse, with
+and the commutator writes each term of the other operand at its two keys
+in one pass, adding only where keys meet.  Both refuse, with
 ``UnsupportedInput``, two multi-term operands that would take more than
 ``MAX_TERM_PRODUCTS`` term products.
 
@@ -460,18 +461,49 @@ class AlgebraElement:
     def commutator(self, other: "AlgebraElement") -> "AlgebraElement":
         """self*other - other*self.
 
-        With a one-term operand both products take ``*``'s one-to-one key
-        map, and one sum combines them.  Otherwise it is one pass over the
-        term pairs: both products share each coefficient product, their keys
-        differ only in the W exponent (q1*p2 against q2*p1), and pairs where
-        those agree cancel.  Bounded as ``*`` is: a one-term operand is not
+        Both products share each coefficient product, their keys differ
+        only in the W exponent (q1*p2 against q2*p1), and pairs where those
+        agree cancel.  With a one-term operand it is one pass over the other
+        operand's terms, which writes each product coefficient at its two
+        keys and adds only where keys meet.  Otherwise it is one pass over
+        the term pairs.  Bounded as ``*`` is: a one-term operand is not
         counted.
         """
-        if len(self._terms) == 1 or len(other._terms) == 1:
-            return self * other - other * self
-        check_term_products(len(self._terms) * len(other._terms))
-        d1, nums1 = _numerators(self._terms)
-        d2, nums2 = _numerators(other._terms)
+        a, b = self._terms, other._terms
+        if len(a) == 1 or len(b) == 1:
+            # walk the other operand; w12 and w21 are the W shifts of
+            # self*other and other*self, whichever side the one term is on
+            one, terms, swap = (b, a, False) if len(b) == 1 else (a, b, True)
+            ((p2, q2, r2), c2), = one.items()
+            unit = c2 == ONE_T
+            out: dict[Key, Triple] = {}
+            get = out.get
+            for (p1, q1, r1), c1 in terms.items():
+                w12, w21 = (q2 * p1, q1 * p2) if swap else (q1 * p2, q2 * p1)
+                if w12 == w21:
+                    continue
+                c = c1 if unit else _mul(c1, c2)
+                p, q, r = p1 + p2, q1 + q2, r1 + r2
+                key = (p, q, r + w12)
+                s = get(key)
+                if s is None:
+                    out[key] = c
+                elif (s := _add(s, c))[0] or s[1]:
+                    out[key] = s
+                else:
+                    del out[key]
+                key, c = (p, q, r + w21), _neg(c)
+                s = get(key)
+                if s is None:
+                    out[key] = c
+                elif (s := _add(s, c))[0] or s[1]:
+                    out[key] = s
+                else:
+                    del out[key]
+            return AlgebraElement._of_clean(out)
+        check_term_products(len(a) * len(b))
+        d1, nums1 = _numerators(a)
+        d2, nums2 = _numerators(b)
         sums: dict[Key, tuple[int, int]] = {}
         get = sums.get
         for (p1, q1, r1), a1, b1 in nums1:

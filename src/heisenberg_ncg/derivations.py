@@ -14,10 +14,10 @@ relation at the cell (p-1, q-1, r-q+1), where a violation is reported:
 
     (b_{p,q+1,r-1} - b_{p,q+1,r+q-1}) + (a_{p+1,q,r-p+q-1} - a_{p+1,q,r+q-1}) = 0.
 
-It is evaluated column by column, with no ring product: with A the column
-of d(U) at (p+1, q) and B that of d(V) at (p, q+1), as Laurent polynomials
-in W, the relation on the cells (p, q, *) is (W^p - 1) A + (W^q - 1) B = 0,
-read at height r from the coefficient of W^(r+q-1).
+With A the column of d(U) at (p+1, q) and B that of d(V) at (p, q+1), as
+Laurent polynomials in W, the relation on the cells (p, q, *) is
+(W^p - 1) A + (W^q - 1) B = 0, read at height r from the coefficient of
+W^(r+q-1); one pass over the terms of d(U) and d(V) evaluates it.
 
 The axis conditions a_{p,0,r} = 0 for p != 1 and b_{0,q,r} = 0 for q != 1
 follow from it plus finite support, but are reported separately.
@@ -31,7 +31,8 @@ derivations d1(U) = U, d2(V) = V, and x finitely supported and normalized to
 have no W-axis terms.  [U, x] has column (1 - W^q) x_{p,q} at (p+1, q) and
 [V, x] has (W^p - 1) x_{p,q} at (p, q+1), so each column of x is a column of
 dU over 1 - W^q (q != 0) or of dV over W^p - 1, found in work linear in the
-entries and the output, and exact reconstruction checks the split.  It may
+entries and the output.  ``decompose`` checks consistency once, builds the
+columns once, and checks the split by exact reconstruction.  It may
 not exist: d(U) = U V, d(V) = 0 is consistent, but its inner part
 V (1 - W)^-1, at the cell (0, 1), has infinite support.
 
@@ -40,7 +41,8 @@ U^p V^q W^r by p and by q, so ``apply`` computes
 
     d(y) = z1 * d1(y) + z2 * d2(y) + y x - x y
 
-from one decomposition, with no power-by-power Leibniz expansion.
+from one decomposition, given or computed, with no power-by-power Leibniz
+expansion.
 """
 
 from __future__ import annotations
@@ -113,33 +115,34 @@ def inner_derivation(x: AlgebraElement) -> Derivation:
 def check_consistency(d: Derivation) -> ConsistencyReport:
     """Verify the Leibniz identity on VU = WUV and the axis rules.
 
-    The relation is evaluated on the columns of d(U) and d(V) (see the
-    module docstring): one pass per side adds each coefficient, as an
-    integer numerator over one common denominator, into the two cells it
-    enters, and the cells left nonzero are the violations, in order.
+    One direct pass over the terms of d(U) and d(V), with no ring product
+    and no columns (see the module docstring), adds each coefficient, as an
+    integer numerator over the lcm of the distinct denominators, into the
+    two cells it enters; the cells left nonzero are the violations, in order.
     """
-    violations = [Violation("axis-a", k) for k in d.dU.support() if k[1] == 0 and k[0] != 1]
-    violations += [Violation("axis-b", k) for k in d.dV.support() if k[0] == 0 and k[1] != 1]
+    (a, _, _), (b, _, _) = sides = _sides(d)
+    violations = [Violation("axis-a", k) for k in sorted(k for k in a if k[1] == 0 and k[0] != 1)]
+    violations += [Violation("axis-b", k) for k in sorted(k for k in b if k[0] == 0 and k[1] != 1)]
 
-    a_cols, b_cols = _columns(d.dU, 1, 0), _columns(d.dV, 0, 1)
-    den = lcm(*[e for cols in (a_cols, b_cols) for col in cols.values()
-                for _, _, e in col.values()])
+    den = lcm(*{e for _, _, e in a.values()}, *{e for _, _, e in b.values()})
     sums: dict[Key, tuple[int, int]] = {}
     get = sums.get
-    # A_h enters W^(h+p) with + and W^h with -, B_h W^(h+q) with + and W^h
-    # with -; the coefficient of W^k is the cell at height k + 1 - q.
-    for cols, axis in ((a_cols, 0), (b_cols, 1)):
-        for (p, q), col in cols.items():
-            if step := (p, q)[axis]:
-                for h, (a, b, e) in col.items():
-                    a, b = a * (den // e), b * (den // e)
-                    key = (p, q, h + step + 1 - q)
-                    s = get(key)
-                    sums[key] = (a, b) if s is None else (s[0] + a, s[1] + b)
-                    key = (p, q, h + 1 - q)
-                    s = get(key)
-                    sums[key] = (-a, -b) if s is None else (s[0] - a, s[1] - b)
-    violations += [Violation("relation", k) for k in sorted(sums) if sums[k] != (0, 0)]
+    # The entry at height h of the column at the cell (p, q) enters W^(h+step)
+    # with + and W^h with -, step p for d(U) and q for d(V); the coefficient
+    # of W^k is the cell at height k + 1 - q.
+    for terms, dp, dq in sides:
+        for (p, q, h), (re, im, e) in terms.items():
+            p, q = p - dp, q - dq
+            if step := p * dp + q * dq:
+                re, im = re * (den // e), im * (den // e)
+                key = (p, q, h + step + 1 - q)
+                s = get(key)
+                sums[key] = (re, im) if s is None else (s[0] + re, s[1] + im)
+                key = (p, q, h + 1 - q)
+                s = get(key)
+                sums[key] = (-re, -im) if s is None else (s[0] - re, s[1] - im)
+    cells = sorted(k for k, s in sums.items() if s[0] or s[1])
+    violations += [Violation("relation", k) for k in cells]
     return ConsistencyReport(not violations, tuple(violations))
 
 
@@ -155,25 +158,34 @@ def _weighted(y: AlgebraElement, axis: int) -> AlgebraElement:
     return AlgebraElement._of_clean(out)
 
 
-def apply(d: Derivation, y: AlgebraElement) -> AlgebraElement:
+def apply(d: Derivation | DecompositionResult, y: AlgebraElement) -> AlgebraElement:
     """Evaluate d on y through its decomposition d = z1*d1 + z2*d2 + [., x].
 
     Since z1 and z2 are central, d(y) = z1*d1(y) + z2*d2(y) + (y*x - x*y).
-    Raises what ``decompose`` raises: ValueError for an inconsistent
+    d may be that decomposition, which is then not computed again.  Raises
+    ValueError for a non-central z1 or z2, as ``compose_from_parts`` does,
+    and what ``decompose`` raises: ValueError for an inconsistent
     derivation, ArithmeticError if no finitely supported x splits d; and
     UnsupportedInput, before the product's work, if y times x, z1 or z2
     would take over ``algebra.MAX_TERM_PRODUCTS`` term products.
     """
-    parts = decompose(d)
+    parts = d if isinstance(d, DecompositionResult) else decompose(d)
+    _require_central(parts.z1, parts.z2)
     return parts.z1 * _weighted(y, 0) + parts.z2 * _weighted(y, 1) + y.commutator(parts.x)
 
 
+def _sides(d: Derivation) -> list[tuple[dict[Key, Triple], int, int]]:
+    """The terms of d(U) and of d(V), each with the shift (dp, dq) that
+    takes an entry to its cell: d(U) at (p+1, q) and d(V) at (p, q+1)."""
+    return [(x._terms, dp, dq) for x, dp, dq in zip(d, (1, 0), (0, 1))]
+
+
 def _columns(
-    x: AlgebraElement, dp: int, dq: int
+    terms: dict[Key, Triple], dp: int, dq: int
 ) -> dict[tuple[int, int], dict[int, Triple]]:
-    """Every column of x in one pass, keyed by (p - dp, q - dq)."""
+    """Every column of the terms in one pass, keyed by (p - dp, q - dq)."""
     cols: dict[tuple[int, int], dict[int, Triple]] = {}
-    for (p, q, r), c in x._terms.items():
+    for (p, q, r), c in terms.items():
         cols.setdefault((p - dp, q - dq), {})[r] = c
     return cols
 
@@ -184,19 +196,22 @@ def _quotient(column: dict[int, Triple], step: int, sign: int,
 
     On each residue class of heights mod step, the quotient g (with
     g_h - g_{h-step} = sign * column_h) is the running sum of the entries
-    taken along step, written from one entry up to the next; it is finite
-    iff every class sums to zero.  Raises ValueError before ``written`` plus
-    its own terms would exceed MAX_INNER_TERMS.
+    in height order along step, written from one entry up to the next; it
+    is finite iff every class sums to zero.  Raises ValueError before
+    ``written`` plus its own terms would exceed MAX_INNER_TERMS.
     """
     out: dict[int, Triple] = {}
     runs: dict[int, tuple[int, Triple]] = {}  # class: (last entry, sum)
-    for h in sorted(column, key=lambda h: h * step):
-        last, total = runs.get(h % step, (h, ZERO_T))
-        if total != ZERO_T:
+    for h in sorted(column, reverse=step < 0):
+        c = column[h] if sign > 0 else _neg(column[h])
+        run = runs.get(k := h % step)
+        if run is not None and run[1] != ZERO_T:
+            last, total = run
             if written + len(out) + (h - last) // step > MAX_INNER_TERMS:
                 raise ValueError(f"the inner part has more than {MAX_INNER_TERMS} terms")
             out.update(dict.fromkeys(range(last, h, step), total))
-        runs[h % step] = (h, _add(total, column[h] if sign > 0 else _neg(column[h])))
+            c = _add(total, c)
+        runs[k] = (h, c)
     return out if all(total == ZERO_T for _, total in runs.values()) else None
 
 
@@ -214,11 +229,11 @@ def inner_coefficient(
     if route == "a":
         if q == 0:
             raise ValueError("a-route requires q != 0")
-        quotient = _quotient(_columns(d.dU, 1, 0).get((p, q), {}), q, 1)
+        quotient = _quotient(_columns(*_sides(d)[0]).get((p, q), {}), q, 1)
     elif route == "b":
         if p == 0:
             raise ValueError("b-route requires p != 0")
-        quotient = _quotient(_columns(d.dV, 0, 1).get((p, q), {}), p, -1)
+        quotient = _quotient(_columns(*_sides(d)[1]).get((p, q), {}), p, -1)
     else:
         raise ValueError("route must be 'a' or 'b'")
     if quotient is None:
@@ -226,12 +241,16 @@ def inner_coefficient(
     return {r: _raw(t) for r, t in quotient.items()}
 
 
+def _require_central(z1: AlgebraElement, z2: AlgebraElement) -> None:
+    if not is_central(z1) or not is_central(z2):
+        raise ValueError("z1 and z2 must be central (W-axis) elements")
+
+
 def compose_from_parts(
     z1: AlgebraElement, z2: AlgebraElement, x: AlgebraElement
 ) -> Derivation:
     """Build z1*d1 + z2*d2 + [., x]; z1 and z2 must be central."""
-    if not is_central(z1) or not is_central(z2):
-        raise ValueError("z1 and z2 must be central (W-axis) elements")
+    _require_central(z1, z2)
     inner = inner_derivation(x)
     return Derivation(z1 * U + inner.dU, z2 * V + inner.dV)
 
@@ -253,15 +272,15 @@ def decompose(d: Derivation) -> DecompositionResult:
 
     # a_{p+1,q,*} and b_{p,q+1,*} are the sources of the cell (p, q) of x;
     # the cell (0, 0) holds z1 and z2 instead.
-    a_cols = _columns(d.dU, 1, 0)
-    b_cols = _columns(d.dV, 0, 1)
+    a_cols, b_cols = (_columns(*side) for side in _sides(d))
     z1 = AlgebraElement._of_clean({(0, 0, r): c for r, c in a_cols.pop((0, 0), {}).items()})
     z2 = AlgebraElement._of_clean({(0, 0, r): c for r, c in b_cols.pop((0, 0), {}).items()})
 
     x_terms: dict[Key, Triple] = {}
     infinite = []
-    for (p, q) in sorted(a_cols.keys() | b_cols.keys()):
-        quotient = (_quotient(a_cols.get((p, q), {}), q, 1, len(x_terms)) if q
+    # a cell with q != 0 and no d(U) column has the empty quotient
+    for (p, q) in sorted([c for c in a_cols if c[1]] + [c for c in b_cols if not c[1]]):
+        quotient = (_quotient(a_cols[(p, q)], q, 1, len(x_terms)) if q
                     else _quotient(b_cols[(p, q)], p, -1, len(x_terms)))
         if quotient is None:
             infinite.append((p, q))

@@ -178,6 +178,25 @@ class TestRingArithmetic:
         assert m.commutator(x) == double_loop_product(m, x) - double_loop_product(x, m)
         assert x.commutator(m) == double_loop_product(x, m) - double_loop_product(m, x)
 
+    @pytest.mark.parametrize("c", [1, GaussianRational("2/3", -1)])
+    def test_one_term_commutator_with_meeting_keys(self, c):
+        # [U, V W^r] = U V W^r - U V W^(r+1): the terms of x meet at their
+        # neighbours' keys and cancel where their coefficients agree
+        m = AlgebraElement.monomial(1, 0, 0, c)
+        x = AlgebraElement({(0, 1, r): [1, 1, "1/2", -3, -3][r] for r in range(5)})
+        mx, xm = double_loop_product(m, x), double_loop_product(x, m)
+        for got, want in ((m.commutator(x), mx - xm), (x.commutator(m), xm - mx)):
+            assert got == want
+            assert len(got.terms) == 4 and not any(v.is_zero() for v in got.terms.values())
+
+    @pytest.mark.parametrize("c", [1, GaussianRational(-1), GaussianRational("3/5", "4/5")])
+    def test_one_term_commutator_of_commuting_terms_is_exact_zero(self, c):
+        # U^p W^r commutes with U, and W^r V^q with V: every pair cancels
+        for gen, x in ((U, AlgebraElement({(p, 0, 3 - p): c for p in range(-3, 4)})),
+                       (V, AlgebraElement({(0, q, 2 * q): c for q in range(-3, 4)}))):
+            for m in (gen, gen.scale(c)):
+                assert m.commutator(x)._terms == {} and x.commutator(m)._terms == {}
+
 
 class TestTermProductBound:
     def test_two_multi_term_operands_past_the_bound(self):

@@ -1,4 +1,5 @@
 import time
+from math import lcm
 
 import numpy as np
 import pytest
@@ -97,6 +98,61 @@ def coefficient_consistency(d: Derivation) -> ConsistencyReport:
         if not lhs.is_zero():
             violations.append(Violation("relation", (p, q, r)))
     return ConsistencyReport(not violations, tuple(violations))
+
+
+def column_consistency(d: Derivation) -> ConsistencyReport:
+    """The check as it was column by column: the columns A of d(U) at
+    (p+1, q) and B of d(V) at (p, q+1), each entry added as an integer
+    numerator over the lcm of all denominators into the two cells of
+    (W^p - 1) A + (W^q - 1) B it enters, and every cell key sorted."""
+    violations = [Violation("axis-a", k) for k in d.dU.support() if k[1] == 0 and k[0] != 1]
+    violations += [Violation("axis-b", k) for k in d.dV.support() if k[0] == 0 and k[1] != 1]
+
+    def columns(x, dp, dq):
+        cols = {}
+        for (p, q, r), c in x._terms.items():
+            cols.setdefault((p - dp, q - dq), {})[r] = c
+        return cols
+
+    a_cols, b_cols = columns(d.dU, 1, 0), columns(d.dV, 0, 1)
+    den = lcm(*[e for cols in (a_cols, b_cols) for col in cols.values()
+                for _, _, e in col.values()])
+    sums = {}
+    get = sums.get
+    for cols, axis in ((a_cols, 0), (b_cols, 1)):
+        for (p, q), col in cols.items():
+            if step := (p, q)[axis]:
+                for h, (a, b, e) in col.items():
+                    a, b = a * (den // e), b * (den // e)
+                    key = (p, q, h + step + 1 - q)
+                    s = get(key)
+                    sums[key] = (a, b) if s is None else (s[0] + a, s[1] + b)
+                    key = (p, q, h + 1 - q)
+                    s = get(key)
+                    sums[key] = (-a, -b) if s is None else (s[0] - a, s[1] - b)
+    violations += [Violation("relation", k) for k in sorted(sums) if sums[k] != (0, 0)]
+    return ConsistencyReport(not violations, tuple(violations))
+
+
+def ring_identity_cells(d: Derivation) -> list:
+    """The relation cells from the definition: each term U^p V^q W^r of
+    d(V) U + V d(U) - W (d(U) V + U d(V)) at the cell (p-1, q-1, r-q+1)."""
+    lhs = d.dV * U + V * d.dU - W * (d.dU * V + U * d.dV)
+    return [(p - 1, q - 1, r - q + 1) for p, q, r in lhs.support()]
+
+
+def perturbations(rng, d: Derivation) -> list:
+    """d with one added term each: a d(U) term at q = 0, a d(V) term at
+    p = 0, and a random term off both axes."""
+    def term(p, q):
+        return AlgebraElement.monomial(p, q, int(rng.integers(-4, 5)),
+                                       GaussianRational(int(rng.integers(1, 4)),
+                                                        int(rng.integers(-2, 3))))
+    p, q = (int(v) for v in rng.choice([-3, -2, -1, 2, 3], 2))
+    a, b = (int(v) for v in rng.choice([-3, -2, -1, 1, 2, 3], 2))
+    return [Derivation(d.dU + term(p, 0), d.dV), Derivation(d.dU, d.dV + term(0, q)),
+            Derivation(d.dU + term(a, b), d.dV) if rng.integers(2)
+            else Derivation(d.dU, d.dV + term(a, b))]
 
 
 def telescope(column, r, step, route):
@@ -283,6 +339,25 @@ class TestLeibnizAndConsistency:
     def test_matches_coefficient_relation(self, d):
         assert check_consistency(d) == coefficient_consistency(d)
 
+    @pytest.mark.parametrize("box", [1, 3, 5])
+    def test_matches_the_column_check_on_drawn_and_perturbed(self, box):
+        rng = np.random.default_rng(box)
+        kinds = set()
+        for _ in range(40):
+            d = random_consistent_derivation(rng, box=box, n_terms=4)
+            for case in [d, *perturbations(rng, d)]:
+                want = column_consistency(case)
+                assert check_consistency(case) == want
+                kinds |= {v.kind for v in want.violations}
+        assert kinds == {"axis-a", "axis-b", "relation"}
+
+    @seeded(200)
+    @given(st.one_of(derivations, perturbed, arbitrary))
+    def test_column_check_is_the_ring_identity(self, d):
+        rep = column_consistency(d)
+        assert [v.cell for v in rep.violations if v.kind == "relation"] == ring_identity_cells(d)
+        assert rep == coefficient_consistency(d)
+
     def test_takes_no_ring_product(self, monkeypatch):
         rng = np.random.default_rng(16)
         good = random_consistent_derivation(rng, box=4, n_terms=6)
@@ -311,6 +386,25 @@ class TestApplyProperties:
     @given(derivations, elements)
     def test_matches_power_by_power_leibniz_extension(self, d, y):
         assert apply(d, y) == leibniz_reference(d, y)
+
+    def test_parts_in_place_of_the_derivation(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        cases = []
+        for box in (1, 3, 5):
+            for _ in range(15):
+                d = random_consistent_derivation(rng, box=box, n_terms=4)
+                cases.append((d, decompose(d), random_element(rng, box=box, n_terms=4)))
+        want = [apply(d, y) for d, _, y in cases]
+        monkeypatch.setattr(dv, "decompose", no_work)  # parts are not split again
+        assert [apply(parts, y) for _, parts, y in cases] == want
+
+    def test_parts_with_a_non_central_z_are_refused(self):
+        x = AlgebraElement.monomial(1, 1, 0)
+        for parts in (DecompositionResult(U, ONE, x), DecompositionResult(ONE, W + V, x)):
+            with pytest.raises(ValueError, match=r"^z1 and z2 must be central \(W-axis\)"):
+                apply(parts, U)
+            with pytest.raises(ValueError, match=r"^z1 and z2 must be central"):
+                compose_from_parts(*parts)
 
     @seeded(40)
     @given(centrals, centrals, elements)
@@ -392,6 +486,23 @@ class TestDecomposition:
     def test_decompose_rejects_inconsistent(self):
         with pytest.raises(ValueError):
             decompose(Derivation(U * U, AlgebraElement.zero()))
+
+    def test_refusals_are_worded_as_before(self):
+        # the messages the check, the split and the cap gave before the
+        # check lost its columns, word for word
+        messages = [
+            (Derivation(U * U, AlgebraElement.zero()), ValueError,
+             "cannot decompose an inconsistent derivation (3 violating cells)"),
+            (Derivation(U * V, AlgebraElement.zero()), ArithmeticError,
+             "d is not z1*d1 + z2*d2 + [., x] for any finitely supported x (cells where "
+             "the reconstruction differs from d: 1; cells (p, q) of x with infinite "
+             "support: [(0, 1)])"),
+            (stretched(10**9), ValueError, "the inner part has more than 1000000 terms"),
+        ]
+        for d, error, message in messages:
+            with pytest.raises(error) as raised:
+                decompose(d)
+            assert type(raised.value) is error and str(raised.value) == message
 
     def test_gaussian_rational_coefficients_roundtrip(self):
         z1 = AlgebraElement({(0, 0, -1): GaussianRational("1/2", "-2/3")})

@@ -193,7 +193,7 @@ def test_only_the_acceptance_runner_reads_a_clock():
 
 
 # Public names that only tests call today, kept for the work that ROADMAP
-# items 4 (canonical_derivation) and 6 (apply_automorphism) plan for them.
+# items 6 (canonical_derivation) and 8 (apply_automorphism) plan for them.
 UNREAD_BY_PLAN = {"apply_automorphism", "canonical_derivation"}
 
 

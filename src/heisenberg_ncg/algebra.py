@@ -17,7 +17,8 @@ elements have equal term dictionaries.  Every ring operation reads and
 writes these triples and reduces each output with one gcd; a
 ``GaussianRational``, the same triple behind an immutable number type, is
 built only where a caller asks for a coefficient (``coeff``, ``terms``,
-``element_to_dict``, ``eval_at_angle``).  A product of two elements writes
+``element_to_dict``); ``eval_at_angle`` reads each triple straight to a
+complex float.  A product of two elements writes
 each operand over one common denominator, sums the term products as
 integer pairs per output key, and reduces each output coefficient once;
 the commutator does the same in one pass over the term pairs.  A one-term
@@ -184,11 +185,6 @@ class GaussianRational:
         a, b, _ = self._t
         return not a and not b
 
-    def to_complex(self) -> complex:
-        # int true division rounds exactly as Fraction.__float__ does
-        a, b, d = self._t
-        return complex(a / d, b / d)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GaussianRational):
             return NotImplemented
@@ -236,8 +232,8 @@ def _exponents(key) -> Key:
 
 def group_product(g, h):
     """The group law (p1 + p2, q1 + q2, r1 + r2 + q1 * p2) on exponent
-    triples whose fields are ints, or int arrays of one shape taken
-    elementwise."""
+    triples whose fields are ints, or int arrays that broadcast together,
+    taken elementwise."""
     p1, q1, r1 = g
     p2, q2, r2 = h
     return p1 + p2, q1 + q2, r1 + r2 + q1 * p2
@@ -600,9 +596,10 @@ def eval_at_angle(x: AlgebraElement, theta: RationalAngle) -> list[list[complex]
     too_large = OverflowError("the matrix has an entry outside the float64 range "
                               f"(magnitude up to {sys.float_info.max:.6g})")
     # U^p V^q W^r sends e_j to lambda^(r + q*j) e_{j+p}; lambda^t = 1.
-    for (p, q, r), c in x.terms.items():
+    for (p, q, r), (a, b, d) in x._terms.items():
         try:
-            c = c.to_complex()
+            # int true division rounds exactly as Fraction.__float__ does
+            c = complex(a / d, b / d)
         except OverflowError:
             raise too_large from None
         p, q, r = p % t, q % t, r % t

@@ -229,13 +229,19 @@ def inner_coefficient(
     if route == "a":
         if q == 0:
             raise ValueError("a-route requires q != 0")
-        quotient = _quotient(_columns(*_sides(d)[0]).get((p, q), {}), q, 1)
+        (terms, dp, dq), _ = _sides(d)
+        step, sign = q, 1
     elif route == "b":
         if p == 0:
             raise ValueError("b-route requires p != 0")
-        quotient = _quotient(_columns(*_sides(d)[1]).get((p, q), {}), p, -1)
+        _, (terms, dp, dq) = _sides(d)
+        step, sign = p, -1
     else:
         raise ValueError("route must be 'a' or 'b'")
+    # read the one column at (p + dp, q + dq) straight from the terms
+    sp, sq = p + dp, q + dq
+    quotient = _quotient({k[2]: c for k, c in terms.items() if k[0] == sp and k[1] == sq},
+                         step, sign)
     if quotient is None:
         raise ArithmeticError(f"{route}-route quotient at cell {(p, q)} is infinite")
     return {r: _raw(t) for r, t in quotient.items()}

@@ -112,16 +112,21 @@ def box_points(box: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def brute_force_centralizer(g: GroupElement, box: int) -> np.ndarray:
     """Boolean mask over ``box_points(box)``: True where h commutes with g.
 
-    The group law is evaluated once on the whole box: g*h and h*g are
-    triples of arrays, compared field by field.
+    The group law is evaluated once on the whole box, given as one
+    broadcast grid (the span of p, q and r along axes 0, 1 and 2): g*h and
+    h*g are triples of arrays, compared field by field, and the mask is
+    raveled in ``box_points`` order.
     """
+    import numpy as np
+
     if box > 12:
         raise ValueError("box larger than 12 is not supported")
     if any(abs(c) >= _MAX_BRUTE_FORCE_COORDINATE for c in g.as_tuple()):
         raise ValueError("coordinates of g must be below 2**31 in absolute value")
-    h = box_points(box)
+    span = np.arange(-box, box + 1, dtype=np.int64)
+    h = span[:, None, None], span[None, :, None], span[None, None, :]
     gh, hg = group_product(g.as_tuple(), h), group_product(h, g.as_tuple())
-    return (gh[0] == hg[0]) & (gh[1] == hg[1]) & (gh[2] == hg[2])
+    return ((gh[0] == hg[0]) & (gh[1] == hg[1]) & (gh[2] == hg[2])).ravel()
 
 
 # The torsion is read as an ASCII digit string, never through int(): only

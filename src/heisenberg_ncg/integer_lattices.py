@@ -5,6 +5,17 @@ integer matrices, which is what exactness checking of six-term sequences
 needs.  A matrix is a tuple of row tuples of Python ints, so arithmetic
 stays exact for arbitrarily large intermediate entries; an m x 0 matrix is
 m empty rows.
+
+Each function that diagonalizes a matrix also takes its Smith form, as
+``smith_diagonalize`` returns it, in ``form`` (``forms`` for the two maps
+of ``image_equals_kernel``), and then does not diagonalize it again.
+
+Shapes that do not fit are a ValueError naming both, never a silent
+truncation: ``matmul`` needs as many columns in A as rows in B,
+``solve_in_image`` a vector with one entry per row of A,
+``lattice_contained`` two matrices with the same number of rows, and
+``image_equals_kernel`` maps that chain (as many columns in the outgoing
+map as rows in the incoming one).
 """
 
 from __future__ import annotations
@@ -25,7 +36,8 @@ def as_int_matrix(rows) -> Matrix:
 
 
 def shape(A: Matrix) -> tuple[int, int]:
-    return len(A), len(A[0])
+    """(rows, columns); the 0 x 0 matrix is ()."""
+    return len(A), len(A[0]) if A else 0
 
 
 def transpose(A: Matrix) -> Matrix:
@@ -33,7 +45,13 @@ def transpose(A: Matrix) -> Matrix:
     return tuple(zip(*A))
 
 
+def _shape_error(what: str, A, B) -> ValueError:
+    return ValueError(f"{what}: shapes {A[0]}x{A[1]} and {B[0]}x{B[1]} do not fit")
+
+
 def matmul(A: Matrix, B: Matrix) -> Matrix:
+    if shape(A)[1] != len(B):
+        raise _shape_error("matmul", shape(A), shape(B))
     cols = transpose(B)
     return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
                  for row in A)
@@ -110,19 +128,21 @@ def smith_diagonalize(A: Matrix):
     return (tuple(map(tuple, L)), tuple(map(tuple, D)), transpose(Rt))
 
 
-def kernel_basis(A: Matrix) -> Matrix:
+def kernel_basis(A: Matrix, form=None) -> Matrix:
     """Columns form a Z-basis of the integer kernel of A (n x 0 if it is
     trivial)."""
-    _, D, R = smith_diagonalize(A)
+    _, D, R = form or smith_diagonalize(A)
     m, n = shape(D)
     cols = [j for j in range(n) if j >= m or D[j][j] == 0]
     return tuple(tuple(row[j] for j in cols) for row in R)
 
 
-def solve_in_image(A: Matrix, x) -> bool:
+def solve_in_image(A: Matrix, x, form=None) -> bool:
     """Whether the vector x is in the integer column span of A."""
     x = tuple(map(index, x))
-    L, D, _ = smith_diagonalize(A)
+    if len(x) != len(A):
+        raise _shape_error("solve_in_image", shape(A), (len(x), 1))
+    L, D, _ = form or smith_diagonalize(A)
     y = [sum(a * b for a, b in zip(row, x)) for row in L]
     m, n = shape(D)
     for i in range(m):
@@ -135,12 +155,17 @@ def solve_in_image(A: Matrix, x) -> bool:
     return True
 
 
-def lattice_contained(B1: Matrix, B2: Matrix) -> bool:
-    """Whether the column lattice of B1 is contained in that of B2."""
-    return all(solve_in_image(B2, col) for col in transpose(B1))
+def lattice_contained(B1: Matrix, B2: Matrix, form=None) -> bool:
+    """Whether the column lattice of B1 is contained in that of B2; B2 is
+    diagonalized once for all the columns of B1."""
+    B1 = as_int_matrix(B1)  # transpose would drop the tail of a long row
+    if len(B1) != len(B2):
+        raise _shape_error("lattice_contained", shape(B1), shape(B2))
+    form = form or smith_diagonalize(B2)
+    return all(solve_in_image(B2, col, form) for col in transpose(B1))
 
 
-def image_equals_kernel(A_in: Matrix, A_out: Matrix) -> dict:
+def image_equals_kernel(A_in: Matrix, A_out: Matrix, forms=None) -> dict:
     """Exactness at the middle node of A_in followed by A_out.
 
     Checks that the composition vanishes (image inside kernel) and that
@@ -148,9 +173,11 @@ def image_equals_kernel(A_in: Matrix, A_out: Matrix) -> dict:
     """
     A_in = as_int_matrix(A_in)
     A_out = as_int_matrix(A_out)
+    if shape(A_out)[1] != len(A_in):
+        raise _shape_error("image_equals_kernel", shape(A_in), shape(A_out))
+    form_in, form_out = forms or (smith_diagonalize(A_in), smith_diagonalize(A_out))
     comp_zero = not any(v for row in matmul(A_out, A_in) for v in row)
-    ker = kernel_basis(A_out)
-    ker_in_im = lattice_contained(ker, A_in)
+    ker_in_im = lattice_contained(kernel_basis(A_out, form_out), A_in, form_in)
     return {
         "composition_zero": comp_zero,
         "kernel_in_image": ker_in_im,

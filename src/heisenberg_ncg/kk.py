@@ -103,7 +103,7 @@ def _stated(name: str, rows, rows_of: AbelianGroupPresentation,
             cols_of: AbelianGroupPresentation) -> Matrix:
     """A stated matrix with one row per generator of ``rows_of`` and one
     column per generator of ``cols_of``; any other shape is a ValueError
-    naming it, since ``matmul`` zips rows and would silently truncate."""
+    naming it."""
     m = as_int_matrix(rows)
     if shape(m) != (rows_of.rank, cols_of.rank):
         raise ValueError(
@@ -175,12 +175,17 @@ class NodeReport(NamedTuple):
 
 
 def check_exactness(maps: list[IntegerMap]) -> list[NodeReport]:
-    """Exactness report at each node of a cyclically composed list of maps."""
+    """Exactness report at each node of a cyclically composed list of maps.
+
+    Each map is diagonalized once: its Smith form gives its kernel where it
+    leaves a node and membership in its image where it enters one.
+    """
     n = len(maps)
+    forms = [smith_diagonalize(m.matrix) for m in maps]
     reports = []
     for i in range(n):
-        incoming = maps[i]
-        outgoing = maps[(i + 1) % n]
+        j = (i + 1) % n
+        incoming, outgoing = maps[i], maps[j]
         if incoming.target != outgoing.source:
             raise ValueError(
                 f"maps do not chain at position {i}: "
@@ -190,7 +195,7 @@ def check_exactness(maps: list[IntegerMap]) -> list[NodeReport]:
             node=incoming.target.name,
             incoming=incoming.name,
             outgoing=outgoing.name,
-            **image_equals_kernel(incoming.matrix, outgoing.matrix),
+            **image_equals_kernel(incoming.matrix, outgoing.matrix, (forms[i], forms[j])),
         ))
     return reports
 

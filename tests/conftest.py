@@ -5,6 +5,7 @@ import pytest
 from hypothesis import seed, settings
 
 from heisenberg_ncg import acceptance as acc
+from heisenberg_ncg import integer_lattices, kk
 from heisenberg_ncg.algebra import AlgebraElement, GaussianRational
 
 # Every hypothesis suite draws its examples from HNC_SEED when it is set,
@@ -32,6 +33,21 @@ def same_terms(x: AlgebraElement, y: AlgebraElement) -> bool:
     """Equal elements whose terms also come in the same order, which fixes
     the order of float sums such as ``eval_at_angle``'s."""
     return list(x.terms.items()) == list(y.terms.items())
+
+
+def smith_calls(monkeypatch) -> list:
+    """The matrices passed to ``smith_diagonalize`` from here on, wherever
+    it was imported."""
+    calls = []
+    smith_diagonalize = integer_lattices.smith_diagonalize
+
+    def counting(A):
+        calls.append(A)
+        return smith_diagonalize(A)
+
+    for module in (integer_lattices, kk):
+        monkeypatch.setattr(module, "smith_diagonalize", counting)
+    return calls
 
 
 def no_work(*args, **kwargs):

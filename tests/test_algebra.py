@@ -298,7 +298,43 @@ def evaluated(x: AlgebraElement, theta: RationalAngle) -> np.ndarray:
     return np.array(eval_at_angle(x, theta))
 
 
+def fraction_route(x: AlgebraElement, theta: RationalAngle) -> list:
+    """The evaluation through each coefficient's ``GaussianRational`` and the
+    floats of its Fraction parts, kept as the reference for reading the
+    stored triples straight to floats."""
+    t, lam = theta.t, theta.lam
+    powers = [lam ** n for n in range(t)]
+    out = [[0j] * t for _ in range(t)]
+    for (p, q, r), c in x.terms.items():
+        c = complex(c.re, c.im)
+        for j in range(t):
+            out[(j + p) % t][j] += c * powers[(r + q * j) % t]
+    return out
+
+
 class TestEvaluation:
+    @pytest.mark.parametrize("t", [1, 2, 3, 5, 7])
+    def test_reads_coefficients_as_their_fractions_do(self, monkeypatch, t):
+        rng = np.random.default_rng(t)
+        xs = [random_element(rng, box=9, n_terms=6) for _ in range(20)]
+        # near the ends of the float range, and not exactly representable
+        xs += [AlgebraElement({(1, 2, 3): GaussianRational(Fraction(10**308, 3), Fraction(-1, 10**320)),
+                               (2, 0, 0): GaussianRational(Fraction(1, 7), Fraction(10**300, 9))})]
+        thetas = [RationalAngle.of(s, t) for s in range(t)]
+        want = [[fraction_route(x, theta) for theta in thetas] for x in xs]
+        monkeypatch.setattr(algebra, "_raw", no_work)  # no GaussianRational is built
+        assert [[eval_at_angle(x, theta) for theta in thetas] for x in xs] == want
+
+    def test_coefficient_past_the_float_range_overflows_as_its_fraction_does(self, monkeypatch):
+        x = AlgebraElement({(1, 0, 0): 1, (0, 1, 0): 10**400})
+        theta = RationalAngle.of(1, 3)
+        with pytest.raises(OverflowError):
+            fraction_route(x, theta)
+        monkeypatch.setattr(algebra, "_raw", no_work)
+        with pytest.raises(OverflowError, match=r"^the matrix has an entry outside the "
+                                                r"float64 range \(magnitude up to 1\.79769e\+308\)$"):
+            eval_at_angle(x, theta)
+
     def test_dimension_past_the_bound_refused_before_any_allocation(self, monkeypatch):
         assert len(eval_at_angle(U, RationalAngle.of(1, MAX_EVAL_DIMENSION))) == 256
         # reading the root of unity is the evaluation's first step
@@ -335,7 +371,7 @@ class TestEvaluation:
         for (p, q, r), c in x.terms.items():
             mat = (np.linalg.matrix_power(shift, p)
                    @ np.linalg.matrix_power(clock, q))
-            want += c.to_complex() * lam**r * mat
+            want += complex(c.re, c.im) * lam**r * mat
         assert np.max(np.abs(evaluated(x, theta) - want)) <= 1e-12
 
     def test_angle_is_an_immutable_reduced_fraction(self):

@@ -442,6 +442,22 @@ class TestDecomposition:
                         assert inner_coefficient(d, p, q, "a") == inner_coefficient(
                             d, p, q, "b")
 
+    def test_routes_read_one_column_of_the_inner_part(self, monkeypatch):
+        # each route reads only its one column of d, and gives that column
+        # of the x that decompose builds from all of them
+        rng = np.random.default_rng(20)
+        drawn = [random_consistent_derivation(rng, box=20, n_terms=n) for n in (3, 8, 20) * 3]
+        parts = [decompose(d).x for d in drawn]
+        monkeypatch.setattr(dv, "_columns", no_work)
+        for d, x in zip(drawn, parts):
+            a, b = route_columns(d)
+            for (p, q) in (a.keys() | b.keys() | {k[:2] for k in x.support()}) - {(0, 0)}:
+                want = {k[2]: c for k, c in x.terms.items() if k[:2] == (p, q)}
+                if q:
+                    assert inner_coefficient(d, p, q, "a") == want
+                if p:
+                    assert inner_coefficient(d, p, q, "b") == want
+
     def test_tall_column_is_linear_in_height(self):
         # the quotient walks the column's entries, not the heights below them
         for (p, q, h) in [(2, 3, 10**5), (2, 3, 10**9), (2, 3, -10**9), (-2, -3, -10**9)]:

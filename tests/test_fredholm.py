@@ -184,7 +184,7 @@ def svd_rank(m) -> int:
     above 1e-8."""
     if not m:
         return 0
-    return int(np.linalg.matrix_rank(np.array([[c.to_complex() for c in row] for row in m]),
+    return int(np.linalg.matrix_rank(np.array([[complex(c.re, c.im) for c in row] for row in m]),
                                      tol=1e-8))
 
 
@@ -332,7 +332,7 @@ def float_trace_formula(p):
     """-Tr(gamma pi(p) [F, pi(p)]^2) on C^2 (x) C^k in floats."""
     blocks = [[p]] if isinstance(p, AlgebraElement) else p
     k = len(blocks)
-    psi = np.array([[sum(c.to_complex() for c in e.terms.values()) for e in row]
+    psi = np.array([[sum(complex(c.re, c.im) for c in e.terms.values()) for e in row]
                     for row in blocks])
     pi_p = np.zeros((2 * k, 2 * k), dtype=complex)
     pi_p[:k, :k] = psi

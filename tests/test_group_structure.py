@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from heisenberg_ncg import group_structure
 from heisenberg_ncg.algebra import GroupElement, UnsupportedInput
 from heisenberg_ncg.group_structure import (
+    box_points,
     brute_force_centralizer,
     centralizer_membership,
     classify_element,
@@ -110,6 +111,13 @@ class TestCentralizers:
             assert np.array_equal(brute, closed), g.as_tuple()
         assert {"Case1", "Case2", "Case3", "Case4a", "Case4b"} <= cases
         assert time.time() - t0 < 30
+
+    def test_brute_force_runs_on_one_broadcast_box(self, monkeypatch):
+        # the mask is in box_points order, without building the box's points
+        g = GroupElement(2, -3, 5)
+        want = centralizer_membership(g, box_points(6))
+        monkeypatch.setattr(group_structure, "box_points", no_work)
+        assert np.array_equal(brute_force_centralizer(g, 6), want)
 
     def test_box_guard(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
-from conftest import seeded
+import pytest
+from conftest import seeded, smith_calls
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from heisenberg_ncg.integer_lattices import (
     image_equals_kernel,
     kernel_basis,
     lattice_contained,
+    matmul,
     smith_diagonalize,
     solve_in_image,
 )
@@ -189,3 +191,55 @@ class TestExactness:
         A_out = as_int_matrix([[0, 1]])
         res = image_equals_kernel(A_in, A_out)
         assert res["composition_zero"] and not res["kernel_in_image"]
+
+
+class TestShapes:
+    """Shapes that do not fit are refused, naming both, never truncated."""
+
+    def test_matmul(self):
+        with pytest.raises(ValueError, match=r"^matmul: shapes 1x3 and 2x1 do not fit$"):
+            matmul(((1, 2, 3),), ((1,), (1,)))
+        assert matmul(((1, 2),), ((1,), (1,))) == ((3,),)
+
+    def test_solve_in_image(self):
+        with pytest.raises(ValueError, match=r"^solve_in_image: shapes 2x2 and 3x1 do not fit$"):
+            solve_in_image(((1, 0), (0, 1)), (1, 2, 3))
+
+    def test_lattice_contained(self):
+        with pytest.raises(ValueError, match=r"^lattice_contained: shapes 3x1 and 2x2 do not fit$"):
+            lattice_contained(((1,), (2,), (3,)), ((1, 0), (0, 1)))
+        # a lattice with no generators lies in every lattice of its rank
+        assert lattice_contained(((),) * 2, ((2, 0), (0, 2)))
+
+    def test_image_equals_kernel(self):
+        # A_in is 2x1 and A_out 1x3: the outgoing map does not start where
+        # the incoming one ends
+        with pytest.raises(ValueError,
+                           match=r"^image_equals_kernel: shapes 2x1 and 1x3 do not fit$"):
+            image_equals_kernel(((1,), (0,)), ((0, 1, 0),))
+
+
+class TestOneSmithForm:
+    def test_lattice_contained_diagonalizes_once(self, monkeypatch):
+        calls = smith_calls(monkeypatch)
+        B2 = ((2, 0, 1), (0, 2, 1), (0, 0, 3))
+        assert lattice_contained(((2, 4, 6, 0), (0, 2, 4, 6), (0, 0, 0, 0)), B2)
+        assert calls == [B2]
+
+    @seeded(150)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=4),
+        st.integers(1, 4).flatmap(lambda k: st.lists(
+            st.lists(st.integers(-4, 4), min_size=k, max_size=k), min_size=n, max_size=n)))))
+    def test_exactness_from_given_forms(self, pair):
+        # the report read from the two Smith forms is the one that takes a
+        # kernel basis and then asks image membership column by column
+        A_out, A_in = (as_int_matrix(rows) for rows in pair)
+        ker = kernel_basis(A_out)
+        comp_zero = not (arr(A_out) @ arr(A_in)).any()
+        ker_in_im = all(solve_in_image(A_in, col) for col in zip(*ker))
+        want = {"composition_zero": comp_zero, "kernel_in_image": ker_in_im,
+                "exact": comp_zero and ker_in_im}
+        forms = smith_diagonalize(A_in), smith_diagonalize(A_out)
+        assert image_equals_kernel(A_in, A_out) == want
+        assert image_equals_kernel(A_in, A_out, forms) == want

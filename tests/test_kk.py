@@ -1,6 +1,7 @@
 import pytest
+from conftest import smith_calls
 
-from heisenberg_ncg.acceptance import KTHEORY_REPRESENTATIVES
+from heisenberg_ncg.acceptance import KTHEORY_REPRESENTATIVES, criterion_8_exactness
 from heisenberg_ncg.algebra import W
 from heisenberg_ncg.fredholm import even_pairing_trace, odd_cocycle_pairing, odd_pairing
 from heisenberg_ncg.kk import (
@@ -70,6 +71,23 @@ class TestMutations:
         # only the mutated map's source and target can lose exactness
         assert set(failed) <= {seq[index].source.name, seq[index].target.name}
 
+    @pytest.mark.parametrize("builder", [pv_ktheory_sequence, khomology_sequence])
+    @pytest.mark.parametrize("index", [None, *range(6)])
+    def test_each_map_is_diagonalized_once(self, monkeypatch, builder, index):
+        # one Smith form per map gives both its kernel and its image
+        seq = builder()
+        if index is not None:
+            seq[index] = seq[index].mutated(0, 0)
+        calls = smith_calls(monkeypatch)
+        check_exactness(seq)
+        assert calls == [m.matrix for m in seq]
+
+    def test_criterion_8_diagonalizes_each_map_instance_once(self, monkeypatch):
+        # 2 hexagons and 12 mutants of 6 maps each
+        calls = smith_calls(monkeypatch)
+        assert criterion_8_exactness()["passed"]
+        assert len(calls) == 84
+
     def test_maps_are_immutable_and_compare_with_provenance(self):
         m = pv_ktheory_sequence()[0]
         with pytest.raises(AttributeError):
@@ -82,7 +100,7 @@ class TestMutations:
         assert m.mutated(0, 0) != m
 
     def test_builder_refuses_a_mis_shaped_matrix(self):
-        # matmul zips rows, so a short matrix would be silently truncated
+        # a matrix must match the ranks of its groups, not merely chain
         with pytest.raises(ValueError, match=r"^short: matrix shape \(1, 2\) does not match 3x2$"):
             _map("short", K0_T2, K0_H3, [[1, 0]])
 

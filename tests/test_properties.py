@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 from heisenberg_ncg.algebra import (
     AlgebraElement,
     GaussianRational,
+    RationalAngle,
     apply_automorphism,
     element_from_dict,
     element_to_dict,
+    eval_at_angle,
 )
 from heisenberg_ncg.derivations import apply, canonical_derivation, decompose, inner_derivation
 
@@ -113,7 +115,9 @@ def test_re_im_round_trip(x):
 @PROPERTY
 @given(x=pairs)
 def test_to_complex_gives_the_fraction_floats(x):
-    z = GaussianRational(*x).to_complex()
+    # the one conversion of a coefficient to floats: at t = 1, eval_at_angle
+    # reads the coefficient of 1 as its 1 x 1 matrix
+    [[z]] = eval_at_angle(AlgebraElement({(0, 0, 0): GaussianRational(*x)}), RationalAngle.of(0, 1))
     want = complex(x[0]) + 1j * complex(x[1])
     assert (z.real.hex(), z.imag.hex()) == (want.real.hex(), want.imag.hex())
 

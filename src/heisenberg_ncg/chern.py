@@ -32,7 +32,11 @@ which is gapped away from mass in {-2, 0, 2} and has unit Chern class for
   [u, F0* u].  D is Hermitian, so the top order is read as the quadratic
   form <u, D u>, which by Parseval needs the forward transform only: one
   pass of n+1 powers and one forward transform yields the traces at n and
-  n+1.
+  n+1.  The probe batches are independent: they run on worker threads
+  (the FFTs and array arithmetic release the interpreter lock), each
+  worker with its own padded buffer, and their partial traces are summed
+  in batch order, the order of a serial loop, so the traces are the same
+  to the bit for any number of workers.
 
 Orientation: the global sign convention is calibrated once so that the
 mass = +1 field has lattice Chern number +1 and the Dirac pairing agrees
@@ -40,6 +44,9 @@ with it.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -54,8 +61,10 @@ DIRAC_SIGN = 1
 # for `hnc chern --grid G`, so about 1 GB at the largest.
 MIN_GRID = 8
 MAX_GRID = 2048
-# Largest Dirac truncation N: ~2.1 kB resident per point of its (<= 3N)^2
-# FFT grid, measured as `hnc chern --dirac` peak RSS.
+# Largest Dirac truncation N.  `hnc chern --dirac` peaks at ~2.1 kB
+# resident per point of its (<= 3N)^2 FFT grid with one probe worker, and
+# ~1.2 kB more per further worker: at N = 128 (L = 288), 172 MB with one
+# and 267-275 MB with two, so ~470 MB at _MAX_WORKERS.
 MAX_TRUNCATION = 128
 # The Dirac certificate's runs must agree within this of a common integer.
 CONVERGENCE_TOL = 0.1
@@ -158,13 +167,25 @@ def lattice_chern(field: ProjectorField) -> int:
 
 
 # Probes per batch.  Each step of D transforms the stacked batch of twice
-# as many in a (8, 2, L, L) complex buffer: 1 MB at truncation 24 with the
-# benchmark's tail (L = 63), inside the 2 MB per-core L2 cache of the
-# 2-vCPU Xeon it was tuned on.  A sweep of 2 to 16 found 2 to 6 fastest at
-# truncation 24, and no size faster beyond the noise at 48 and 64.  One
-# pairing at truncation 48 peaks at 75 MB resident, and
-# `hnc chern --grid 64 --dirac --truncation 128` at 172 MB.
+# as many in a worker's (8, 2, L, L) complex buffer: 1 MB at truncation 24
+# with the benchmark's tail (L = 63), inside the 2 MB per-core L2 cache of
+# the 2-vCPU Xeon it was tuned on, and 21 MB at truncation 128 (L = 288).
+# A sweep of 2 to 16 found 2 to 6 fastest at truncation 24, and no size
+# faster beyond the noise at 48 and 64.
 _PROBE_CHUNK = 4
+# Most workers of one graded_traces call.  Each holds its own buffer and
+# the temporaries of one batch, so this bounds the memory that threads add.
+_MAX_WORKERS = 4
+
+
+def _worker_count(batches: int) -> int:
+    """Workers for ``batches`` probe batches: the CPUs this process may run
+    on, but no more than the batches or ``_MAX_WORKERS``, and at least 1."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, batches, _MAX_WORKERS))
 
 
 class _DiracEngine:
@@ -173,9 +194,11 @@ class _DiracEngine:
     A batch of vectors on the window is an array of shape (b, 2, w, w):
     batch, orbital, then the lattice coordinates m, n in [-N, N].  The
     coefficients are the centred block array of ``fourier_coefficients``.
-    The transforms run in place in one zero-padded (2b, 2, L, L) buffer,
-    kept for the engine's life and grown only for a larger batch; only the
-    last inverse transform writes a new array.
+    The transforms run in place in a zero-padded (2b, 2, L, L) buffer, one
+    per thread, kept for the thread's life and grown only for a larger
+    batch; only the last inverse transform writes a new array.  The symbol
+    and the phases F0 are only read after construction, so threads share
+    them.
     """
 
     def __init__(self, coeffs: np.ndarray, truncation: int):
@@ -200,11 +223,12 @@ class _DiracEngine:
         z = m[:, None] + 1j * m[None, :]
         mag = np.abs(z)
         self.f0 = np.where(z == 0, 1.0 + 0j, z / np.where(mag == 0, 1.0, mag))
-        self._buffer = np.empty((0, 2, L, L), dtype=complex)
+        self._local = threading.local()
 
     def _forward(self, u: np.ndarray) -> np.ndarray:
         """The 2-D DFT of the zero-padded stacked batch [u, F0* u], for u
-        of shape (b, 2, w, w): shape (2b, 2, L, L), in the engine's buffer.
+        of shape (b, 2, w, w): shape (2b, 2, L, L), in the calling thread's
+        buffer.
 
         The batch is written straight into the window block of the buffer,
         whose padding is zeroed.  The transform is pruned: the last axis is
@@ -215,9 +239,10 @@ class _DiracEngine:
         """
         import scipy.fft as sfft
         L, w, b = self.L, self.w, len(u)
-        if len(self._buffer) < 2 * b:
-            self._buffer = np.empty((2 * b, 2, L, L), dtype=complex)
-        h = self._buffer[: 2 * b]
+        h = getattr(self._local, "buffer", None)
+        if h is None or len(h) < 2 * b:
+            h = self._local.buffer = np.empty((2 * b, 2, L, L), dtype=complex)
+        h = h[: 2 * b]
         h[:, :, w:] = 0
         h[:, :, :w, w:] = 0
         h[:b, :, :w, :w] = u
@@ -268,47 +293,85 @@ class _DiracEngine:
                 + s[0, 1] * n01 + s[1, 0] * n01.conj())
         return float(form.real.sum()) / self.L**2
 
-    def _probe_chunks(self, spacing: int):
-        """Comb probes, one per (sublattice offset, orbital), in batches.
+    def _probe_chunks(self, spacing: int) -> list[list[tuple[int, int, int]]]:
+        """Comb probes, one per (sublattice offset, orbital), as (sx, sy,
+        orbital), in batches of ``_PROBE_CHUNK``.
 
         Offsets from the window size w on hold no window point, so a
         spacing over w runs the w^2 nonzero combs only.
         """
-        w = self.w
-        offsets = range(min(spacing, w))
+        offsets = range(min(spacing, self.w))
         combs = [(sx, sy, orb) for sx in offsets for sy in offsets for orb in range(2)]
-        for lo in range(0, len(combs), _PROBE_CHUNK):
-            part = combs[lo : lo + _PROBE_CHUNK]
-            probes = np.zeros((len(part), 2, w, w), dtype=complex)
-            for i, (sx, sy, orb) in enumerate(part):
-                probes[i, orb, sx::spacing, sy::spacing] = 1.0
-            yield probes
+        return [combs[lo : lo + _PROBE_CHUNK] for lo in range(0, len(combs), _PROBE_CHUNK)]
+
+    def _batch_traces(self, combs, spacing: int, orders) -> dict[int, float]:
+        """The sum over the probes of one batch of <v, D^(2n+1) v>, for each
+        n in ``orders``, from max(orders) steps of D and one quadratic form.
+
+        Each step is one ``apply_p``.  D is Hermitian, so each diagonal
+        entry is read as <D^n v, D^(n+1) v>: below the top order from the
+        step that makes D^(n+1) v, and at the top order as the
+        ``quadratic_form`` of D^n v, which needs no inverse transform.  Only
+        the current power and the next are held.
+        """
+        w, f, top = self.w, self.f0, max(orders)
+        b = len(combs)
+        u = np.zeros((b, 2, w, w), dtype=complex)
+        for i, (sx, sy, orb) in enumerate(combs):
+            u[i, orb, sx::spacing, sy::spacing] = 1.0
+        partials = {}
+        for n in range(top):
+            pu = self.apply_p(u)
+            du = pu[:b] - f * pu[b:]
+            if n in orders:
+                # an elementwise sum, not np.vdot: the BLAS dot product
+                # runs threaded and doubles CPU time for no wall time
+                partials[n] = float((u.conj() * du).sum().real)
+            u = du
+        partials[top] = self.quadratic_form(u)
+        return partials
 
     def graded_traces(self, orders, spacing: int) -> list[float]:
         """Tr(D^(2n+1)) with D = P - F0 P F0* over the window by comb
-        probing, for each n in ``orders``, from one pass of max(orders)
-        steps of D and one quadratic form.
+        probing, for each n in ``orders``: ``_batch_traces`` summed over
+        the probe batches.
 
-        Each step is one ``apply_p``.  D is Hermitian, so each probe's
-        diagonal entry <v, D^(2n+1) v> is read as <D^n v, D^(n+1) v>: below
-        the top order from the step that makes D^(n+1) v, and at the top
-        order as the ``quadratic_form`` of D^n v, which needs no inverse
-        transform.  Only the current power and the next are held.
+        Batch i runs on worker i mod k, for k = ``_worker_count``: worker 0
+        is the calling thread, the others are threads that live only for
+        this call.  The partials are added in batch order once every batch
+        is done, the additions a serial loop makes, so the traces do not
+        depend on k.  An error in any batch stops the other workers before
+        their next batch and is raised here, once every worker has stopped.
         """
-        f = self.f0
-        top = max(orders)
+        batches = self._probe_chunks(spacing)
+        k = _worker_count(len(batches))
+        partials = [None] * len(batches)
+        failed = threading.Event()
+
+        def work(first: int) -> None:
+            try:
+                for i in range(first, len(batches), k):
+                    if failed.is_set():
+                        return
+                    partials[i] = self._batch_traces(batches[i], spacing, orders)
+            except BaseException:  # also an interrupt of the calling thread
+                failed.set()
+                raise
+
+        if k == 1:
+            work(0)
+        else:
+            # imported here: scipy.fft has loaded it, and at module level
+            # it would add ~6 ms to every `hnc chern` without --dirac
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(k - 1) as pool:
+                rest = pool.map(work, range(1, k))
+                work(0)
+                list(rest)  # raises a worker's error
         totals = dict.fromkeys(orders, 0.0)
-        for probes in self._probe_chunks(spacing):
-            b, u = len(probes), probes
-            for n in range(top):
-                pu = self.apply_p(u)
-                du = pu[:b] - f * pu[b:]
-                if n in totals:
-                    # an elementwise sum, not np.vdot: the BLAS dot product
-                    # runs threaded and doubles CPU time for no wall time
-                    totals[n] += float((u.conj() * du).sum().real)
-                u = du
-            totals[top] += self.quadratic_form(u)
+        for part in partials:
+            for n in totals:
+                totals[n] += part[n]
         return [totals[n] for n in orders]
 
 

@@ -15,7 +15,8 @@ truncation: ``matmul`` needs as many columns in A as rows in B,
 ``solve_in_image`` a vector with one entry per row of A,
 ``lattice_contained`` two matrices with the same number of rows, and
 ``image_equals_kernel`` maps that chain (as many columns in the outgoing
-map as rows in the incoming one).
+map as rows in the incoming one).  ``transpose`` and ``matmul`` also refuse
+a matrix whose rows differ in length, naming the shortest and the longest.
 """
 
 from __future__ import annotations
@@ -40,8 +41,18 @@ def shape(A: Matrix) -> tuple[int, int]:
     return len(A), len(A[0]) if A else 0
 
 
+def _check_rows(what: str, A) -> None:
+    """Raise ValueError unless the rows of A have one length: ``zip`` would
+    stop at the shortest and drop the other columns' tails."""
+    lengths = {len(row) for row in A}
+    if len(lengths) > 1:
+        raise ValueError(f"{what}: rows of lengths {min(lengths)} and {max(lengths)} "
+                         "do not fit")
+
+
 def transpose(A: Matrix) -> Matrix:
     """A's columns as rows; an m x 0 matrix has no columns and becomes ()."""
+    _check_rows("transpose", A)
     return tuple(zip(*A))
 
 
@@ -50,6 +61,8 @@ def _shape_error(what: str, A, B) -> ValueError:
 
 
 def matmul(A: Matrix, B: Matrix) -> Matrix:
+    _check_rows("matmul", A)
+    _check_rows("matmul", B)
     if shape(A)[1] != len(B):
         raise _shape_error("matmul", shape(A), shape(B))
     cols = transpose(B)

@@ -1,6 +1,8 @@
+import itertools
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -203,20 +205,32 @@ class TestDiracPairing:
     def test_one_pass_applies_p_once_per_power(self, monkeypatch, n):
         # orders (n, n + 1) read D^k v up to k = n + 1: n + 1 applications
         # of P, each on one stacked batch, then one forward-only quadratic
-        # form, per probe batch
+        # form, per probe batch.  Batches on different workers interleave,
+        # so the calls are read per thread, split where each batch starts;
+        # three workers run whatever the CPU count.
         coeffs, K = fourier_coefficients(bott_projector(64, 1.0), tail=1e-5)
         engine = _DiracEngine(coeffs, 22)
-        calls = []
-        for name in ("apply_p", "quadratic_form"):
-            def counting(u, name=name, method=getattr(engine, name)):
-                calls.append((name, len(u)))
-                return method(u)
+        monkeypatch.setattr(chern, "_worker_count", lambda batches: 3)
+        calls = {}
+        for name in ("_batch_traces", "apply_p", "quadratic_form"):
+            def counting(u, *rest, name=name, method=getattr(engine, name)):
+                seen = tuple(u) if name == "_batch_traces" else len(u)
+                calls.setdefault(threading.get_ident(), []).append((name, seen))
+                return method(u, *rest)
 
             monkeypatch.setattr(engine, name, counting)
         engine.graded_traces((n, n + 1), spacing=6)
-        batches = [len(b) for b in engine._probe_chunks(6)]
-        assert calls == [call for b in batches
-                         for call in [("apply_p", b)] * (n + 1) + [("quadratic_form", b)]]
+        assert len(calls) == 3
+        ran = []
+        for seq in calls.values():
+            while seq:
+                (mark, combs), seq = seq[0], seq[1:]
+                assert mark == "_batch_traces"
+                b = len(combs)
+                assert seq[: n + 2] == [("apply_p", b)] * (n + 1) + [("quadratic_form", b)]
+                seq = seq[n + 2 :]
+                ran.append(combs)
+        assert sorted(ran) == sorted(map(tuple, engine._probe_chunks(6)))
 
     @pytest.mark.parametrize("truncation, b", [(10, 3), (22, 5)])
     def test_quadratic_form_is_the_inner_product_through_apply_p(self, truncation, b):
@@ -240,6 +254,97 @@ class TestDiracPairing:
         assert sum(len(b) for b in engine._probe_chunks(w + 5)) == 2 * w**2
         assert engine.graded_traces((1, 2), spacing=w + 5) == engine.graded_traces(
             (1, 2), spacing=w)
+
+    @pytest.mark.parametrize("truncation, spacing", [(22, 6), (17, 2)])
+    def test_traces_do_not_depend_on_the_worker_count(self, monkeypatch, truncation, spacing):
+        # the partials are summed in batch order, so every count gives the
+        # floats of a serial loop over the batches; six workers on a short
+        # switch interval stress the per-thread buffers
+        coeffs, K = fourier_coefficients(bott_projector(64, 1.0), tail=1e-5)
+        engine = _DiracEngine(coeffs, truncation)
+        traces = {}
+        interval = sys.getswitchinterval()
+        for k in (1, 2, 3, 6):
+            monkeypatch.setattr(chern, "_worker_count", lambda batches, k=k: k)
+            try:
+                sys.setswitchinterval(1e-6 if k == 6 else interval)
+                traces[k] = engine.graded_traces((2, 3), spacing)
+            finally:
+                sys.setswitchinterval(interval)
+        serial = dict.fromkeys((2, 3), 0.0)
+        for combs in engine._probe_chunks(spacing):
+            part = engine._batch_traces(combs, spacing, (2, 3))
+            for n in serial:
+                serial[n] += part[n]
+        assert all(t == [serial[2], serial[3]] for t in traces.values())
+
+    def test_pairing_does_not_depend_on_the_worker_count(self, monkeypatch):
+        field = bott_projector(64, 1.0)
+        results = []
+        for k in (1, 2, 3):
+            monkeypatch.setattr(chern, "_worker_count", lambda batches, k=k: k)
+            results.append(dirac_even_pairing(field, truncation=24, tail=1e-5,
+                                              probe_spacing=6))
+        assert results[0]["value"] == 1
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_no_thread_outlives_a_pairing(self, monkeypatch):
+        # the pool lives for one graded_traces call, also when a batch on
+        # any worker raises; that error reaches the caller
+        class Late(Exception):
+            pass
+
+        field = bott_projector(64, 1.0)
+        monkeypatch.setattr(chern, "_worker_count", lambda batches: 3)
+        before = threading.active_count()
+        dirac_even_pairing(field, truncation=24, tail=1e-5, probe_spacing=6)
+        assert threading.active_count() == before
+        applied = itertools.count()
+        apply_p = _DiracEngine.apply_p
+
+        def failing(self, u):
+            # three applications per batch at n_commutators 4: the tenth
+            # is in the fourth batch or later
+            if next(applied) == 9:
+                raise Late
+            return apply_p(self, u)
+
+        monkeypatch.setattr(_DiracEngine, "apply_p", failing)
+        with pytest.raises(Late):
+            dirac_even_pairing(field, truncation=24, tail=1e-5, probe_spacing=6)
+        assert threading.active_count() == before
+
+    def test_an_error_stops_the_other_workers(self, monkeypatch):
+        # the calling thread fails on its first batch; the other worker
+        # finishes the batch it is on and starts few further ones, where
+        # without the stop it would run all its half of the batches
+        coeffs, K = fourier_coefficients(bott_projector(64, 1.0), tail=1e-5)
+        engine = _DiracEngine(coeffs, 22)
+        monkeypatch.setattr(chern, "_worker_count", lambda batches: 2)
+        caller, ran = threading.get_ident(), []
+        batch_traces = engine._batch_traces
+
+        def failing(combs, *rest):
+            ran.append(combs)
+            if threading.get_ident() == caller:
+                raise KeyboardInterrupt
+            return batch_traces(combs, *rest)
+
+        monkeypatch.setattr(engine, "_batch_traces", failing)
+        with pytest.raises(KeyboardInterrupt):
+            engine.graded_traces((2, 3), spacing=6)
+        assert len(ran) < 1 + len(engine._probe_chunks(6)) // 2
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        # on 64 CPUs a call takes _MAX_WORKERS workers, or one per batch
+        # when there are fewer; working that out starts no thread
+        monkeypatch.setattr(threading.Thread, "start", no_work)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert chern._worker_count(18) == chern._MAX_WORKERS < 64
+        assert chern._worker_count(2) == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert chern._worker_count(18) == chern._MAX_WORKERS
 
     def test_constant_field_pairs_to_zero(self):
         # a constant field commutes with the phase operator, so D vanishes

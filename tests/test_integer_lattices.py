@@ -13,6 +13,7 @@ from heisenberg_ncg.integer_lattices import (
     matmul,
     smith_diagonalize,
     solve_in_image,
+    transpose,
 )
 
 
@@ -200,6 +201,19 @@ class TestShapes:
         with pytest.raises(ValueError, match=r"^matmul: shapes 1x3 and 2x1 do not fit$"):
             matmul(((1, 2, 3),), ((1,), (1,)))
         assert matmul(((1, 2),), ((1,), (1,))) == ((3,),)
+
+    @pytest.mark.parametrize("A, B", [(((1, 2),), ((1, 2), (3,))),
+                                      (((1, 2), (3,)), ((1,), (2,)))])
+    def test_matmul_refuses_ragged_rows(self, A, B):
+        # zip would stop at the short row and drop a column's tail
+        with pytest.raises(ValueError, match=r"^matmul: rows of lengths 1 and 2 do not fit$"):
+            matmul(A, B)
+
+    def test_transpose_refuses_ragged_rows(self):
+        with pytest.raises(ValueError, match=r"^transpose: rows of lengths 1 and 3 do not fit$"):
+            transpose(((1, 2, 3), (4,)))
+        assert transpose(((1, 2), (3, 4))) == ((1, 3), (2, 4))
+        assert transpose(((), ())) == ()
 
     def test_solve_in_image(self):
         with pytest.raises(ValueError, match=r"^solve_in_image: shapes 2x2 and 3x1 do not fit$"):

@@ -27,16 +27,17 @@ which is gapped away from mass in {-2, 0, 2} and has unit Chern class for
   coefficients.  P is applied via zero-padded FFT convolution: its symbol
   is built by one 2-D FFT of the coefficient blocks, the 2x2 symbol
   multiply is done in place, and the transforms are pruned 1-D FFTs that
-  skip the padding rows, in place in one preallocated zero-padded buffer.
-  Each power of D costs one application of P to the stacked batch
+  skip the padding rows, all in place in one preallocated zero-padded
+  buffer.  Each power of D costs one application of P to the stacked batch
   [u, F0* u].  D is Hermitian, so the top order is read as the quadratic
   form <u, D u>, which by Parseval needs the forward transform only: one
   pass of n+1 powers and one forward transform yields the traces at n and
-  n+1.  The probe batches are independent: they run on worker threads
-  (the FFTs and array arithmetic release the interpreter lock), each
-  worker with its own padded buffer, and their partial traces are summed
-  in batch order, the order of a serial loop, so the traces are the same
-  to the bit for any number of workers.
+  n+1.  The probe batches are independent: ``graded_traces`` puts those of
+  both certificate windows in one list, which worker threads drain (the
+  FFTs and array arithmetic release the interpreter lock), each worker
+  with its own padded buffer.  The partial traces are summed per window in
+  batch order, the order of a serial loop, so the traces are the same to
+  the bit for any number of workers.
 
 Orientation: the global sign convention is calibrated once so that the
 mass = +1 field has lattice Chern number +1 and the Dirac pairing agrees
@@ -61,10 +62,10 @@ DIRAC_SIGN = 1
 # for `hnc chern --grid G`, so about 1 GB at the largest.
 MIN_GRID = 8
 MAX_GRID = 2048
-# Largest Dirac truncation N.  `hnc chern --dirac` peaks at ~2.1 kB
+# Largest Dirac truncation N.  `hnc chern --dirac` peaks at ~1.5 kB
 # resident per point of its (<= 3N)^2 FFT grid with one probe worker, and
-# ~1.2 kB more per further worker: at N = 128 (L = 288), 172 MB with one
-# and 267-275 MB with two, so ~470 MB at _MAX_WORKERS.
+# ~0.8 kB more per further worker: at N = 128 (L = 288), 128 MB with one
+# and 191 MB with two, so ~320 MB at _MAX_WORKERS.
 MAX_TRUNCATION = 128
 # The Dirac certificate's runs must agree within this of a common integer.
 CONVERGENCE_TOL = 0.1
@@ -146,9 +147,17 @@ def fourier_coefficients(
 
 
 def lattice_chern(field: ProjectorField) -> int:
-    """Chern number by plaquette products of band eigenvector overlaps."""
-    w, vecs = np.linalg.eigh(field.samples)
-    band = vecs[..., :, 1]  # eigenvector of eigenvalue 1
+    """Chern number by plaquette products of band-vector overlaps.
+
+    A rank-1 sample P = psi psi* has columns psi conj(psi_j).  The column
+    whose diagonal entry |psi_j|^2 is the larger (at least about 1/2),
+    divided by the square root of that entry, is psi up to a phase, and
+    plaquette products do not depend on the phase: no eigensolver runs.
+    """
+    p = field.samples
+    diag = np.einsum("ijaa->ija", p).real
+    first = (diag[..., 0] >= diag[..., 1])[..., None]
+    band = np.where(first, p[..., 0], p[..., 1]) / np.sqrt(diag.max(axis=-1))[..., None]
     lx = np.einsum("ijk,ijk->ij", band.conj(), np.roll(band, -1, axis=0))
     ly = np.einsum("ijk,ijk->ij", band.conj(), np.roll(band, -1, axis=1))
     plaq = (
@@ -167,14 +176,16 @@ def lattice_chern(field: ProjectorField) -> int:
 
 
 # Probes per batch.  Each step of D transforms the stacked batch of twice
-# as many in a worker's (8, 2, L, L) complex buffer: 1 MB at truncation 24
-# with the benchmark's tail (L = 63), inside the 2 MB per-core L2 cache of
-# the 2-vCPU Xeon it was tuned on, and 21 MB at truncation 128 (L = 288).
+# as many in an (8, 2, L, L) view of a worker's complex buffer: 1 MB at
+# truncation 24 with the benchmark's tail (L = 63), inside the 2 MB
+# per-core L2 cache of the 2-vCPU Xeon it was tuned on, and 21 MB at
+# truncation 128 (L = 288).
 # A sweep of 2 to 16 found 2 to 6 fastest at truncation 24, and no size
 # faster beyond the noise at 48 and 64.
 _PROBE_CHUNK = 4
-# Most workers of one graded_traces call.  Each holds its own buffer and
-# the temporaries of one batch, so this bounds the memory that threads add.
+# Most workers of one graded_traces call.  Each holds one buffer, sized
+# for the widest run, and the temporaries of one batch, so this bounds the
+# memory that threads add.
 _MAX_WORKERS = 4
 
 
@@ -194,11 +205,10 @@ class _DiracEngine:
     A batch of vectors on the window is an array of shape (b, 2, w, w):
     batch, orbital, then the lattice coordinates m, n in [-N, N].  The
     coefficients are the centred block array of ``fourier_coefficients``.
-    The transforms run in place in a zero-padded (2b, 2, L, L) buffer, one
-    per thread, kept for the thread's life and grown only for a larger
-    batch; only the last inverse transform writes a new array.  The symbol
-    and the phases F0 are only read after construction, so threads share
-    them.
+    Every transform runs in place in a zero-padded (2b, 2, L, L) view of
+    the caller's flat complex buffer of at least 4 b L^2 entries, and the
+    symbol is built in place in its own grid.  The symbol and the phases F0
+    are only read after construction, so threads share them.
     """
 
     def __init__(self, coeffs: np.ndarray, truncation: int):
@@ -218,19 +228,18 @@ class _DiracEngine:
         at = np.arange(-K, K + 1) % L
         grid = np.zeros((2, 2, L, L), dtype=complex)
         grid[:, :, at[:, None], at] = coeffs.transpose(2, 3, 0, 1)
-        self.symbol = sfft.fft2(grid)
+        self.symbol = sfft.fft2(grid, overwrite_x=True)
         m = np.arange(-truncation, truncation + 1)
         z = m[:, None] + 1j * m[None, :]
         mag = np.abs(z)
         self.f0 = np.where(z == 0, 1.0 + 0j, z / np.where(mag == 0, 1.0, mag))
-        self._local = threading.local()
 
-    def _forward(self, u: np.ndarray) -> np.ndarray:
+    def _forward(self, u: np.ndarray, buffer: np.ndarray) -> np.ndarray:
         """The 2-D DFT of the zero-padded stacked batch [u, F0* u], for u
-        of shape (b, 2, w, w): shape (2b, 2, L, L), in the calling thread's
-        buffer.
+        of shape (b, 2, w, w): shape (2b, 2, L, L), a view of the leading
+        4 b L^2 entries of the flat ``buffer``.
 
-        The batch is written straight into the window block of the buffer,
+        The batch is written straight into the window block of the view,
         whose padding is zeroed.  The transform is pruned: the last axis is
         transformed on the w live rows only, then the other axis on all L.
         Both run in place.  They are ``fft2`` calls with a one-element
@@ -239,10 +248,7 @@ class _DiracEngine:
         """
         import scipy.fft as sfft
         L, w, b = self.L, self.w, len(u)
-        h = getattr(self._local, "buffer", None)
-        if h is None or len(h) < 2 * b:
-            h = self._local.buffer = np.empty((2 * b, 2, L, L), dtype=complex)
-        h = h[: 2 * b]
+        h = buffer[: 4 * b * L * L].reshape(2 * b, 2, L, L)
         h[:, :, w:] = 0
         h[:, :, :w, w:] = 0
         h[:b, :, :w, :w] = u
@@ -252,16 +258,18 @@ class _DiracEngine:
         sfft.fft2(h[:, :, :w], axes=(-1,), overwrite_x=True)
         return sfft.fft2(h, axes=(-2,), overwrite_x=True)
 
-    def apply_p(self, u: np.ndarray) -> np.ndarray:
+    def apply_p(self, u: np.ndarray, buffer: np.ndarray) -> np.ndarray:
         """P [u, F0* u] by zero-padded FFT convolution, for u of shape
         (b, 2, w, w): shape (2b, 2, w, w).
 
         The 2x2 symbol multiply runs in place on ``_forward``'s transform,
         and the inverse pass crops to w rows before its second transform.
+        Both inverse transforms run in place too, so the result is a view
+        of ``buffer``, valid until the buffer's next use.
         """
         import scipy.fft as sfft
         w = self.w
-        h = self._forward(u)
+        h = self._forward(u, buffer)
         s = self.symbol
         h0, h1 = h[:, 0], h[:, 1]
         t = h1 * s[0, 1]
@@ -270,22 +278,25 @@ class _DiracEngine:
         h0 *= s[0, 0]
         h0 += t
         h = sfft.ifft2(h, axes=(-2,), overwrite_x=True)[:, :, :w]
-        return sfft.ifft2(h, axes=(-1,))[..., :w]
+        return sfft.ifft2(h, axes=(-1,), overwrite_x=True)[..., :w]
 
-    def quadratic_form(self, u: np.ndarray) -> float:
+    def quadratic_form(self, u: np.ndarray, buffer: np.ndarray) -> float:
         """The sum over the batch u of <u, D u>, from ``_forward`` alone.
 
         <u, D u> = <u, P u> - <F0* u, P F0* u>, and by Parseval each term
         is sum_k X(k)* S(k) X(k) / L^2, for X the transform of the padded
-        vector and S the symbol: no inverse transform is needed.
+        vector and S the symbol: no inverse transform is needed.  Each gram
+        conjugates one orbital of X into one scratch array, half the size
+        of X, and multiplies there in place.
         """
         b = len(u)
-        x = self._forward(u)
-        xc = x.conj()
+        x = self._forward(u, buffer)
+        scratch = np.empty_like(x[:, 0])
 
         def gram(a: int, c: int) -> np.ndarray:
             # conj(X_a) X_c summed over the rows of u minus those of F0* u
-            g = xc[:, a] * x[:, c]
+            g = np.conjugate(x[:, a], out=scratch)
+            g *= x[:, c]
             return g[:b].sum(0) - g[b:].sum(0)
 
         s, n01 = self.symbol, gram(0, 1)
@@ -304,9 +315,10 @@ class _DiracEngine:
         combs = [(sx, sy, orb) for sx in offsets for sy in offsets for orb in range(2)]
         return [combs[lo : lo + _PROBE_CHUNK] for lo in range(0, len(combs), _PROBE_CHUNK)]
 
-    def _batch_traces(self, combs, spacing: int, orders) -> dict[int, float]:
+    def _batch_traces(self, combs, spacing: int, orders, buffer: np.ndarray) -> dict[int, float]:
         """The sum over the probes of one batch of <v, D^(2n+1) v>, for each
-        n in ``orders``, from max(orders) steps of D and one quadratic form.
+        n in ``orders``, from max(orders) steps of D and one quadratic form,
+        all transforming in ``buffer``.
 
         Each step is one ``apply_p``.  D is Hermitian, so each diagonal
         entry is read as <D^n v, D^(n+1) v>: below the top order from the
@@ -321,58 +333,81 @@ class _DiracEngine:
             u[i, orb, sx::spacing, sy::spacing] = 1.0
         partials = {}
         for n in range(top):
-            pu = self.apply_p(u)
-            du = pu[:b] - f * pu[b:]
+            pu = self.apply_p(u, buffer)
+            # F0 P F0* u in place over P F0* u: one temporary fewer
+            du = pu[:b] - np.multiply(f, pu[b:], out=pu[b:])
             if n in orders:
                 # an elementwise sum, not np.vdot: the BLAS dot product
                 # runs threaded and doubles CPU time for no wall time
                 partials[n] = float((u.conj() * du).sum().real)
             u = du
-        partials[top] = self.quadratic_form(u)
+        partials[top] = self.quadratic_form(u, buffer)
         return partials
 
-    def graded_traces(self, orders, spacing: int) -> list[float]:
-        """Tr(D^(2n+1)) with D = P - F0 P F0* over the window by comb
-        probing, for each n in ``orders``: ``_batch_traces`` summed over
-        the probe batches.
 
-        Batch i runs on worker i mod k, for k = ``_worker_count``: worker 0
-        is the calling thread, the others are threads that live only for
-        this call.  The partials are added in batch order once every batch
-        is done, the additions a serial loop makes, so the traces do not
-        depend on k.  An error in any batch stops the other workers before
-        their next batch and is raised here, once every worker has stopped.
-        """
-        batches = self._probe_chunks(spacing)
-        k = _worker_count(len(batches))
-        partials = [None] * len(batches)
-        failed = threading.Event()
+def graded_traces(runs, spacing: int) -> list[list[float]]:
+    """Tr(D^(2n+1)) with D = P - F0 P F0* over each run's window by comb
+    probing, for ``runs`` a list of (engine, orders): per run, the list of
+    traces at each n in its orders, ``_batch_traces`` summed over the run's
+    probe batches.
 
-        def work(first: int) -> None:
-            try:
-                for i in range(first, len(batches), k):
-                    if failed.is_set():
-                        return
-                    partials[i] = self._batch_traces(batches[i], spacing, orders)
-            except BaseException:  # also an interrupt of the calling thread
-                failed.set()
-                raise
+    Every batch of every run is one job of a single list, the runs with
+    the most work per batch first (longest first: Graham, SIAM J. Appl.
+    Math. 17, 1969).  k = ``_worker_count`` workers take the next job from
+    a shared counter as they come free: worker 0 is the calling thread, the
+    others threads of a pool that lives only for this call.  Each worker
+    owns one flat buffer, sized for the largest batch of any run.  The
+    partials are added per run in batch order once every job is done, the
+    additions a serial loop makes, so the traces depend neither on k nor on
+    which worker ran which batch.  An error in any job stops the other
+    workers before their next job and is raised here, once every worker
+    has stopped.
+    """
+    import itertools
+    batches = [engine._probe_chunks(spacing) for engine, _ in runs]
+    # a batch costs max(orders) + 1 transform passes over an L x L grid
+    longest_first = sorted(range(len(runs)), reverse=True,
+                           key=lambda r: runs[r][0].L ** 2 * (max(runs[r][1]) + 1))
+    jobs = [(r, i) for r in longest_first for i in range(len(batches[r]))]
+    size = max(4 * len(batches[r][i]) * runs[r][0].L ** 2 for r, i in jobs)
+    partials = [[None] * len(chunks) for chunks in batches]
+    tickets, lock, failed = itertools.count(), threading.Lock(), threading.Event()
 
-        if k == 1:
-            work(0)
-        else:
-            # imported here: scipy.fft has loaded it, and at module level
-            # it would add ~6 ms to every `hnc chern` without --dirac
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(k - 1) as pool:
-                rest = pool.map(work, range(1, k))
-                work(0)
-                list(rest)  # raises a worker's error
+    def work() -> None:
+        buffer = np.empty(size, dtype=complex)
+        try:
+            while not failed.is_set():
+                with lock:
+                    j = next(tickets)
+                if j >= len(jobs):
+                    return
+                r, i = jobs[j]
+                engine, orders = runs[r]
+                partials[r][i] = engine._batch_traces(batches[r][i], spacing, orders, buffer)
+        except BaseException:  # also an interrupt of the calling thread
+            failed.set()
+            raise
+
+    k = _worker_count(len(jobs))
+    if k == 1:
+        work()
+    else:
+        # imported here: scipy.fft has loaded it, and at module level
+        # it would add ~6 ms to every `hnc chern` without --dirac
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(k - 1) as pool:
+            rest = [pool.submit(work) for _ in range(k - 1)]
+            work()
+            for future in rest:
+                future.result()  # raises a worker's error
+    traces = []
+    for (_, orders), parts in zip(runs, partials):
         totals = dict.fromkeys(orders, 0.0)
-        for part in partials:
+        for part in parts:
             for n in totals:
                 totals[n] += part[n]
-        return [totals[n] for n in orders]
+        traces.append([totals[n] for n in orders])
+    return traces
 
 
 def certificate_windows(kernel_radius: int, truncation: int) -> tuple[int, int]:
@@ -426,10 +461,11 @@ def dirac_even_pairing(
     coeffs, K = fourier_coefficients(field, tail)
     _, second = certificate_windows(K, truncation)
     n = n_commutators // 2
-    t_n, t_next = _DiracEngine(coeffs, truncation).graded_traces(
-        (n, n + 1), probe_spacing
+    (t_n, t_next), (t_second,) = graded_traces(
+        [(_DiracEngine(coeffs, truncation), (n, n + 1)),
+         (_DiracEngine(coeffs, second), (n,))],
+        probe_spacing,
     )
-    (t_second,) = _DiracEngine(coeffs, second).graded_traces((n,), probe_spacing)
     runs = [
         {"n_commutators": 2 * nn, "truncation": N, "value": raw}
         for nn, N, raw in (

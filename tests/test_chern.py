@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import os
 import subprocess
@@ -17,6 +18,7 @@ from heisenberg_ncg.chern import (
     bott_projector,
     dirac_even_pairing,
     fourier_coefficients,
+    graded_traces,
     lattice_chern,
     ProjectorField,
 )
@@ -58,6 +60,44 @@ def constant_field(grid: int) -> ProjectorField:
     samples = np.zeros((grid, grid, 2, 2), dtype=complex)
     samples[..., 0, 0] = 1
     return ProjectorField(grid, samples)
+
+
+def eigh_chern(field: ProjectorField) -> int:
+    """``lattice_chern`` with the band vector found by ``np.linalg.eigh``:
+    the reference for reading it off a column of the projector."""
+    _, vecs = np.linalg.eigh(field.samples)
+    band = vecs[..., :, 1]  # eigenvector of eigenvalue 1
+    lx = np.einsum("ijk,ijk->ij", band.conj(), np.roll(band, -1, axis=0))
+    ly = np.einsum("ijk,ijk->ij", band.conj(), np.roll(band, -1, axis=1))
+    plaq = lx * np.roll(ly, -1, axis=0) * np.roll(lx, -1, axis=1).conj() * ly.conj()
+    total = float(np.angle(plaq).sum() / (2 * np.pi))
+    nearest = round(total)
+    if abs(total - nearest) > 0.01:
+        raise ArithmeticError(f"plaquette sum {total} is not integer-quantized")
+    return chern.ORIENTATION_SIGN * int(nearest)
+
+
+def gauged(field: ProjectorField, rng) -> ProjectorField:
+    """U P U* for U = exp(iH), H a random Hermitian field of three low
+    Fourier modes: a smooth unitary gauge, so the same bundle sampled
+    with other band phases and other projector entries."""
+    k = 2 * np.pi * np.arange(field.grid) / field.grid
+    k1, k2 = np.meshgrid(k, k, indexing="ij")
+    h = np.zeros(field.samples.shape, dtype=complex)
+    for a, b in rng.integers(-2, 3, size=(3, 2)):
+        c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        h += np.cos(a * k1 + b * k2 + rng.uniform(0, 2 * np.pi))[..., None, None] * (c + c.conj().T)
+    e, v = np.linalg.eigh(h)
+    u = np.einsum("ijab,ijb,ijcb->ijac", v, np.exp(1j * e), v.conj())
+    return ProjectorField(field.grid, np.einsum("ijab,ijbc,ijdc->ijad", u, field.samples, u.conj()))
+
+
+def chern_outcome(route, field):
+    """The Chern number a route returns, or ArithmeticError if it raises one."""
+    try:
+        return route(field)
+    except ArithmeticError:
+        return ArithmeticError
 
 
 class TestProjectorFields:
@@ -139,6 +179,18 @@ class TestLatticeChern:
     def test_constant_field_is_flat(self):
         assert lattice_chern(constant_field(16)) == 0
 
+    @pytest.mark.parametrize("grid", [8, 12, 16, 32, 64, 128])
+    def test_column_band_matches_the_eigh_reference(self, grid):
+        # near the gap (mass 1e-3 and +-1.99) and on gauged fields too, the
+        # number or the ArithmeticError is the reference's
+        rng = np.random.default_rng(grid)
+        fields = [constant_field(grid), gauged(constant_field(grid), rng)]
+        for mass in (1.0, -1.0, 1.5, -1.5, 0.5, -0.5, 1e-3, 1.99, -1.99):
+            field = bott_projector(grid, mass)
+            fields += [field, gauged(field, rng)]
+        for field in fields:
+            assert chern_outcome(lattice_chern, field) == chern_outcome(eigh_chern, field)
+
 
 class TestDiracPairing:
     def test_probing_matches_dense_trace_at_small_size(self):
@@ -172,7 +224,7 @@ class TestDiracPairing:
                     P @ np.linalg.matrix_power(AsA, n)
                 )
                 power = np.trace(np.linalg.matrix_power(D, 2 * n + 1))
-                (probed,) = engine.graded_traces((n,), spacing=w)  # spacing >= window: exact
+                [(probed,)] = graded_traces([(engine, (n,))], w)  # spacing >= window: exact
                 assert abs(probed - chains.real) < 1e-8
                 assert abs(probed - power.real) < 1e-8
 
@@ -195,9 +247,9 @@ class TestDiracPairing:
     def test_one_pass_traces_match_separate_passes(self):
         coeffs, K = fourier_coefficients(bott_projector(64, 1.0), tail=1e-5)
         engine = _DiracEngine(coeffs, 22)
-        both = engine.graded_traces((2, 3), spacing=6)
-        (t2,) = engine.graded_traces((2,), spacing=6)
-        (t3,) = engine.graded_traces((3,), spacing=6)
+        [both] = graded_traces([(engine, (2, 3))], 6)
+        [(t2,)] = graded_traces([(engine, (2,))], 6)
+        [(t3,)] = graded_traces([(engine, (3,))], 6)
         assert abs(both[0] - t2) < 1e-10
         assert abs(both[1] - t3) < 1e-10
 
@@ -205,9 +257,10 @@ class TestDiracPairing:
     def test_one_pass_applies_p_once_per_power(self, monkeypatch, n):
         # orders (n, n + 1) read D^k v up to k = n + 1: n + 1 applications
         # of P, each on one stacked batch, then one forward-only quadratic
-        # form, per probe batch.  Batches on different workers interleave,
-        # so the calls are read per thread, split where each batch starts;
-        # three workers run whatever the CPU count.
+        # form, per probe batch, all in the batch's worker buffer.  Batches
+        # on different workers interleave, so the calls are read per thread,
+        # split where each batch starts; three workers run whatever the CPU
+        # count.
         coeffs, K = fourier_coefficients(bott_projector(64, 1.0), tail=1e-5)
         engine = _DiracEngine(coeffs, 22)
         monkeypatch.setattr(chern, "_worker_count", lambda batches: 3)
@@ -215,19 +268,20 @@ class TestDiracPairing:
         for name in ("_batch_traces", "apply_p", "quadratic_form"):
             def counting(u, *rest, name=name, method=getattr(engine, name)):
                 seen = tuple(u) if name == "_batch_traces" else len(u)
-                calls.setdefault(threading.get_ident(), []).append((name, seen))
+                calls.setdefault(threading.get_ident(), []).append((name, seen, id(rest[-1])))
                 return method(u, *rest)
 
             monkeypatch.setattr(engine, name, counting)
-        engine.graded_traces((n, n + 1), spacing=6)
+        graded_traces([(engine, (n, n + 1))], 6)
         assert len(calls) == 3
         ran = []
         for seq in calls.values():
             while seq:
-                (mark, combs), seq = seq[0], seq[1:]
+                (mark, combs, buffer), seq = seq[0], seq[1:]
                 assert mark == "_batch_traces"
                 b = len(combs)
-                assert seq[: n + 2] == [("apply_p", b)] * (n + 1) + [("quadratic_form", b)]
+                steps = [("apply_p", b, buffer)] * (n + 1) + [("quadratic_form", b, buffer)]
+                assert seq[: n + 2] == steps
                 seq = seq[n + 2 :]
                 ran.append(combs)
         assert sorted(ran) == sorted(map(tuple, engine._probe_chunks(6)))
@@ -240,43 +294,75 @@ class TestDiracPairing:
         engine = _DiracEngine(coeffs, truncation)
         rng = np.random.default_rng(truncation)
         w = engine.w
+        buffer = np.empty(4 * (b + 2) * engine.L**2, dtype=complex)
         for size in (b + 2, b):
             u = rng.normal(size=(size, 2, w, w)) + 1j * rng.normal(size=(size, 2, w, w))
             u /= np.linalg.norm(u)
-            pu = engine.apply_p(u)
+            pu = engine.apply_p(u, buffer)
             want = float((u.conj() * (pu[:size] - engine.f0 * pu[size:])).sum().real)
-            assert abs(engine.quadratic_form(u) - want) < 1e-12
+            assert abs(engine.quadratic_form(u, buffer) - want) < 1e-12
 
     def test_spacing_over_the_window_runs_only_the_nonzero_combs(self):
         coeffs, K = fourier_coefficients(bott_projector(64, 1.0), tail=1e-3)
         engine = _DiracEngine(coeffs, 4)
         w = engine.w
         assert sum(len(b) for b in engine._probe_chunks(w + 5)) == 2 * w**2
-        assert engine.graded_traces((1, 2), spacing=w + 5) == engine.graded_traces(
-            (1, 2), spacing=w)
+        assert graded_traces([(engine, (1, 2))], w + 5) == graded_traces([(engine, (1, 2))], w)
 
     @pytest.mark.parametrize("truncation, spacing", [(22, 6), (17, 2)])
     def test_traces_do_not_depend_on_the_worker_count(self, monkeypatch, truncation, spacing):
-        # the partials are summed in batch order, so every count gives the
-        # floats of a serial loop over the batches; six workers on a short
-        # switch interval stress the per-thread buffers
+        # each run's partials are summed in batch order, so every count gives
+        # a two-run schedule the floats of a serial loop over each run's
+        # batches; six workers on a short switch interval stress the shared
+        # job counter and the per-worker buffers
         coeffs, K = fourier_coefficients(bott_projector(64, 1.0), tail=1e-5)
-        engine = _DiracEngine(coeffs, truncation)
+        runs = [(_DiracEngine(coeffs, truncation), (2, 3)),
+                (_DiracEngine(coeffs, truncation - 8), (2,))]
         traces = {}
         interval = sys.getswitchinterval()
         for k in (1, 2, 3, 6):
             monkeypatch.setattr(chern, "_worker_count", lambda batches, k=k: k)
             try:
                 sys.setswitchinterval(1e-6 if k == 6 else interval)
-                traces[k] = engine.graded_traces((2, 3), spacing)
+                traces[k] = graded_traces(runs, spacing)
             finally:
                 sys.setswitchinterval(interval)
-        serial = dict.fromkeys((2, 3), 0.0)
-        for combs in engine._probe_chunks(spacing):
-            part = engine._batch_traces(combs, spacing, (2, 3))
-            for n in serial:
-                serial[n] += part[n]
-        assert all(t == [serial[2], serial[3]] for t in traces.values())
+        serial = []
+        for engine, orders in runs:
+            buffer = np.empty(4 * chern._PROBE_CHUNK * engine.L**2, dtype=complex)
+            totals = dict.fromkeys(orders, 0.0)
+            for combs in engine._probe_chunks(spacing):
+                part = engine._batch_traces(combs, spacing, orders, buffer)
+                for n in totals:
+                    totals[n] += part[n]
+            serial.append([totals[n] for n in orders])
+        assert all(t == serial for t in traces.values())
+
+    def test_every_batch_of_every_run_runs_once(self, monkeypatch):
+        # the shorter run is listed first; one worker takes the jobs in
+        # schedule order, the longer run's first, and on three workers
+        # every job still runs exactly once
+        coeffs, K = fourier_coefficients(bott_projector(64, 1.0), tail=1e-5)
+        short, long = (2,), (2, 3)
+        runs = [(_DiracEngine(coeffs, 14), short), (_DiracEngine(coeffs, 22), long)]
+        ran, lock = [], threading.Lock()
+        batch_traces = _DiracEngine._batch_traces
+
+        def recording(self, combs, *rest):
+            with lock:
+                ran.append((self.w, tuple(combs)))
+            return batch_traces(self, combs, *rest)
+
+        monkeypatch.setattr(_DiracEngine, "_batch_traces", recording)
+        want = [(engine.w, tuple(combs)) for engine, _ in reversed(runs)
+                for combs in engine._probe_chunks(6)]
+        for k in (1, 3):
+            monkeypatch.setattr(chern, "_worker_count", lambda batches, k=k: k)
+            ran.clear()
+            graded_traces(runs, 6)
+            if k == 1:
+                assert ran == want
+            assert sorted(ran) == sorted(want)
 
     def test_pairing_does_not_depend_on_the_worker_count(self, monkeypatch):
         field = bott_projector(64, 1.0)
@@ -289,35 +375,46 @@ class TestDiracPairing:
         assert results[1] == results[0] and results[2] == results[0]
 
     def test_no_thread_outlives_a_pairing(self, monkeypatch):
-        # the pool lives for one graded_traces call, also when a batch on
-        # any worker raises; that error reaches the caller
+        # one pairing schedules both certificate windows on one pool, which
+        # lives only for the call, also when a batch on any worker raises;
+        # that error reaches the caller
         class Late(Exception):
             pass
 
+        pools = []
+
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
         field = bott_projector(64, 1.0)
         monkeypatch.setattr(chern, "_worker_count", lambda batches: 3)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
         before = threading.active_count()
         dirac_even_pairing(field, truncation=24, tail=1e-5, probe_spacing=6)
+        assert pools == [(2,)]
         assert threading.active_count() == before
         applied = itertools.count()
         apply_p = _DiracEngine.apply_p
 
-        def failing(self, u):
+        def failing(self, u, buffer):
             # three applications per batch at n_commutators 4: the tenth
             # is in the fourth batch or later
             if next(applied) == 9:
                 raise Late
-            return apply_p(self, u)
+            return apply_p(self, u, buffer)
 
         monkeypatch.setattr(_DiracEngine, "apply_p", failing)
         with pytest.raises(Late):
             dirac_even_pairing(field, truncation=24, tail=1e-5, probe_spacing=6)
+        assert len(pools) == 2
         assert threading.active_count() == before
 
     def test_an_error_stops_the_other_workers(self, monkeypatch):
         # the calling thread fails on its first batch; the other worker
         # finishes the batch it is on and starts few further ones, where
-        # without the stop it would run all its half of the batches
+        # without the stop it would take every remaining batch
         coeffs, K = fourier_coefficients(bott_projector(64, 1.0), tail=1e-5)
         engine = _DiracEngine(coeffs, 22)
         monkeypatch.setattr(chern, "_worker_count", lambda batches: 2)
@@ -332,8 +429,40 @@ class TestDiracPairing:
 
         monkeypatch.setattr(engine, "_batch_traces", failing)
         with pytest.raises(KeyboardInterrupt):
-            engine.graded_traces((2, 3), spacing=6)
+            graded_traces([(engine, (2, 3))], 6)
         assert len(ran) < 1 + len(engine._probe_chunks(6)) // 2
+
+    def test_an_error_in_the_second_window_stops_the_pairing(self, monkeypatch):
+        # the second certificate window's batches follow the first's in the
+        # one schedule; its first batch raises at once, so each other worker
+        # finishes at most the batch it is on, and the error reaches the
+        # caller with no thread left behind
+        class Late(Exception):
+            pass
+
+        field = bott_projector(64, 1.0)
+        coeffs, K = fourier_coefficients(field, 1e-5)
+        first, second = (2 * N + 1 for N in chern.certificate_windows(K, 24))
+        batches = len(_DiracEngine(coeffs, 24)._probe_chunks(6))  # as many in either window
+        monkeypatch.setattr(chern, "_worker_count", lambda batches: 3)
+        ran, lock = [], threading.Lock()
+        batch_traces = _DiracEngine._batch_traces
+
+        def failing(self, combs, *rest):
+            with lock:
+                ran.append(self.w)
+                first_of_second = self.w == second and ran.count(second) == 1
+            if first_of_second:
+                raise Late
+            return batch_traces(self, combs, *rest)
+
+        monkeypatch.setattr(_DiracEngine, "_batch_traces", failing)
+        before = threading.active_count()
+        with pytest.raises(Late):
+            dirac_even_pairing(field, truncation=24, tail=1e-5, probe_spacing=6)
+        assert threading.active_count() == before
+        assert ran.count(first) == batches
+        assert ran.count(second) < batches // 2
 
     def test_worker_count_is_capped(self, monkeypatch):
         # on 64 CPUs a call takes _MAX_WORKERS workers, or one per batch
@@ -367,16 +496,12 @@ class TestDiracPairing:
     @pytest.mark.parametrize("spacing, probes", [(12, 288), (35, 2450), (40, 2450)])
     def test_probe_count_is_the_combs_run_at_the_first_truncation(
             self, monkeypatch, spacing, probes):
-        # the window at truncation 17 is 35 wide; the stand-in reads every
-        # run as exactly 1
-        class Engine:
-            def __init__(self, coeffs, truncation):
-                pass
+        # the window at truncation 17 is 35 wide; the scheduler's stand-in
+        # reads every run as exactly 1
+        def traces(runs, spacing):
+            return [[1.0] * len(orders) for _, orders in runs]
 
-            def graded_traces(self, orders, spacing):
-                return [1.0] * len(orders)
-
-        monkeypatch.setattr(chern, "_DiracEngine", Engine)
+        monkeypatch.setattr(chern, "graded_traces", traces)
         res = dirac_even_pairing(constant_field(16), truncation=17, probe_spacing=spacing)
         assert res["certificates"]["probes"] == probes
         assert res["certificates"]["probe_spacing"] == spacing

@@ -621,13 +621,9 @@ class TestVerificationCommands:
         assert err.startswith(f"usage error: truncation {truncation} must be at least 33")
 
     def test_chern_dirac_computes_the_coefficients_once(self, capsys, monkeypatch):
-        # the engine's stand-in makes every certificate run read exactly 1
-        class Engine:
-            def __init__(self, coeffs, truncation):
-                pass
-
-            def graded_traces(self, orders, spacing):
-                return [1.0] * len(orders)
+        # the scheduler's stand-in makes every certificate run read exactly 1
+        def traces(runs, spacing):
+            return [[1.0] * len(orders) for _, orders in runs]
 
         calls = []
         coefficients = ch.fourier_coefficients
@@ -636,7 +632,7 @@ class TestVerificationCommands:
             calls.append(args)
             return coefficients(*args, **kwargs)
 
-        monkeypatch.setattr(ch, "_DiracEngine", Engine)
+        monkeypatch.setattr(ch, "graded_traces", traces)
         monkeypatch.setattr(ch, "fourier_coefficients", counting)
         code, out, _ = run_captured(capsys, ["chern", "--grid", "64", "--dirac"])
         assert code == 0

@@ -64,6 +64,17 @@ def test_cli_imports_at_top_level_only_the_standard_library_and_algebra():
                   and m.split(".")[0] not in sys.stdlib_module_names) == []
 
 
+def test_chern_imports_at_top_level_only_numpy_os_threading_and_algebra():
+    # the pool, the job counter and scipy.fft are imported by the functions
+    # that use them, so neither `hnc chern` without --dirac nor the set-up
+    # of the benchmark's dirac workload pays for them
+    tree = ast.parse((SOURCES[0].parent / "chern.py").read_text())
+    assert _imported(tree.body) - {"__future__"} == {"numpy", "os", "threading", ".algebra"}
+    inner = _imported(node for top in tree.body if not isinstance(top, (ast.Import, ast.ImportFrom))
+                      for node in ast.walk(top))
+    assert {"concurrent.futures", "itertools", "scipy.fft"} <= inner
+
+
 def test_cli_prints_only_where_a_whole_document_is_ready():
     # `_emit` prints a document only once all of it has rendered, and
     # `cmd_report` its own table; `_print_timings` and `run` write stderr

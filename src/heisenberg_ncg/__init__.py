@@ -3,6 +3,7 @@ circle generated by the discrete Heisenberg group.
 
 Modules:
 
+* ``group``: the group law of H3 on exponent triples.
 * ``algebra``: exact twisted group-ring arithmetic and finite-dimensional
   evaluations.
 * ``derivations``: consistency checking and canonical/inner decomposition
@@ -16,6 +17,14 @@ Modules:
 * ``kk``: integer six-term sequences, pairing tables, duality checks.
 * ``acceptance``: the end-to-end verification suite.
 * ``cli``: the ``hnc`` command line.
+
+``UnsupportedInput`` lives here, in the module that every other one
+loads first, so that a module that refuses input loads no layer for it.
 """
 
 __version__ = "0.1.0"
+
+
+class UnsupportedInput(ValueError):
+    """An input refused before any work: outside a function's domain, or
+    past a work bound such as ``algebra.MAX_TERM_PRODUCTS``."""

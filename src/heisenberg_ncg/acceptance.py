@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 
+from . import UnsupportedInput
 from . import derivations as dv
 from . import fredholm as fr
 from . import group_structure as gs
@@ -25,13 +26,11 @@ from .algebra import (
     V,
     W,
     AlgebraElement,
-    GroupElement,
     RationalAngle,
-    UnsupportedInput,
     eval_at_angle,
-    group_product,
     random_element,
 )
+from .group import GroupElement, group_product
 
 DEFAULT_SEED = 20230823
 # Criterion 1 walks kk's pairing tables through two maps: a representative

@@ -1,13 +1,8 @@
-"""Exact arithmetic for the discrete Heisenberg group and its twisted group ring.
+"""Exact arithmetic for the twisted group ring of the discrete Heisenberg group.
 
-The group H3 is generated by unitaries U, V, W subject to VU = WUV with W
-central.  Every group element has a unique normal form U^p V^q W^r, so the
-group is modelled by exponent triples (p, q, r) with the multiplication law
-
-    (p1, q1, r1) * (p2, q2, r2) = (p1 + p2, q1 + q2, r1 + r2 + q1 * p2).
-
-Finitely supported complex-rational coefficient functions on Z^3 then model
-the group ring: twisted Laurent polynomials in U, V, W.  All ring operations
+Finitely supported complex-rational coefficient functions on the exponent
+triples (p, q, r) of H3, whose group law lives in ``group``, model the group
+ring C[H3]: twisted Laurent polynomials in U, V, W.  All ring operations
 are exact; floating point appears only when an element is evaluated in a
 finite-dimensional representation.
 
@@ -46,6 +41,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence, Union
 
+from . import UnsupportedInput
+from .group import Key, _exponents
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -62,11 +60,6 @@ _DECIMAL_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*$")
 MAX_TERM_PRODUCTS = 100_000
 # Largest t of ``eval_at_angle``: its result is a dense t x t matrix.
 MAX_EVAL_DIMENSION = 256
-
-
-class UnsupportedInput(ValueError):
-    """An input refused before any work: outside a function's domain, or
-    past a work bound such as MAX_TERM_PRODUCTS."""
 
 
 def check_term_products(count: int) -> None:
@@ -212,77 +205,6 @@ def _raw(t: Triple) -> GaussianRational:
 
 
 GR_ZERO = GaussianRational()
-
-
-Key = tuple[int, int, int]
-
-
-def _exponents(key) -> Key:
-    """key as three ints, a numpy integer made an int; any other exponent
-    is a TypeError."""
-    p, q, r = key
-    # an int passes at once: the Integral check is an ABC lookup
-    if type(p) is int and type(q) is int and type(r) is int:
-        return p, q, r
-    # bool is an int subclass, and int() would truncate 1.7 or parse "1".
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in key):
-        raise TypeError(f"exponents must be integers, got {key!r}")
-    return int(p), int(q), int(r)
-
-
-def group_product(g, h):
-    """The group law (p1 + p2, q1 + q2, r1 + r2 + q1 * p2) on exponent
-    triples whose fields are ints, or int arrays that broadcast together,
-    taken elementwise."""
-    p1, q1, r1 = g
-    p2, q2, r2 = h
-    return p1 + p2, q1 + q2, r1 + r2 + q1 * p2
-
-
-class GroupElement:
-    """Exponent triple (p, q, r) for the normal-form word U^p V^q W^r.
-
-    The exponents are ints, under the rule of ``_exponents``.  Instances
-    are immutable; equal triples are equal and hash alike.
-    """
-
-    __slots__ = ("p", "q", "r")
-    p: int
-    q: int
-    r: int
-
-    def __init__(self, p: int, q: int, r: int):
-        for name, v in zip(self.__slots__, _exponents((p, q, r))):
-            object.__setattr__(self, name, v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupElement is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        return self.as_tuple() == other.as_tuple()
-
-    def __hash__(self):
-        return hash(self.as_tuple())
-
-    def __repr__(self) -> str:
-        return f"GroupElement(p={self.p!r}, q={self.q!r}, r={self.r!r})"
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(*group_product(self.as_tuple(), other.as_tuple()))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(-self.p, -self.q, self.p * self.q - self.r)
-
-    def is_identity(self) -> bool:
-        return self.p == 0 and self.q == 0 and self.r == 0
-
-    def is_central(self) -> bool:
-        return self.p == 0 and self.q == 0
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.p, self.q, self.r)
 
 
 class RationalAngle(NamedTuple):

@@ -51,7 +51,7 @@ import threading
 
 import numpy as np
 
-from .algebra import UnsupportedInput
+from . import UnsupportedInput
 
 # Global orientation calibration: raw plaquette sums and raw graded traces
 # for the mass = +1 field both evaluate to +1 with the conventions in this
@@ -286,21 +286,27 @@ class _DiracEngine:
         <u, D u> = <u, P u> - <F0* u, P F0* u>, and by Parseval each term
         is sum_k X(k)* S(k) X(k) / L^2, for X the transform of the padded
         vector and S the symbol: no inverse transform is needed.  Each gram
-        conjugates one orbital of X into one scratch array, half the size
-        of X, and multiplies there in place.
+        conj(X_a) X_c is summed over the rows of u minus those of F0* u.
+        Orbital 1 is conjugated into one scratch array, half the size of X,
+        for the gram (1, 1); orbital 0 then into the same array, once for
+        both grams (0, 1) and (0, 0): the first is formed in place over
+        X_1, which is read no more, so the call spends ``buffer``.
         """
         b = len(u)
         x = self._forward(u, buffer)
-        scratch = np.empty_like(x[:, 0])
+        x0, x1 = x[:, 0], x[:, 1]
 
-        def gram(a: int, c: int) -> np.ndarray:
-            # conj(X_a) X_c summed over the rows of u minus those of F0* u
-            g = np.conjugate(x[:, a], out=scratch)
-            g *= x[:, c]
+        def rows(g: np.ndarray) -> np.ndarray:
             return g[:b].sum(0) - g[b:].sum(0)
 
-        s, n01 = self.symbol, gram(0, 1)
-        form = (s[0, 0] * gram(0, 0) + s[1, 1] * gram(1, 1)
+        g = np.conjugate(x1, out=np.empty_like(x1))
+        g *= x1
+        n11 = rows(g)
+        np.conjugate(x0, out=g)
+        n01 = rows(np.multiply(g, x1, out=x1))  # in this operand order, bit for bit
+        g *= x0
+        s = self.symbol
+        form = (s[0, 0] * rows(g) + s[1, 1] * n11
                 + s[0, 1] * n01 + s[1, 0] * n01.conj())
         return float(form.real.sum()) / self.L**2
 

@@ -18,14 +18,20 @@ line on stderr: a ``UsageError`` or an ``UnsupportedInput`` exits 2, and a
 ``ValueError`` or ``ArithmeticError`` exits 1, in the exception's words, less
 CPython's advice to raise its int-string digit limit.
 
-Each command imports only the package modules it runs: ``algebra`` is
-imported here, and every other module inside the handlers that use it.
-The package uses no ``dataclasses``, whose own imports and generated
-methods would cost every command at start.  So only the commands that
-compute floats on arrays ('chern', 'report all') load numpy or scipy:
-``acceptance`` imports numpy only where it needs it, and ``algebra`` not
-at all, so an exact command ('index' and 'pairing verify' included) and
-'alg eval' start without either library.
+Each command compiles, imports and builds only what it runs.  This module
+imports only the standard library and the package root at top level, and
+every package module inside the helpers and handlers that use it: the
+group commands load ``group`` and ``group_structure`` without the ring,
+'sequence' and 'pairing table' load ``kk`` and ``integer_lattices``, and
+'chern' loads no ring at all.  ``build_parser(argv)`` builds the root, the
+groups and the one-word commands, and of the two-word leaves only the one
+that argv names, or all of them when argv names none.  The package uses
+no ``dataclasses``, whose own imports and generated methods would cost
+every command at start.  So only the commands that compute floats on
+arrays ('chern', 'report all') load numpy or scipy: ``acceptance`` imports
+numpy only where it needs it, and ``algebra`` not at all, so an exact
+command ('index' and 'pairing verify' included) and 'alg eval' start
+without either library.
 """
 
 from __future__ import annotations
@@ -36,17 +42,7 @@ import os
 import sys
 from pathlib import Path
 
-from .algebra import (
-    AlgebraElement,
-    GroupElement,
-    RationalAngle,
-    UnsupportedInput,
-    element_from_dict,
-    element_to_dict,
-    eval_at_angle,
-    is_central,
-    matrix_to_jsonable,
-)
+from . import UnsupportedInput
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -99,6 +95,8 @@ def _parse(text_or_path: str, build, what: str):
 def _matrix_from_dict(data):
     """Either a single element or {"blocks": [[element, ...], ...]}, whose
     shape ``fredholm`` checks."""
+    from .algebra import element_from_dict
+
     if isinstance(data, dict) and "blocks" in data:
         blocks = data["blocks"]
         if not (isinstance(blocks, list) and all(isinstance(row, list) for row in blocks)):
@@ -107,7 +105,9 @@ def _matrix_from_dict(data):
     return element_from_dict(data)
 
 
-def _element(text_or_path: str) -> AlgebraElement:
+def _element(text_or_path: str):
+    from .algebra import element_from_dict
+
     return _parse(text_or_path, element_from_dict, "element")
 
 
@@ -127,8 +127,10 @@ def _stdin_once(*texts: str) -> None:
         raise UsageError("only one argument may read stdin ('-')")
 
 
-def _group_from_list(data) -> GroupElement:
+def _group_from_list(data):
     """A JSON list of three exponents, which ``GroupElement`` checks."""
+    from .group import GroupElement
+
     if not isinstance(data, list) or len(data) != 3:
         raise TypeError("expected a JSON triple [p, q, r]")
     return GroupElement(*data)
@@ -143,7 +145,9 @@ def _integer(text: str, what: str) -> int:
         raise UsageError(f"{what} must be an integer: {e}") from None
 
 
-def _angle(text: str) -> RationalAngle:
+def _angle(text: str):
+    from .algebra import RationalAngle
+
     try:
         s, t = text.split("/")
         return RationalAngle.of(_integer(s, "--theta's s"), _integer(t, "--theta's t"))
@@ -197,19 +201,27 @@ def _table_lines(obj, indent: int = 0):
 
 
 def cmd_alg_mul(args):
+    from .algebra import element_to_dict
+
     _stdin_once(args.x, args.y)
     return {}, element_to_dict(_element(args.x) * _element(args.y)), EXIT_OK
 
 
 def cmd_alg_star(args):
+    from .algebra import element_to_dict
+
     return {}, element_to_dict(_element(args.x).star()), EXIT_OK
 
 
 def cmd_alg_central(args):
+    from .algebra import is_central
+
     return {}, {"central": is_central(_element(args.x))}, EXIT_OK
 
 
 def cmd_alg_eval(args):
+    from .algebra import eval_at_angle, matrix_to_jsonable
+
     theta = _angle(args.theta)
     m = eval_at_angle(_element(args.x), theta)
     return (
@@ -238,6 +250,7 @@ def cmd_deriv_decompose(args):
 
 def cmd_deriv_apply(args):
     from . import derivations as dv
+    from .algebra import element_to_dict
 
     _stdin_once(args.d, args.y)
     return {}, element_to_dict(dv.apply(_derivation(args.d), _element(args.y))), EXIT_OK
@@ -349,9 +362,68 @@ def cmd_report(args):
 # ---- parser ----
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One leaf parser per command, each with only the options its handler
-    reads, plus the output format shared by every command."""
+_ELEMENT = "element JSON, file path, or -"
+_DERIVATION = "derivation JSON, file path, or -"
+
+_GROUPS = (
+    ("alg", "group-ring arithmetic"),
+    ("deriv", "derivation checks and decomposition"),
+    ("group", "conjugacy and cohomology"),
+    ("pairing", "pairing tables and verification"),
+    ("sequence", "six-term sequences"),
+    ("report", "run the full verification suite"),
+)
+# Every command's leaf parser, once: its words, handler and help, and its
+# arguments, each a positional name or an option flag with the keywords of
+# ``add_argument``.
+LEAVES = (
+    ("alg mul", cmd_alg_mul, "product x*y",
+     [("x", {"help": _ELEMENT}), ("y", {"help": _ELEMENT})]),
+    ("alg star", cmd_alg_star, "adjoint x*", [("x", {"help": _ELEMENT})]),
+    ("alg central", cmd_alg_central, "is x central?", [("x", {"help": _ELEMENT})]),
+    ("alg eval", cmd_alg_eval, "clock-and-shift matrix of x at an angle",
+     [("x", {"help": _ELEMENT}), ("--theta", {"default": "0/1", "help": "angle s/t"})]),
+    ("deriv check", cmd_deriv_check, "consistency of d", [("d", {"help": _DERIVATION})]),
+    ("deriv decompose", cmd_deriv_decompose, "d = z1*d1 + z2*d2 + [., x]",
+     [("d", {"help": _DERIVATION})]),
+    ("deriv apply", cmd_deriv_apply, "d(y) through the decomposition",
+     [("d", {"help": _DERIVATION}), ("y", {"help": _ELEMENT})]),
+    ("group classify", cmd_group_classify, "centralizer and conjugacy class",
+     [("--element", {"default": "[0,0,0]", "help": "JSON triple [p,q,r]"})]),
+    ("group cohomology", cmd_group_cohomology, "group cohomology profile",
+     [("--type", {"default": "H3", "help": "group descriptor"})]),
+    ("group hc-dim", cmd_group_hc_dim, "cyclic cohomology dimension",
+     [("--n", {"required": True, "help": "cyclic degree"})]),
+    ("pairing table", cmd_pairing_table, "the four tables with provenance", []),
+    ("pairing verify", cmd_pairing_verify, "recompute the numeric entries", []),
+    ("index", cmd_index, "index pairing of an odd module",
+     [("--module", {"required": True, "help": "odd module, such as z1"}),
+      ("--unitary", {"required": True,
+                     "help": "element JSON, {'blocks': ...}, file path, or -"})]),
+    ("chern", cmd_chern, "lattice Chern number of the Bott field",
+     [("--grid", {"type": int, "default": 64}),
+      ("--mass", {"type": float, "default": 1.0}),
+      ("--dirac", {"action": "store_true", "help": "also evaluate the Dirac trace pairing"}),
+      ("--truncation", {"type": int, "help": "with --dirac (default 64)"})]),
+    *((f"sequence {which}", cmd_sequence, f"the {which} sequence",
+       [("--check", {"action": "store_true", "help": "verify exactness"})])
+      for which in ("ktheory", "khomology")),
+    ("report all", cmd_report, "all ten criteria",
+     [("--seed", {"type": int, "default": None, "help": "seed of the randomized criteria"})]),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The root parser, every group and one-word command, and one leaf
+    parser per command, with only the options its handler reads plus the
+    output format shared by every command.
+
+    Of the two-word leaves it builds only the one that ``argv`` names,
+    since parsing reaches no other; an argv that names none (``--help``, a
+    group alone, a typo) or None builds them all.  So the root's choices,
+    usage and errors never change, and a group's usage and errors, which
+    list its leaves, come only from an argv that builds them all.
+    """
     shared = argparse.ArgumentParser(add_help=False)
     fmt = shared.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="table", action="store_false",
@@ -364,80 +436,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Invariants of the Heisenberg group ring and its C*-algebra",
     )
     commands = parser.add_subparsers(dest="subcommand", required=True)
-    groups = {
-        name: commands.add_parser(name, help=help).add_subparsers(
-            dest="action", required=True)
-        for name, help in (
-            ("alg", "group-ring arithmetic"),
-            ("deriv", "derivation checks and decomposition"),
-            ("group", "conjugacy and cohomology"),
-            ("pairing", "pairing tables and verification"),
-            ("sequence", "six-term sequences"),
-            ("report", "run the full verification suite"),
-        )
-    }
+    groups = {name: commands.add_parser(name, help=help).add_subparsers(
+        dest="action", required=True) for name, help in _GROUPS}
 
-    def leaf(command: str, handler, help: str) -> argparse.ArgumentParser:
+    named = next((c for c, *_ in LEAVES if argv and c.split() == argv[:len(c.split())]), None)
+    for command, handler, help, arguments in LEAVES:
         *group, name = command.split()
-        parent = groups[group[0]] if group else commands
-        p = parent.add_parser(name, parents=[shared], help=help)
+        if group and named and command != named:
+            continue
+        p = (groups[group[0]] if group else commands).add_parser(
+            name, parents=[shared], help=help)
         p.set_defaults(handler=handler, command=command)
-        return p
-
-    element = "element JSON, file path, or -"
-    derivation = "derivation JSON, file path, or -"
-
-    p = leaf("alg mul", cmd_alg_mul, "product x*y")
-    p.add_argument("x", help=element)
-    p.add_argument("y", help=element)
-    leaf("alg star", cmd_alg_star, "adjoint x*").add_argument("x", help=element)
-    leaf("alg central", cmd_alg_central, "is x central?").add_argument("x", help=element)
-    p = leaf("alg eval", cmd_alg_eval, "clock-and-shift matrix of x at an angle")
-    p.add_argument("x", help=element)
-    p.add_argument("--theta", default="0/1", help="angle s/t")
-
-    leaf("deriv check", cmd_deriv_check, "consistency of d").add_argument(
-        "d", help=derivation)
-    leaf("deriv decompose", cmd_deriv_decompose, "d = z1*d1 + z2*d2 + [., x]"
-         ).add_argument("d", help=derivation)
-    p = leaf("deriv apply", cmd_deriv_apply, "d(y) through the decomposition")
-    p.add_argument("d", help=derivation)
-    p.add_argument("y", help=element)
-
-    leaf("group classify", cmd_group_classify, "centralizer and conjugacy class"
-         ).add_argument("--element", default="[0,0,0]", help="JSON triple [p,q,r]")
-    leaf("group cohomology", cmd_group_cohomology, "group cohomology profile"
-         ).add_argument("--type", default="H3", help="group descriptor")
-    leaf("group hc-dim", cmd_group_hc_dim, "cyclic cohomology dimension"
-         ).add_argument("--n", required=True, help="cyclic degree")
-
-    leaf("pairing table", cmd_pairing_table, "the four tables with provenance")
-    leaf("pairing verify", cmd_pairing_verify, "recompute the numeric entries")
-
-    p = leaf("index", cmd_index, "index pairing of an odd module")
-    p.add_argument("--module", required=True, help="odd module, such as z1")
-    p.add_argument("--unitary", required=True,
-                   help="element JSON, {'blocks': ...}, file path, or -")
-
-    p = leaf("chern", cmd_chern, "lattice Chern number of the Bott field")
-    p.add_argument("--grid", type=int, default=64)
-    p.add_argument("--mass", type=float, default=1.0)
-    p.add_argument("--dirac", action="store_true",
-                   help="also evaluate the Dirac trace pairing")
-    p.add_argument("--truncation", type=int, help="with --dirac (default 64)")
-
-    for which in ("ktheory", "khomology"):
-        leaf(f"sequence {which}", cmd_sequence, f"the {which} sequence"
-             ).add_argument("--check", action="store_true", help="verify exactness")
-
-    leaf("report all", cmd_report, "all ten criteria").add_argument(
-        "--seed", type=int, default=None, help="seed of the randomized criteria")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
 

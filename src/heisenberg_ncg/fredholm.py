@@ -40,11 +40,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
+from . import UnsupportedInput
 from .algebra import (
     GR_ZERO,
     AlgebraElement,
     GaussianRational,
-    UnsupportedInput,
     check_term_products,
 )
 

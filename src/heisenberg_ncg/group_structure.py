@@ -20,7 +20,8 @@ import re
 from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import GroupElement, UnsupportedInput, group_product
+from . import UnsupportedInput
+from .group import GroupElement, group_product
 
 if TYPE_CHECKING:
     import numpy as np

@@ -19,7 +19,6 @@ from heisenberg_ncg.algebra import (
     W,
     AlgebraElement,
     GaussianRational,
-    GroupElement,
     RationalAngle,
     UnsupportedInput,
     apply_automorphism,
@@ -30,6 +29,7 @@ from heisenberg_ncg.algebra import (
     random_element,
 )
 from heisenberg_ncg.derivations import apply, random_consistent_derivation
+from heisenberg_ncg.group import GroupElement
 
 ints = st.integers(-8, 8)
 triples = st.tuples(ints, ints, ints)

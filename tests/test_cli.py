@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import heisenberg_ncg
 from heisenberg_ncg import acceptance as acc
 from heisenberg_ncg import chern as ch
-from heisenberg_ncg import cli, fredholm
+from heisenberg_ncg import algebra, cli, fredholm
 from heisenberg_ncg.algebra import (
     MAX_DECIMAL_EXPONENT,
     U,
@@ -81,6 +82,15 @@ def inner_by_w_powers(n: int) -> str:
     dU = AlgebraElement({(3, 1, 0): 1, (3, 1, n + 1): -1})
     dV = AlgebraElement({(2, 2, 0): -1, (2, 2, 1): -1, (2, 2, n + 1): 1, (2, 2, n + 2): 1})
     return json.dumps(derivation_to_dict(Derivation(dU, dV)))
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every `hnc` line of README's command-line block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command-line usage")[1].split("```sh")[1]
+    block = block.split("```")[0].replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [c[1:] for c in commands if c and c[0] == "hnc"]
 
 
 def run_captured(capsys, argv):
@@ -187,7 +197,7 @@ class TestAlgebra:
         assert len(json.loads(out)["result"]["terms"]) == 631
         # refused before any parsed coefficient takes part in arithmetic
         log = []
-        monkeypatch.setattr(cli, "element_from_dict",
+        monkeypatch.setattr(algebra, "element_from_dict",
                             lambda data: tracked(element_from_dict(data), "x", log))
         code, out, err = run_captured(capsys, ["alg", "mul", *[powers_of_u(317, shear=1)] * 2])
         assert code == 2 and out == ""
@@ -862,14 +872,9 @@ class TestPlumbing:
         assert "unrecognized arguments" in err
 
     def test_readme_commands_parse(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text()
-        block = readme.split("## Command-line usage")[1].split("```sh")[1]
-        block = block.split("```")[0].replace("\\\n", " ")
-        commands = [shlex.split(line, comments=True) for line in block.splitlines()]
-        commands = [c[1:] for c in commands if c and c[0] == "hnc"]
         parser = build_parser()
         seen = set()
-        for argv in commands:
+        for argv in readme_commands():
             args = parser.parse_args(argv)
             assert argv[:len(args.command.split())] == args.command.split()
             seen.add(args.command)
@@ -958,6 +963,58 @@ class TestPlumbing:
         assert proc.returncode == 1
 
 
+def parse_outcome(parser: argparse.ArgumentParser, argv: list[str]):
+    """What parsing argv does: the exit code and the text written on
+    stdout and stderr, or the namespace when it parses."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return None, "", "", vars(parser.parse_args(argv))
+        except SystemExit as e:
+            return e.code, out.getvalue(), err.getvalue(), None
+
+
+class TestLeafParser:
+    """`build_parser(argv)` builds only the leaf that argv names, and
+    parses every argv as the full build does, byte for byte."""
+
+    @pytest.mark.parametrize("command", [c for c, *_ in cli.LEAVES])
+    @pytest.mark.parametrize("case", ["help", "unknown-option", "bare"])
+    def test_leaf_build_parses_as_the_full_build(self, command, case):
+        if case == "unknown-option":  # past a valid argv, so the leaf parses up to it
+            argv = next(c for c in readme_commands() if c[:len(command.split())] == command.split())
+            argv = argv + ["--frobnicate"]
+        else:  # bare: a missing positional or required option, if the leaf has one
+            argv = command.split() + (["--help"] if case == "help" else [])
+        outcome = parse_outcome(build_parser(argv), argv)
+        assert outcome == parse_outcome(build_parser(), argv)
+        if case != "bare":
+            assert outcome[0] == (0 if case == "help" else 2)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["alg", "--help"], ["alg", "bogus"], []])
+    def test_argv_that_names_no_leaf_parses_as_the_full_build(self, argv):
+        outcome = parse_outcome(build_parser(argv), argv)
+        assert outcome == parse_outcome(build_parser(), argv)
+        assert outcome[0] in (0, 2)
+
+    def test_a_leaf_command_builds_eleven_parsers(self, monkeypatch):
+        # root, shared, six groups, 'index', 'chern' and the one leaf, of 25
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        argv = ["alg", "mul", U_JSON, V_JSON]
+        assert build_parser(argv).parse_args(argv).command == "alg mul"
+        assert len(built) <= 11
+        built.clear()
+        build_parser()
+        assert len(built) == 25
+
+
 # Runs one command through `cli.run` in a fresh interpreter and reports, on
 # the last line of stderr, its exit code, which float libraries it loaded,
 # whether it loaded `dataclasses`, and the package modules it loaded.
@@ -996,15 +1053,19 @@ PROBED_COMMANDS = [
     # floats from complex arithmetic in plain Python
     ["alg", "eval", U_JSON, "--theta", "1/3"],
 ]
-# Package modules that commands must not load, by the command's first
-# words; 'pairing verify' and 'chern' load what their checks run.
-NOT_RUN = {
-    "alg": {"derivations", "group_structure", "kk", "fredholm"},
-    "sequence": {"derivations", "group_structure"},
-    "pairing table": {"derivations", "group_structure"},
-    "group": {"kk"},
-    "deriv": {"kk"},
-    "index": {"derivations", "group_structure", "kk"},
+# The package modules each command loads, by its first words: the layers
+# it runs and no other.  The group law (`group`) sits below the ring
+# (`algebra`), and 'pairing verify' loads what its criterion runs.
+LOADED = {
+    "alg": {"cli", "group", "algebra"},
+    "deriv": {"cli", "group", "algebra", "derivations"},
+    "group": {"cli", "group", "group_structure"},
+    "sequence": {"cli", "integer_lattices", "kk"},
+    "pairing table": {"cli", "integer_lattices", "kk"},
+    "pairing verify": {"cli", "group", "algebra", "derivations", "group_structure",
+                       "fredholm", "integer_lattices", "kk", "acceptance"},
+    "index": {"cli", "group", "algebra", "fredholm"},
+    "chern": {"cli", "chern"},
 }
 
 
@@ -1027,9 +1088,8 @@ class TestColdImports:
         result = probe_imports(argv)
         assert result["code"] == 0 and not result["dataclasses"]
         words = " ".join(argv[:2])
-        not_run = [mods for prefix, mods in NOT_RUN.items() if words.startswith(prefix)]
-        assert set(result["package"]) & set().union(*not_run) == set()
-        assert "algebra" in result["package"]  # the probe sees the package
+        (loaded,) = [mods for prefix, mods in LOADED.items() if words.startswith(prefix)]
+        assert set(result["package"]) == loaded
 
     def test_chern_loads_numpy(self):
         # the same probe sees numpy where a command needs it

@@ -7,7 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heisenberg_ncg import group_structure
-from heisenberg_ncg.algebra import GroupElement, UnsupportedInput
+from heisenberg_ncg import UnsupportedInput
+from heisenberg_ncg.group import GroupElement
 from heisenberg_ncg.group_structure import (
     box_points,
     brute_force_centralizer,

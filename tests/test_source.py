@@ -10,7 +10,7 @@ from conftest import seeded
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heisenberg_ncg.algebra import GroupElement, group_product
+from heisenberg_ncg.group import GroupElement, group_product
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "heisenberg_ncg").glob("*.py"))
 
@@ -56,20 +56,22 @@ def test_no_module_imports_dataclasses():
     assert users == []
 
 
-def test_cli_imports_at_top_level_only_the_standard_library_and_algebra():
-    # every other package module is imported by the handlers that run it
+def test_cli_imports_at_top_level_only_the_standard_library_and_the_package_root():
+    # the root's UnsupportedInput; every package module is imported by the
+    # helpers and handlers that run it
     top = _imported(ast.parse((SOURCES[0].parent / "cli.py").read_text()).body)
-    assert {m for m in top if m.startswith(".")} == {".algebra"}
+    assert {m for m in top if m.startswith(".")} == {".UnsupportedInput"}
     assert sorted(m for m in top if not m.startswith(".")
                   and m.split(".")[0] not in sys.stdlib_module_names) == []
 
 
-def test_chern_imports_at_top_level_only_numpy_os_threading_and_algebra():
+def test_chern_imports_at_top_level_only_numpy_os_threading_and_the_package_root():
     # the pool, the job counter and scipy.fft are imported by the functions
     # that use them, so neither `hnc chern` without --dirac nor the set-up
-    # of the benchmark's dirac workload pays for them
+    # of the benchmark's dirac workload pays for them; and no ring at all
     tree = ast.parse((SOURCES[0].parent / "chern.py").read_text())
-    assert _imported(tree.body) - {"__future__"} == {"numpy", "os", "threading", ".algebra"}
+    assert _imported(tree.body) - {"__future__"} == {"numpy", "os", "threading",
+                                                     ".UnsupportedInput"}
     inner = _imported(node for top in tree.body if not isinstance(top, (ast.Import, ast.ImportFrom))
                       for node in ast.walk(top))
     assert {"concurrent.futures", "itertools", "scipy.fft"} <= inner
@@ -113,7 +115,7 @@ def test_only_the_cli_words_the_int_string_limit():
 
 
 def test_cli_holds_no_integer_rule():
-    # exponents are checked by `algebra._exponents`, through `GroupElement`
+    # exponents are checked by `group._exponents`, through `GroupElement`
     # and `element_from_dict`; the cli checks only the JSON shape
     tree = ast.parse((SOURCES[0].parent / "cli.py").read_text())
     classes = {name.id for node in ast.walk(tree)

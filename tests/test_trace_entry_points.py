@@ -9,10 +9,12 @@ here, not only in a benchmark run.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-import heisenberg_ncg.acceptance  # noqa: F401  (imports the traced modules but chern)
-import heisenberg_ncg.chern  # noqa: F401  (acceptance imports it only in criterion 3)
+import heisenberg_ncg
 from heisenberg_ncg.algebra import U, V, W
 from heisenberg_ncg.derivations import decompose, inner_derivation
 
@@ -28,8 +30,22 @@ def load_spans():
 
 
 def test_tracer_resolves_every_entry_point():
-    # raises AttributeError (or KeyError) for a traced name the package lost
-    assert load_spans().Tracer()._patches
+    # raises AttributeError (or KeyError) for a traced name the package lost.
+    # In a fresh interpreter that imports only acceptance and chern: in this
+    # one an earlier test may have imported the traced modules, and `Tracer`
+    # finds them through sys.modules, so acceptance must import them itself.
+    probe = (
+        "import importlib.util\n"
+        "import heisenberg_ncg.acceptance, heisenberg_ncg.chern\n"
+        f"spec = importlib.util.spec_from_file_location('bench_spans', {str(SPANS)!r})\n"
+        "spans = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "assert spans.Tracer()._patches\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(heisenberg_ncg.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_span_counters_read_the_term_storage():
